@@ -349,9 +349,11 @@ class CantorSet:
             if d.get("schema_version") != SET_SCHEMA_VERSION:
                 raise FormatError(f"unsupported schema_version {d.get('schema_version')!r}")
             params = ConstructionParams.from_json_dict(d["params"])
+            ks = [entry["k"] for entry in d["levels"]]
+            if ks != list(range(1, params.depth + 1)):
+                raise FormatError(f"set file levels {ks} do not match params.depth = {params.depth}")
             levels = []
-            for entry in d["levels"]:
-                k = entry["k"]
+            for k, entry in zip(ks, d["levels"]):
                 levels.append(
                     CantorLevel(
                         k=k,

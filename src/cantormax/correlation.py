@@ -22,10 +22,10 @@ from .core import CantorSet
 from .errors import DegenerateMeasureError, DomainError, EmptySampleError
 from .grids import DiscretizationGrid
 from .intersect import AffineTuple, INTERNAL, TRANSVERSE, enumerate_F
-from .params import ConstructionParams
+from .params import ConstructionParams, nudge
 from .stepfn import StepFunction, product_integral
 
-DEFAULT_EXHAUSTIVE_CAP = 4096
+EXHAUSTIVE_CAP = 4096
 
 
 def lambda_exact(A: AffineTuple, fns: Sequence[StepFunction]) -> Fraction:
@@ -101,18 +101,16 @@ class CorrelationReport:
 @dataclass(frozen=True)
 class SupLambdaResult:
     max_abs: Fraction
-    witness: AffineTuple
+    witness: AffineTuple | None
     coverage: dict
     transverse_seen: int
     reports: tuple[CorrelationReport, ...]
 
 
-def grid_tuples(
-    grid: DiscretizationGrid, n: int, cap: int = DEFAULT_EXHAUSTIVE_CAP
-) -> list[AffineTuple] | None:
-    """All grid tuples when the full enumeration fits under cap, else None."""
+def grid_tuples(grid: DiscretizationGrid, n: int) -> list[AffineTuple] | None:
+    """All grid tuples when the full enumeration fits under the cap, else None."""
     total_pairs = grid.total_pairs()
-    if total_pairs**n > cap:
+    if total_pairs**n > EXHAUSTIVE_CAP:
         return None
     pairs = [
         (grid.c_value(ci), grid.r_value(ri))
@@ -141,30 +139,27 @@ def evaluate_tuple(
     )
 
 
-def sup_lambda_tr(
+def _transverse_scan(
     cset: CantorSet,
     n: int,
     k: int,
     budget: int,
     rng: np.random.Generator,
     pair_pool: Sequence[tuple] | None = None,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> SupLambdaResult:
-    """Sampled stand-in for sup over transverse tuples of |Lambda(A; sigma_k)|.
+    """Max of |Lambda(A; sigma_k)| over the transverse candidates.
 
-    With ``pair_pool`` the candidate tuples come from that explicit pool of
-    (c, r) pairs; pools small enough are enumerated exhaustively.  Otherwise
-    samples are drawn from the level-k discretization grid, half of them in
-    the near-diagonal stratum.
+    Candidates are every tuple over ``pair_pool`` (or ``budget`` draws from
+    it when the pool is too large), else every level-k grid tuple when the
+    grid is small enough, else ``budget`` grid draws with the even-numbered
+    ones near-diagonal.  With no transverse candidate the max is 0 and the
+    witness None.
     """
-    if budget < 1:
-        raise EmptySampleError("sup_lambda_tr needs budget >= 1")
     c0 = c0_constant(cset.params, n, k)
-    candidates = []
     if pair_pool is not None:
         pool = [(Fraction(c), Fraction(r)) for c, r in pair_pool]
         total = len(pool) ** n
-        if total <= exhaustive_cap:
+        if total <= EXHAUSTIVE_CAP:
             candidates = [
                 AffineTuple(combo, k) for combo in itertools.product(pool, repeat=n)
             ]
@@ -177,7 +172,7 @@ def sup_lambda_tr(
             coverage = {"mode": "sampled", "tuples": budget, "pool": len(pool)}
     else:
         grid = DiscretizationGrid.for_level(cset.params, k)
-        candidates = grid_tuples(grid, n, exhaustive_cap)
+        candidates = grid_tuples(grid, n)
         if candidates is not None:
             coverage = {"mode": "exhaustive", "tuples": len(candidates)}
         else:
@@ -185,14 +180,9 @@ def sup_lambda_tr(
                 grid.sample_tuple(rng, n, near_diagonal=(i % 2 == 0))
                 for i in range(budget)
             ]
-            coverage = {
-                "mode": "sampled",
-                "tuples": budget,
-                "grid_pairs": grid.total_pairs(),
-                "stratified": "half near-diagonal",
-            }
+            coverage = {"mode": "sampled", "tuples": budget, "grid_pairs": grid.total_pairs()}
 
-    best: Fraction | None = None
+    best = Fraction(0)
     witness = None
     transverse_seen = 0
     reports = []
@@ -202,21 +192,36 @@ def sup_lambda_tr(
         if rep.cls != TRANSVERSE:
             continue
         transverse_seen += 1
-        mag = abs(rep.lam)
-        if best is None or mag > best:
-            best, witness = mag, A
-    if best is None:
-        raise EmptySampleError(
-            f"no transverse tuples among {len(candidates)} candidates at k={k}"
-        )
+        if witness is None or abs(rep.lam) > best:
+            best, witness = abs(rep.lam), A
     return SupLambdaResult(best, witness, coverage, transverse_seen, tuple(reports))
 
 
-def _ulp_steps(x: float, steps: int, up: bool) -> float:
-    target = math.inf if up else -math.inf
-    for _ in range(steps):
-        x = math.nextafter(x, target)
-    return x
+def sup_lambda_tr(
+    cset: CantorSet,
+    n: int,
+    k: int,
+    budget: int,
+    rng: np.random.Generator,
+    pair_pool: Sequence[tuple] | None = None,
+) -> SupLambdaResult:
+    """Sampled stand-in for sup over transverse tuples of |Lambda(A; sigma_k)|.
+
+    With ``pair_pool`` the candidate tuples come from that explicit pool of
+    (c, r) pairs; pools small enough are enumerated exhaustively.  Otherwise
+    samples are drawn from the level-k discretization grid, half of them in
+    the near-diagonal stratum.
+    """
+    if budget < 1:
+        raise EmptySampleError("sup_lambda_tr needs budget >= 1")
+    result = _transverse_scan(cset, n, k, budget, rng, pair_pool)
+    if result.witness is None:
+        raise EmptySampleError(
+            f"no transverse tuples among {len(result.reports)} candidates at k={k}"
+        )
+    if pair_pool is None and result.coverage["mode"] == "sampled":
+        result.coverage["stratified"] = "half near-diagonal"
+    return result
 
 
 def c0_constant(
@@ -244,7 +249,7 @@ def c0_constant(
     for j in range(1, k + 2):
         inner += 2 * params.L * n * math.log(params.level_N(j))
     value = math.exp(log_val) * math.sqrt(inner)
-    return _ulp_steps(value, 8, up=(rounding == "up"))
+    return nudge(value, up=(rounding == "up"))
 
 
 def write_reports_jsonl(path, reports: Sequence[CorrelationReport]) -> None:

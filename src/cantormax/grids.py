@@ -55,14 +55,6 @@ class DiscretizationGrid:
             raise GridError(f"dilation index {i} outside 1..{self.n_r}")
         return 1 + (2 * i - 1) * self.spacing / 2
 
-    def snap_c(self, c) -> int:
-        """Grid index of the cell containing a translation value."""
-        c = Fraction(c)
-        if not (-4 <= c <= 0):
-            raise GridError(f"translation {c} outside [-4, 0]")
-        i = int((c + 4) / self.spacing) + 1
-        return min(max(i, 1), self.n_c)
-
     def total_pairs(self) -> int:
         return self.n_c * self.n_r
 

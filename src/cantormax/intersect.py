@@ -11,6 +11,7 @@ available in the test suite as the oracle.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,10 +60,6 @@ class AffineTuple:
             for j in range(i + 1, self.n)
         ]
         return min(gaps)
-
-    def translated(self, t) -> "AffineTuple":
-        t = Fraction(t)
-        return AffineTuple(tuple((c + t, r) for c, r in self.pairs), self.level)
 
     def permuted(self, perm: Sequence[int]) -> "AffineTuple":
         return AffineTuple(tuple(self.pairs[p] for p in perm), self.level)
@@ -132,9 +129,7 @@ def enumerate_F(
     # Clear denominators: slot l covers [C_l + G_l*(M+o), C_l + G_l*(M+o+1)].
     D = 1
     for c, r in A.pairs:
-        D = D // _gcd(D, c.denominator) * c.denominator
-        rd = r.denominator * M_k
-        D = D // _gcd(D, rd) * rd
+        D = math.lcm(D, c.denominator, r.denominator * M_k)
     Cs, Gs = [], []
     for c, r in A.pairs:
         Cs.append(c.numerator * (D // c.denominator))
@@ -176,12 +171,6 @@ def enumerate_F(
         s = start_of(0, o)
         recurse(1, s, s + Gs[0], (o,))
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def classify(

@@ -517,20 +517,6 @@ def restricted_type_target(cset: CantorSet, n: int, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# norms
-# ---------------------------------------------------------------------------
-
-
-def lp_norm(f: StepFunction, p) -> float:
-    """(integral |f|^p)^(1/p); the inner integral is exact for integer p."""
-    return f.lp_norm(p)
-
-
-def lp_power(f: StepFunction, p: int) -> Fraction:
-    return f.lp_power(p)
-
-
-# ---------------------------------------------------------------------------
 # differentiation experiment
 # ---------------------------------------------------------------------------
 

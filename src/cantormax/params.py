@@ -25,6 +25,18 @@ REGIME_CUSTOM = "custom"
 _REGIMES = (REGIME_ONE_DIM, REGIME_FIXED_DIM, REGIME_CUSTOM)
 
 
+def nudge(x: float, up: bool) -> float:
+    """x moved 8 ulps up or down.
+
+    Float thresholds are nudged against acceptance, so float error can only
+    cause a false rejection, never a false acceptance.
+    """
+    target = math.inf if up else -math.inf
+    for _ in range(8):
+        x = math.nextafter(x, target)
+    return x
+
+
 def _integer_root(x: int, n: int) -> int:
     """Floor n-th root by Newton iteration; exact for any size of x.
 

@@ -17,16 +17,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .core import CantorLevel, CantorSet
-from .correlation import c0_constant, evaluate_tuple
+from .correlation import _transverse_scan, c0_constant
 from .errors import CapacityError, ConstructionFailure, DomainError, EmptySampleError
-from .grids import DiscretizationGrid
-from .intersect import TRANSVERSE
-from .params import ConstructionParams
+from .params import ConstructionParams, nudge
 
 GATE_C_STREAM_TAG = 7
 TRANSCRIPT_SCHEMA_VERSION = 1
@@ -124,25 +121,6 @@ def bernoulli_layer(
 
 
 # ---------------------------------------------------------------------------
-# float nudges (acceptance-unfavorable rounding)
-# ---------------------------------------------------------------------------
-
-_NUDGE = 8
-
-
-def _down(x: float) -> float:
-    for _ in range(_NUDGE):
-        x = math.nextafter(x, -math.inf)
-    return x
-
-
-def _up(x: float) -> float:
-    for _ in range(_NUDGE):
-        x = math.nextafter(x, math.inf)
-    return x
-
-
-# ---------------------------------------------------------------------------
 # gates
 # ---------------------------------------------------------------------------
 
@@ -195,8 +173,8 @@ def gate_counts(cset: CantorSet, k: int) -> tuple[GateReport, GateReport]:
         )
     else:
         Q = cset.Q(k)
-        dev_hi = max(abs(P - _down(Q)), abs(P - _up(Q)))
-        thr_lo = _down(float(Bc) * math.sqrt(_down(Q)))
+        dev_hi = max(abs(P - nudge(Q, up=False)), abs(P - nudge(Q, up=True)))
+        thr_lo = nudge(float(Bc) * math.sqrt(nudge(Q, up=False)), up=False)
         rep_b = GateReport(
             level=k,
             gate="b",
@@ -231,11 +209,11 @@ def gate_deviation(cset: CantorSet, k_child: int) -> GateReport:
         measured_exact = f"{dev.numerator}/{dev.denominator}"
     else:
         g = params.expected_growth_float(k_child)
-        dev = max(abs(cmax - _down(g)), abs(cmax - _up(g)), abs(cmin - _down(g)), abs(cmin - _up(g)))
+        dev = max(abs(c - nudge(g, up)) for c in (cmax, cmin) for up in (False, True))
         measured = dev
         measured_exact = None
     ln_arg = 4.0 * float(params.B) * max(parent.P, 1)
-    thr = _down(math.sqrt(8.0 * params.expected_growth_float(k_child) * math.log(ln_arg)))
+    thr = nudge(math.sqrt(8.0 * params.expected_growth_float(k_child) * math.log(ln_arg)), up=False)
     passed = (float(dev) if growth is None else dev) <= thr
     return GateReport(
         level=k_child,
@@ -255,53 +233,27 @@ def gate_correlation(
     n: int,
     budget: int,
     rng: np.random.Generator,
-    exhaustive_cap: int = 4096,
 ) -> GateReport:
     """Gate (c): sup over transverse tuples of |Lambda(A; sigma_k)| vs C0.
 
-    Exhaustive over the grid when it holds at most ``exhaustive_cap`` tuples
-    (tiny constructions only); sampled otherwise, with the coverage mode
-    recorded — a sampled sup is never certified.  A sample with no
-    transverse tuples passes vacuously (the sup over the empty set is 0)
-    and says so.
+    The sup comes from the transverse scan shared with
+    ``correlation.sup_lambda_tr``: exhaustive over the grid when it is tiny,
+    sampled otherwise, with the coverage mode recorded — a sampled sup is never certified.  A sample
+    with no transverse tuples passes vacuously (the sup over the empty set
+    is 0) and says so.
     """
     if budget < 1:
         raise EmptySampleError("gate (c) needs a sampling budget >= 1")
-    from .correlation import grid_tuples
-
-    params = cset.params
-    c0_gate = c0_constant(params, n, k, rounding="down")
-    c0_report = c0_constant(params, n, k, rounding="up")
-    grid = DiscretizationGrid.for_level(params, k)
-    candidates = grid_tuples(grid, n, exhaustive_cap)
-    if candidates is not None:
-        coverage = {"mode": "exhaustive", "tuples": len(candidates)}
-    else:
-        candidates = [
-            grid.sample_tuple(rng, n, near_diagonal=(i % 2 == 0)) for i in range(budget)
-        ]
-        coverage = {"mode": "sampled", "tuples": budget, "grid_pairs": grid.total_pairs()}
-    best = Fraction(0)
-    witness = None
-    transverse_seen = 0
-    for A in candidates:
-        rep = evaluate_tuple(A, cset, n, k, c0_report)
-        if rep.cls != TRANSVERSE:
-            continue
-        transverse_seen += 1
-        if witness is None or abs(rep.lam) > best:
-            best = abs(rep.lam)
-            witness = A
+    c0_gate = c0_constant(cset.params, n, k, rounding="down")
+    scan = _transverse_scan(cset, n, k, budget, rng)
+    best, seen, total = scan.max_abs, scan.transverse_seen, len(scan.reports)
     passed = best <= c0_gate
-    detail = (
-        f"{transverse_seen}/{len(candidates)} tuples transverse; "
-        f"{coverage['mode']} coverage"
-    )
-    extras = {"n": n, "coverage": coverage, "transverse_seen": transverse_seen}
-    if witness is not None and not passed:
-        extras["witness"] = [[str(c), str(r)] for c, r in witness.pairs]
-    if transverse_seen == 0:
-        detail = f"no transverse tuples among {len(candidates)}; gate passes vacuously"
+    detail = f"{seen}/{total} tuples transverse; {scan.coverage['mode']} coverage"
+    extras = {"n": n, "coverage": scan.coverage, "transverse_seen": seen}
+    if scan.witness is not None and not passed:
+        extras["witness"] = [[str(c), str(r)] for c, r in scan.witness.pairs]
+    if seen == 0:
+        detail = f"no transverse tuples among {total}; gate passes vacuously"
     return GateReport(
         level=k + 1,
         gate="c",
@@ -322,10 +274,11 @@ def boundedness_check(params: ConstructionParams, K: int | None = None) -> GateR
     worst = 0.0
     worst_k = 0
     for k in range(1, k_max + 1):
-        lhs = _up(
+        lhs = nudge(
             2.0 ** ((5 + float(params.gamma)) * k)
             * math.log(params.M(k))
-            / params.expected_growth_float(k + 1)
+            / params.expected_growth_float(k + 1),
+            up=True,
         )
         if lhs > worst:
             worst, worst_k = lhs, k

@@ -31,10 +31,6 @@ _GU_MAX = 1 << 87
 _C_MAX = 1 << 99
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
 def _gcd_all(values: Iterable[int], start: int = 0) -> int:
     g = start
     for v in values:
@@ -90,10 +86,10 @@ class StepFunction:
             raise DomainError("breakpoints must be strictly increasing")
         den = 1
         for b in bps:
-            den = _lcm(den, b.denominator)
+            den = math.lcm(den, b.denominator)
         vden = 1
         for v in vals:
-            vden = _lcm(vden, v.denominator)
+            vden = math.lcm(vden, v.denominator)
         units = [b.numerator * (den // b.denominator) for b in bps]
         nums = [v.numerator * (vden // v.denominator) for v in vals]
         return cls(units, den, nums, vden)
@@ -278,7 +274,7 @@ class StepFunction:
             raise DomainError("affine_image needs r > 0")
         if self.is_zero:
             return StepFunction.zero()
-        D = _lcm(c.denominator, r.denominator * self.den)
+        D = math.lcm(c.denominator, r.denominator * self.den)
         C = c.numerator * (D // c.denominator)
         G = r.numerator * (D // (r.denominator * self.den))
         units = [C + G * u for u in self.units]
@@ -287,9 +283,6 @@ class StepFunction:
     def dilate_arg(self, factor) -> "StepFunction":
         """The function z -> f(z/factor) for factor > 0."""
         return self.affine_image(0, factor)
-
-    def translate(self, t) -> "StepFunction":
-        return self.affine_image(t, 1)
 
     def scale(self, s) -> "StepFunction":
         s = Fraction(s)
@@ -398,7 +391,7 @@ def _prepare_factors(entries):
         if r <= 0:
             raise DomainError("affine factors need r > 0")
         cleaned.append((fn, c, r))
-        D = _lcm(D, _lcm(c.denominator, r.denominator * fn.den))
+        D = math.lcm(D, c.denominator, r.denominator * fn.den)
     prepared = []
     for fn, c, r in cleaned:
         C = c.numerator * (D // c.denominator)
@@ -562,7 +555,7 @@ def _prepare_weighted(terms):
     D, prepared = _prepare_factors([(fn, c, r) for _, fn, c, r in cleaned])
     VW = 1
     for w, fn, _, _ in cleaned:
-        VW = _lcm(VW, w.denominator * fn.val_den)
+        VW = math.lcm(VW, w.denominator * fn.val_den)
     mults = [
         w.numerator * (VW // (w.denominator * fn.val_den)) for w, fn, _, _ in cleaned
     ]
@@ -674,8 +667,10 @@ class PiecewiseLinear:
         a, b = Fraction(a), Fraction(b)
         if b < a:
             raise DomainError("mass_between needs a <= b")
+        i0, i1 = bisect_right(self.nodes, a), bisect_left(self.nodes, b)
+        cuts = [a, *self.nodes[i0:i1], b]
+        vals = [self.value_at(a), *self.values[i0:i1], self.value_at(b)]
         total = Fraction(0)
-        cuts = [a] + [x for x in self.nodes if a < x < b] + [b]
-        for lo, hi in zip(cuts, cuts[1:]):
-            total += (self.value_at(lo) + self.value_at(hi)) / 2 * (hi - lo)
+        for lo, hi, y0, y1 in zip(cuts, cuts[1:], vals, vals[1:]):
+            total += (y0 + y1) / 2 * (hi - lo)
         return total

@@ -120,6 +120,20 @@ class TestCli:
         failed = [c for c in report["checks"] if not c["passed"]]
         assert any(c["gate"] == "a" for c in failed)
 
+    @pytest.mark.parametrize("cut", ["last", "first"])
+    def test_set_file_levels_must_match_depth(self, cli_workspace, tmp_path, capsys, cut):
+        _, cfg, out = cli_workspace
+        payload = json.loads((out / "set.json").read_text())
+        payload["levels"] = payload["levels"][:-1] if cut == "last" else payload["levels"][1:]
+        bad = tmp_path / "short.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["verify", str(bad), "-c", str(cfg), "-o", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "params.depth" in err
+        assert "Traceback" not in err
+
     def test_corrupt_file_is_usage_error(self, tmp_path):
         bad = tmp_path / "corrupt.json"
         bad.write_text("{not json")

@@ -12,7 +12,6 @@ from cantormax import (
     average,
     differentiation_experiment,
     l1_divergence_demo,
-    lp_norm,
     mk_adjoint,
     mk_operator,
     mk_restricted_type_ratio,
@@ -37,7 +36,7 @@ from cantormax.maxops import (
 )
 from cantormax.stepfn import PiecewiseLinear, StepFunction, inner_product
 
-from conftest import random_step
+from conftest import random_fraction, random_step
 
 F = Fraction
 
@@ -354,6 +353,26 @@ class TestMkAdjoint:
         with pytest.raises(DomainError):
             mk_adjoint_norm_power([(F(0), F(1, 2), F(3, 2))], fixture_a, 1, 0)
 
+    def test_mass_between_matches_full_scan(self, z8_set):
+        # mass_between bisects to the nodes inside (a, b); the oracle is the
+        # full scan over every node
+        def full_scan(h, a, b):
+            cuts = [a] + [x for x in h.nodes if a < x < b] + [b]
+            return sum(
+                ((h.value_at(lo) + h.value_at(hi)) / 2 * (hi - lo) for lo, hi in zip(cuts, cuts[1:])),
+                F(0),
+            )
+
+        rnd = random.Random(45)
+        h = mk_adjoint(_random_dilation_cells(rnd, z8_set, 1, 32, 8), z8_set, 1)
+        assert len(h.nodes) >= 1000
+        lo, hi = h.nodes[0] - 1, h.nodes[-1] + 1
+        ends = [rnd.choice(h.nodes) for _ in range(20)] + [random_fraction(rnd, lo, hi) for _ in range(20)]
+        intervals = [sorted(rnd.sample(ends, 2)) for _ in range(40)]
+        intervals += [(lo, hi), (h.nodes[0], h.nodes[-1]), (h.nodes[5], h.nodes[5]), (lo - 1, lo)]
+        for a, b in intervals:
+            assert h.mass_between(a, b) == full_scan(h, a, b)
+
     def test_samplers_share_draws(self, fixture_a):
         rng_a, rng_b = RngStream(5).child(3), RngStream(5).child(3)
         free = restricted_type_ratio(fixture_a, 1, 2, 8, rng_a, n_cells=8)
@@ -367,12 +386,12 @@ class TestMkAdjoint:
 
 class TestNorms:
     def test_fixture_density_l2(self, fixture_a):
-        assert lp_norm(fixture_a.density(1), 2) == pytest.approx(2**0.5, rel=1e-12)
+        assert fixture_a.density(1).lp_norm(2) == pytest.approx(2**0.5, rel=1e-12)
 
     def test_unit_indicator_all_p(self):
         f = StepFunction.indicator(F(3, 7), F(10, 7))
         for p in (1, 2, 3, F(7, 2)):
-            assert lp_norm(f, p) == pytest.approx(1.0)
+            assert f.lp_norm(p) == pytest.approx(1.0)
 
     def test_dilation_scaling_exact(self):
         rnd = random.Random(13)

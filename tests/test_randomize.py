@@ -20,6 +20,7 @@ from cantormax import (
     gate_counts,
     gate_deviation,
     one_dimensional,
+    sup_lambda_tr,
     verify_set,
 )
 from cantormax.errors import ConstructionFailure, DomainError
@@ -125,6 +126,15 @@ class TestGateCorrelation:
         rep = gate_correlation(z8_set, 1, 2, 8, RngStream(1).child(9))
         assert rep.passed
         assert rep.extras["coverage"]["mode"] == "sampled"
+
+    def test_agrees_with_sup_lambda_tr(self, z8_set):
+        # gate (c) thresholds the same transverse scan sup_lambda_tr reports
+        rep = gate_correlation(z8_set, 1, 2, 8, RngStream(1).child(9))
+        res = sup_lambda_tr(z8_set, 2, 1, 8, RngStream(1).child(9))
+        assert rep.measured_exact == f"{res.max_abs.numerator}/{res.max_abs.denominator}"
+        assert rep.extras["transverse_seen"] == res.transverse_seen
+        assert "stratified" not in rep.extras["coverage"]
+        assert res.coverage["stratified"] == "half near-diagonal"
 
     def test_fails_when_threshold_forced_tiny(self, z8_set, monkeypatch):
         import cantormax.randomize as rz
