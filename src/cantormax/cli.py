@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import core, maxops
-from .config import RunConfig, apply_key, load_config, serialize_config
+from .config import RunConfig, apply_key, load_config, serialize_config, validate
 from .correlation import (
     sup_lambda_tr,
     trivial_bound,
@@ -50,6 +50,7 @@ def _load_run_config(args) -> RunConfig:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         dotted, raw = (part.strip() for part in item.split("=", 1))
         apply_key(cfg, dotted, raw)
+    validate(cfg)
     return cfg
 
 
@@ -180,20 +181,18 @@ def cmd_maximal(args) -> int:
         m_max=mc.m_max,
     )
     f = StepFunction.indicator(0, 1)
-    fabs = f.abs()
-    restricted = maxops.restricted_maximal(f, cset, query)
-    unrestricted = maxops.unrestricted_maximal(f, cset, query)
+    sweep = maxops.maximal_sweep(f, cset, query, {0, *range(mc.m_min, mc.m_max + 1)})
+    restricted = sweep.restricted()
     with open(out / "maximal.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "r_or_m", "x", "value"])
         for x in query.points:
-            for k in range(1, cset.depth + 1):
+            for k in range(1, sweep.k_top + 1):
                 for r in query.r_grid:
-                    v = maxops.average(fabs, cset, k, r, x)
-                    w.writerow([k, float(r), float(x), float(v)])
+                    w.writerow([k, float(r), float(x), float(sweep.averages[x, 0, k, r])])
         for x, v in restricted:
             w.writerow(["max", "", float(x), float(v)])
-        for x, v in unrestricted:
+        for x, v in sweep.windowed():
             w.writerow(["max_windowed", f"{mc.m_min}..{mc.m_max}", float(x), v])
     print(f"wrote {out / 'maximal.csv'} ({len(restricted)} points, a = {query.a})")
     return EXIT_OK

@@ -206,6 +206,25 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def validate(cfg: RunConfig) -> None:
+    """Reject values outside the domains of the maximal and differentiate runs."""
+    mc, dc = cfg.maximal, cfg.differentiate
+    if mc.r_count < 1:
+        raise ConfigError("maximal.r_count must be >= 1", field="maximal.r_count")
+    if not 1 < mc.p <= mc.q:
+        raise ConfigError("maximal needs 1 < p <= q", field="maximal.p")
+    if mc.m_min > mc.m_max:
+        raise ConfigError("maximal needs m_min <= m_max", field="maximal.m_min")
+    if dc.point_count < 1:
+        raise ConfigError("differentiate.point_count must be >= 1", field="differentiate.point_count")
+    rs = dc.r_sequence
+    if not rs or rs[-1] <= 0 or any(b >= a for a, b in zip(rs, rs[1:])):
+        raise ConfigError(
+            "differentiate.r_sequence must be nonempty, positive and strictly decreasing",
+            field="differentiate.r_sequence",
+        )
+
+
 def _format_value(value) -> str:
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"

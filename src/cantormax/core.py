@@ -102,6 +102,39 @@ class CantorLevel:
         return np.stack([arr[starts], arr[ends] + 1], axis=1)
 
 
+class RunMoments:
+    """Exact prefix moments of one level's runs [s_i, e_i), in grid units
+    u = M_k (y - 1).
+
+    ``c0[i]`` is the total length of the first i runs and ``c1[i]`` the sum
+    of e_j^2 - s_j^2 over them (the integral of 2u du).  A cut at any
+    rational u then costs one bisect plus the partial run it lands in.  ``c1`` is
+    bounded by M_k^2, so it stays int64 while M_k < 2^31 and holds Python
+    ints beyond.
+    """
+
+    __slots__ = ("starts", "ends", "c0", "c1")
+
+    def __init__(self, runs: np.ndarray, M_k: int):
+        self.starts, self.ends = runs[:, 0], runs[:, 1]
+        dtype = np.int64 if M_k < 1 << 31 else object
+        s, e = self.starts.astype(dtype), self.ends.astype(dtype)
+        self.c0 = np.concatenate(([0], np.cumsum(e - s))).astype(dtype)
+        self.c1 = np.concatenate(([0], np.cumsum((e - s) * (e + s)))).astype(dtype)
+
+    def below(self, u) -> tuple:
+        """(length, integral of 2u du) of the runs inside [0, u], exact, for
+        0 <= u <= M_k."""
+        j = int(np.searchsorted(self.ends, math.floor(u), side="right"))
+        m0, m1 = int(self.c0[j]), int(self.c1[j])
+        if j < len(self.starts):
+            s = int(self.starts[j])
+            if u > s:
+                m0 += u - s
+                m1 += u * u - s * s
+        return m0, m1
+
+
 class CantorSet:
     """Nested selected-interval family S_1 ⊇ ... ⊇ S_K.
 
@@ -121,6 +154,7 @@ class CantorSet:
         self._sigma_cache: dict[int, StepFunction] = {}
         self._density_cache: dict[int, StepFunction] = {}
         self._indicator_cache: dict[int, StepFunction] = {}
+        self._moments_cache: dict[int, RunMoments] = {}
         if validate:
             problems = self.structure_problems()
             if problems:
@@ -200,6 +234,13 @@ class CantorSet:
             self._indicator_cache[k] = StepFunction._from_gaps(gaps, lv.M_k, 1)
         return self._indicator_cache[k]
 
+    def run_moments(self, k: int) -> RunMoments:
+        """Prefix moments of the runs of S_k, built on first use."""
+        if k not in self._moments_cache:
+            lv = self.level(k)
+            self._moments_cache[k] = RunMoments(lv.runs(), lv.M_k)
+        return self._moments_cache[k]
+
     # -- densities -----------------------------------------------------------
 
     def density(self, k: int) -> StepFunction:
@@ -273,14 +314,10 @@ class CantorSet:
         lv = self.level(self.depth)
         if lv.P == 0:
             raise DegenerateMeasureError("depth-K level is empty")
-        total = Fraction(0)
-        M = lv.M_k
-        for s, e in lv.runs():
-            lo = max(a, 1 + Fraction(int(s), M))
-            hi = min(b, 1 + Fraction(int(e), M))
-            if hi > lo:
-                total += (hi - lo) * M
-        return total / lv.P
+        moments = self.run_moments(self.depth)
+        lo, _ = moments.below((a - 1) * lv.M_k)
+        hi, _ = moments.below((b - 1) * lv.M_k)
+        return Fraction(hi - lo) / lv.P
 
     def weak_star_defect(self, k: int, k2: int) -> Fraction:
         """Sum over selected level-k intervals of |∫ (phi_k2 - phi_k)|, exact."""

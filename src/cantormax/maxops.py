@@ -1,10 +1,13 @@
 """Averaging, maximal, and adjoint operators, plus the two experiments.
 
-Everything that feeds a comparison is exact: averages reduce to a product
-integral of the test function against an affine image of the level
-indicator, so maximal values are exact maxima of exact rationals over the
-query grid.  The sup over continuous dilations is replaced by a grid max;
-refinement of the grid never decreases any value.
+Everything that feeds a comparison is exact.  An average A_r[k] f(x) is a
+sum over the linear pieces of f: on a piece where f(z) = alpha + beta z it
+needs the length and the first moment of S_k over the piece's preimage,
+which two bisects into the level's prefix-moment tables give
+(``CantorSet.run_moments``), so an average costs O(pieces * log runs) and
+never a pass over the runs.  Maximal values are exact maxima of exact
+rationals over the query grid.  The sup over continuous dilations is
+replaced by a grid max; refinement of the grid never decreases any value.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .errors import (
     DomainError,
     EmptySampleError,
     GridError,
+    InsufficientDepthError,
 )
 from .stepfn import (
     PiecewiseLinear,
@@ -39,27 +43,48 @@ from .stepfn import (
 # ---------------------------------------------------------------------------
 
 
-def average(f: StepFunction, cset: CantorSet, k: int, r, x) -> Fraction:
-    """A_r[k] f(x) = integral of f(x + r y) phi_k(y) dy, exact."""
+def average(f, cset: CantorSet, k: int, r, x) -> Fraction:
+    """A_r[k] f(x) = integral of f(x + r y) dmu_k(y), exact.
+
+    f is a StepFunction or a PiecewiseLinear.  On a piece [p, q] where
+    f(z) = alpha + beta z, the integrand is alpha + beta x + beta r y on the
+    preimage Y = [(p - x)/r, (q - x)/r], so the piece contributes
+    (alpha + beta x) |S_k ∩ Y| + beta r * (integral of y over S_k ∩ Y).
+    Both come from cutting the level's prefix moments at the ends of Y.
+    """
     r, x = Fraction(r), Fraction(x)
     if r <= 0:
         raise DomainError("dilation r must be positive")
     lv = cset.level(k)
     if lv.P == 0:
         raise DegenerateMeasureError(f"level {k} is empty")
-    if f.is_zero:
-        return Fraction(0)
-    hit = product_integral([(f, 0, 1), (cset.indicator(k), x, r)])
-    return hit / (r * lv.measure)
+    moments = cset.run_moments(k)
+    M = lv.M_k
+
+    def cut(z, unbounded):
+        """Grid unit u = M (y - 1) of the point z = x + r y, clipped to [0, M]."""
+        return unbounded if z is None else min(max(M * (z - x - r) / r, 0), M)
+
+    total = Fraction(0)
+    for p, q, alpha, beta in f.linear_pieces():
+        lo, hi = cut(p, 0), cut(q, M)
+        if hi <= lo or not (alpha or beta):
+            continue
+        (a0, a1), (b0, b1) = moments.below(lo), moments.below(hi)
+        # with y = 1 + u/M, |S_k ∩ Y| = m0/M and the integral of y is
+        # m0/M + m1/(2 M^2); the 1/M cancels against |S_k| = P/M
+        total += (alpha + beta * (x + r)) * (b0 - a0) + beta * r * (b1 - a1) / (2 * M)
+    return total / lv.P
 
 
-def sigma_average(f: StepFunction, cset: CantorSet, k: int, r, x) -> Fraction:
-    """integral of f(x + r y) sigma_k(y) dy, exact."""
-    r, x = Fraction(r), Fraction(x)
-    if r <= 0:
+def sigma_average(f, cset: CantorSet, k: int, r, x) -> Fraction:
+    """integral of f(x + r y) sigma_k(y) dy = A_r[k+1] f(x) - A_r[k] f(x), exact."""
+    if Fraction(r) <= 0:
         raise DomainError("dilation r must be positive")
-    sig = cset.sigma(k)
-    return product_integral([(f, 0, 1), (sig, x, r)]) / r
+    if k + 1 > cset.depth:
+        raise InsufficientDepthError(f"sigma_{k} needs level {k + 1}")
+    lower = average(f, cset, k, r, x)
+    return average(f, cset, k + 1, r, x) - lower
 
 
 def mk_operator(f: StepFunction, cset: CantorSet, k: int, x, r_grid) -> Fraction:
@@ -113,20 +138,68 @@ def dyadic_r_grid(size: int) -> tuple[Fraction, ...]:
     return tuple(1 + Fraction(j, denom) for j in range(1, denom))
 
 
+def _scale(m: int) -> Fraction:
+    return Fraction(1, 2**m) if m >= 0 else Fraction(2 ** (-m))
+
+
+@dataclass(frozen=True)
+class MaximalSweep:
+    """A_r[k]|f|(x) over a query's points, levels 1..k_top and dilations
+    r = r0 2^-m (r0 on the r grid, m in the swept scales), keyed
+    (x, m, k, r0), each computed once."""
+
+    query: MaximalQuery
+    k_top: int
+    averages: dict
+
+    def _keys(self, m: int):
+        return [(m, k, r0) for k in range(1, self.k_top + 1) for r0 in self.query.r_grid]
+
+    def restricted(self) -> list[tuple[Fraction, Fraction]]:
+        """M f at each query point: max over the r grid (m = 0) and levels."""
+        keys = self._keys(0)
+        return [
+            (x, max([Fraction(0), *(self.averages[(x, *key)] for key in keys)]))
+            for x in self.query.points
+        ]
+
+    def windowed(self) -> list[tuple[Fraction, float]]:
+        """max of r^a A_r[k]|f|(x) over the query's scale window."""
+        a = self.query.a
+        keys = [key for m in range(self.query.m_min, self.query.m_max + 1) for key in self._keys(m)]
+        out = []
+        for x in self.query.points:
+            best = 0.0
+            for m, k, r0 in keys:
+                val = self.averages[x, m, k, r0]
+                if val == 0:
+                    continue
+                best = max(best, float(val) * float(r0 * _scale(m)) ** float(a))
+            out.append((x, best))
+        return out
+
+
+def maximal_sweep(f: StepFunction, cset: CantorSet, query: MaximalQuery, scales) -> MaximalSweep:
+    """A_{r0 2^-m}[k]|f|(x) at every query point x, level k <= k_top, r0 on
+    the r grid and m in ``scales``; ``restricted`` reads scale 0 and
+    ``windowed`` the query's window."""
+    k_top = min(query.k_max or cset.depth, cset.depth)
+    fabs = f.abs()
+    averages = {
+        (x, m, k, r0): average(fabs, cset, k, r0 * _scale(m), x)
+        for x in dict.fromkeys(query.points)
+        for m in scales
+        for k in range(1, k_top + 1)
+        for r0 in query.r_grid
+    }
+    return MaximalSweep(query, k_top, averages)
+
+
 def restricted_maximal(
     f: StepFunction, cset: CantorSet, query: MaximalQuery
 ) -> list[tuple[Fraction, Fraction]]:
     """M f at each query point: max over the r grid and levels of averages of |f|."""
-    k_top = min(query.k_max or cset.depth, cset.depth)
-    fabs = f.abs()
-    out = []
-    for x in query.points:
-        best = Fraction(0)
-        for k in range(1, k_top + 1):
-            for r in query.r_grid:
-                best = max(best, average(fabs, cset, k, r, x))
-        out.append((x, best))
-    return out
+    return maximal_sweep(f, cset, query, (0,)).restricted()
 
 
 def unrestricted_maximal(
@@ -137,24 +210,8 @@ def unrestricted_maximal(
     The scale window m in [m_min, m_max] is part of the query and reported
     with it; each average is exact, the r^a factor is the only float.
     """
-    k_top = min(query.k_max or cset.depth, cset.depth)
-    a = query.a
-    fabs = f.abs()
-    out = []
-    for x in query.points:
-        best = 0.0
-        for m in range(query.m_min, query.m_max + 1):
-            scale = Fraction(1, 2**m) if m >= 0 else Fraction(2 ** (-m))
-            for k in range(1, k_top + 1):
-                for r0 in query.r_grid:
-                    r = r0 * scale
-                    val = average(fabs, cset, k, r, x)
-                    if val == 0:
-                        continue
-                    weighted = float(val) * float(r) ** float(a)
-                    best = max(best, weighted)
-        out.append((x, best))
-    return out
+    scales = range(query.m_min, query.m_max + 1)
+    return maximal_sweep(f, cset, query, scales).windowed()
 
 
 # ---------------------------------------------------------------------------
@@ -529,27 +586,6 @@ class DiffRow:
     per_level: tuple[Fraction, ...]
 
 
-def average_via_mass(f, cset: CantorSet, k: int, r, x) -> Fraction:
-    """A_r[k] f(x) for any function exposing exact interval masses.
-
-    Sums f-mass over the affine image of the level runs; agrees with
-    ``average`` on step functions and extends to piecewise-linear ones.
-    """
-    r, x = Fraction(r), Fraction(x)
-    if r <= 0:
-        raise DomainError("dilation r must be positive")
-    lv = cset.level(k)
-    if lv.P == 0:
-        raise DegenerateMeasureError(f"level {k} is empty")
-    M = lv.M_k
-    total = Fraction(0)
-    for s, e in lv.runs():
-        lo = x + r * (1 + Fraction(int(s), M))
-        hi = x + r * (1 + Fraction(int(e), M))
-        total += f.mass_between(lo, hi)
-    return total / (r * lv.measure)
-
-
 def differentiation_experiment(
     f,
     cset: CantorSet,
@@ -571,7 +607,7 @@ def differentiation_experiment(
         fx = f.value_at(x, side="+")
         for r in rs:
             errs = tuple(
-                abs(average_via_mass(f, cset, k, r, x) - fx)
+                abs(average(f, cset, k, r, x) - fx)
                 for k in range(1, cset.depth + 1)
             )
             rows.append(DiffRow(x, r, max(errs), errs))

@@ -244,6 +244,12 @@ class StepFunction:
             raise DomainError("mass_between needs a <= b")
         return self.mass_below(b) - self.mass_below(a)
 
+    def linear_pieces(self):
+        """(left, right, alpha, beta) per cell, with f(z) = alpha + beta z on
+        [left, right]; beta is 0."""
+        for lo, hi, v in self.cells():
+            yield lo, hi, v, 0
+
     def lp_power(self, p: int) -> Fraction:
         """Exact integral of |f|^p for integer p >= 1."""
         if p < 1 or int(p) != p:
@@ -655,6 +661,16 @@ class PiecewiseLinear:
         x0, x1 = self.nodes[i], self.nodes[i + 1]
         y0, y1 = self.values[i], self.values[i + 1]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+    def linear_pieces(self):
+        """(left, right, alpha, beta) per piece, with f(z) = alpha + beta z on
+        [left, right]; the constant tails have left or right None."""
+        xs, ys = self.nodes, self.values
+        yield None, xs[0], ys[0], 0
+        for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+            beta = (y1 - y0) / (x1 - x0)
+            yield x0, x1, y0 - beta * x0, beta
+        yield xs[-1], None, ys[-1], 0
 
     def lipschitz_constant(self) -> Fraction:
         return max(

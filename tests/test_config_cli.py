@@ -1,5 +1,6 @@
 """Config round-trip and the CLI exit-code contract."""
 
+import csv
 import json
 from fractions import Fraction
 
@@ -133,6 +134,53 @@ class TestCli:
         assert code == 2
         assert err.count("\n") == 1 and "params.depth" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("differentiate", "differentiate.point_count=0"),
+            ("differentiate", "differentiate.r_sequence=1/8,1/4"),
+            ("differentiate", "differentiate.r_sequence=1/4,0"),
+            ("maximal", "maximal.r_count=0"),
+            ("maximal", "maximal.p=1"),
+            ("maximal", "maximal.m_min=1"),
+        ],
+    )
+    def test_config_domain_error_is_usage_error(self, cli_workspace, tmp_path, capsys, command, override):
+        _, _, out = cli_workspace
+        capsys.readouterr()
+        code = main([command, str(out / "set.json"), "--set", override, "-o", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and override.split("=")[0] in err
+        assert "Traceback" not in err
+
+    def test_maximal_csv_rows_match_library(self, cli_workspace, tmp_path):
+        from cantormax.core import CantorSet
+        from cantormax.maxops import MaximalQuery, average, restricted_maximal, unrestricted_maximal
+        from cantormax.stepfn import StepFunction
+
+        _, _, out = cli_workspace
+        overrides = ["maximal.points=3", "maximal.r_count=2", "maximal.m_min=-1", "maximal.m_max=1", "maximal.q=4"]
+        argv = ["maximal", str(out / "set.json"), "-o", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        with open(tmp_path / "maximal.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        cset = CantorSet.from_json((out / "set.json").read_text())
+        f = StepFunction.indicator(0, 1)
+        points = [F(-4) + F(4 * (2 * i + 1), 6) for i in range(3)]
+        query = MaximalQuery(points=points, r_grid=(F(4, 3), F(5, 3)), q=4, m_min=-1, m_max=1)
+        grid = [
+            [str(k), str(float(r)), str(float(x)), str(float(average(f, cset, k, r, x)))]
+            for x in points for k in (1, 2, 3) for r in query.r_grid
+        ]
+        assert rows[: len(grid)] == grid
+        restricted = [["max", "", str(float(x)), str(float(v))] for x, v in restricted_maximal(f, cset, query)]
+        windowed = [["max_windowed", "-1..1", str(float(x)), str(v)] for x, v in unrestricted_maximal(f, cset, query)]
+        assert rows[len(grid):] == restricted + windowed
+        assert any(float(row[3]) > 0 for row in rows)
 
     def test_corrupt_file_is_usage_error(self, tmp_path):
         bad = tmp_path / "corrupt.json"

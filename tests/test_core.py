@@ -1,5 +1,6 @@
 """Cantor iteration: indices, intervals, densities, measures, dimension."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,14 @@ class TestMeasures:
         b = fixture_a.nu_interval((F(3, 2), 2))
         assert a + b == fixture_a.nu_interval((1, 2))
         assert a <= fixture_a.nu_interval((1, F(7, 4)))
+
+    def test_matches_density_mass(self, z8_set):
+        # the prefix-table cut against the phi_K mass of the merged density
+        rnd = random.Random(61)
+        phi = z8_set.density(z8_set.depth)
+        for _ in range(20):
+            a, b = sorted(1 + F(rnd.randint(0, 10**6), 10**6) for _ in range(2))
+            assert z8_set.nu_interval((a, b)) == phi.mass_between(a, b)
 
     def test_outside_domain_rejected(self, fixture_a):
         with pytest.raises(InvalidIndexError):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cantormax import (
     MaximalQuery,
@@ -20,11 +22,10 @@ from cantormax import (
     restricted_type_ratio,
     unrestricted_maximal,
 )
-from cantormax.errors import DegenerateMeasureError, DomainError, GridError
+from cantormax.errors import DegenerateMeasureError, DomainError, GridError, InsufficientDepthError
 from cantormax.grids import DiscretizationGrid
 from cantormax.maxops import (
     AdjointAssignment,
-    average_via_mass,
     restricted_type_target,
     dyadic_r_grid,
     mk_adjoint_norm_power,
@@ -34,7 +35,7 @@ from cantormax.maxops import (
     sigma_average,
     uniform_assignment,
 )
-from cantormax.stepfn import PiecewiseLinear, StepFunction, inner_product
+from cantormax.stepfn import PiecewiseLinear, StepFunction, inner_product, product_integral
 
 from conftest import random_fraction, random_step
 
@@ -52,6 +53,26 @@ def _rand_assignment(cset, k, n_cells, seed):
         )
 
     return uniform_assignment(cset, k, n_cells, source)
+
+
+def _merge_average(f, cset, k, r, x):
+    """Merge oracle: the product integral of f against the affine image of
+    1_{S_k}, over r |S_k|."""
+    r, x = F(r), F(x)
+    if f.is_zero:
+        return F(0)
+    return product_integral([(f, 0, 1), (cset.indicator(k), x, r)]) / (r * cset.level(k).measure)
+
+
+def _run_loop_average(f, cset, k, r, x):
+    """Run-loop oracle: the f-mass over the affine image of every run of S_k."""
+    r, x = F(r), F(x)
+    lv = cset.level(k)
+    M = lv.M_k
+    total = F(0)
+    for s, e in lv.runs():
+        total += f.mass_between(x + r * (1 + F(int(s), M)), x + r * (1 + F(int(e), M)))
+    return total / (r * lv.measure)
 
 
 class TestAverage:
@@ -89,7 +110,151 @@ class TestAverage:
                 f = random_step(rnd)
                 x, r = F(rnd.randint(-3, 0)), F(rnd.randint(5, 7), 4)
                 k = rnd.randint(1, cset.depth)
-                assert average(f, cset, k, r, x) == average_via_mass(f, cset, k, r, x)
+                assert average(f, cset, k, r, x) == _run_loop_average(f, cset, k, r, x)
+
+
+def _window_step(rnd, x, r, cells=4):
+    """Random step function whose breakpoints lie around the window x + r [1, 2]."""
+    ts = sorted({F(rnd.randint(8, 40), 16) + F(rnd.randint(0, 96), 97 * 16) for _ in range(cells + 1)})
+    vals = [F(rnd.randint(-5, 5), rnd.choice([1, 2, 3])) for _ in range(len(ts) - 1)]
+    return StepFunction.from_breakpoints([x + r * t for t in ts], vals)
+
+
+_HAT = PiecewiseLinear([-4, -2, 0], [0, 1, 0])
+
+
+class TestPrefixMomentAverage:
+    """``average`` against the merge and run-loop oracles, with ==."""
+
+    @pytest.mark.parametrize("name", ["fixture_a", "z8_set", "z16_set"])
+    def test_matches_both_oracles_every_level(self, name, request):
+        cset = request.getfixturevalue(name)
+        rnd = random.Random(51)
+        for k in range(1, cset.depth + 1):
+            points = [(F(-2), F(9, 8)), (F(-7, 4), F(13, 10)), (F(-3, 2), F(5, 4))]
+            for x, r in points:
+                f = StepFunction.indicator(0, 1)
+                assert average(f, cset, k, r, x) == _merge_average(f, cset, k, r, x)
+                g = _window_step(rnd, x, r)
+                assert average(g, cset, k, r, x) == _merge_average(g, cset, k, r, x)
+            # the run loop costs a pass over every run: about 15 s at z16 k=3
+            assert average(_HAT, cset, k, F(1, 8), F(-2)) == _run_loop_average(_HAT, cset, k, F(1, 8), F(-2))
+            if name != "z16_set":
+                x, r = points[0]
+                g = _window_step(rnd, x, r)
+                assert average(g, cset, k, r, x) == _run_loop_average(g, cset, k, r, x)
+
+    def test_cuts_inside_runs(self, fixture_a, z8_set):
+        # fixture_a level 1 is [5/4, 3/2) u [7/4, 2); f = 1 on [21/16, 15/8)
+        # cuts both runs in their interiors: (3/16 + 1/8) / |S_1| = 5/8
+        f = StepFunction.indicator(F(21, 16), F(15, 8))
+        assert average(f, fixture_a, 1, 1, 0) == F(5, 8) == _run_loop_average(f, fixture_a, 1, 1, 0)
+        # generic rational cuts land inside runs of every level
+        rnd = random.Random(52)
+        for cset in (fixture_a, z8_set):
+            for k in range(1, cset.depth + 1):
+                runs = cset.level(k).runs()
+                M = cset.level(k).M_k
+                for _ in range(3):
+                    x, r = F(rnd.randint(-40, 0), 16), F(rnd.randint(17, 63), 32)
+                    # breakpoints at the images of points strictly inside random runs
+                    s, e = (int(v) for v in runs[rnd.randrange(len(runs))])
+                    ys = sorted(1 + (s + F(rnd.randint(1, 9), 10) * (e - s)) / M for _ in range(2))
+                    if ys[0] == ys[1]:
+                        continue
+                    f = StepFunction.indicator(x + r * ys[0], x + r * ys[1])
+                    pl = PiecewiseLinear([x + r * y for y in ys], [F(3, 2), F(-1, 3)])
+                    got = average(f, cset, k, r, x)
+                    assert got == _run_loop_average(f, cset, k, r, x) == _merge_average(f, cset, k, r, x)
+                    assert 0 < got < 1
+                    assert average(pl, cset, k, r, x) == _run_loop_average(pl, cset, k, r, x)
+
+    def test_piecewise_linear_tails_overlap_support(self, fixture_a, z8_set):
+        # window x + r [1, 2] = [-7/2, -1/2] covers both constant tails
+        pl = PiecewiseLinear([-3, F(-5, 2), -1], [2, F(-1, 3), 5])
+        steep_right = PiecewiseLinear([F(-3, 2), F(-1, 2)], [F(-7, 4), 3])
+        flat = PiecewiseLinear([0, 1], [F(7, 3), F(7, 3)])
+        for cset in (fixture_a, z8_set):
+            for k in range(1, cset.depth + 1):
+                for x, r in ((F(-13, 2), F(3)), (F(-3), F(3, 4)), (F(-1), F(5, 4))):
+                    for f in (pl, steep_right):
+                        assert average(f, cset, k, r, x) == _run_loop_average(f, cset, k, r, x)
+                    assert average(flat, cset, k, r, x) == F(7, 3)
+
+    def test_large_denominator_dilations(self, fixture_a, z8_set):
+        rnd = random.Random(53)
+        for cset in (fixture_a, z8_set):
+            for r in (1 + F(1, 3**40), F(10**30 + 7, 10**30), F(2**61 + 1, 2**60)):
+                x = F(-2) + F(1, 7**25)
+                for k in range(1, cset.depth + 1):
+                    g = _window_step(rnd, x, r)
+                    assert average(g, cset, k, r, x) == _merge_average(g, cset, k, r, x)
+                    assert average(_HAT, cset, k, r, x) == _run_loop_average(_HAT, cset, k, r, x)
+
+    def test_support_misses_the_set(self, fixture_a, z8_set):
+        # fixture_a level 1 has the gap [3/2, 7/4) between its runs
+        gap = StepFunction.indicator(F(3, 2), F(7, 4))
+        gap_pl = PiecewiseLinear([F(3, 2), F(13, 8), F(7, 4)], [0, 9, 0])
+        for k in (1, 2):
+            assert average(gap, fixture_a, k, 1, 0) == 0 == _merge_average(gap, fixture_a, k, 1, 0)
+            assert average(gap_pl, fixture_a, k, 1, 0) == 0 == _run_loop_average(gap_pl, fixture_a, k, 1, 0)
+        # supports left of, right of, and touching the window x + r [1, 2]
+        for cset in (fixture_a, z8_set):
+            for k in range(1, cset.depth + 1):
+                for x in (F(-7), F(3), F(-2), F(-1)):
+                    for f in (StepFunction.indicator(-1, 0), StepFunction.zero()):
+                        assert average(f, cset, k, 1, x) == _merge_average(f, cset, k, 1, x)
+                    assert average(_HAT, cset, k, 1, x) == _run_loop_average(_HAT, cset, k, 1, x)
+                assert average(_HAT, cset, k, 1, F(-7)) == 0
+
+    def test_sigma_average_matches_product_integral(self, fixture_a, z8_set):
+        rnd = random.Random(54)
+        for cset, k in ((fixture_a, 1), (z8_set, 1), (z8_set, 2)):
+            for _ in range(4):
+                x, r = F(rnd.randint(-48, 0), 16), F(rnd.randint(17, 63), 32)
+                f = _window_step(rnd, x, r, cells=5)
+                want = product_integral([(f, 0, 1), (cset.sigma(k), x, r)]) / r
+                assert sigma_average(f, cset, k, r, x) == want
+        with pytest.raises(InsufficientDepthError):
+            sigma_average(StepFunction.indicator(0, 1), fixture_a, 2, 1, 0)
+        with pytest.raises(DomainError):
+            sigma_average(StepFunction.indicator(0, 1), fixture_a, 2, 0, 0)
+
+    def test_tables_built_lazily(self, fixture_a_params):
+        from cantormax import build_deterministic
+        from conftest import FIXTURE_A_SELECTIONS
+
+        cset = build_deterministic(FIXTURE_A_SELECTIONS, fixture_a_params)
+        assert not cset._moments_cache
+        average(_HAT, cset, 2, F(1, 2), F(-3))
+        assert list(cset._moments_cache) == [2]
+
+
+@st.composite
+def _window_functions(draw):
+    """(x, r, f): f a step or piecewise-linear function with 1-5 pieces whose
+    breakpoints lie around the window x + r [1, 2]."""
+    x = F(draw(st.integers(-256, 0)), draw(st.sampled_from([1, 3, 16, 81])))
+    r = F(draw(st.integers(1, 400)), draw(st.sampled_from([7, 64, 100])))
+    ts = draw(st.lists(st.fractions(F(1, 2), F(5, 2), max_denominator=200), min_size=2, max_size=6, unique=True))
+    zs = [x + r * t for t in sorted(ts)]
+    vals = draw(st.lists(st.fractions(-4, 4, max_denominator=9), min_size=len(zs), max_size=len(zs)))
+    if draw(st.booleans()):
+        return x, r, StepFunction.from_breakpoints(zs, vals[1:])
+    return x, r, PiecewiseLinear(zs, vals)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=_window_functions(), which=st.sampled_from(["fixture_a", "z8_set"]), k=st.integers(1, 3))
+def test_average_property_matches_oracles(fixture_a, z8_set, data, which, k):
+    x, r, f = data
+    cset = fixture_a if which == "fixture_a" else z8_set
+    k = min(k, cset.depth)
+    got = average(f, cset, k, r, x)
+    if isinstance(f, StepFunction):
+        assert got == _merge_average(f, cset, k, r, x)
+    else:
+        assert got == _run_loop_average(f, cset, k, r, x)
 
 
 class TestMkOperator:
