@@ -129,8 +129,8 @@ def cmd_correlate(args) -> int:
     out = _outdir(cfg, args)
     cset = _load_set(args.set_file)
     cc = cfg.correlate
-    if cc.budget < 1:
-        raise ConfigError("correlate.budget must be >= 1", field="correlate.budget")
+    if cc.k >= cset.depth:
+        raise ConfigError(f"correlate.k must lie in 0..{cset.depth - 1} for this set", field="correlate.k")
     # k = 0 sweeps every level with a difference function (the decay curve)
     ks = list(range(1, cset.depth)) if cc.k == 0 else [cc.k]
     all_reports = []

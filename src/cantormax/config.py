@@ -207,8 +207,16 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate(cfg: RunConfig) -> None:
-    """Reject values outside the domains of the maximal and differentiate runs."""
-    mc, dc = cfg.maximal, cfg.differentiate
+    """Reject values outside the domains of the correlate, maximal,
+    differentiate and demo runs; ranges that depend on a set file are
+    checked by the command that loads it."""
+    cc, mc, dc, dm = cfg.correlate, cfg.maximal, cfg.differentiate, cfg.demo
+    if cc.n < 2 or cc.n % 2:
+        raise ConfigError("correlate.n must be an even integer >= 2", field="correlate.n")
+    if cc.k < 0:
+        raise ConfigError("correlate.k must be >= 0", field="correlate.k")
+    if cc.budget < 1:
+        raise ConfigError("correlate.budget must be >= 1", field="correlate.budget")
     if mc.r_count < 1:
         raise ConfigError("maximal.r_count must be >= 1", field="maximal.r_count")
     if not 1 < mc.p <= mc.q:
@@ -223,6 +231,12 @@ def validate(cfg: RunConfig) -> None:
             "differentiate.r_sequence must be nonempty, positive and strictly decreasing",
             field="differentiate.r_sequence",
         )
+    if dm.depth < 1:
+        raise ConfigError("demo.depth must be >= 1", field="demo.depth")
+    if dm.r <= 0:
+        raise ConfigError("demo.r must be > 0", field="demo.r")
+    if dm.rho0 is not None and dm.rho0 <= 0:
+        raise ConfigError("demo.rho0 must be > 0", field="demo.rho0")
 
 
 def _format_value(value) -> str:

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    CantorError,
     DegenerateMeasureError,
     FormatError,
     InsufficientDepthError,
@@ -24,7 +25,7 @@ from .errors import (
     StructureError,
 )
 from .params import ConstructionParams, REGIME_FIXED_DIM, REGIME_ONE_DIM
-from .stepfn import StepFunction
+from .stepfn import StepFunction, _int_array
 
 MultiIndex = tuple[int, ...]
 
@@ -193,25 +194,24 @@ class CantorSet:
 
     def structure_problems(self) -> list[str]:
         problems = []
+        parents = None
         for idx, lv in enumerate(self.levels):
             k = idx + 1
             if lv.k != k:
                 problems.append(f"level list out of order at {k}")
             if lv.N_k != self.params.level_N(k) or lv.M_k != self.params.M(k):
                 problems.append(f"level {k} subdivision disagrees with params")
-            arr = lv.offsets
-            if any(b <= a for a, b in zip(arr, arr[1:])):
+            arr = np.asarray(lv.offsets, dtype=np.int64)
+            if (np.diff(arr) <= 0).any():
                 problems.append(f"level {k} offsets not sorted/distinct")
-            if arr and (arr[0] < 0 or arr[-1] >= lv.M_k):
+            if len(arr) and (arr[0] < 0 or arr[-1] >= lv.M_k):
                 problems.append(f"level {k} offset out of range")
-            if k >= 2:
-                parents = set(self.levels[idx - 1].offsets)
-                N_k = lv.N_k
-                for o in arr:
-                    if o // N_k not in parents:
-                        bad = index_of(o, k, self.params)
-                        problems.append(f"index {bad} at level {k} has unselected parent")
-                        break
+            if parents is not None:
+                orphan = np.isin(arr // lv.N_k, parents, invert=True)
+                if orphan.any():
+                    bad = index_of(lv.offsets[int(np.argmax(orphan))], k, self.params)
+                    problems.append(f"index {bad} at level {k} has unselected parent")
+            parents = arr
         return problems
 
     def selection(self, k: int) -> set[MultiIndex]:
@@ -229,10 +229,16 @@ class CantorSet:
     def indicator(self, k: int) -> StepFunction:
         """1_{S_k} as an exact step function."""
         if k not in self._indicator_cache:
-            lv = self.level(k)
-            gaps = ((int(s) + lv.M_k, int(e) + lv.M_k, 1) for s, e in lv.runs())
-            self._indicator_cache[k] = StepFunction._from_gaps(gaps, lv.M_k, 1)
+            self._indicator_cache[k] = self._level_function(k, Fraction(1))
         return self._indicator_cache[k]
+
+    def _level_function(self, k: int, value: Fraction) -> StepFunction:
+        """``value`` on S_k and 0 elsewhere, built from the runs of level k."""
+        lv = self.level(k)
+        runs = lv.runs()
+        # the value on each run, 0 on the gaps between runs
+        vals = _int_array([value.numerator, 0])[np.arange(2 * len(runs) - 1) % 2]
+        return StepFunction(runs.ravel() + lv.M_k, lv.M_k, vals, value.denominator)
 
     def run_moments(self, k: int) -> RunMoments:
         """Prefix moments of the runs of S_k, built on first use."""
@@ -249,13 +255,8 @@ class CantorSet:
         if lv.P == 0:
             raise DegenerateMeasureError(f"level {k} is empty; phi_{k} undefined")
         if k not in self._density_cache:
-            runs = lv.runs()
-            value = Fraction(lv.M_k, lv.P)  # (P_k delta_k)^{-1}
-            gaps = (
-                (int(s) + lv.M_k, int(e) + lv.M_k, value.numerator)
-                for s, e in runs
-            )
-            self._density_cache[k] = StepFunction._from_gaps(gaps, lv.M_k, value.denominator)
+            # (P_k delta_k)^{-1} on S_k
+            self._density_cache[k] = self._level_function(k, Fraction(lv.M_k, lv.P))
         return self._density_cache[k]
 
     def sigma(self, k: int) -> StepFunction:
@@ -277,9 +278,8 @@ class CantorSet:
 
         parent_runs = parent.runs() * N_next  # scaled to the child grid
         child_runs = child.runs()
-        bps = np.unique(
-            np.concatenate([parent_runs.ravel(), child_runs.ravel()])
-        )
+        bps = np.sort(np.concatenate([parent_runs.ravel(), child_runs.ravel()]), kind="stable")
+        bps = bps[np.concatenate(([True], bps[1:] != bps[:-1]))]
         starts = bps[:-1]
         in_parent = (
             np.searchsorted(parent_runs[:, 0], starts, side="right")
@@ -289,13 +289,9 @@ class CantorSet:
             np.searchsorted(child_runs[:, 0], starts, side="right")
             - np.searchsorted(child_runs[:, 1], starts, side="right")
         ) == 1
-        vals = np.where(in_child, a_num, np.where(in_parent, b_num, 0))
-        gaps = zip(
-            (int(b) + M_next for b in bps[:-1]),
-            (int(b) + M_next for b in bps[1:]),
-            (int(v) for v in vals),
-        )
-        fn = StepFunction._from_gaps(gaps, M_next, vden)
+        # 0 off S_k, b_num on S_k minus S_{k+1}, a_num on S_{k+1}
+        vals = _int_array([0, b_num, a_num])[np.where(in_child, 2, in_parent.astype(np.int64))]
+        fn = StepFunction(bps + M_next, M_next, vals, vden)
         self._sigma_cache[k] = fn
         return fn
 
@@ -382,7 +378,11 @@ class CantorSet:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CantorSet":
+        """Parse and check a set file; a malformed one raises ``FormatError``,
+        a well-formed one that is not a nested family ``StructureError``."""
         try:
+            if not isinstance(d, dict):
+                raise FormatError(f"set file must hold a JSON object, not {type(d).__name__}")
             if d.get("schema_version") != SET_SCHEMA_VERSION:
                 raise FormatError(f"unsupported schema_version {d.get('schema_version')!r}")
             params = ConstructionParams.from_json_dict(d["params"])
@@ -391,12 +391,15 @@ class CantorSet:
                 raise FormatError(f"set file levels {ks} do not match params.depth = {params.depth}")
             levels = []
             for k, entry in zip(ks, d["levels"]):
+                selected = entry["selected"]
+                if not isinstance(selected, list) or set(map(type, selected)) - {int}:
+                    raise FormatError(f"level {k} selected offsets must be a list of integers")
                 levels.append(
                     CantorLevel(
                         k=k,
                         N_k=params.level_N(k),
                         M_k=params.M(k),
-                        offsets=tuple(int(o) for o in entry["selected"]),
+                        offsets=tuple(selected),
                     )
                 )
             retries = d.get("accepted_retries")
@@ -405,7 +408,9 @@ class CantorSet:
                 levels,
                 accepted_retries=tuple(retries) if retries else None,
             )
-        except (KeyError, TypeError) as exc:
+        except CantorError:
+            raise
+        except (KeyError, TypeError, ValueError, ArithmeticError, AttributeError) as exc:
             raise FormatError(f"malformed set file: {exc}") from exc
 
     @classmethod

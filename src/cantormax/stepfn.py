@@ -3,12 +3,24 @@
 A ``StepFunction`` is stored in cleared-denominator form: integer breakpoint
 numerators over one common denominator, and integer value numerators over
 another.  Every integral here is computed in integer arithmetic, so results
-are exact Fractions with no quadrature tolerance anywhere.
+are exact Fractions with no quadrature tolerance anywhere.  One array
+routine normalizes every step function (equal neighbours merged, zero end
+cells stripped, gcds divided out).
 
-The merge kernels (n-fold product integrals, powers of linear combinations)
-vectorise with numpy when the scaled positions fit two 64-bit limbs, which
-covers all the operational parameter ranges; otherwise they fall back to a
-pure-Python sweep with the same semantics.
+The kernels ``product_integral``, ``power_integral`` and
+``linear_combination`` share one exact merge of their factors' transformed
+breakpoints C + G*u.  Each factor is encoded relative to its first unit in
+two int64 limbs (hi, lo), and one stable argsort of the float64 keys
+hi*2^39 + lo merges the presorted factor runs: rounding never reverses the
+exact order, and runs of equal keys are reordered from the limbs.  The gaps
+are grouped by the tuple of their factors' value classes (a factor's
+distinct cell values, class 0 being zero); widths are summed per group in
+int64 limbs, and the class values are multiplied, or weighted and summed,
+once per group in Python ints.  A factor whose span, step G or offset
+leaves the limbs (span >= 2^25, G >= 2^61, G*span >= 2^87 or
+|offset| >= 2^91), or more than 2^24 breakpoints in all, sends the call to
+a pure-Python ``heapq`` sweep with the same semantics, which the tests also
+use as the ``==`` oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,19 +37,20 @@ from .errors import DomainError
 
 _LIMB = 39
 _LIMB_BASE = 1 << _LIMB
-_U_MAX = 1 << 25  # |breakpoint numerator| bound for the vectorised path
+_SPAN_MAX = 1 << 25  # breakpoint span u[-1] - u[0] of one factor
 _G_MAX = 1 << 61
 _GU_MAX = 1 << 87
-_C_MAX = 1 << 99
+_C_MAX = 1 << 91  # keeps |hi| < 2^53, so each float key is one rounding
+_POS_MAX = 1 << 24  # merged breakpoints; keeps the low-limb sums in int64
+_KEY_MAX = 1 << 62
 
 
-def _gcd_all(values: Iterable[int], start: int = 0) -> int:
-    g = start
-    for v in values:
-        g = math.gcd(g, v)
-        if g == 1:
-            return 1
-    return g
+def _int_array(values) -> np.ndarray:
+    """Integers as int64, or as Python ints (object dtype) when they do not fit."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
 
 
 class StepFunction:
@@ -49,16 +62,15 @@ class StepFunction:
         "val_nums",
         "val_den",
         "_np_units",
+        "_classes",
         "_prefix",
         "_float_bps",
     )
 
     def __init__(self, units, den, val_nums, val_den, *, _normalized=False):
-        units = list(units)
-        val_nums = list(val_nums)
         if den <= 0 or val_den <= 0:
             raise DomainError("denominators must be positive")
-        if len(units) != len(val_nums) + 1 and not (len(units) == 0 and not val_nums):
+        if len(units) != len(val_nums) + 1 and (len(units) or len(val_nums)):
             raise DomainError("need one more breakpoint than cell values")
         if not _normalized:
             units, den, val_nums, val_den = _normalize(units, den, val_nums, val_den)
@@ -67,6 +79,7 @@ class StepFunction:
         self.val_nums = tuple(val_nums)
         self.val_den = val_den
         self._np_units = None
+        self._classes = None
         self._prefix = None
         self._float_bps = None
 
@@ -121,23 +134,6 @@ class StepFunction:
     @classmethod
     def indicator(cls, a, b) -> "StepFunction":
         return cls.from_breakpoints([Fraction(a), Fraction(b)], [Fraction(1)])
-
-    @classmethod
-    def _from_gaps(cls, gaps, den, val_den) -> "StepFunction":
-        """Build from (start_int, end_int, value_int) gaps over fixed denominators."""
-        units: list[int] = []
-        nums: list[int] = []
-        for start, end, value in gaps:
-            if end <= start:
-                continue
-            if units and start > units[-1]:
-                nums.append(0)
-                units.append(start)
-            elif not units:
-                units.append(start)
-            nums.append(value)
-            units.append(end)
-        return cls(units, den, nums, val_den)
 
     # -- canonical views -------------------------------------------------
 
@@ -336,46 +332,46 @@ class StepFunction:
 
     # -- internal ----------------------------------------------------------
 
-    def _units_np(self):
+    def _rel_units(self) -> np.ndarray:
+        """Units minus the first unit, as int64; for spans below 2^62."""
         if self._np_units is None:
-            if self.units and max(abs(self.units[0]), abs(self.units[-1])) < 2**62:
-                self._np_units = np.asarray(self.units, dtype=np.int64)
+            u0 = self.units[0]
+            if max(abs(u0), abs(self.units[-1])) < 1 << 62:
+                self._np_units = np.asarray(self.units, dtype=np.int64) - u0
             else:
-                self._np_units = False
+                self._np_units = np.fromiter((u - u0 for u in self.units), np.int64, len(self.units))
         return self._np_units
+
+    def _class_table(self):
+        """(values, table): the distinct cell values with 0 first, and for each
+        cell its index into them, padded with class 0 on both sides."""
+        if self._classes is None:
+            uniq, inv = np.unique(_int_array(self.val_nums), return_inverse=True)
+            nonzero = uniq != 0
+            table = np.zeros(len(self.val_nums) + 2, dtype=np.int64)
+            table[1:-1] = (np.cumsum(nonzero) * nonzero)[inv]
+            self._classes = ([0, *uniq[nonzero].tolist()], table)
+        return self._classes
 
 
 def _normalize(units, den, val_nums, val_den):
-    if any(nxt <= cur for cur, nxt in zip(units, units[1:])):
+    """Canonical form of a step function given as integer arrays: equal
+    neighbours merged, zero end cells stripped, both gcds divided out.
+    Returns Python-int lists."""
+    u, v = _int_array(units), _int_array(val_nums)
+    if len(u) > 1 and not (u[1:] > u[:-1]).all():
         raise DomainError("breakpoints must be strictly increasing")
-    merged_u: list[int] = []
-    merged_v: list[int] = []
-    for i, v in enumerate(val_nums):
-        if merged_v and merged_v[-1] == v:
-            merged_u[-1] = units[i + 1]
-            continue
-        if not merged_u:
-            merged_u = [units[i], units[i + 1]]
-        else:
-            merged_u.append(units[i + 1])
-        merged_v.append(v)
-    while merged_v and merged_v[0] == 0:
-        merged_v.pop(0)
-        merged_u.pop(0)
-    while merged_v and merged_v[-1] == 0:
-        merged_v.pop()
-        merged_u.pop()
-    if not merged_v:
+    nonzero = np.flatnonzero(v != 0)
+    if not len(nonzero):
         return [], 1, [], 1
-    g = _gcd_all(merged_u, den)
-    if g > 1:
-        merged_u = [u // g for u in merged_u]
-        den //= g
-    h = _gcd_all(merged_v, val_den)
-    if h > 1:
-        merged_v = [v // h for v in merged_v]
-        val_den //= h
-    return merged_u, den, merged_v, val_den
+    first, last = nonzero[0], nonzero[-1] + 1
+    v = v[first:last]
+    keep = np.concatenate(([True], v[1:] != v[:-1]))
+    u = np.concatenate((u[first:last][keep], u[last : last + 1]))
+    v = v[keep]
+    g = math.gcd(den, int(np.gcd.reduce(u)))
+    h = math.gcd(val_den, int(np.gcd.reduce(v)))
+    return (u // g).tolist(), den // g, (v // h).tolist(), val_den // h
 
 
 # ---------------------------------------------------------------------------
@@ -406,91 +402,162 @@ def _prepare_factors(entries):
     return D, prepared
 
 
-def _encodable(C: int, G: int, fn: StepFunction) -> bool:
-    if fn._units_np() is False:
-        return False
-    umax = max(abs(fn.units[0]), abs(fn.units[-1])) if fn.units else 0
-    return umax < _U_MAX and 0 <= G < _G_MAX and G * umax < _GU_MAX and abs(C) < _C_MAX
-
-
 def _encode_positions(C: int, G: int, u: np.ndarray):
-    """Exact two-limb base-2^39 encoding of C + G*u, all int64."""
+    """Exact encoding hi*2^39 + lo of C + G*u for 0 <= u < 2^25, with
+    0 <= lo < 2^39, all int64 and computed in place."""
     Gq, Gr = divmod(G, 1 << 25)
     Chi, Clo = divmod(C, _LIMB_BASE)
-    t = Gq * u
-    tq = t >> 14
-    tr = t & ((1 << 14) - 1)
-    lo_acc = Clo + (tr << 25) + Gr * u
-    hi_acc = Chi + tq
-    carry = lo_acc >> _LIMB
-    lo = lo_acc - (carry << _LIMB)
-    hi = hi_acc + carry
+    hi = u * Gq  # below 2^61; G*u = hi*2^25 + Gr*u
+    lo = hi & ((1 << 14) - 1)
+    lo <<= 25
+    lo += Clo
+    lo += u * Gr
+    hi >>= 14
+    hi += Chi
+    hi += lo >> _LIMB
+    lo &= _LIMB_BASE - 1
     return hi, lo
 
 
-class _MergedCells:
-    """Sorted merge of several transformed breakpoint families.
+def _merged_order(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Exact ascending order of the positions hi*2^39 + lo.
 
-    Exposes per-gap factor region indices plus exact gap widths as object
-    (arbitrary-precision) integers over the common denominator.
+    The float64 key is one correctly rounded value of each position, so it
+    never reverses the exact order, and a stable argsort merges presorted
+    runs in near-linear time.  Only runs of equal keys are then reordered,
+    from the limbs.
     """
+    key = hi.astype(np.float64)
+    key *= _LIMB_BASE
+    key += lo
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    tie = key[1:] == key[:-1]
+    if tie.any():
+        run = np.cumsum(np.concatenate(([True], ~tie)))
+        slots = np.flatnonzero(np.concatenate(([False], tie)) | np.concatenate((tie, [False])))
+        sub = order[slots]
+        order[slots] = sub[np.lexsort((lo[sub], hi[sub], run[slots]))]
+    return order
 
-    __slots__ = ("n_gaps", "regs", "width_obj")
 
-    def __init__(self, n_gaps, regs, width_obj):
-        self.n_gaps = n_gaps
-        self.regs = regs
-        self.width_obj = width_obj
+def _gap_keys(tables, order: np.ndarray) -> np.ndarray:
+    """Per merged gap, an int64 key that is injective on its class tuple.
+
+    Crossing a breakpoint changes one factor's class, so a mixed-radix key is
+    the running sum of per-breakpoint steps in merged order.  Factors are
+    keyed in chunks whose radix product fits; chunk keys are combined by rank.
+    """
+    chunks, radix = [], _KEY_MAX
+    for i, (values, _) in enumerate(tables):
+        if radix * len(values) > _KEY_MAX:
+            chunks.append({})
+            radix = 1
+        chunks[-1][i] = radix
+        radix *= len(values)
+    keys = None
+    for chunk in chunks:
+        steps = np.concatenate([np.diff(t) * chunk.get(i, 0) for i, (_, t) in enumerate(tables)])
+        part = np.cumsum(steps[order])[:-1]
+        if keys is not None:
+            a = np.unique(keys, return_inverse=True)[1]
+            b = np.unique(part, return_inverse=True)[1]
+            part = a * (b.max() + 1) + b
+        keys = part
+    return keys
 
 
-def _merge_numpy(prepared) -> _MergedCells | None:
-    his, los, srcs = [], [], []
-    for i, (C, G, fn) in enumerate(prepared):
-        if not _encodable(C, G, fn):
+def _merge_numpy(prepared):
+    """The vectorised exact merge, with its gaps grouped by their tuple of
+    value classes, or None when an input is out of the limb range.
+
+    Returns (widths, classes, cells): ``widths[g]`` is the exact total width
+    of group g and ``classes[i][g]`` factor i's class on it; ``cells()``
+    gives the distinct merged positions (int64, or Python ints past it) and
+    the group of each cell between neighbours.
+    """
+    sizes = [len(fn.units) for _, _, fn in prepared]
+    if sum(sizes) > _POS_MAX:
+        return None
+    his, los = [], []
+    for C, G, fn in prepared:
+        span = fn.units[-1] - fn.units[0]
+        C0 = C + G * fn.units[0]  # bias by the first unit
+        if not (span < _SPAN_MAX and 0 < G < _G_MAX and G * span < _GU_MAX and abs(C0) < _C_MAX):
             return None
-        hi, lo = _encode_positions(C, G, fn._units_np())
+        hi, lo = _encode_positions(C0, G, fn._rel_units())
         his.append(hi)
         los.append(lo)
-        srcs.append(np.full(len(fn.units), i, dtype=np.int64))
-    hi = np.concatenate(his)
-    lo = np.concatenate(los)
-    src = np.concatenate(srcs)
-    order = np.lexsort((lo, hi))
-    hi_s, lo_s, src_s = hi[order], lo[order], src[order]
-    if len(hi_s) < 2:
-        return _MergedCells(0, [], np.empty(0, dtype=object))
-    regs = []
-    for i in range(len(prepared)):
-        cum = np.cumsum(src_s == i) - 1
-        regs.append(cum[:-1])
-    dhi = hi_s[1:] - hi_s[:-1]
-    dlo = lo_s[1:] - lo_s[:-1]
-    width = dhi.astype(object) * _LIMB_BASE + dlo.astype(object)
-    return _MergedCells(len(width), regs, width)
+    hi, lo = np.concatenate(his), np.concatenate(los)
+    order = _merged_order(hi, lo)
+    hi, lo = hi[order], lo[order]
+    # a gap is dhi*2^39 + dlo with dhi >= 0 and |dlo| < 2^39, so it is 0
+    # exactly when both are, and its sums stay inside int64
+    dhi, dlo = np.diff(hi), np.diff(lo)
+
+    tables = [fn._class_table() for _, _, fn in prepared]
+    keys = _gap_keys(tables, order)
+    n_keys = int(keys.max()) + 1
+    if n_keys > 2 * len(keys):
+        keys = np.unique(keys, return_inverse=True)[1]
+        n_keys = int(keys.max()) + 1
+    sum_hi = np.zeros(n_keys, dtype=np.int64)
+    sum_lo = np.zeros(n_keys, dtype=np.int64)
+    np.add.at(sum_hi, keys, dhi)
+    np.add.at(sum_lo, keys, dlo)
+    rep = np.full(n_keys, -1, dtype=np.int64)
+    rep[keys] = np.arange(len(keys))  # any gap of each present key
+    present = np.flatnonzero(rep >= 0)
+    widths = [(h << _LIMB) + l for h, l in zip(sum_hi[present].tolist(), sum_lo[present].tolist())]
+
+    # gap j lies past factor i's breakpoints at merged slots <= j
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    bounds = np.cumsum([0, *sizes])
+    classes = [
+        table[np.searchsorted(rank[a:b], rep[present], side="right")]
+        for (_, table), a, b in zip(tables, bounds, bounds[1:])
+    ]
+
+    def cells():
+        live = np.flatnonzero((dhi != 0) | (dlo != 0))
+        ends = np.append(live, len(hi) - 1)
+        pos_hi, pos_lo = hi[ends], lo[ends]
+        if np.abs(pos_hi).max() >= 1 << 23:
+            pos_hi, pos_lo = pos_hi.astype(object), pos_lo.astype(object)
+        group = np.empty(n_keys, dtype=np.int64)
+        group[present] = np.arange(len(present))
+        return pos_hi * _LIMB_BASE + pos_lo, group[keys[live]]
+
+    return widths, classes, cells
 
 
 def _affine_stream(C, G, units, i):
     return ((C + G * u, i) for u in units)
 
 
-def _merge_python_gaps(prepared):
-    """Yield (start, end, regs_tuple) over exact integer positions."""
-    streams = [
-        _affine_stream(C, G, fn.units, i) for i, (C, G, fn) in enumerate(prepared)
-    ]
+def _sweep(prepared, mults):
+    """Pure-Python exact merge: (start, end, weighted factor values) per gap."""
+    streams = [_affine_stream(C, G, fn.units, i) for i, (C, G, fn) in enumerate(prepared)]
+    fns = [fn for _, _, fn in prepared]
     regs = [-1] * len(prepared)
     prev = None
     for pos, i in heapq.merge(*streams):
         if prev is not None and pos != prev:
-            yield prev, pos, tuple(regs)
+            yield prev, pos, [
+                m * fn.val_nums[r] if 0 <= r < len(fn.val_nums) else 0
+                for fn, m, r in zip(fns, mults, regs)
+            ]
         regs[i] += 1
         prev = pos
 
 
-def _padded_value_obj(fn: StepFunction, multiplier: int = 1) -> np.ndarray:
-    vals = [v * multiplier for v in fn.val_nums]
-    vals.append(0)  # sentinel for out-of-support gaps
-    return np.array(vals, dtype=object)
+def _class_values(prepared, classes, mults) -> list[np.ndarray]:
+    """Per factor, its weighted class value on each group, as Python ints."""
+    return [
+        np.array([m * v for v in fn._class_table()[0]], dtype=object)[cls]
+        for (_, _, fn), m, cls in zip(prepared, mults, classes)
+    ]
 
 
 def product_integral(entries: Sequence[tuple]) -> Fraction:
@@ -506,46 +573,17 @@ def product_integral(entries: Sequence[tuple]) -> Fraction:
         if fn.is_zero:
             return Fraction(0)
     D, prepared = _prepare_factors(entries)
-    vden = 1
-    for _, _, fn in prepared:
-        vden *= fn.val_den
+    vden = math.prod(fn.val_den for _, _, fn in prepared)
+    ones = [1] * len(prepared)
     merged = _merge_numpy(prepared)
-    if merged is not None:
-        if merged.n_gaps == 0:
-            return Fraction(0)
-        nf = len(prepared)
-        mask = None
-        gathered = []
-        for i, (_, _, fn) in enumerate(prepared):
-            reg = merged.regs[i]
-            n_cells = len(fn.val_nums)
-            valid = (reg >= 0) & (reg < n_cells)
-            idx = np.where(valid, reg, n_cells)
-            vals = _padded_value_obj(fn)[idx]
-            nz = vals != 0
-            mask = nz if mask is None else (mask & nz)
-            gathered.append(vals)
-        live = np.flatnonzero(mask)
-        if len(live) == 0:
-            return Fraction(0)
-        acc = merged.width_obj[live]
-        for vals in gathered:
-            acc = acc * vals[live]
-        return Fraction(int(acc.sum()), D * vden)
-    # exact fallback
-    total = 0
-    fns = [fn for _, _, fn in prepared]
-    for start, end, regs in _merge_python_gaps(prepared):
-        prod = end - start
-        for i, fn in enumerate(fns):
-            r = regs[i]
-            if 0 <= r < len(fn.val_nums) and fn.val_nums[r] != 0:
-                prod *= fn.val_nums[r]
-            else:
-                prod = 0
-                break
-        total += prod
-    return Fraction(total, D * vden)
+    if merged is None:
+        total = sum((end - start) * math.prod(vals) for start, end, vals in _sweep(prepared, ones))
+        return Fraction(total, D * vden)
+    widths, classes, _ = merged
+    acc = np.array(widths, dtype=object)
+    for vals in _class_values(prepared, classes, ones):
+        acc = acc * vals
+    return Fraction(int(acc.sum()), D * vden)
 
 
 def _prepare_weighted(terms):
@@ -577,33 +615,13 @@ def power_integral(terms: Sequence[tuple], p: int) -> Fraction:
         return Fraction(0)
     D, VW, prepared, mults = prep
     merged = _merge_numpy(prepared)
-    if merged is not None:
-        if merged.n_gaps == 0:
-            return Fraction(0)
-        value = None
-        for i, (_, _, fn) in enumerate(prepared):
-            reg = merged.regs[i]
-            n_cells = len(fn.val_nums)
-            idx = np.where((reg >= 0) & (reg < n_cells), reg, n_cells)
-            vals = _padded_value_obj(fn, mults[i])[idx]
-            value = vals if value is None else (value + vals)
-        live = np.flatnonzero(value != 0)
-        if len(live) == 0:
-            return Fraction(0)
-        v = value[live]
-        acc = abs(v) ** p * merged.width_obj[live] if p > 1 else abs(v) * merged.width_obj[live]
-        return Fraction(int(acc.sum()), D * VW**p)
-    total = 0
-    fns = [fn for _, _, fn in prepared]
-    for start, end, regs in _merge_python_gaps(prepared):
-        v = 0
-        for i, fn in enumerate(fns):
-            r = regs[i]
-            if 0 <= r < len(fn.val_nums):
-                v += mults[i] * fn.val_nums[r]
-        if v:
-            total += abs(v) ** p * (end - start)
-    return Fraction(total, D * VW**p)
+    if merged is None:
+        total = sum(abs(sum(vals)) ** p * (end - start) for start, end, vals in _sweep(prepared, mults))
+        return Fraction(total, D * VW**p)
+    widths, classes, _ = merged
+    value = sum(_class_values(prepared, classes, mults))
+    acc = abs(value) ** p * np.array(widths, dtype=object)
+    return Fraction(int(acc.sum()), D * VW**p)
 
 
 def linear_combination(terms: Sequence[tuple]) -> StepFunction:
@@ -612,18 +630,18 @@ def linear_combination(terms: Sequence[tuple]) -> StepFunction:
     if prep is None:
         return StepFunction.zero()
     D, VW, prepared, mults = prep
-
-    def gaps():
-        fns = [fn for _, _, fn in prepared]
-        for start, end, regs in _merge_python_gaps(prepared):
-            v = 0
-            for i, fn in enumerate(fns):
-                r = regs[i]
-                if 0 <= r < len(fn.val_nums):
-                    v += mults[i] * fn.val_nums[r]
-            yield start, end, v
-
-    return StepFunction._from_gaps(gaps(), D, VW)
+    merged = _merge_numpy(prepared)
+    if merged is None:
+        units, nums = [], []
+        for start, end, vals in _sweep(prepared, mults):
+            units.append(start)
+            nums.append(sum(vals))
+        units.append(end)
+        return StepFunction(units, D, nums, VW)
+    _, classes, cells = merged
+    positions, group = cells()
+    value = _int_array(sum(_class_values(prepared, classes, mults)).tolist())
+    return StepFunction(positions, D, value[group], VW)
 
 
 def inner_product(f: StepFunction, g: StepFunction) -> Fraction:

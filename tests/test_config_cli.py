@@ -144,6 +144,11 @@ class TestCli:
             ("maximal", "maximal.r_count=0"),
             ("maximal", "maximal.p=1"),
             ("maximal", "maximal.m_min=1"),
+            ("correlate", "correlate.n=3"),
+            ("correlate", "correlate.k=5"),
+            ("correlate", "correlate.k=-1"),
+            ("demo-l1", "demo.depth=0"),
+            ("demo-l1", "demo.r=0"),
         ],
     )
     def test_config_domain_error_is_usage_error(self, cli_workspace, tmp_path, capsys, command, override):
@@ -153,6 +158,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and override.split("=")[0] in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "mutation",
+        ["half_offsets", "str_offset", "null_offset", "bool_offset", "top_level_list", "bad_B", "huge_offset"],
+    )
+    def test_malformed_set_file_is_usage_error(self, cli_workspace, tmp_path, capsys, mutation):
+        _, cfg, out = cli_workspace
+        payload = json.loads((out / "set.json").read_text())
+        levels = payload["levels"]
+        if mutation == "half_offsets":
+            levels[0]["selected"] = [o + 0.5 for o in levels[0]["selected"]]
+        elif mutation == "str_offset":
+            levels[1]["selected"] = ["x"]
+        elif mutation == "null_offset":
+            levels[2]["selected"][0] = None
+        elif mutation == "bool_offset":
+            levels[0]["selected"][0] = levels[0]["selected"][0] == 1
+        elif mutation == "top_level_list":
+            payload = [payload]
+        elif mutation == "bad_B":
+            payload["params"]["B"] = "abc"
+        else:
+            levels[2]["selected"][-1] = 2**70
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["verify", str(bad), "-c", str(cfg), "-o", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
     def test_maximal_csv_rows_match_library(self, cli_workspace, tmp_path):

@@ -205,6 +205,72 @@ class TestBoxCountsAndDimension:
         assert lims == {"upper": F(3, 4), "lower": F(3, 4)}
 
 
+def loop_structure_problems(cset):
+    """The per-offset structure check that the vectorised one replaced."""
+    problems = []
+    for idx, lv in enumerate(cset.levels):
+        k = idx + 1
+        if lv.k != k:
+            problems.append(f"level list out of order at {k}")
+        if lv.N_k != cset.params.level_N(k) or lv.M_k != cset.params.M(k):
+            problems.append(f"level {k} subdivision disagrees with params")
+        arr = lv.offsets
+        if any(b <= a for a, b in zip(arr, arr[1:])):
+            problems.append(f"level {k} offsets not sorted/distinct")
+        if arr and (arr[0] < 0 or arr[-1] >= lv.M_k):
+            problems.append(f"level {k} offset out of range")
+        if k >= 2:
+            parents = set(cset.levels[idx - 1].offsets)
+            for o in arr:
+                if o // lv.N_k not in parents:
+                    bad = index_of(o, k, cset.params)
+                    problems.append(f"index {bad} at level {k} has unselected parent")
+                    break
+    return problems
+
+
+class TestStructureProblems:
+    def test_messages_match_loop_on_mutated_levels(self, z8_set):
+        from dataclasses import replace
+
+        rnd = random.Random(5)
+        seen = set()
+        for _ in range(200):
+            levels = list(z8_set.levels)
+            for _ in range(rnd.randint(1, 3)):
+                j = rnd.randrange(len(levels))
+                offs = list(levels[j].offsets)
+                kind = rnd.choice(["swap", "dup", "orphan", "drop", "empty", "low", "high"])
+                if kind == "swap" and len(offs) > 1:
+                    i = rnd.randrange(len(offs) - 1)
+                    offs[i], offs[i + 1] = offs[i + 1], offs[i]
+                elif kind == "dup" and offs:
+                    i = rnd.randrange(len(offs))
+                    offs.insert(i, offs[i])
+                elif kind == "orphan":
+                    offs = sorted(set(offs) | {rnd.randrange(levels[j].M_k)})
+                elif kind == "drop" and offs:
+                    offs.pop(rnd.randrange(len(offs)))
+                elif kind == "empty":
+                    offs = []
+                elif kind == "low" and offs:
+                    offs[0] = -1
+                elif kind == "high" and offs:
+                    offs[-1] = levels[j].M_k
+                levels[j] = replace(levels[j], offsets=tuple(offs))
+            cset = CantorSet(z8_set.params, levels, validate=False)
+            outcomes = []
+            for check in (loop_structure_problems, CantorSet.structure_problems):
+                try:
+                    outcomes.append(check(cset))
+                except InvalidIndexError as exc:  # an orphan index that cannot be decoded
+                    outcomes.append(str(exc))
+            assert outcomes[1] == outcomes[0]
+            if isinstance(outcomes[0], list):
+                seen.update(m.split(" ")[-1] for m in outcomes[0])
+        assert {"sorted/distinct", "range", "parent"} <= seen
+
+
 class TestSerialization:
     def test_roundtrip_identity(self, fixture_a, z8_set):
         for cset in (fixture_a, z8_set):

@@ -259,6 +259,32 @@ class TestTwoLimbPath:
             assert lambda_exact(A, [z16_set.sigma(2)] * 2) == want
 
 
+class TestMergeKernelOnSets:
+    def test_linear_combination_matches_sweep_on_sigma_2(self, z8_set):
+        # sixteen weighted, dilated and translated copies of sigma_2, as in
+        # the free-translation adjoint; exact positions far beyond 2^53
+        from unittest import mock
+
+        import cantormax.stepfn as sf
+        from cantormax.grids import DiscretizationGrid
+        from cantormax.stepfn import linear_combination, power_integral
+
+        sig = z8_set.sigma(2)
+        grid = DiscretizationGrid.for_level(z8_set.params, 2)
+        rng = np.random.default_rng(16)
+        pairs = [grid.sample_tuple(rng, 2, near_diagonal=True).pairs[0] for _ in range(16)]
+        terms = [(F((-1) ** i * (i + 1), 17), sig, c, r) for i, (c, r) in enumerate(pairs)]
+        D, _, prepared, _ = sf._prepare_weighted(terms)
+        assert D > 1 << 53 and sf._merge_numpy(prepared) is not None
+        got = linear_combination(terms)
+        powers = [power_integral(terms, p) for p in (1, 2)]
+        with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
+            assert got == linear_combination(terms)
+            assert powers == [power_integral(terms, p) for p in (1, 2)]
+        assert powers == [got.abs().lp_power(p) for p in (1, 2)]
+        assert got.n_cells > 1000
+
+
 class TestReports:
     def test_report_flags(self, fixture_a):
         A = AffineTuple((pair(0, 1), pair(0, 1)), 1)

@@ -1,11 +1,15 @@
 """Exact step-function algebra and the merge kernels."""
 
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cantormax.stepfn as sf
 from cantormax.errors import DomainError
 from cantormax.stepfn import (
     PiecewiseLinear,
@@ -19,6 +23,72 @@ from cantormax.stepfn import (
 from conftest import random_step
 
 F = Fraction
+
+
+def swept(kernel, *args):
+    """``kernel(*args)`` on the pure-Python heapq sweep, the == oracle."""
+    with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
+        return kernel(*args)
+
+
+def vectorised(entries) -> bool:
+    """True when the limb merge accepts these (fn, c, r) factors."""
+    return sf._merge_numpy(sf._prepare_factors(entries)[1]) is not None
+
+
+def loop_normalize(units, den, val_nums, val_den):
+    """The per-cell normalization loop that the array normalizer replaced."""
+    if any(nxt <= cur for cur, nxt in zip(units, units[1:])):
+        raise DomainError("breakpoints must be strictly increasing")
+    merged_u, merged_v = [], []
+    for i, v in enumerate(val_nums):
+        if merged_v and merged_v[-1] == v:
+            merged_u[-1] = units[i + 1]
+            continue
+        if not merged_u:
+            merged_u = [units[i], units[i + 1]]
+        else:
+            merged_u.append(units[i + 1])
+        merged_v.append(v)
+    while merged_v and merged_v[0] == 0:
+        merged_v.pop(0)
+        merged_u.pop(0)
+    while merged_v and merged_v[-1] == 0:
+        merged_v.pop()
+        merged_u.pop()
+    if not merged_v:
+        return [], 1, [], 1
+    g = math.gcd(den, *merged_u)
+    h = math.gcd(val_den, *merged_v)
+    return [u // g for u in merged_u], den // g, [v // h for v in merged_v], val_den // h
+
+
+def loop_from_gaps(gaps, den, val_den):
+    """Units and values of (start, end, value) gaps, holes filled with 0."""
+    units, nums = [], []
+    for start, end, value in gaps:
+        if units and start > units[-1]:
+            nums.append(0)
+            units.append(start)
+        elif not units:
+            units.append(start)
+        nums.append(value)
+        units.append(end)
+    return loop_normalize(units, den, nums, val_den)
+
+
+def step_strategy(max_cells=5):
+    """Random step functions whose values repeat, so classes are shared."""
+    return st.builds(
+        lambda lefts, vals, den, vden: StepFunction.from_breakpoints(
+            [F(u, den) for u in sorted(set(lefts))],
+            [F(vals[i % len(vals)], vden) for i in range(len(set(lefts)) - 1)],
+        ),
+        st.lists(st.integers(-40, 40), min_size=2, max_size=max_cells + 1),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+        st.sampled_from([1, 2, 3, 8]),
+        st.sampled_from([1, 2, 5]),
+    )
 
 
 def small_fraction(lo=-8, hi=8, dens=(1, 2, 3, 4)):
@@ -189,6 +259,158 @@ class TestKernels:
                     prod *= f.value_at((mid - c) / r)
                 want += prod
             assert product_integral(items) == want
+
+
+class TestMergeKernel:
+    def test_span_not_magnitude_bounds_the_limbs(self):
+        # on the 2^24 grid a function reaching y = 2 has a unit equal to 2^25
+        M = 1 << 24
+        f = StepFunction([M, M + 1, 2 * M - 1, 2 * M], M, [1, 2, 3], 1)
+        assert f.units[-1] == 1 << 25
+        cases = [
+            [(f, 0, 1), (f, F(1, 1 << 25), 1)],
+            [(f, F(-3, 2), F(5, 4)), (f, F(-1, 1 << 26), F(3, 2))],
+        ]
+        far = f.affine_image(1 << 40, 1)  # units near 2^64, span 2^24
+        assert far.units[0] > 1 << 63
+        cases.append([(far, -(1 << 40), 1), (f, F(1, 1 << 25), 1)])
+        for entries in cases:
+            assert vectorised(entries)
+            assert product_integral(entries) == swept(product_integral, entries)
+            terms = [(1, fn, c, r) for fn, c, r in entries]
+            assert power_integral(terms, 2) == swept(power_integral, terms, 2)
+            assert linear_combination(terms) == swept(linear_combination, terms)
+
+    def test_ties_of_distinct_positions_above_2_53(self):
+        # the exact positions sit near 2^63 (2^61 over the denominator 4),
+        # where floats are 2048 apart, so distinct positions share float keys
+        # and their order comes from the limbs
+        base = F(1 << 61)
+        assert float(2**63) == float(2**63 + 9)
+        f = StepFunction.from_breakpoints([0, 1, 2, 3, 4], [1, -2, 3, 5])
+        g = StepFunction.from_breakpoints([0, 2, 3, 5], [7, 1, -1])
+        entries = [(f, base, 1), (g, base + F(1, 2), 1), (f, base + F(3, 4), 2)]
+        assert vectorised(entries)
+        assert product_integral(entries) == swept(product_integral, entries)
+        # by hand on [1/2, 4]: (7 - 28 + 21 + 3 + 5 - 5) / 2
+        assert product_integral(entries[:2]) == F(3, 2)
+        terms = [(F(1, 3), fn, c, r) for fn, c, r in entries]
+        assert power_integral(terms, 3) == swept(power_integral, terms, 3)
+        assert linear_combination(terms) == swept(linear_combination, terms)
+
+    def test_equal_positions_from_different_factors(self):
+        f = StepFunction.from_breakpoints([0, 1, 2, 4], [2, -1, 3])
+        g = StepFunction.from_breakpoints([1, 2, 3, 4], [5, 5, -2])
+        h = f.scale(F(1 << 70, 3))  # class values past int64
+        entries = [(f, 0, 1), (g, 0, 1), (h, 1, 1), (g, -1, 1)]
+        assert vectorised(entries)
+        assert product_integral(entries) == swept(product_integral, entries)
+        terms = [(i - 1, fn, c, r) for i, (fn, c, r) in enumerate(entries)]
+        for p in (1, 2):
+            assert power_integral(terms, p) == swept(power_integral, terms, p)
+        assert linear_combination(terms) == swept(linear_combination, terms)
+
+    def test_negative_offsets_and_steps_near_the_bound(self):
+        f = StepFunction.from_breakpoints([0, 1, 3, 4], [1, -2, 3])
+        G = sf._G_MAX - 1
+        r = F(G, 1 << 60)  # G = 2^61 - 1 over D = 2^60
+        entries = [(f, -3, r), (f, F(-7, 2), F(G - 2, 1 << 60)), (f, F(-5, 2), F(3, 2))]
+        _, prepared = sf._prepare_factors(entries)
+        assert max(Gi for _, Gi, _ in prepared) == G
+        assert all(C < 0 for C, _, _ in prepared)
+        assert vectorised(entries)
+        assert product_integral(entries) == swept(product_integral, entries)
+        terms = [(F(2, 3), fn, c, r) for fn, c, r in entries]
+        assert power_integral(terms, 2) == swept(power_integral, terms, 2)
+        # one step past the bound selects the sweep
+        past = [(f, -3, F(sf._G_MAX, 1 << 60)), entries[1]]
+        assert not vectorised(past)
+        assert product_integral(past) == swept(product_integral, past)
+
+    @pytest.mark.parametrize("n_terms", [16, 32])
+    def test_power_integral_many_factors(self, n_terms):
+        rnd = random.Random(n_terms)
+        fns = [
+            StepFunction.from_breakpoints(
+                sorted(rnd.sample(range(-40, 40), 13)),
+                [F(rnd.randint(1, 40) * rnd.choice([-1, 1]), rnd.choice([1, 2, 3])) for _ in range(12)],
+            )
+            for _ in range(4)
+        ]
+        terms = [
+            (
+                F(rnd.randint(-3, 3) or 1, rnd.choice([1, 2, 3])),
+                rnd.choice(fns),
+                F(rnd.randint(-8, 8), rnd.choice([1, 2])),
+                F(rnd.randint(2, 6), rnd.choice([2, 3])),
+            )
+            for _ in range(n_terms)
+        ]
+        prepared = sf._prepare_weighted(terms)[2]
+        assert vectorised([(fn, 0, 1) for _, _, fn in prepared])
+        # 32 factors of about 13 classes overflow one int64 mixed radix, so
+        # their gap keys are built in chunks
+        radix = math.prod(len(fn._class_table()[0]) for _, _, fn in prepared)
+        assert (radix > sf._KEY_MAX) == (n_terms == 32)
+        combined = linear_combination(terms)
+        assert combined == swept(linear_combination, terms)
+        for p in (1, 2, 3):
+            want = swept(power_integral, terms, p)
+            assert power_integral(terms, p) == want
+            assert combined.abs().lp_power(p) == want
+
+    @given(
+        fns=st.lists(step_strategy(), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_kernels_match_sweep(self, fns, data):
+        place = st.tuples(
+            st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 4])),
+            st.builds(F, st.integers(1, 8), st.sampled_from([1, 2, 3])),
+            st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2])),
+        )
+        placed = [(fn, *data.draw(place)) for fn in fns]
+        entries = [(fn, c, r) for fn, c, r, _ in placed]
+        terms = [(w, fn, c, r) for fn, c, r, w in placed]
+        p = data.draw(st.integers(1, 3))
+        assert product_integral(entries) == swept(product_integral, entries)
+        assert power_integral(terms, p) == swept(power_integral, terms, p)
+        assert linear_combination(terms) == swept(linear_combination, terms)
+
+
+class TestArrayNormalizer:
+    def test_matches_loop_on_random_gaps(self):
+        rnd = random.Random(41)
+        for trial in range(300):
+            den = rnd.choice([1, 2, 6, 12, 1 << 70])
+            vden = rnd.choice([1, 3, 4, 10**25])
+            scale = rnd.choice([1, 2, 6])
+            gaps, pos = [], rnd.randint(-50, 50) * scale
+            for _ in range(rnd.randint(0, 12)):
+                if rnd.random() < 0.3:
+                    pos += rnd.randint(1, 4) * scale  # a hole
+                end = pos + rnd.randint(1, 5) * scale
+                value = rnd.choice([0, 0, 2, 2, -4, 6]) * rnd.choice([1, 3, 1 << 66])
+                gaps.append((pos, end, value))
+                pos = end
+            want = loop_from_gaps(gaps, den, vden)
+            units, nums = [], []
+            for start, end, value in gaps:
+                if not units:
+                    units.append(start)
+                elif start > units[-1]:
+                    nums.append(0)
+                    units.append(start)
+                nums.append(value)
+                units.append(end)
+            got = StepFunction(np.array(units, dtype=object), den, np.array(nums, dtype=object), vden)
+            assert (list(got.units), got.den, list(got.val_nums), got.val_den) == tuple(want)
+            assert sf._normalize(units, den, nums, vden) == tuple(want)
+
+    def test_rejects_unsorted_units(self):
+        with pytest.raises(DomainError):
+            StepFunction(np.array([0, 2, 2]), 1, np.array([1, 2]), 1)
 
 
 class TestPiecewiseLinear:
