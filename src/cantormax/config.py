@@ -120,77 +120,41 @@ class RunConfig:
 _SECTIONS = ("construction", "correlate", "maximal", "differentiate", "demo", "report")
 
 
-def _parse_value(raw: str, kind, line_no: int, key: str):
-    raw = raw.strip()
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is str:
-            return raw
-        if kind is Fraction:
-            return Fraction(raw)
-        if kind == "fraction_or_none":
-            return None if raw in ("", "none", "auto") else Fraction(raw)
-        if kind == "int_tuple":
-            return tuple(int(v) for v in raw.split(",") if v.strip()) if raw else ()
-        if kind == "fraction_tuple":
-            return tuple(Fraction(v) for v in raw.split(",") if v.strip()) if raw else ()
-        if kind == "str_tuple":
-            return tuple(v.strip() for v in raw.split(",") if v.strip()) if raw else ()
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad value {raw!r}: {exc}", line=line_no, field=key) from exc
-    raise ConfigError(f"unhandled kind {kind}", line=line_no, field=key)
+def _items(raw: str, item) -> tuple:
+    return tuple(item(v) for v in raw.split(",") if v.strip()) if raw else ()
 
 
-_FIELD_KINDS = {
-    ("construction", "regime"): str,
-    ("construction", "N"): int,
-    ("construction", "epsilon"): Fraction,
-    ("construction", "K"): int,
-    ("construction", "level_counts"): "int_tuple",
-    ("construction", "epsilon_schedule"): "fraction_tuple",
-    ("construction", "B"): Fraction,
-    ("construction", "L"): int,
-    ("construction", "epsilon0"): Fraction,
-    ("construction", "gamma"): Fraction,
-    ("construction", "seed"): int,
-    ("construction", "max_retries"): int,
-    ("construction", "gate_c_n"): int,
-    ("construction", "gate_c_budget"): int,
-    ("correlate", "n"): int,
-    ("correlate", "budget"): int,
-    ("correlate", "k"): int,
-    ("correlate", "seed"): int,
-    ("maximal", "p"): Fraction,
-    ("maximal", "q"): Fraction,
-    ("maximal", "r_count"): int,
-    ("maximal", "m_min"): int,
-    ("maximal", "m_max"): int,
-    ("maximal", "points"): int,
-    ("differentiate", "r_sequence"): "fraction_tuple",
-    ("differentiate", "point_count"): int,
-    ("differentiate", "function"): str,
-    ("demo", "depth"): int,
-    ("demo", "rho0"): "fraction_or_none",
-    ("demo", "r"): Fraction,
-    ("report", "outdir"): str,
-    ("report", "formats"): "str_tuple",
+# one parser per field annotation of the config dataclasses
+_PARSERS = {
+    "int": int,
+    "str": str,
+    "Fraction": Fraction,
+    "Fraction | None": lambda raw: None if raw in ("", "none", "auto") else Fraction(raw),
+    "tuple[int, ...]": lambda raw: _items(raw, int),
+    "tuple[Fraction, ...]": lambda raw: _items(raw, Fraction),
+    "tuple[str, ...]": lambda raw: _items(raw, str.strip),
 }
 
 
 def apply_key(cfg: RunConfig, dotted: str, raw: str, line_no: int | None = None) -> None:
     if dotted == "workers":
-        cfg.workers = _parse_value(raw, int, line_no, dotted)
-        return
-    if "." not in dotted:
-        raise ConfigError(f"key {dotted!r} needs a section prefix", line=line_no, field=dotted)
-    section, key = dotted.split(".", 1)
-    if section not in _SECTIONS:
-        raise ConfigError(f"unknown section {section!r}", line=line_no, field=dotted)
-    kind = _FIELD_KINDS.get((section, key))
+        target, key = cfg, dotted
+    else:
+        if "." not in dotted:
+            raise ConfigError(f"key {dotted!r} needs a section prefix", line=line_no, field=dotted)
+        section, key = dotted.split(".", 1)
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section {section!r}", line=line_no, field=dotted)
+        target = getattr(cfg, section)
+    kind = {f.name: f.type for f in fields(target)}.get(key)
     if kind is None:
         raise ConfigError(f"unknown key {dotted!r}", line=line_no, field=dotted)
-    setattr(getattr(cfg, section), key, _parse_value(raw, kind, line_no, dotted))
+    raw = raw.strip()
+    try:
+        value = _PARSERS[kind](raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad value {raw!r}: {exc}", line=line_no, field=dotted) from exc
+    setattr(target, key, value)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -207,10 +171,16 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate(cfg: RunConfig) -> None:
-    """Reject values outside the domains of the correlate, maximal,
-    differentiate and demo runs; ranges that depend on a set file are
-    checked by the command that loads it."""
-    cc, mc, dc, dm = cfg.correlate, cfg.maximal, cfg.differentiate, cfg.demo
+    """Reject values outside the domains of the runs; ranges that depend on
+    a set file are checked by the command that loads it."""
+    cs, cc, mc, dc, dm = cfg.construction, cfg.correlate, cfg.maximal, cfg.differentiate, cfg.demo
+    for key, seed in (("construction.seed", cs.seed), ("correlate.seed", cc.seed)):
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"{key} must lie in [0, 2^64)", field=key)
+    if cs.gate_c_n < 2 or cs.gate_c_n % 2:
+        raise ConfigError("construction.gate_c_n must be an even integer >= 2", field="construction.gate_c_n")
+    if cs.gate_c_budget < 1:
+        raise ConfigError("construction.gate_c_budget must be >= 1", field="construction.gate_c_budget")
     if cc.n < 2 or cc.n % 2:
         raise ConfigError("correlate.n must be an even integer >= 2", field="correlate.n")
     if cc.k < 0:
@@ -223,6 +193,8 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("maximal needs 1 < p <= q", field="maximal.p")
     if mc.m_min > mc.m_max:
         raise ConfigError("maximal needs m_min <= m_max", field="maximal.m_min")
+    if mc.points < 1:
+        raise ConfigError("maximal.points must be >= 1", field="maximal.points")
     if dc.point_count < 1:
         raise ConfigError("differentiate.point_count must be >= 1", field="differentiate.point_count")
     rs = dc.r_sequence

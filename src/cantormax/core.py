@@ -204,10 +204,12 @@ class CantorSet:
             arr = np.asarray(lv.offsets, dtype=np.int64)
             if (np.diff(arr) <= 0).any():
                 problems.append(f"level {k} offsets not sorted/distinct")
-            if len(arr) and (arr[0] < 0 or arr[-1] >= lv.M_k):
+            in_range = (arr >= 0) & (arr < lv.M_k)
+            if not in_range.all():
                 problems.append(f"level {k} offset out of range")
             if parents is not None:
-                orphan = np.isin(arr // lv.N_k, parents, invert=True)
+                # only an offset in range can be decoded into an index
+                orphan = in_range & np.isin(arr // lv.N_k, parents, invert=True)
                 if orphan.any():
                     bad = index_of(lv.offsets[int(np.argmax(orphan))], k, self.params)
                     problems.append(f"index {bad} at level {k} has unselected parent")

@@ -32,7 +32,7 @@ from .errors import (
 from .stepfn import (
     PiecewiseLinear,
     StepFunction,
-    _prepare_weighted,
+    combination_cells,
     linear_combination,
     power_integral,
     product_integral,
@@ -354,32 +354,19 @@ def _mk_adjoint_nodes(cells, cset: CantorSet, k: int):
     Returns (Z, H, D, HD): the adjoint is H/HD at the sorted distinct nodes
     Z/D, linear between them and zero outside.  Its derivative
     sum_i (1/r_i)[sigma_k((z - a_i)/r_i) - sigma_k((z - b_i)/r_i)] is a step
-    function that jumps only at transformed sigma_k breakpoints, so the
-    slopes are running sums of the jumps and H is their running integral.
-    Positions stay int64 while they fit, and are Python ints otherwise.
+    function whose unnormalized cells ``stepfn.combination_cells`` gives from
+    the shared merge, so Z is every transformed sigma_k breakpoint and H is
+    the running sum of width times slope.
     """
     sig = cset.sigma(k)
     terms = []
     for a, b, r in _dilation_cells(cells):
         terms += [(1 / r, sig, a, r), (-1 / r, sig, b, r)]
-    prep = _prepare_weighted(terms)
-    if prep is None:
+    slope_cells = combination_cells(terms)
+    if slope_cells is None:
         return None
-    D, VW, prepared, mults = prep
-    jump = np.diff(np.array([0, *sig.val_nums, 0], dtype=object))
-    umax = max(abs(sig.units[0]), abs(sig.units[-1]))
-    if max(abs(C) + G * umax for C, G, _ in prepared) < 1 << 62:
-        units = np.asarray(sig.units, dtype=np.int64)
-        pos = np.concatenate([C + G * units for C, G, _ in prepared])
-    else:
-        pos = np.array([C + G * u for C, G, _ in prepared for u in sig.units], dtype=object)
-    jumps = np.concatenate([jump * m for m in mults])
-    order = np.argsort(pos, kind="stable")
-    pos, jumps = pos[order], jumps[order]
-    first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
-    Z = pos[first]
-    slopes = np.cumsum(np.add.reduceat(jumps, first))
-    H = np.concatenate(([0], np.cumsum(np.diff(Z).astype(object) * slopes[:-1])))
+    Z, slopes, D, VW = slope_cells
+    H = np.concatenate(([0], np.cumsum(np.diff(Z).astype(object) * slopes)))
     return Z, H, D, D * VW
 
 

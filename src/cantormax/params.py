@@ -113,8 +113,8 @@ class ConstructionParams:
             raise ParameterError("gamma must be positive")
         if self.max_retries < 0:
             raise ParameterError("max_retries must be >= 0")
-        if not (-(2**63) <= self.seed < 2**64):
-            raise ParameterError("seed must fit in 64 bits")
+        if not (0 <= self.seed < 2**64):
+            raise ParameterError("seed must lie in [0, 2^64)")
         if self.regime in (REGIME_ONE_DIM, REGIME_FIXED_DIM):
             if self.N is None or self.N < 2:
                 raise ParameterError(f"regime {self.regime} needs an integer base N >= 2")

@@ -339,6 +339,19 @@ def azuma_bound(cs, lam) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _level_gates(cset, k, attempt, stream, gate_c_n, gate_c_budget) -> list[GateReport]:
+    """The gates of level k in order: counts, then from level 2 on deviation
+    and, when levels k-1 and k are nonempty, correlation of sigma_(k-1) on
+    the attempt's own stream."""
+    reports = list(gate_counts(cset, k))
+    if k >= 2:
+        reports.append(gate_deviation(cset, k))
+        if cset.P(k) > 0 and cset.P(k - 1) > 0:
+            rng = stream.child(k, attempt, GATE_C_STREAM_TAG)
+            reports.append(gate_correlation(cset, k - 1, gate_c_n, gate_c_budget, rng))
+    return reports
+
+
 def construct(
     params: ConstructionParams,
     gate_c_n: int = 2,
@@ -371,19 +384,7 @@ def construct(
                 offsets=tuple(int(o) for o in offsets),
             )
             cand = CantorSet(params, levels + [cand_level], validate=False)
-            reports = list(gate_counts(cand, lev))
-            if lev >= 2:
-                reports.append(gate_deviation(cand, lev))
-                if cand_level.P > 0:
-                    reports.append(
-                        gate_correlation(
-                            cand,
-                            lev - 1,
-                            gate_c_n,
-                            gate_c_budget,
-                            stream.child(lev, attempt, GATE_C_STREAM_TAG),
-                        )
-                    )
+            reports = _level_gates(cand, lev, attempt, stream, gate_c_n, gate_c_budget)
             for rep in reports:
                 rep.attempt = attempt
             transcript.extend(reports)
@@ -450,19 +451,7 @@ def verify_set(
     stream = RngStream(cset.params.seed)
     retries = cset.accepted_retries or tuple(0 for _ in range(cset.depth))
     for k in range(1, cset.depth + 1):
-        reports.extend(gate_counts(cset, k))
-        if k >= 2:
-            reports.append(gate_deviation(cset, k))
-            if cset.P(k) > 0 and cset.P(k - 1) > 0:
-                attempt = retries[k - 1] if k - 1 < len(retries) else 0
-                reports.append(
-                    gate_correlation(
-                        cset,
-                        k - 1,
-                        gate_c_n,
-                        gate_c_budget,
-                        stream.child(k, attempt, GATE_C_STREAM_TAG),
-                    )
-                )
+        attempt = retries[k - 1] if k - 1 < len(retries) else 0
+        reports.extend(_level_gates(cset, k, attempt, stream, gate_c_n, gate_c_budget))
     ok = all(rep.passed for rep in reports)
     return ok, reports

@@ -8,19 +8,21 @@ routine normalizes every step function (equal neighbours merged, zero end
 cells stripped, gcds divided out).
 
 The kernels ``product_integral``, ``power_integral`` and
-``linear_combination`` share one exact merge of their factors' transformed
-breakpoints C + G*u.  Each factor is encoded relative to its first unit in
-two int64 limbs (hi, lo), and one stable argsort of the float64 keys
-hi*2^39 + lo merges the presorted factor runs: rounding never reverses the
-exact order, and runs of equal keys are reordered from the limbs.  The gaps
-are grouped by the tuple of their factors' value classes (a factor's
-distinct cell values, class 0 being zero); widths are summed per group in
-int64 limbs, and the class values are multiplied, or weighted and summed,
-once per group in Python ints.  A factor whose span, step G or offset
-leaves the limbs (span >= 2^25, G >= 2^61, G*span >= 2^87 or
-|offset| >= 2^91), or more than 2^24 breakpoints in all, sends the call to
-a pure-Python ``heapq`` sweep with the same semantics, which the tests also
-use as the ``==`` oracle.
+``linear_combination``, and through ``combination_cells`` the nodes of
+``maxops.mk_adjoint``, get their factors' transformed breakpoints C + G*u
+from one seam, ``_merge``, which returns the gaps grouped by the tuple of
+their factors' value classes (a factor's distinct cell values, class 0
+being zero).  Each kernel multiplies, or weights and sums, the class values
+once per group in Python ints.  The vectorised merge encodes each factor
+relative to its first unit in two int64 limbs (hi, lo), and one stable
+argsort of the float64 keys hi*2^39 + lo merges the presorted factor runs:
+rounding never reverses the exact order, and runs of equal keys are
+reordered from the limbs; widths are summed per group in int64 limbs.  A
+factor whose span, step G or offset leaves the limbs (span >= 2^25,
+G >= 2^61, G*span >= 2^87 or |offset| >= 2^91), or more than 2^24
+breakpoints in all, sends the merge to a pure-Python ``heapq`` sweep that
+sums the widths per class tuple, so its memory grows with the number of
+distinct tuples, not of gaps.
 """
 
 from __future__ import annotations
@@ -532,24 +534,51 @@ def _merge_numpy(prepared):
     return widths, classes, cells
 
 
-def _affine_stream(C, G, units, i):
-    return ((C + G * u, i) for u in units)
-
-
-def _sweep(prepared, mults):
-    """Pure-Python exact merge: (start, end, weighted factor values) per gap."""
-    streams = [_affine_stream(C, G, fn.units, i) for i, (C, G, fn) in enumerate(prepared)]
-    fns = [fn for _, _, fn in prepared]
-    regs = [-1] * len(prepared)
-    prev = None
-    for pos, i in heapq.merge(*streams):
-        if prev is not None and pos != prev:
-            yield prev, pos, [
-                m * fn.val_nums[r] if 0 <= r < len(fn.val_nums) else 0
-                for fn, m, r in zip(fns, mults, regs)
-            ]
-        regs[i] += 1
+def _sweep(prepared, radices):
+    """Pure-Python exact merge: (start, end, key) per gap of positive width,
+    key being the gap's class tuple in mixed radix, sum of class_i * radix_i."""
+    streams = []
+    for (C, G, fn), radix in zip(prepared, radices):
+        steps = [d * radix for d in np.diff(fn._class_table()[1]).tolist()]
+        streams.append(zip([C + G * u for u in fn.units], steps))
+    key, prev = 0, min(C + G * fn.units[0] for C, G, fn in prepared)
+    for pos, step in heapq.merge(*streams):
+        if pos != prev:
+            yield prev, pos, key
+        key += step
         prev = pos
+
+
+def _merge(prepared):
+    """The exact merge of the factors' transformed breakpoints, grouped by
+    class tuple: the triple (widths, classes, cells) of ``_merge_numpy``.
+
+    Inputs out of the limb range take the ``heapq`` sweep, which sums each
+    gap's width into its class tuple's group; ``cells()`` replays it.
+    """
+    merged = _merge_numpy(prepared)
+    if merged is not None:
+        return merged
+    sizes = [len(fn._class_table()[0]) for _, _, fn in prepared]
+    radices = [math.prod(sizes[:i]) for i in range(len(sizes))]
+    widths: dict[int, int] = {}
+    for start, end, key in _sweep(prepared, radices):
+        widths[key] = widths.get(key, 0) + (end - start)
+    classes = [
+        np.array([key // radix % size for key in widths], dtype=np.int64)
+        for radix, size in zip(radices, sizes)
+    ]
+
+    def cells():
+        group = {key: g for g, key in enumerate(widths)}
+        positions, ids = [], []
+        for start, end, key in _sweep(prepared, radices):
+            positions.append(start)
+            ids.append(group[key])
+        positions.append(end)
+        return _int_array(positions), np.array(ids, dtype=np.int64)
+
+    return list(widths.values()), classes, cells
 
 
 def _class_values(prepared, classes, mults) -> list[np.ndarray]:
@@ -564,8 +593,8 @@ def product_integral(entries: Sequence[tuple]) -> Fraction:
     """Exact integral of the product of f_i((z - c_i)/r_i) over all z.
 
     ``entries`` holds (StepFunction, c, r) triples with r > 0.  A single
-    merged sweep over all transformed breakpoints is used; closed endpoint
-    contacts have zero width and contribute nothing.
+    merge of all transformed breakpoints is used; closed endpoint contacts
+    have zero width and contribute nothing.
     """
     if not entries:
         raise DomainError("product_integral needs at least one factor")
@@ -574,14 +603,9 @@ def product_integral(entries: Sequence[tuple]) -> Fraction:
             return Fraction(0)
     D, prepared = _prepare_factors(entries)
     vden = math.prod(fn.val_den for _, _, fn in prepared)
-    ones = [1] * len(prepared)
-    merged = _merge_numpy(prepared)
-    if merged is None:
-        total = sum((end - start) * math.prod(vals) for start, end, vals in _sweep(prepared, ones))
-        return Fraction(total, D * vden)
-    widths, classes, _ = merged
+    widths, classes, _ = _merge(prepared)
     acc = np.array(widths, dtype=object)
-    for vals in _class_values(prepared, classes, ones):
+    for vals in _class_values(prepared, classes, [1] * len(prepared)):
         acc = acc * vals
     return Fraction(int(acc.sum()), D * vden)
 
@@ -614,34 +638,37 @@ def power_integral(terms: Sequence[tuple], p: int) -> Fraction:
     if prep is None:
         return Fraction(0)
     D, VW, prepared, mults = prep
-    merged = _merge_numpy(prepared)
-    if merged is None:
-        total = sum(abs(sum(vals)) ** p * (end - start) for start, end, vals in _sweep(prepared, mults))
-        return Fraction(total, D * VW**p)
-    widths, classes, _ = merged
+    widths, classes, _ = _merge(prepared)
     value = sum(_class_values(prepared, classes, mults))
     acc = abs(value) ** p * np.array(widths, dtype=object)
     return Fraction(int(acc.sum()), D * VW**p)
 
 
-def linear_combination(terms: Sequence[tuple]) -> StepFunction:
-    """sum_i w_i f_i((z - c_i)/r_i) as an exact StepFunction."""
+def combination_cells(terms: Sequence[tuple]):
+    """The cells of sum_i w_i f_i((z - c_i)/r_i) before normalization, or
+    None when no term is nonzero.
+
+    Returns (positions, values, D, VW): the sum is values[j]/VW between the
+    distinct merged breakpoints positions[j]/D and positions[j+1]/D, so equal
+    neighbours and zero cells stay.  Package-internal, not exported.
+    """
     prep = _prepare_weighted(terms)
     if prep is None:
-        return StepFunction.zero()
+        return None
     D, VW, prepared, mults = prep
-    merged = _merge_numpy(prepared)
-    if merged is None:
-        units, nums = [], []
-        for start, end, vals in _sweep(prepared, mults):
-            units.append(start)
-            nums.append(sum(vals))
-        units.append(end)
-        return StepFunction(units, D, nums, VW)
-    _, classes, cells = merged
+    _, classes, cells = _merge(prepared)
     positions, group = cells()
     value = _int_array(sum(_class_values(prepared, classes, mults)).tolist())
-    return StepFunction(positions, D, value[group], VW)
+    return positions, value[group], D, VW
+
+
+def linear_combination(terms: Sequence[tuple]) -> StepFunction:
+    """sum_i w_i f_i((z - c_i)/r_i) as an exact StepFunction."""
+    cells = combination_cells(terms)
+    if cells is None:
+        return StepFunction.zero()
+    positions, values, D, VW = cells
+    return StepFunction(positions, D, values, VW)
 
 
 def inner_product(f: StepFunction, g: StepFunction) -> Fraction:

@@ -3,11 +3,14 @@ and random-input helpers used across the suite."""
 
 from __future__ import annotations
 
+import heapq
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import cantormax.stepfn as sf
 from cantormax import build_deterministic, construct, custom, fixed_dimension
 from cantormax.stepfn import StepFunction
 
@@ -85,3 +88,52 @@ def random_fraction(rnd: random.Random, lo: Fraction, hi: Fraction, den: int = 6
     lo, hi = Fraction(lo), Fraction(hi)
     t = Fraction(rnd.randint(0, den), den)
     return lo + (hi - lo) * t
+
+
+def _per_gap_sweep(prepared, mults):
+    """Exact merge gap by gap: (start, end, weighted factor values) per gap of
+    positive width, from a heapq merge of the transformed breakpoints."""
+    streams = [[(C + G * u, i) for u in fn.units] for i, (C, G, fn) in enumerate(prepared)]
+    fns = [fn for _, _, fn in prepared]
+    regs = [-1] * len(prepared)
+    prev = None
+    for pos, i in heapq.merge(*streams):
+        if prev is not None and pos != prev:
+            yield prev, pos, [
+                m * fn.val_nums[r] if 0 <= r < len(fn.val_nums) else 0
+                for fn, m, r in zip(fns, mults, regs)
+            ]
+        regs[i] += 1
+        prev = pos
+
+
+def per_gap_oracle(kernel, *args):
+    """``product_integral``, ``power_integral`` or ``linear_combination`` by
+    per-gap formulas over ``_per_gap_sweep``: no grouping and no reduction
+    code shared with the kernels."""
+    if kernel is sf.product_integral:
+        (entries,) = args
+        if any(fn.is_zero for fn, _, _ in entries):
+            return Fraction(0)
+        D, prepared = sf._prepare_factors(entries)
+        vden = math.prod(fn.val_den for _, _, fn in prepared)
+        gaps = _per_gap_sweep(prepared, [1] * len(prepared))
+        return Fraction(sum((end - start) * math.prod(vals) for start, end, vals in gaps), D * vden)
+    prep = sf._prepare_weighted(args[0])
+    if kernel is sf.power_integral:
+        p = args[1]
+        if prep is None:
+            return Fraction(0)
+        D, VW, prepared, mults = prep
+        gaps = _per_gap_sweep(prepared, mults)
+        return Fraction(sum(abs(sum(vals)) ** p * (end - start) for start, end, vals in gaps), D * VW**p)
+    assert kernel is sf.linear_combination
+    if prep is None:
+        return StepFunction.zero()
+    D, VW, prepared, mults = prep
+    units, nums = [], []
+    for start, end, vals in _per_gap_sweep(prepared, mults):
+        units.append(start)
+        nums.append(sum(vals))
+    units.append(end)
+    return StepFunction(units, D, nums, VW)

@@ -27,8 +27,9 @@ class TestConfig:
         assert parse_config(serialize_config(again)) == again
 
     def test_comments_and_blanks_ignored(self):
-        cfg = parse_config("# hi\n\nconstruction.N = 32  # trailing\n")
+        cfg = parse_config("# hi\n\nconstruction.N = 32  # trailing\nreport.formats = json , csv,\n")
         assert cfg.construction.N == 32
+        assert cfg.report.formats == ("json", "csv")
 
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -149,15 +150,41 @@ class TestCli:
             ("correlate", "correlate.k=-1"),
             ("demo-l1", "demo.depth=0"),
             ("demo-l1", "demo.r=0"),
+            ("construct", "construction.seed=-1"),
+            ("construct", "construction.seed=18446744073709551616"),
+            ("correlate", "correlate.seed=-1"),
+            ("verify", "construction.gate_c_n=3"),
+            ("verify", "construction.gate_c_n=0"),
+            ("verify", "construction.gate_c_budget=0"),
+            ("maximal", "maximal.points=0"),
         ],
     )
     def test_config_domain_error_is_usage_error(self, cli_workspace, tmp_path, capsys, command, override):
         _, _, out = cli_workspace
         capsys.readouterr()
-        code = main([command, str(out / "set.json"), "--set", override, "-o", str(tmp_path)])
+        set_file = [] if command == "construct" else [str(out / "set.json")]
+        code = main([command, *set_file, "--set", override, "-o", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and override.split("=")[0] in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["below", "above"])
+    def test_level_2_offset_out_of_range_is_a_structure_problem(self, cli_workspace, tmp_path, capsys, where):
+        _, cfg, out = cli_workspace
+        payload = json.loads((out / "set.json").read_text())
+        levels = payload["levels"]
+        if where == "below":
+            levels[1]["selected"][0] = -1
+        else:
+            levels[1]["selected"][-1] = levels[0]["N_k"] * levels[1]["N_k"]  # M_2
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["verify", str(bad), "-c", str(cfg), "-o", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "level 2 offset out of range" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -206,7 +206,8 @@ class TestBoxCountsAndDimension:
 
 
 def loop_structure_problems(cset):
-    """The per-offset structure check that the vectorised one replaced."""
+    """The per-offset structure check that the vectorised one replaced; an
+    offset out of range is reported as such and never decoded."""
     problems = []
     for idx, lv in enumerate(cset.levels):
         k = idx + 1
@@ -217,12 +218,12 @@ def loop_structure_problems(cset):
         arr = lv.offsets
         if any(b <= a for a, b in zip(arr, arr[1:])):
             problems.append(f"level {k} offsets not sorted/distinct")
-        if arr and (arr[0] < 0 or arr[-1] >= lv.M_k):
+        if any(not 0 <= o < lv.M_k for o in arr):
             problems.append(f"level {k} offset out of range")
         if k >= 2:
             parents = set(cset.levels[idx - 1].offsets)
             for o in arr:
-                if o // lv.N_k not in parents:
+                if 0 <= o < lv.M_k and o // lv.N_k not in parents:
                     bad = index_of(o, k, cset.params)
                     problems.append(f"index {bad} at level {k} has unselected parent")
                     break
@@ -240,7 +241,7 @@ class TestStructureProblems:
             for _ in range(rnd.randint(1, 3)):
                 j = rnd.randrange(len(levels))
                 offs = list(levels[j].offsets)
-                kind = rnd.choice(["swap", "dup", "orphan", "drop", "empty", "low", "high"])
+                kind = rnd.choice(["swap", "dup", "orphan", "drop", "empty", "low", "high", "mid"])
                 if kind == "swap" and len(offs) > 1:
                     i = rnd.randrange(len(offs) - 1)
                     offs[i], offs[i + 1] = offs[i + 1], offs[i]
@@ -257,17 +258,15 @@ class TestStructureProblems:
                     offs[0] = -1
                 elif kind == "high" and offs:
                     offs[-1] = levels[j].M_k
+                elif kind == "mid" and offs:  # out of range and out of order
+                    offs.insert(len(offs) // 2, levels[j].M_k + 3)
                 levels[j] = replace(levels[j], offsets=tuple(offs))
             cset = CantorSet(z8_set.params, levels, validate=False)
-            outcomes = []
-            for check in (loop_structure_problems, CantorSet.structure_problems):
-                try:
-                    outcomes.append(check(cset))
-                except InvalidIndexError as exc:  # an orphan index that cannot be decoded
-                    outcomes.append(str(exc))
-            assert outcomes[1] == outcomes[0]
-            if isinstance(outcomes[0], list):
-                seen.update(m.split(" ")[-1] for m in outcomes[0])
+            want = loop_structure_problems(cset)
+            assert cset.structure_problems() == want
+            seen.update(m.split(" ")[-1] for m in want)
+            if kind in ("low", "high", "mid") and offs:
+                assert f"level {j + 1} offset out of range" in want
         assert {"sorted/distinct", "range", "parent"} <= seen
 
 

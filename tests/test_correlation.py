@@ -22,7 +22,7 @@ from cantormax import (
 )
 from cantormax.correlation import evaluate_tuple
 from cantormax.errors import EmptySampleError
-from conftest import random_step
+from conftest import per_gap_oracle, random_step
 
 F = Fraction
 
@@ -257,6 +257,8 @@ class TestTwoLimbPath:
         monkeypatch.setattr(sf, "_merge_numpy", lambda prepared: None)
         for A, want in cases:
             assert lambda_exact(A, [z16_set.sigma(2)] * 2) == want
+            entries = [(z16_set.sigma(2), c, r) for c, r in A.pairs]
+            assert per_gap_oracle(sf.product_integral, entries) == want
 
 
 class TestMergeKernelOnSets:
@@ -281,6 +283,8 @@ class TestMergeKernelOnSets:
         with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
             assert got == linear_combination(terms)
             assert powers == [power_integral(terms, p) for p in (1, 2)]
+        assert got == per_gap_oracle(linear_combination, terms)
+        assert powers == [per_gap_oracle(power_integral, terms, p) for p in (1, 2)]
         assert powers == [got.abs().lp_power(p) for p in (1, 2)]
         assert got.n_cells > 1000
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from cantormax import (
 from cantormax.errors import DegenerateMeasureError, DomainError, GridError, InsufficientDepthError
 from cantormax.grids import DiscretizationGrid
 from cantormax.maxops import (
+    _DENSITIES,
     AdjointAssignment,
+    _dilation_cells,
+    _mk_adjoint_nodes,
+    _omega_cells,
+    _ratio_draws,
     restricted_type_target,
     dyadic_r_grid,
     mk_adjoint_norm_power,
@@ -35,6 +41,7 @@ from cantormax.maxops import (
     sigma_average,
     uniform_assignment,
 )
+import cantormax.stepfn as sf
 from cantormax.stepfn import PiecewiseLinear, StepFunction, inner_product, product_integral
 
 from conftest import random_fraction, random_step
@@ -468,6 +475,40 @@ def _power_oracle(h, n):
     return total
 
 
+def _private_merge_nodes(cells, cset, k):
+    """(Z, H, D, HD) from the private merge ``mk_adjoint`` used before it
+    shared the kernels' merge: an argsort of every transformed sigma_k
+    breakpoint, the slope jumps summed per distinct position by reduceat."""
+    sig = cset.sigma(k)
+    terms = []
+    for a, b, r in _dilation_cells(cells):
+        terms += [(1 / r, sig, a, r), (-1 / r, sig, b, r)]
+    prep = sf._prepare_weighted(terms)
+    if prep is None:
+        return None
+    D, VW, prepared, mults = prep
+    jump = np.diff(np.array([0, *sig.val_nums, 0], dtype=object))
+    umax = max(abs(sig.units[0]), abs(sig.units[-1]))
+    if max(abs(C) + G * umax for C, G, _ in prepared) < 1 << 62:
+        units = np.asarray(sig.units, dtype=np.int64)
+        pos = np.concatenate([C + G * units for C, G, _ in prepared])
+    else:
+        pos = np.array([C + G * u for C, G, _ in prepared for u in sig.units], dtype=object)
+    jumps = np.concatenate([jump * m for m in mults])
+    order = np.argsort(pos, kind="stable")
+    pos, jumps = pos[order], jumps[order]
+    first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
+    Z = pos[first]
+    slopes = np.cumsum(np.add.reduceat(jumps, first))
+    H = np.concatenate(([0], np.cumsum(np.diff(Z).astype(object) * slopes[:-1])))
+    return Z, H, D, D * VW
+
+
+def _node_lists(nodes):
+    Z, H, D, HD = nodes
+    return Z.tolist(), H.tolist(), D, HD
+
+
 class TestMkAdjoint:
     def test_pairing_matches_sigma_average_oracle(self, fixture_a, z8_set):
         # <f, Phi* 1_omega> == sum over omega cells of the integral of the
@@ -494,6 +535,33 @@ class TestMkAdjoint:
                 assert _pairing(f, mk_adjoint(cells, fixture_a, 1)) == _adjoint_oracle(
                     f, fixture_a, 1, cells
                 )
+
+    def test_nodes_match_private_merge(self, fixture_a, z8_set):
+        # criterion 8's own draws, then random cells on fixture_a with a
+        # dilation whose 3^40 denominator leaves the limbs; the first draws
+        # and the 3^40 case also run on the forced sweep
+        cases = []
+        for cset, k, count in ((z8_set, 1, 8), (z8_set, 2, 3)):
+            draws = _ratio_draws(cset, k, count, RngStream(7).child(82, k), 32, _DENSITIES)
+            for constant, assign, omega in draws:
+                cells = [(lo, hi, r) for lo, hi, _, r in _omega_cells(omega, assign)]
+                cases.append((cset, k, cells, len(cases) < 2 or (k == 2 and not constant)))
+        rnd = random.Random(46)
+        for _ in range(4):
+            cases.append((fixture_a, 1, _random_dilation_cells(rnd, fixture_a, 1, 32, 3), True))
+        wide = 1 + F(1, 3**40)
+        cells = [(F(3, 16), F(1, 4), wide), (F(1, 4), F(5, 16), wide), (F(1, 2), F(9, 16), F(3, 2))]
+        cases.append((fixture_a, 1, cells, True))
+        sig = fixture_a.sigma(1)
+        prepared = sf._prepare_weighted([(1, sig, 0, 1), (1, sig, F(1, 2), wide)])[2]
+        assert sf._merge_numpy(prepared) is None
+        for cset, k, cells, force in cases:
+            want = _node_lists(_private_merge_nodes(cells, cset, k))
+            assert _node_lists(_mk_adjoint_nodes(cells, cset, k)) == want
+            if force:
+                with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
+                    assert _node_lists(_mk_adjoint_nodes(cells, cset, k)) == want
+        assert _mk_adjoint_nodes([], fixture_a, 1) is None
 
     def test_norm_power_matches_simpson_oracle(self, fixture_a, z8_set):
         rnd = random.Random(43)

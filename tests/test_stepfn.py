@@ -20,15 +20,18 @@ from cantormax.stepfn import (
     product_integral,
 )
 
-from conftest import random_step
+from conftest import per_gap_oracle, random_step
 
 F = Fraction
 
 
 def swept(kernel, *args):
-    """``kernel(*args)`` on the pure-Python heapq sweep, the == oracle."""
+    """``kernel(*args)`` on the grouped heapq sweep, checked with == against
+    the per-gap oracle, which shares no reduction code with the kernels."""
     with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
-        return kernel(*args)
+        got = kernel(*args)
+    assert got == per_gap_oracle(kernel, *args)
+    return got
 
 
 def vectorised(entries) -> bool:
@@ -174,7 +177,7 @@ class TestKernels:
             cases.append((items, product_integral(items)))
         monkeypatch.setattr(sf, "_merge_numpy", lambda prepared: None)
         for items, want in cases:
-            assert product_integral(items) == want
+            assert product_integral(items) == want == per_gap_oracle(product_integral, items)
 
     def test_power_paths_agree(self, monkeypatch):
         import cantormax.stepfn as sf
@@ -195,7 +198,7 @@ class TestKernels:
             cases.append((terms, p, power_integral(terms, p)))
         monkeypatch.setattr(sf, "_merge_numpy", lambda prepared: None)
         for terms, p, want in cases:
-            assert power_integral(terms, p) == want
+            assert power_integral(terms, p) == want == per_gap_oracle(power_integral, terms, p)
 
     def test_power_integral_matches_materialized(self):
         rnd = random.Random(9)
@@ -358,6 +361,30 @@ class TestMergeKernel:
             want = swept(power_integral, terms, p)
             assert power_integral(terms, p) == want
             assert combined.abs().lp_power(p) == want
+
+    def test_sweep_groups_by_class_tuple(self):
+        # two factors of 2000 cells with four values each, zero among them:
+        # the grouped sweep keeps one width per class tuple, not one per gap
+        rnd = random.Random(5)
+        fns = [
+            StepFunction(list(range(0, 4002, 2)), 3, [rnd.choice([-1, 0, 2, 5]) for _ in range(2000)], 1)
+            for _ in range(2)
+        ]
+        entries = [(fns[0], 0, 1), (fns[1], F(1, 3), F(3, 2))]
+        _, prepared = sf._prepare_factors(entries)
+        with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
+            widths, classes, cells = sf._merge(prepared)
+            positions, group = cells()
+        assert len(widths) <= 16 < len(group)
+        assert sum(widths) == positions[-1] - positions[0]
+        assert all(len(c) == len(widths) for c in classes)
+        gap_widths = [0] * len(widths)
+        for g, w in zip(group.tolist(), np.diff(positions).tolist()):
+            gap_widths[g] += w
+        assert gap_widths == widths
+        assert product_integral(entries) == swept(product_integral, entries)
+        terms = [(F(1, 2), fn, c, r) for fn, c, r in entries]
+        assert linear_combination(terms) == swept(linear_combination, terms)
 
     @given(
         fns=st.lists(step_strategy(), min_size=1, max_size=4),
