@@ -219,15 +219,6 @@ class CantorSet:
     def selection(self, k: int) -> set[MultiIndex]:
         return {index_of(o, k, self.params) for o in self.level(k).offsets}
 
-    def is_selected(self, i: MultiIndex) -> bool:
-        from bisect import bisect_left
-
-        k = len(i)
-        o = offset_of(i, self.params)
-        lv = self.level(k)
-        pos = bisect_left(lv.offsets, o)
-        return pos < lv.P and lv.offsets[pos] == o
-
     def indicator(self, k: int) -> StepFunction:
         """1_{S_k} as an exact step function."""
         if k not in self._indicator_cache:
@@ -389,7 +380,8 @@ class CantorSet:
                 raise FormatError(f"unsupported schema_version {d.get('schema_version')!r}")
             params = ConstructionParams.from_json_dict(d["params"])
             ks = [entry["k"] for entry in d["levels"]]
-            if ks != list(range(1, params.depth + 1)):
+            # the count first: params.depth may be far too large to list
+            if len(ks) != params.depth or ks != list(range(1, params.depth + 1)):
                 raise FormatError(f"set file levels {ks} do not match params.depth = {params.depth}")
             levels = []
             for k, entry in zip(ks, d["levels"]):
@@ -405,6 +397,15 @@ class CantorSet:
                     )
                 )
             retries = d.get("accepted_retries")
+            if retries is not None and not (
+                isinstance(retries, list)
+                and len(retries) == params.depth
+                and all(type(a) is int and 0 <= a < params.max_retries for a in retries)
+            ):
+                raise FormatError(
+                    f"accepted_retries must be null or {params.depth} integers "
+                    f"in [0, {params.max_retries})"
+                )
             return cls(
                 params,
                 levels,
@@ -460,14 +461,6 @@ class DimensionReport:
     lower_quotients: tuple[float, ...]  # log(P_k/N_k) / log M_{k-1}, k = 2..K
     upper: float
     lower: float
-
-    @property
-    def final_upper(self) -> float:
-        return self.upper_quotients[-1]
-
-    @property
-    def final_lower(self) -> float:
-        return self.lower_quotients[-1]
 
 
 def dim_bounds(cset: CantorSet) -> DimensionReport:

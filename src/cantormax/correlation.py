@@ -49,19 +49,14 @@ def trivial_bound(cset: CantorSet, n: int, k: int) -> Fraction:
     return Fraction(2 ** (n + 1)) / lv.measure ** (n - 1)
 
 
-def classify_A(
-    A: AffineTuple,
-    cset: CantorSet,
-    n: int,
-    k: int,
-    epsilon0: Fraction | None = None,
-) -> str:
+def classify_A(A: AffineTuple, cset: CantorSet, n: int, k: int) -> str:
     """Transverse iff #F_int < P_k^(1 - eps0), compared exactly.
 
     The count runs over the full index grid (the family does not depend on
-    which intervals were selected); the threshold uses the set's P_k.
+    which intervals were selected); the threshold uses the set's P_k and
+    epsilon0.
     """
-    eps0 = Fraction(epsilon0 if epsilon0 is not None else cset.params.epsilon0)
+    eps0 = Fraction(cset.params.epsilon0)
     tuples = enumerate_F(n, k, A, cset.params)
     count = sum(1 for t in tuples if t.cls == INTERNAL)
     P = cset.P(k)
@@ -140,47 +135,26 @@ def evaluate_tuple(
 
 
 def _transverse_scan(
-    cset: CantorSet,
-    n: int,
-    k: int,
-    budget: int,
-    rng: np.random.Generator,
-    pair_pool: Sequence[tuple] | None = None,
+    cset: CantorSet, n: int, k: int, budget: int, rng: np.random.Generator
 ) -> SupLambdaResult:
     """Max of |Lambda(A; sigma_k)| over the transverse candidates.
 
-    Candidates are every tuple over ``pair_pool`` (or ``budget`` draws from
-    it when the pool is too large), else every level-k grid tuple when the
-    grid is small enough, else ``budget`` grid draws with the even-numbered
-    ones near-diagonal.  With no transverse candidate the max is 0 and the
-    witness None.
+    Candidates are every level-k grid tuple when the grid has at most
+    ``EXHAUSTIVE_CAP`` of them, else ``budget`` grid draws with the
+    even-numbered ones near-diagonal.  With no transverse candidate the max
+    is 0 and the witness None.
     """
     c0 = c0_constant(cset.params, n, k)
-    if pair_pool is not None:
-        pool = [(Fraction(c), Fraction(r)) for c, r in pair_pool]
-        total = len(pool) ** n
-        if total <= EXHAUSTIVE_CAP:
-            candidates = [
-                AffineTuple(combo, k) for combo in itertools.product(pool, repeat=n)
-            ]
-            coverage = {"mode": "exhaustive", "tuples": total}
-        else:
-            idx = rng.integers(0, len(pool), size=(budget, n))
-            candidates = [
-                AffineTuple(tuple(pool[j] for j in row), k) for row in idx
-            ]
-            coverage = {"mode": "sampled", "tuples": budget, "pool": len(pool)}
+    grid = DiscretizationGrid.for_level(cset.params, k)
+    candidates = grid_tuples(grid, n)
+    if candidates is not None:
+        coverage = {"mode": "exhaustive", "tuples": len(candidates)}
     else:
-        grid = DiscretizationGrid.for_level(cset.params, k)
-        candidates = grid_tuples(grid, n)
-        if candidates is not None:
-            coverage = {"mode": "exhaustive", "tuples": len(candidates)}
-        else:
-            candidates = [
-                grid.sample_tuple(rng, n, near_diagonal=(i % 2 == 0))
-                for i in range(budget)
-            ]
-            coverage = {"mode": "sampled", "tuples": budget, "grid_pairs": grid.total_pairs()}
+        candidates = [
+            grid.sample_tuple(rng, n, near_diagonal=(i % 2 == 0))
+            for i in range(budget)
+        ]
+        coverage = {"mode": "sampled", "tuples": budget, "grid_pairs": grid.total_pairs()}
 
     best = Fraction(0)
     witness = None
@@ -198,28 +172,22 @@ def _transverse_scan(
 
 
 def sup_lambda_tr(
-    cset: CantorSet,
-    n: int,
-    k: int,
-    budget: int,
-    rng: np.random.Generator,
-    pair_pool: Sequence[tuple] | None = None,
+    cset: CantorSet, n: int, k: int, budget: int, rng: np.random.Generator
 ) -> SupLambdaResult:
     """Sampled stand-in for sup over transverse tuples of |Lambda(A; sigma_k)|.
 
-    With ``pair_pool`` the candidate tuples come from that explicit pool of
-    (c, r) pairs; pools small enough are enumerated exhaustively.  Otherwise
-    samples are drawn from the level-k discretization grid, half of them in
-    the near-diagonal stratum.
+    The candidates are the level-k discretization grid's tuples: all of
+    them when the grid is small enough, else ``budget`` draws, half of them
+    in the near-diagonal stratum.
     """
     if budget < 1:
         raise EmptySampleError("sup_lambda_tr needs budget >= 1")
-    result = _transverse_scan(cset, n, k, budget, rng, pair_pool)
+    result = _transverse_scan(cset, n, k, budget, rng)
     if result.witness is None:
         raise EmptySampleError(
             f"no transverse tuples among {len(result.reports)} candidates at k={k}"
         )
-    if pair_pool is None and result.coverage["mode"] == "sampled":
+    if result.coverage["mode"] == "sampled":
         result.coverage["stratified"] = "half near-diagonal"
     return result
 

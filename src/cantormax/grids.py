@@ -89,4 +89,4 @@ class DiscretizationGrid:
             c_idx.append(cj)
             r_idx.append(rj)
         pairs = tuple((self.c_value(ci_), self.r_value(ri_)) for ci_, ri_ in zip(c_idx, r_idx))
-        return AffineTuple(pairs, self.k, grid_indices=tuple(zip(c_idx, r_idx)))
+        return AffineTuple(pairs, self.k)

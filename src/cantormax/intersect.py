@@ -10,14 +10,13 @@ available in the test suite as the oracle.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import CantorSet, MultiIndex, index_of
+from .core import CantorSet
 from .errors import CapacityError, DomainError, InvalidIndexError
 from .params import ConstructionParams
 
@@ -34,7 +33,6 @@ class AffineTuple:
 
     pairs: tuple[tuple[Fraction, Fraction], ...]
     level: int
-    grid_indices: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         if len(self.pairs) < 2 or len(self.pairs) % 2:
@@ -77,9 +75,6 @@ class IntersectionTuple:
     cls: str
     witness: tuple[int, int] | None
 
-    def indices(self, k: int, params: ConstructionParams) -> tuple[MultiIndex, ...]:
-        return tuple(index_of(o, k, params) for o in self.offsets)
-
 
 def _classify_offsets(offsets: Sequence[int], N_k: int):
     """Internal iff two slots share a parent and differ by <= 4 in the last digit."""
@@ -100,13 +95,13 @@ def enumerate_F(
     params: ConstructionParams,
     restrict_to: CantorSet | None = None,
     cap: int = DEFAULT_TUPLE_CAP,
-    grid_cap: int = DEFAULT_GRID_CAP,
 ) -> list[IntersectionTuple]:
     """All n-tuples of level-k indices whose affine images share a point.
 
     Closed intervals: single-point contacts count as members.  With
     ``restrict_to`` the slots range over that set's selected indices only,
-    otherwise over the full index grid (which must stay under ``grid_cap``).
+    otherwise over the full index grid (which must stay under
+    ``DEFAULT_GRID_CAP``).
     """
     if n < 2 or n % 2:
         raise DomainError("n must be an even integer >= 2")
@@ -116,9 +111,9 @@ def enumerate_F(
         raise InvalidIndexError("k must be >= 1")
     M_k = params.M(k)
     if restrict_to is None:
-        if M_k > grid_cap:
+        if M_k > DEFAULT_GRID_CAP:
             raise CapacityError(
-                f"full index grid M_{k}={M_k} exceeds cap {grid_cap}; pass restrict_to"
+                f"full index grid M_{k}={M_k} exceeds cap {DEFAULT_GRID_CAP}; pass restrict_to"
             )
         slot_offsets: Sequence[int] | None = None
         n_slots = M_k
@@ -266,18 +261,3 @@ def symdiff_bound_check(x, y, r, s, t, eta) -> SymdiffResult:
     bound = 3 * eta
     return SymdiffResult(measure, bound, measure <= bound)
 
-
-def write_tuples_csv(
-    path, tuples: Sequence[IntersectionTuple], k: int, params: ConstructionParams
-) -> None:
-    """One row per tuple: slot indices, class, witness pair."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        n = len(tuples[0].offsets) if tuples else 0
-        w.writerow([f"i{j + 1}" for j in range(n)] + ["class", "witness"])
-        for t in tuples:
-            idx = t.indices(k, params)
-            w.writerow(
-                ["|".join(map(str, i)) for i in idx]
-                + [t.cls, f"{t.witness[0]}-{t.witness[1]}" if t.witness else ""]
-            )

@@ -103,7 +103,6 @@ class MaximalQuery:
     q: Fraction = Fraction(2)
     m_min: int = 0
     m_max: int = 0
-    k_max: int | None = None
 
     def __post_init__(self):
         pts = tuple(Fraction(v) for v in self.points)
@@ -180,19 +179,18 @@ class MaximalSweep:
 
 
 def maximal_sweep(f: StepFunction, cset: CantorSet, query: MaximalQuery, scales) -> MaximalSweep:
-    """A_{r0 2^-m}[k]|f|(x) at every query point x, level k <= k_top, r0 on
+    """A_{r0 2^-m}[k]|f|(x) at every query point x, level k <= cset.depth, r0 on
     the r grid and m in ``scales``; ``restricted`` reads scale 0 and
     ``windowed`` the query's window."""
-    k_top = min(query.k_max or cset.depth, cset.depth)
     fabs = f.abs()
     averages = {
         (x, m, k, r0): average(fabs, cset, k, r0 * _scale(m), x)
         for x in dict.fromkeys(query.points)
         for m in scales
-        for k in range(1, k_top + 1)
+        for k in range(1, cset.depth + 1)
         for r0 in query.r_grid
     }
-    return MaximalSweep(query, k_top, averages)
+    return MaximalSweep(query, cset.depth, averages)
 
 
 def restricted_maximal(
@@ -232,7 +230,6 @@ class AdjointAssignment:
     """
 
     cells: tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]  # (lo, hi, c, r)
-    k: int
     spacing: Fraction
 
     def __post_init__(self):
@@ -264,7 +261,7 @@ def uniform_assignment(
     for i in range(n_cells):
         c, r = pair_source(i)
         cells.append((Fraction(i, n_cells), Fraction(i + 1, n_cells), Fraction(c), Fraction(r)))
-    return AdjointAssignment(tuple(cells), k, spacing)
+    return AdjointAssignment(tuple(cells), spacing)
 
 
 def _omega_cells(omega: Sequence[int], assign: AdjointAssignment):
@@ -442,7 +439,7 @@ class RatioResult:
     max_power: Fraction  # exact max of ||Phi* 1_omega||_n^n / |omega|^(n-1); max_ratio^n up to rounding
 
 
-def _ratio_draws(cset: CantorSet, k: int, budget: int, rng: np.random.Generator, n_cells: int, densities):
+def _ratio_draws(cset: CantorSet, k: int, budget: int, rng: np.random.Generator, n_cells: int):
     """Yield budget (constant, assignment, omega) draws from rng.
 
     Assignments alternate between constant and cellwise-random (translation
@@ -467,20 +464,20 @@ def _ratio_draws(cset: CantorSet, k: int, budget: int, rng: np.random.Generator,
                 )
 
         assign = uniform_assignment(cset, k, n_cells, pair_source)
-        density = densities[int(rng.integers(0, len(densities)))]
+        density = _DENSITIES[int(rng.integers(0, len(_DENSITIES)))]
         count = max(1, int(n_cells * density))
         omega = sorted(int(i) for i in rng.choice(n_cells, size=count, replace=False))
         yield constant, assign, omega
 
 
-def _sampled_ratio(cset, k, n, budget, rng, n_cells, densities, norm_power) -> RatioResult:
+def _sampled_ratio(cset, k, n, budget, rng, n_cells, norm_power) -> RatioResult:
     """Max over ``_ratio_draws`` of norm_power(omega, assign)^(1/n) / |omega|^((n-1)/n)."""
     if budget < 1:
         raise EmptySampleError("restricted-type ratio sampling needs budget >= 1")
     samples = []
     best = 0.0
     best_power = Fraction(0)
-    for constant, assign, omega in _ratio_draws(cset, k, budget, rng, n_cells, densities):
+    for constant, assign, omega in _ratio_draws(cset, k, budget, rng, n_cells):
         power = norm_power(omega, assign)
         measure = Fraction(len(omega), n_cells)
         ratio = float(power) ** (1.0 / n) / float(measure) ** ((n - 1) / n)
@@ -501,7 +498,6 @@ def restricted_type_ratio(
     budget: int,
     rng: np.random.Generator,
     n_cells: int = 32,
-    densities: Sequence[Fraction] = _DENSITIES,
 ) -> RatioResult:
     """Max over sampled (omega, assignment) of ||Phi_k* 1_omega||_n / |omega|^((n-1)/n)
     for the free-translation adjoint ``phi_star``.
@@ -520,7 +516,7 @@ def restricted_type_ratio(
     def norm_power(omega, assign):
         return phi_star_norm_power(omega, cset, k, assign, n)
 
-    return _sampled_ratio(cset, k, n, budget, rng, n_cells, densities, norm_power)
+    return _sampled_ratio(cset, k, n, budget, rng, n_cells, norm_power)
 
 
 def mk_restricted_type_ratio(
@@ -530,7 +526,6 @@ def mk_restricted_type_ratio(
     budget: int,
     rng: np.random.Generator,
     n_cells: int = 32,
-    densities: Sequence[Fraction] = _DENSITIES,
 ) -> RatioResult:
     """Max over sampled (omega, dilations) of ||Phi_k* 1_omega||_n / |omega|^((n-1)/n)
     for ``mk_adjoint``, the adjoint of the linearized ``mk_operator``.
@@ -545,7 +540,7 @@ def mk_restricted_type_ratio(
         cells = [(lo, hi, r) for lo, hi, _, r in _omega_cells(omega, assign)]
         return mk_adjoint_norm_power(cells, cset, k, n)
 
-    return _sampled_ratio(cset, k, n, budget, rng, n_cells, densities, norm_power)
+    return _sampled_ratio(cset, k, n, budget, rng, n_cells, norm_power)
 
 
 def restricted_type_target(cset: CantorSet, n: int, k: int) -> float:
@@ -627,14 +622,15 @@ class DemoResult:
     eta_estimates: dict  # radius -> mass/(2 rho) at the deepest level
 
 
-def densest_point(cset: CantorSet, window: int = 8) -> Fraction:
-    """Center of a deepest-level cell with the most selected neighbors."""
+def densest_point(cset: CantorSet) -> Fraction:
+    """Center of a deepest-level cell with the most selected cells within 8
+    cells of it."""
     lv = cset.level(cset.depth)
     if lv.P == 0:
         raise EmptySampleError("no selected intervals at the deepest level")
     arr = np.asarray(lv.offsets, dtype=np.int64)
-    hi = np.searchsorted(arr, arr + window, side="right")
-    lo = np.searchsorted(arr, arr - window, side="left")
+    hi = np.searchsorted(arr, arr + 8, side="right")
+    lo = np.searchsorted(arr, arr - 8, side="left")
     best = int(np.argmax(hi - lo))
     o = int(arr[best])
     return 1 + Fraction(2 * o + 1, 2 * lv.M_k)
@@ -671,8 +667,6 @@ def l1_divergence_demo(
     depth: int,
     rho0,
     r=Fraction(1, 2),
-    x0=None,
-    radii: Sequence | None = None,
 ) -> DemoResult:
     """Tabulate the averaged singular profile h(x - x_j + r y) against mu_k.
 
@@ -680,25 +674,23 @@ def l1_divergence_demo(
     integrable g(t) = t^(-2) tail); x_j is placed so the average is centered
     on a densest point x0 of the deepest level.  Divergence is evidenced, not
     proven: the table reports its growth across k plus the empirical ball
-    masses behind it.
+    masses behind it, at radii delta_1..delta_depth around x0.
     """
     if depth < 1 or depth > cset.depth:
         raise DomainError(f"depth must lie in 1..{cset.depth}")
     rho0, r = Fraction(rho0), Fraction(r)
     if rho0 <= 0 or r <= 0:
         raise DomainError("rho0 and r must be positive")
-    x0 = Fraction(x0) if x0 is not None else densest_point(cset)
+    x0 = densest_point(cset)
     rows = []
     for k in range(1, depth + 1):
         rows.append((k, _profile_integral(cset, k, x0, r, rho0)))
     first, last = rows[0][1], rows[-1][1]
     growth = last / first if first > 0 else math.inf
-    if radii is None:
-        radii = [cset.params.delta(j) for j in range(1, depth + 1)]
     ball_masses = {}
     eta = {}
-    for rho in radii:
-        rho = Fraction(rho)
+    for j in range(1, depth + 1):
+        rho = cset.params.delta(j)
         lo = max(Fraction(1), x0 - rho)
         hi = min(Fraction(2), x0 + rho)
         masses = []

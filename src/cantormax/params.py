@@ -183,9 +183,6 @@ class ConstructionParams:
         p = math.exp(-float(eps) * math.log(N_k))
         return min(1.0, max(0.0, p))
 
-    def p_exact(self, k: int) -> Fraction | None:
-        return exact_pow(self.level_N(k), -self.level_eps(k))
-
     def expected_growth(self, k: int) -> Fraction | None:
         """N_k^(1-eps_k) exactly when it is rational, else None."""
         return exact_pow(self.level_N(k), 1 - self.level_eps(k))

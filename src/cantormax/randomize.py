@@ -449,9 +449,8 @@ def verify_set(
         )
     )
     stream = RngStream(cset.params.seed)
-    retries = cset.accepted_retries or tuple(0 for _ in range(cset.depth))
+    retries = cset.accepted_retries or (0,) * cset.depth
     for k in range(1, cset.depth + 1):
-        attempt = retries[k - 1] if k - 1 < len(retries) else 0
-        reports.extend(_level_gates(cset, k, attempt, stream, gate_c_n, gate_c_budget))
+        reports.extend(_level_gates(cset, k, retries[k - 1], stream, gate_c_n, gate_c_budget))
     ok = all(rep.passed for rep in reports)
     return ok, reports

@@ -1,8 +1,11 @@
 """Config round-trip and the CLI exit-code contract."""
 
+import contextlib
 import csv
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,27 @@ from cantormax.config import RunConfig, parse_config, serialize_config
 from cantormax.errors import ConfigError
 
 F = Fraction
+
+
+@contextlib.contextmanager
+def address_space_headroom(nbytes):
+    """Cap this process's address space at its present size plus ``nbytes``,
+    so that a runaway allocation raises MemoryError instead of exhausting
+    the host's memory.  No cap where /proc/self/status is missing."""
+    status = Path("/proc/self/status")
+    if not status.exists():
+        yield
+        return
+    import resource
+
+    used = int(re.search(r"VmSize:\s+(\d+) kB", status.read_text()).group(1)) * 1024
+    old = resource.getrlimit(resource.RLIMIT_AS)
+    cap = used + nbytes if old[1] == resource.RLIM_INFINITY else min(used + nbytes, old[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, old[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, old)
 
 
 class TestConfig:
@@ -122,15 +146,20 @@ class TestCli:
         failed = [c for c in report["checks"] if not c["passed"]]
         assert any(c["gate"] == "a" for c in failed)
 
-    @pytest.mark.parametrize("cut", ["last", "first"])
+    @pytest.mark.parametrize("cut", ["last", "first", "huge_depth"])
     def test_set_file_levels_must_match_depth(self, cli_workspace, tmp_path, capsys, cut):
         _, cfg, out = cli_workspace
         payload = json.loads((out / "set.json").read_text())
-        payload["levels"] = payload["levels"][:-1] if cut == "last" else payload["levels"][1:]
+        if cut == "huge_depth":
+            # rejected by the level count, before anything of that size is built
+            payload["params"]["depth"] = 10**9
+        else:
+            payload["levels"] = payload["levels"][:-1] if cut == "last" else payload["levels"][1:]
         bad = tmp_path / "short.json"
         bad.write_text(json.dumps(payload))
         capsys.readouterr()
-        code = main(["verify", str(bad), "-c", str(cfg), "-o", str(tmp_path)])
+        with address_space_headroom(1 << 30):
+            code = main(["verify", str(bad), "-c", str(cfg), "-o", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and "params.depth" in err
@@ -189,12 +218,18 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "mutation",
-        ["half_offsets", "str_offset", "null_offset", "bool_offset", "top_level_list", "bad_B", "huge_offset"],
+        [
+            "half_offsets", "str_offset", "null_offset", "bool_offset", "top_level_list", "bad_B", "huge_offset",
+            "retries_negative", "retries_str", "retries_float", "retries_bool", "retries_object",
+            "retries_short", "retries_long", "retries_huge", "retries_at_max",
+        ],
     )
     def test_malformed_set_file_is_usage_error(self, cli_workspace, tmp_path, capsys, mutation):
         _, cfg, out = cli_workspace
         payload = json.loads((out / "set.json").read_text())
         levels = payload["levels"]
+        retries = payload["accepted_retries"]
+        assert len(retries) == len(levels)
         if mutation == "half_offsets":
             levels[0]["selected"] = [o + 0.5 for o in levels[0]["selected"]]
         elif mutation == "str_offset":
@@ -207,6 +242,24 @@ class TestCli:
             payload = [payload]
         elif mutation == "bad_B":
             payload["params"]["B"] = "abc"
+        elif mutation == "retries_negative":
+            retries[-1] = -1
+        elif mutation == "retries_str":
+            retries[-1] = "x"
+        elif mutation == "retries_float":
+            retries[-1] = 0.5
+        elif mutation == "retries_bool":
+            retries[0] = False
+        elif mutation == "retries_object":
+            payload["accepted_retries"] = {"a": 1}
+        elif mutation == "retries_short":
+            payload["accepted_retries"] = retries[:-1]
+        elif mutation == "retries_long":
+            payload["accepted_retries"] = retries + [0]
+        elif mutation == "retries_huge":
+            retries[-1] = 2**70
+        elif mutation == "retries_at_max":
+            retries[-1] = payload["params"]["max_retries"]
         else:
             levels[2]["selected"][-1] = 2**70
         bad = tmp_path / "bad.json"

@@ -168,32 +168,28 @@ class TestClassifyA:
         A2 = AffineTuple((pair(0, 1), pair(F(-9, 16), 1)), 1)
         f_int = [t for t in enumerate_F(2, 1, A2, params) if t.cls == "internal"]
         assert len(f_int) == 4
-        assert classify_A(A2, cset, 2, 1, epsilon0=F(1, 3)) == "internal"
+        assert classify_A(A2, cset, 2, 1) == "internal"
         # one fewer internal member crosses to transverse
         A3 = AffineTuple((pair(0, 1), pair(F(-11, 16), 1)), 1)
         f_int3 = [t for t in enumerate_F(2, 1, A3, params) if t.cls == "internal"]
         assert len(f_int3) < 4
-        assert classify_A(A3, cset, 2, 1, epsilon0=F(1, 3)) == "transverse"
+        assert classify_A(A3, cset, 2, 1) == "transverse"
 
 
 class TestSupLambda:
-    def test_exhaustive_small_pool(self, fixture_a):
-        pool = [pair(0, 1), pair(F(-1, 8), F(9, 8)), pair(-2, 1)]
-        res = sup_lambda_tr(fixture_a, 2, 1, budget=5, rng=np.random.default_rng(1), pair_pool=pool)
-        assert res.coverage["mode"] == "exhaustive"
-        # oracle: brute max over the 9 tuples, transverse only
-        best = F(0)
-        for p1 in pool:
-            for p2 in pool:
-                A = AffineTuple((p1, p2), 1)
-                if classify_A(A, fixture_a, 2, 1) == "transverse":
-                    best = max(best, abs(lambda_sigma(A, fixture_a, 1)))
-        assert res.max_abs == best
+    def test_no_transverse_draw_raises(self, z8_set):
+        # a budget of one near-diagonal grid draw at k=1 lands on an internal
+        # tuple: the sup has no candidate to take
+        with pytest.raises(EmptySampleError, match="no transverse tuples among 1 candidates at k=1"):
+            sup_lambda_tr(z8_set, 2, 1, 1, RngStream(0).child(1))
+        # gate (c) on the same stream takes the sup over the empty set
+        from cantormax import gate_correlation
 
-    def test_all_internal_raises(self, fixture_a):
-        pool = [pair(0, 1)]
-        with pytest.raises(EmptySampleError):
-            sup_lambda_tr(fixture_a, 2, 1, budget=4, rng=np.random.default_rng(1), pair_pool=pool)
+        rep = gate_correlation(z8_set, 1, 2, 1, RngStream(0).child(1))
+        assert rep.passed
+        assert "gate passes vacuously" in rep.detail
+        assert rep.measured == 0.0
+        assert "witness" not in rep.extras
 
     def test_budget_zero_raises(self, fixture_a):
         with pytest.raises(EmptySampleError):
@@ -315,6 +311,24 @@ class TestExhaustiveGridCoverage:
         assert tuples is not None and len(tuples) == grid.total_pairs() ** 2
         res = sup_lambda_tr(cset, 2, 1, budget=1, rng=RngStream(0).child(1))
         assert res.coverage["mode"] == "exhaustive"
+        # oracle: brute max over every grid tuple, transverse only
+        best = F(0)
+        for A in tuples:
+            if classify_A(A, cset, 2, 1) == "transverse":
+                best = max(best, abs(lambda_sigma(A, cset, 1)))
+        assert res.max_abs == best
         rep = gate_correlation(cset, 1, 2, 1, RngStream(0).child(2))
         assert rep.extras["coverage"]["mode"] == "exhaustive"
         assert rep.passed
+
+
+class TestGridSample:
+    def test_sampled_tuple_equals_tuple_of_its_pairs(self, z8_set):
+        from cantormax.grids import DiscretizationGrid
+
+        grid = DiscretizationGrid.for_level(z8_set.params, 2)
+        rng = np.random.default_rng(5)
+        for near_diagonal in (False, True):
+            A = grid.sample_tuple(rng, 2, near_diagonal=near_diagonal)
+            B = AffineTuple(A.pairs, 2)
+            assert A == B and hash(A) == hash(B)

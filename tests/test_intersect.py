@@ -241,17 +241,3 @@ class TestSymdiff:
         y = x + eta * F(data.draw(st.integers(-99, 99)), 100)
         res = symdiff_bound_check(x, y, r, s, t, eta)
         assert res.satisfied
-
-
-class TestCsvStream:
-    def test_tuples_stream_to_csv(self, tmp_path):
-        A = AffineTuple(((F(0), F(1)), (F(0), F(1))), 1)
-        tuples = enumerate_F(2, 1, A, P4)
-        path = tmp_path / "tuples.csv"
-        from cantormax.intersect import write_tuples_csv
-
-        write_tuples_csv(path, tuples, 1, P4)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "i1,i2,class,witness"
-        assert len(lines) == 1 + len(tuples)
-        assert all("internal" in ln for ln in lines[1:])

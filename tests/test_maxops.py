@@ -26,7 +26,6 @@ from cantormax import (
 from cantormax.errors import DegenerateMeasureError, DomainError, GridError, InsufficientDepthError
 from cantormax.grids import DiscretizationGrid
 from cantormax.maxops import (
-    _DENSITIES,
     AdjointAssignment,
     _dilation_cells,
     _mk_adjoint_nodes,
@@ -395,7 +394,6 @@ class TestAdjoint:
         with pytest.raises(GridError):
             AdjointAssignment(
                 cells=((F(0), F(1, 3), F(-1), F(3, 2)), (F(1, 3), F(1), F(-1), F(3, 2))),
-                k=1,
                 spacing=F(1, 256),
             )
 
@@ -542,7 +540,7 @@ class TestMkAdjoint:
         # and the 3^40 case also run on the forced sweep
         cases = []
         for cset, k, count in ((z8_set, 1, 8), (z8_set, 2, 3)):
-            draws = _ratio_draws(cset, k, count, RngStream(7).child(82, k), 32, _DENSITIES)
+            draws = _ratio_draws(cset, k, count, RngStream(7).child(82, k), 32)
             for constant, assign, omega in draws:
                 cells = [(lo, hi, r) for lo, hi, _, r in _omega_cells(omega, assign)]
                 cases.append((cset, k, cells, len(cases) < 2 or (k == 2 and not constant)))
