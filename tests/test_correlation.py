@@ -177,6 +177,32 @@ class TestClassifyA:
 
 
 class TestSupLambda:
+    def test_exhaustive_small_pool(self):
+        # N=(2,2) with L=1: the level-1 grid's 64 pairs give a pool of 4096
+        # tuples, small enough that every one is a candidate
+        from cantormax import build_deterministic
+        from cantormax.correlation import grid_tuples
+        from cantormax.grids import DiscretizationGrid
+
+        params = custom([2, 2], [F(1, 4), F(1, 4)], L=1)
+        cset = build_deterministic([{(1,), (2,)}, {(1, 2), (2, 1)}], params)
+        pool = grid_tuples(DiscretizationGrid.for_level(params, 1), 2)
+        res = sup_lambda_tr(cset, 2, 1, budget=5, rng=np.random.default_rng(1))
+        assert res.coverage == {"mode": "exhaustive", "tuples": len(pool)}
+        # oracle: brute max over the pool, transverse only
+        best, seen = F(0), 0
+        for A in pool:
+            if classify_A(A, cset, 2, 1) == "transverse":
+                seen += 1
+                best = max(best, abs(lambda_sigma(A, cset, 1)))
+        assert res.max_abs == best
+        assert 0 < seen < len(pool) and best > 0
+        assert res.transverse_seen == seen
+        assert abs(lambda_sigma(res.witness, cset, 1)) == best
+        # the full pool leaves nothing to the budget or the stream
+        other = sup_lambda_tr(cset, 2, 1, budget=1, rng=np.random.default_rng(9))
+        assert (other.max_abs, other.witness) == (res.max_abs, res.witness)
+
     def test_no_transverse_draw_raises(self, z8_set):
         # a budget of one near-diagonal grid draw at k=1 lands on an internal
         # tuple: the sup has no candidate to take
