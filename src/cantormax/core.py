@@ -381,13 +381,21 @@ class CantorSet:
             params = ConstructionParams.from_json_dict(d["params"])
             ks = [entry["k"] for entry in d["levels"]]
             # the count first: params.depth may be far too large to list
-            if len(ks) != params.depth or ks != list(range(1, params.depth + 1)):
+            if (
+                len(ks) != params.depth
+                or set(map(type, ks)) - {int}
+                or ks != list(range(1, params.depth + 1))
+            ):
                 raise FormatError(f"set file levels {ks} do not match params.depth = {params.depth}")
             levels = []
             for k, entry in zip(ks, d["levels"]):
                 selected = entry["selected"]
                 if not isinstance(selected, list) or set(map(type, selected)) - {int}:
                     raise FormatError(f"level {k} selected offsets must be a list of integers")
+                # a recorded N_k or P_k that disagrees with params or offsets is refused
+                for key, want in (("N_k", params.level_N(k)), ("P_k", len(selected))):
+                    if type(entry[key]) is not int or entry[key] != want:
+                        raise FormatError(f"level {k} {key} = {entry[key]!r} does not match {want}")
                 levels.append(
                     CantorLevel(
                         k=k,

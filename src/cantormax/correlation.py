@@ -4,6 +4,12 @@ Lambda(A; f_1..f_n) = integral of prod f_l((z - c_l)/r_l) dz, evaluated
 exactly by a single merged-breakpoint sweep; no quadrature tolerance exists
 anywhere in it.  The sampled sup over the transverse class never claims to
 be a certified sup: reports carry their coverage mode.
+
+A tuple's class is a threshold on a count of internal tuples, so it is
+decided by counting, never by listing, and before any lambda is computed:
+the transverse scan computes lambda only for the transverse candidates it
+maximises over, and ``sup_lambda_tr`` adds the internal ones' for its
+reports.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from .core import CantorSet
 from .errors import DegenerateMeasureError, DomainError, EmptySampleError
 from .grids import DiscretizationGrid
-from .intersect import AffineTuple, INTERNAL, TRANSVERSE, enumerate_F
+from .intersect import AffineTuple, INTERNAL, TRANSVERSE, count_internal
 from .params import ConstructionParams, nudge
 from .stepfn import StepFunction, product_integral
 
@@ -52,13 +58,12 @@ def trivial_bound(cset: CantorSet, n: int, k: int) -> Fraction:
 def classify_A(A: AffineTuple, cset: CantorSet, n: int, k: int) -> str:
     """Transverse iff #F_int < P_k^(1 - eps0), compared exactly.
 
-    The count runs over the full index grid (the family does not depend on
-    which intervals were selected); the threshold uses the set's P_k and
-    epsilon0.
+    The internal tuples are counted over the full index grid (the family
+    does not depend on which intervals were selected) without listing them;
+    the threshold uses the set's P_k and epsilon0.
     """
     eps0 = Fraction(cset.params.epsilon0)
-    tuples = enumerate_F(n, k, A, cset.params)
-    count = sum(1 for t in tuples if t.cls == INTERNAL)
+    count = count_internal(n, k, A, cset.params)
     P = cset.P(k)
     # count < P^((b-a)/b)  <=>  count^b < P^(b-a), both sides integers
     a, b = eps0.numerator, eps0.denominator
@@ -74,8 +79,14 @@ class CorrelationReport:
     cls: str
     trivial: Fraction
     c0: float
-    within_trivial: bool
-    within_c0: bool
+
+    @property
+    def within_trivial(self) -> bool:
+        return abs(self.lam) <= self.trivial
+
+    @property
+    def within_c0(self) -> bool:
+        return abs(self.lam) <= self.c0
 
     def to_json_dict(self) -> dict:
         return {
@@ -120,31 +131,38 @@ def evaluate_tuple(
 ) -> CorrelationReport:
     lam = lambda_sigma(A, cset, k)
     cls = classify_A(A, cset, n, k)
-    triv = trivial_bound(cset, n, k)
-    return CorrelationReport(
-        A=A,
-        n=n,
-        k=k,
-        lam=lam,
-        cls=cls,
-        trivial=triv,
-        c0=c0,
-        within_trivial=abs(lam) <= triv,
-        within_c0=abs(lam) <= c0,
-    )
+    return CorrelationReport(A, n, k, lam, cls, trivial_bound(cset, n, k), c0)
+
+
+@dataclass(frozen=True)
+class TransverseScan:
+    """Every candidate's class, and Lambda(A; sigma_k) of the transverse ones."""
+
+    candidates: tuple[AffineTuple, ...]
+    classes: tuple[str, ...]
+    transverse_lams: dict[int, Fraction]  # candidate index -> lambda
+    coverage: dict
+    max_abs: Fraction
+    witness: AffineTuple | None
+
+    @property
+    def transverse_seen(self) -> int:
+        return len(self.transverse_lams)
 
 
 def _transverse_scan(
     cset: CantorSet, n: int, k: int, budget: int, rng: np.random.Generator
-) -> SupLambdaResult:
+) -> TransverseScan:
     """Max of |Lambda(A; sigma_k)| over the transverse candidates.
 
     Candidates are every level-k grid tuple when the grid has at most
     ``EXHAUSTIVE_CAP`` of them, else ``budget`` grid draws with the
-    even-numbered ones near-diagonal.  With no transverse candidate the max
-    is 0 and the witness None.
+    even-numbered ones near-diagonal.  Every candidate is classified first,
+    by counting its internal tuples (``classify_A``), and lambda is
+    computed only for the transverse ones: the max never reads an internal
+    candidate's lambda.  With no transverse candidate the max is 0 and the
+    witness None.
     """
-    c0 = c0_constant(cset.params, n, k)
     grid = DiscretizationGrid.for_level(cset.params, k)
     candidates = grid_tuples(grid, n)
     if candidates is not None:
@@ -156,19 +174,18 @@ def _transverse_scan(
         ]
         coverage = {"mode": "sampled", "tuples": budget, "grid_pairs": grid.total_pairs()}
 
+    classes = tuple(classify_A(A, cset, n, k) for A in candidates)
+    lams = {
+        i: lambda_sigma(A, cset, k)
+        for i, (A, cls) in enumerate(zip(candidates, classes))
+        if cls == TRANSVERSE
+    }
     best = Fraction(0)
     witness = None
-    transverse_seen = 0
-    reports = []
-    for A in candidates:
-        rep = evaluate_tuple(A, cset, n, k, c0)
-        reports.append(rep)
-        if rep.cls != TRANSVERSE:
-            continue
-        transverse_seen += 1
-        if witness is None or abs(rep.lam) > best:
-            best, witness = abs(rep.lam), A
-    return SupLambdaResult(best, witness, coverage, transverse_seen, tuple(reports))
+    for i, lam in lams.items():
+        if witness is None or abs(lam) > best:
+            best, witness = abs(lam), candidates[i]
+    return TransverseScan(tuple(candidates), classes, lams, coverage, best, witness)
 
 
 def sup_lambda_tr(
@@ -178,18 +195,27 @@ def sup_lambda_tr(
 
     The candidates are the level-k discretization grid's tuples: all of
     them when the grid is small enough, else ``budget`` draws, half of them
-    in the near-diagonal stratum.
+    in the near-diagonal stratum.  The reports cover every candidate, so the
+    internal ones' lambdas, which the scan skips, are computed here.
     """
     if budget < 1:
         raise EmptySampleError("sup_lambda_tr needs budget >= 1")
-    result = _transverse_scan(cset, n, k, budget, rng)
-    if result.witness is None:
+    scan = _transverse_scan(cset, n, k, budget, rng)
+    if scan.witness is None:
         raise EmptySampleError(
-            f"no transverse tuples among {len(result.reports)} candidates at k={k}"
+            f"no transverse tuples among {len(scan.candidates)} candidates at k={k}"
         )
-    if result.coverage["mode"] == "sampled":
-        result.coverage["stratified"] = "half near-diagonal"
-    return result
+    if scan.coverage["mode"] == "sampled":
+        scan.coverage["stratified"] = "half near-diagonal"
+    c0 = c0_constant(cset.params, n, k)
+    triv = trivial_bound(cset, n, k)
+    reports = []
+    for i, (A, cls) in enumerate(zip(scan.candidates, scan.classes)):
+        lam = scan.transverse_lams[i] if cls == TRANSVERSE else lambda_sigma(A, cset, k)
+        reports.append(CorrelationReport(A, n, k, lam, cls, triv, c0))
+    return SupLambdaResult(
+        scan.max_abs, scan.witness, scan.coverage, scan.transverse_seen, tuple(reports)
+    )
 
 
 def c0_constant(

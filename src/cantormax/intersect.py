@@ -1,20 +1,31 @@
-"""Enumeration and classification of n-fold affine interval intersections.
+"""Enumeration, counting and classification of n-fold affine interval intersections.
 
 The family F[n, k; A] of index tuples whose transformed closed intervals
-share a point is enumerated by an output-sensitive sweep: slots are scanned
-in order, and each partial tuple narrows the admissible window analytically,
-so only the (at most a handful of) indices whose intervals meet the current
-window are ever touched.  Brute force over the full index power set is
-available in the test suite as the oracle.
+share a point is walked by one output-sensitive sweep (``_walk``): slots are
+scanned in order, and each partial tuple narrows the admissible window
+analytically, so only the (at most a handful of) indices whose intervals
+meet the current window are ever touched.  ``enumerate_F`` lists the walk's
+tuples with their tangency class; ``tangency_counts`` only counts them.
+
+Classifying A compares the number of internal tuples with a threshold, so
+``count_internal`` counts them without listing any.  For n = 2 it is one
+numpy pass over the first slot's offsets: the second slot's admissible
+offsets form an interval, and the internal ones are its intersection with
+the same-parent window |d1 - d2| <= 4.  For larger n it counts the walk's
+internal tuples.  Brute force over the full index power set is available in
+the test suite as the oracle.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .core import CantorSet
 from .errors import CapacityError, DomainError, InvalidIndexError
@@ -88,6 +99,72 @@ def _classify_offsets(offsets: Sequence[int], N_k: int):
     return TRANSVERSE, None
 
 
+def _slot_geometry(n: int, k: int, A: AffineTuple, params: ConstructionParams):
+    """(M_k, Cs, Gs): slot l covers [C_l + G_l*(M_k+o), C_l + G_l*(M_k+o+1)] in units of 1/D."""
+    if n < 2 or n % 2:
+        raise DomainError("n must be an even integer >= 2")
+    if n != A.n:
+        raise DomainError(f"A has {A.n} pairs but n={n}")
+    if k < 1:
+        raise InvalidIndexError("k must be >= 1")
+    M_k = params.M(k)
+    D = 1
+    for c, r in A.pairs:
+        D = math.lcm(D, c.denominator, r.denominator * M_k)
+    Cs = [c.numerator * (D // c.denominator) for c, _ in A.pairs]
+    Gs = [r.numerator * (D // (r.denominator * M_k)) for _, r in A.pairs]
+    return M_k, Cs, Gs
+
+
+def _check_grid(k: int, M_k: int) -> None:
+    if M_k > DEFAULT_GRID_CAP:
+        raise CapacityError(
+            f"full index grid M_{k}={M_k} exceeds cap {DEFAULT_GRID_CAP}; pass restrict_to"
+        )
+
+
+def _walk(
+    n: int, k: int, A: AffineTuple, params: ConstructionParams, restrict_to: CantorSet | None
+) -> Iterator[tuple[int, ...]]:
+    """The offset tuples of F[n, k; A] in lexicographic order.
+
+    The slots range over ``restrict_to``'s selected level-k offsets, or over
+    the full index grid when it is None.  Arguments are checked on the call,
+    before the first tuple is asked for.
+    """
+    M_k, Cs, Gs = _slot_geometry(n, k, A, params)
+    if restrict_to is None:
+        _check_grid(k, M_k)
+        slot_offsets: Sequence[int] | None = None
+    else:
+        slot_offsets = restrict_to.level(k).offsets
+
+    def candidates(slot: int, lo: int, hi: int) -> Iterable[int]:
+        # offsets o with interval [start, start + G] meeting [lo, hi]
+        C, G = Cs[slot], Gs[slot]
+        o_min = -(-(lo - C - G) // G) - M_k  # ceil((lo - C)/G) - 1 - M
+        o_max = (hi - C) // G - M_k
+        if slot_offsets is None:
+            return range(max(o_min, 0), min(o_max, M_k - 1) + 1)
+        return slot_offsets[bisect_left(slot_offsets, o_min) : bisect_right(slot_offsets, o_max)]
+
+    def extend(slot: int, lo: int, hi: int, prefix: tuple[int, ...]):
+        last = slot == n - 1
+        for o in candidates(slot, lo, hi):
+            s = Cs[slot] + Gs[slot] * (M_k + o)
+            if last:
+                yield prefix + (o,)
+            else:
+                yield from extend(slot + 1, max(lo, s), min(hi, s + Gs[slot]), prefix + (o,))
+
+    def walk():
+        for o in range(M_k) if slot_offsets is None else slot_offsets:
+            s = Cs[0] + Gs[0] * (M_k + o)
+            yield from extend(1, s, s + Gs[0], (o,))
+
+    return walk()
+
+
 def enumerate_F(
     n: int,
     k: int,
@@ -103,69 +180,42 @@ def enumerate_F(
     otherwise over the full index grid (which must stay under
     ``DEFAULT_GRID_CAP``).
     """
-    if n < 2 or n % 2:
-        raise DomainError("n must be an even integer >= 2")
-    if n != A.n:
-        raise DomainError(f"A has {A.n} pairs but n={n}")
-    if k < 1:
-        raise InvalidIndexError("k must be >= 1")
-    M_k = params.M(k)
-    if restrict_to is None:
-        if M_k > DEFAULT_GRID_CAP:
-            raise CapacityError(
-                f"full index grid M_{k}={M_k} exceeds cap {DEFAULT_GRID_CAP}; pass restrict_to"
-            )
-        slot_offsets: Sequence[int] | None = None
-        n_slots = M_k
-    else:
-        slot_offsets = restrict_to.level(k).offsets
-        n_slots = len(slot_offsets)
-
-    # Clear denominators: slot l covers [C_l + G_l*(M+o), C_l + G_l*(M+o+1)].
-    D = 1
-    for c, r in A.pairs:
-        D = math.lcm(D, c.denominator, r.denominator * M_k)
-    Cs, Gs = [], []
-    for c, r in A.pairs:
-        Cs.append(c.numerator * (D // c.denominator))
-        Gs.append(r.numerator * (D // (r.denominator * M_k)))
-
-    out: list[IntersectionTuple] = []
+    walk = _walk(n, k, A, params, restrict_to)
     N_k = params.level_N(k)
-
-    def start_of(slot: int, o: int) -> int:
-        return Cs[slot] + Gs[slot] * (M_k + o)
-
-    def candidates(slot: int, lo: int, hi: int) -> Iterable[int]:
-        # offsets o with interval [start, start + G] meeting [lo, hi]
-        G = Gs[slot]
-        o_min = -(-(lo - Cs[slot] - G) // G) - M_k  # ceil((lo - C)/G) - 1 - M
-        o_max = (hi - Cs[slot]) // G - M_k
-        if slot_offsets is None:
-            o_min = max(o_min, 0)
-            o_max = min(o_max, M_k - 1)
-            return range(o_min, o_max + 1)
-        i0 = bisect_left(slot_offsets, o_min)
-        i1 = bisect_right(slot_offsets, o_max)
-        return slot_offsets[i0:i1]
-
-    def recurse(slot: int, lo: int, hi: int, prefix: tuple[int, ...]):
-        if slot == n:
-            offsets = prefix
-            cls, witness = _classify_offsets(offsets, N_k)
-            out.append(IntersectionTuple(offsets, cls, witness))
-            if len(out) > cap:
-                raise CapacityError(f"enumeration exceeded cap of {cap} tuples")
-            return
-        for o in candidates(slot, lo, hi):
-            s = start_of(slot, o)
-            recurse(slot + 1, max(lo, s), min(hi, s + Gs[slot]), prefix + (o,))
-
-    first = slot_offsets if slot_offsets is not None else range(M_k)
-    for o in first:
-        s = start_of(0, o)
-        recurse(1, s, s + Gs[0], (o,))
+    out: list[IntersectionTuple] = []
+    for offsets in walk:
+        if len(out) == cap:
+            raise CapacityError(f"enumeration exceeded cap of {cap} tuples")
+        out.append(IntersectionTuple(offsets, *_classify_offsets(offsets, N_k)))
     return out
+
+
+def count_internal(n: int, k: int, A: AffineTuple, params: ConstructionParams) -> int:
+    """The number of internal tuples of F[n, k; A] over the full index grid.
+
+    No tuple is listed.  For n = 2, slot 1 offset o1 = p*N_k + d1 meets the
+    slot-2 offsets [ceil((s1 - C2 - G2)/G2) - M_k, floor((s1 + G1 - C2)/G2) - M_k],
+    and its internal partners are those inside p*N_k + [d1 - 4, d1 + 4]
+    clipped to the parent's digits [0, N_k).
+    """
+    if n != 2:
+        walk = _walk(n, k, A, params, None)
+        N_k = params.level_N(k)
+        return sum(_classify_offsets(o, N_k)[0] == INTERNAL for o in walk)
+    M_k, (C1, C2), (G1, G2) = _slot_geometry(n, k, A, params)
+    _check_grid(k, M_k)
+    N_k = params.level_N(k)
+    o1 = np.arange(M_k, dtype=np.int64)
+    # starts and bounds pass 2^63 on the N=16 level-2 grid: divide on Python
+    # ints; the quotients are offsets within a few M_k (c in [-4, 0], r in [1, 2])
+    s1 = (C1 + G1 * M_k) + G1 * o1.astype(object)
+    o_min = (-((C2 + G2 - s1) // G2)).astype(np.int64) - M_k
+    o_max = ((s1 + G1 - C2) // G2).astype(np.int64) - M_k
+    d1 = o1 % N_k
+    parent = o1 - d1
+    lo = np.maximum(o_min, parent + np.maximum(d1 - 4, 0))
+    hi = np.minimum(o_max, parent + np.minimum(d1 + 4, N_k - 1))
+    return int(np.maximum(hi - lo + 1, 0).sum())
 
 
 def classify(
@@ -177,13 +227,12 @@ def classify(
     return f_int, f_tr
 
 
-def tangency_counts(
-    cset: CantorSet, A: AffineTuple, n: int, k: int, cap: int = DEFAULT_TUPLE_CAP
-) -> tuple[int, int]:
+def tangency_counts(cset: CantorSet, A: AffineTuple, n: int, k: int) -> tuple[int, int]:
     """(L_int, L_tr): members of F_int / F_tr with every coordinate selected."""
-    tuples = enumerate_F(n, k, A, cset.params, restrict_to=cset, cap=cap)
-    f_int, f_tr = classify(tuples)
-    return len(f_int), len(f_tr)
+    walk = _walk(n, k, A, cset.params, cset)
+    N_k = cset.params.level_N(k)
+    counts = Counter(_classify_offsets(o, N_k)[0] for o in walk)
+    return counts[INTERNAL], counts[TRANSVERSE]
 
 
 @dataclass(frozen=True)

@@ -246,7 +246,7 @@ def gate_correlation(
         raise EmptySampleError("gate (c) needs a sampling budget >= 1")
     c0_gate = c0_constant(cset.params, n, k, rounding="down")
     scan = _transverse_scan(cset, n, k, budget, rng)
-    best, seen, total = scan.max_abs, scan.transverse_seen, len(scan.reports)
+    best, seen, total = scan.max_abs, scan.transverse_seen, len(scan.candidates)
     passed = best <= c0_gate
     detail = f"{seen}/{total} tuples transverse; {scan.coverage['mode']} coverage"
     extras = {"n": n, "coverage": scan.coverage, "transverse_seen": seen}

@@ -120,6 +120,7 @@ class TestCli:
         missing = min(set(range(8)) - lvl1)
         payload["levels"][1]["selected"].append(missing * 64)
         payload["levels"][1]["selected"].sort()
+        payload["levels"][1]["P_k"] += 1  # the file stays self-consistent: only the orphan is wrong
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         code = main(["verify", str(bad), "-c", str(cfg), "-o", str(tmp_path)])
@@ -138,6 +139,8 @@ class TestCli:
         payload["levels"][2]["selected"] = [
             o for o in payload["levels"][2]["selected"] if o // (64 * 512) == keep
         ]
+        for lv in payload["levels"]:
+            lv["P_k"] = len(lv["selected"])
         bad = tmp_path / "bad_counts.json"
         bad.write_text(json.dumps(payload))
         code = main(["verify", str(bad), "-c", str(cfg), "-o", str(tmp_path)])
@@ -222,6 +225,7 @@ class TestCli:
             "half_offsets", "str_offset", "null_offset", "bool_offset", "top_level_list", "bad_B", "huge_offset",
             "retries_negative", "retries_str", "retries_float", "retries_bool", "retries_object",
             "retries_short", "retries_long", "retries_huge", "retries_at_max",
+            "level_k_bool", "N_k_wrong", "P_k_wrong",
         ],
     )
     def test_malformed_set_file_is_usage_error(self, cli_workspace, tmp_path, capsys, mutation):
@@ -260,6 +264,12 @@ class TestCli:
             retries[-1] = 2**70
         elif mutation == "retries_at_max":
             retries[-1] = payload["params"]["max_retries"]
+        elif mutation == "level_k_bool":
+            levels[0]["k"] = True
+        elif mutation == "N_k_wrong":
+            levels[1]["N_k"] = 3
+        elif mutation == "P_k_wrong":
+            levels[1]["P_k"] = 12345
         else:
             levels[2]["selected"][-1] = 2**70
         bad = tmp_path / "bad.json"

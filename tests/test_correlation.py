@@ -227,6 +227,41 @@ class TestSupLambda:
         assert res.coverage["mode"] == "sampled"
 
 
+class TestClassifyFirst:
+    @pytest.mark.parametrize("set_name", ["z8_set", "z16_set"])
+    def test_gate_c_computes_lambda_only_for_transverse(self, set_name, request, monkeypatch):
+        import cantormax.correlation as corr
+        from cantormax import gate_correlation
+
+        cset = request.getfixturevalue(set_name)
+        calls = []
+        original = corr.lambda_sigma
+        monkeypatch.setattr(corr, "lambda_sigma", lambda *a: calls.append(a) or original(*a))
+        rep = gate_correlation(cset, 2, 2, 6, RngStream(1).child(9))
+        seen = rep.extras["transverse_seen"]
+        assert 0 < seen < rep.extras["coverage"]["tuples"]
+        assert len(calls) == seen
+
+    def test_reports_equal_evaluate_tuple(self, z8_set):
+        from dataclasses import fields
+
+        from cantormax.grids import DiscretizationGrid
+
+        res = sup_lambda_tr(z8_set, 2, 2, 8, RngStream(1).child(9))
+        grid = DiscretizationGrid.for_level(z8_set.params, 2)
+        rng = RngStream(1).child(9)
+        candidates = [grid.sample_tuple(rng, 2, near_diagonal=(i % 2 == 0)) for i in range(8)]
+        c0 = c0_constant(z8_set.params, 2, 2)
+        assert [rep.A for rep in res.reports] == candidates
+        assert {rep.cls for rep in res.reports} == {"internal", "transverse"}
+        for rep, A in zip(res.reports, candidates):
+            ref = evaluate_tuple(A, z8_set, 2, 2, c0)
+            for f in fields(ref):
+                assert getattr(rep, f.name) == getattr(ref, f.name)
+            assert (rep.within_trivial, rep.within_c0) == (ref.within_trivial, ref.within_c0)
+            assert rep.to_json_dict() == ref.to_json_dict()
+
+
 class TestC0Constant:
     def test_hand_evaluation(self):
         # independent term-by-term evaluation for n=2, k=1, B=10, L=2,

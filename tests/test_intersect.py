@@ -1,29 +1,36 @@
-"""Intersection family enumeration, tangency classes, and the two geometric bounds."""
+"""Intersection family enumeration and counting, tangency classes, and the two geometric bounds."""
 
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantormax import (
     AffineTuple,
     classify,
+    count_internal,
     custom,
     enumerate_F,
+    fixed_dimension,
     projection_multiplicity,
     proximity_check,
     symdiff_bound_check,
     tangency_counts,
 )
 from cantormax.errors import CapacityError, DomainError
+from cantormax.grids import DiscretizationGrid
+from cantormax.intersect import _slot_geometry
 
 F = Fraction
 
 P4 = custom([4], [F(1, 4)])
 P44 = custom([4, 4], [F(1, 4), F(1, 4)])
 P88 = custom([8, 8], [F(1, 4), F(1, 4)])
+P888 = custom([8, 8, 8], [F(1, 4)] * 3)  # a level-3 count, so the level-2 grid exists
+P16 = fixed_dimension(16, F(1, 4), 3, seed=1)
 
 
 def brute_force_F(n, k, A, params, restrict=None):
@@ -41,6 +48,24 @@ def brute_force_F(n, k, A, params, restrict=None):
         if lo <= hi:
             out.add(tuple(offsets[c] for c in combo))
     return out
+
+
+def internal_oracle(offsets, N_k):
+    """Internal tuples of a brute-force family: some two slots share a parent
+    and their last digits differ by at most 4."""
+    return sum(
+        1
+        for o in offsets
+        if any(
+            o[a] // N_k == o[b] // N_k and abs(o[a] % N_k - o[b] % N_k) <= 4
+            for a in range(len(o))
+            for b in range(a + 1, len(o))
+        )
+    )
+
+
+def enumerated_internal(n, k, A, params):
+    return sum(t.cls == "internal" for t in enumerate_F(n, k, A, params))
 
 
 def random_tuple(rnd, n, level):
@@ -138,6 +163,86 @@ class TestClassify:
         A = AffineTuple(((F(0), F(1)), (F(0), F(1))), 1)
         t = enumerate_F(2, 1, A, P4)[0]
         assert t.cls == "internal" and t.witness == (1, 2)
+
+
+class TestCountInternal:
+    def test_matches_brute_force_and_enumeration(self):
+        rnd = random.Random(31)
+        for _ in range(20):
+            k = rnd.choice([1, 2])
+            n = rnd.choice([2, 4]) if k == 1 else 2
+            A = random_tuple(rnd, n, k)
+            ref = internal_oracle(brute_force_F(n, k, A, P88), P88.level_N(k))
+            assert count_internal(n, k, A, P88) == ref
+            assert enumerated_internal(n, k, A, P88) == ref
+
+    def test_identity_pair_counts_every_near_pair(self):
+        A = AffineTuple(((F(0), F(1)), (F(0), F(1))), 1)
+        assert count_internal(2, 1, A, P4) == 10
+        assert count_internal(4, 1, AffineTuple(A.pairs * 2, 1), P4) == len(
+            brute_force_F(4, 1, AffineTuple(A.pairs * 2, 1), P4)
+        )
+
+    def test_production_level_2_bounds_past_int64(self):
+        # N=16 level 2: the first slot's starts and the admissible bounds
+        # need more than 63 bits, so an int64 evaluation would wrap
+        grid = DiscretizationGrid.for_level(P16, 2)
+        rng = np.random.default_rng(5)
+        widest = 0
+        for i in range(16):
+            A = grid.sample_tuple(rng, 2, near_diagonal=(i % 2 == 0))
+            M, (C1, C2), (G1, G2) = _slot_geometry(2, 2, A, P16)
+            s_last = C1 + G1 * (2 * M - 1)
+            widest = max(widest, abs(s_last + G1 - C2), abs(C2 + G2 - s_last))
+            assert count_internal(2, 2, A, P16) == enumerated_internal(2, 2, A, P16)
+        assert widest >= 1 << 63
+
+    def test_denominators_far_past_int64(self):
+        # odd denominators near 2^58 put every start and bound beyond int64,
+        # the internal rows included
+        c = -2 + F(1, 5**25)
+        r = 2 - F(1, 3**37)
+        A = AffineTuple(((c, r), (c + F(1, 7**20), r - F(1, 11**17))), 1)
+        for params, k in ((P88, 1), (P88, 2), (P16, 2)):
+            A_k = AffineTuple(A.pairs, k)
+            got = count_internal(2, k, A_k, params)
+            assert got == enumerated_internal(2, k, A_k, params) > 0
+            if params.M(k) <= 64:
+                assert got == internal_oracle(brute_force_F(2, k, A_k, params), params.level_N(k))
+
+    def test_threshold_boundary_tuples(self):
+        # the tuples of TestClassifyA::test_threshold_boundary_strict: four
+        # internal members against a threshold of four, then fewer
+        params = custom([8], [F(1, 4)], epsilon0=F(1, 3))
+        A2 = AffineTuple(((F(0), F(1)), (F(-9, 16), F(1))), 1)
+        A3 = AffineTuple(((F(0), F(1)), (F(-11, 16), F(1))), 1)
+        assert count_internal(2, 1, A2, params) == enumerated_internal(2, 1, A2, params) == 4
+        assert count_internal(2, 1, A3, params) == enumerated_internal(2, 1, A3, params) < 4
+
+    def test_rejects_bad_arguments(self):
+        A = AffineTuple(((F(0), F(1)), (F(0), F(1))), 1)
+        with pytest.raises(DomainError):
+            count_internal(4, 1, A, P4)
+        with pytest.raises(CapacityError):
+            count_internal(2, 3, A, P16)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_grid_tuples(self, data):
+        params, k, n = data.draw(
+            st.sampled_from([(P88, 1, 2), (P88, 1, 4), (P888, 2, 2), (P16, 1, 2), (P16, 2, 2)])
+        )
+        grid = DiscretizationGrid.for_level(params, k)
+        ci = data.draw(st.integers(1, grid.n_c))
+        ri = data.draw(st.integers(1, grid.n_r))
+        w = data.draw(st.sampled_from([grid.diag_window, grid.n_c]))
+        idx = [(ci, ri)]
+        for _ in range(n - 1):
+            cj = min(max(ci + data.draw(st.integers(-w, w)), 1), grid.n_c)
+            rj = min(max(ri + data.draw(st.integers(-w, w)), 1), grid.n_r)
+            idx.append((cj, rj))
+        A = AffineTuple(tuple((grid.c_value(c), grid.r_value(r)) for c, r in idx), k)
+        assert count_internal(n, k, A, params) == enumerated_internal(n, k, A, params)
 
 
 class TestTangencyCounts:
