@@ -21,7 +21,6 @@ from .correlation import (
     sup_lambda_tr,
     trivial_bound,
     write_reports_csv,
-    write_reports_jsonl,
 )
 from .errors import (
     CantorError,
@@ -32,7 +31,7 @@ from .errors import (
     FormatError,
     ParameterError,
 )
-from .randomize import RngStream, boundedness_check, construct, verify_set, write_transcript
+from .randomize import RngStream, boundedness_check, construct, verify_set
 from .stepfn import PiecewiseLinear, StepFunction
 
 EXIT_OK = 0
@@ -73,6 +72,13 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_jsonl(path: Path, reports) -> None:
+    """One sorted-key JSON object per line, from each report's ``to_json_dict``."""
+    with open(path, "w") as fh:
+        for rep in reports:
+            fh.write(json.dumps(rep.to_json_dict(), sort_keys=True) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -89,11 +95,11 @@ def cmd_construct(args) -> int:
             gate_c_budget=cfg.construction.gate_c_budget,
         )
     except ConstructionFailure as exc:
-        write_transcript(out / "transcript.jsonl", exc.transcript)
+        _write_jsonl(out / "transcript.jsonl", exc.transcript)
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     (out / "set.json").write_text(cset.to_json())
-    write_transcript(out / "transcript.jsonl", transcript)
+    _write_jsonl(out / "transcript.jsonl", transcript)
     (out / "config.txt").write_text(serialize_config(cfg))
     print(f"accepted set with P = {[cset.P(k) for k in range(1, cset.depth + 1)]}")
     print(f"wrote {out / 'set.json'} and {out / 'transcript.jsonl'}")
@@ -157,7 +163,7 @@ def cmd_correlate(args) -> int:
             f"k={k}: sup |Lambda| = {float(result.max_abs):.6g} over "
             f"{result.transverse_seen} transverse tuples ({result.coverage['mode']})"
         )
-    write_reports_jsonl(out / "correlation.jsonl", all_reports)
+    _write_jsonl(out / "correlation.jsonl", all_reports)
     write_reports_csv(out / "correlation.csv", all_reports)
     _write_json(out / "correlate.json", {"levels": summaries})
     return EXIT_OK

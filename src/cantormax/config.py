@@ -33,24 +33,14 @@ class ConstructionConfig:
     gate_c_budget: int = 8
 
     def to_params(self) -> ConstructionParams:
+        custom = self.regime == REGIME_CUSTOM
         try:
-            if self.regime == REGIME_CUSTOM:
-                return ConstructionParams(
-                    regime=self.regime,
-                    level_counts=self.level_counts,
-                    epsilon_schedule=self.epsilon_schedule,
-                    depth=self.K,
-                    B=self.B,
-                    L=self.L,
-                    epsilon0=self.epsilon0,
-                    gamma=self.gamma,
-                    seed=self.seed,
-                    max_retries=self.max_retries,
-                )
             return ConstructionParams(
                 regime=self.regime,
-                N=self.N,
+                N=None if custom else self.N,
                 epsilon=self.epsilon if self.regime == REGIME_FIXED_DIM else None,
+                level_counts=self.level_counts if custom else (),
+                epsilon_schedule=self.epsilon_schedule if custom else (),
                 depth=self.K,
                 B=self.B,
                 L=self.L,

@@ -154,7 +154,6 @@ class CantorSet:
         self.accepted_retries = accepted_retries
         self._sigma_cache: dict[int, StepFunction] = {}
         self._density_cache: dict[int, StepFunction] = {}
-        self._indicator_cache: dict[int, StepFunction] = {}
         self._moments_cache: dict[int, RunMoments] = {}
         if validate:
             problems = self.structure_problems()
@@ -219,20 +218,6 @@ class CantorSet:
     def selection(self, k: int) -> set[MultiIndex]:
         return {index_of(o, k, self.params) for o in self.level(k).offsets}
 
-    def indicator(self, k: int) -> StepFunction:
-        """1_{S_k} as an exact step function."""
-        if k not in self._indicator_cache:
-            self._indicator_cache[k] = self._level_function(k, Fraction(1))
-        return self._indicator_cache[k]
-
-    def _level_function(self, k: int, value: Fraction) -> StepFunction:
-        """``value`` on S_k and 0 elsewhere, built from the runs of level k."""
-        lv = self.level(k)
-        runs = lv.runs()
-        # the value on each run, 0 on the gaps between runs
-        vals = _int_array([value.numerator, 0])[np.arange(2 * len(runs) - 1) % 2]
-        return StepFunction(runs.ravel() + lv.M_k, lv.M_k, vals, value.denominator)
-
     def run_moments(self, k: int) -> RunMoments:
         """Prefix moments of the runs of S_k, built on first use."""
         if k not in self._moments_cache:
@@ -248,8 +233,13 @@ class CantorSet:
         if lv.P == 0:
             raise DegenerateMeasureError(f"level {k} is empty; phi_{k} undefined")
         if k not in self._density_cache:
-            # (P_k delta_k)^{-1} on S_k
-            self._density_cache[k] = self._level_function(k, Fraction(lv.M_k, lv.P))
+            # (P_k delta_k)^{-1} on each run of S_k, 0 on the gaps between runs
+            runs = lv.runs()
+            value = Fraction(lv.M_k, lv.P)
+            vals = _int_array([value.numerator, 0])[np.arange(2 * len(runs) - 1) % 2]
+            self._density_cache[k] = StepFunction(
+                runs.ravel() + lv.M_k, lv.M_k, vals, value.denominator
+            )
         return self._density_cache[k]
 
     def sigma(self, k: int) -> StepFunction:

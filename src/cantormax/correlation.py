@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,12 +243,6 @@ def c0_constant(
         inner += 2 * params.L * n * math.log(params.level_N(j))
     value = math.exp(log_val) * math.sqrt(inner)
     return nudge(value, up=(rounding == "up"))
-
-
-def write_reports_jsonl(path, reports: Sequence[CorrelationReport]) -> None:
-    with open(path, "w") as fh:
-        for rep in reports:
-            fh.write(json.dumps(rep.to_json_dict(), sort_keys=True) + "\n")
 
 
 def write_reports_csv(path, reports: Sequence[CorrelationReport]) -> None:

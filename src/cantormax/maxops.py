@@ -674,7 +674,8 @@ def l1_divergence_demo(
     integrable g(t) = t^(-2) tail); x_j is placed so the average is centered
     on a densest point x0 of the deepest level.  Divergence is evidenced, not
     proven: the table reports its growth across k plus the empirical ball
-    masses behind it, at radii delta_1..delta_depth around x0.
+    masses behind it, at radii delta_1..delta_depth around x0.  A ball mass
+    mu_k(B) is the average A_1[k] 1_B(0), read from the prefix moments.
     """
     if depth < 1 or depth > cset.depth:
         raise DomainError(f"depth must lie in 1..{cset.depth}")
@@ -696,7 +697,7 @@ def l1_divergence_demo(
         masses = []
         for k in range(1, depth + 1):
             if cset.P(k):
-                masses.append(float(cset.density(k).mass_between(lo, hi)))
+                masses.append(float(average(StepFunction.indicator(lo, hi), cset, k, 1, 0)))
             else:
                 masses.append(float("nan"))
         key = f"{rho.numerator}/{rho.denominator}"

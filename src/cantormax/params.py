@@ -242,13 +242,7 @@ def _frac_str(x: Fraction | None) -> str | None:
 
 
 def _frac_parse(s) -> Fraction | None:
-    if s is None:
-        return None
-    if isinstance(s, Fraction):
-        return s
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(s)
+    return None if s is None else Fraction(s)
 
 
 def one_dimensional(N: int, depth: int, **kw) -> ConstructionParams:

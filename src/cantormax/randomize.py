@@ -14,7 +14,6 @@ rejection, never a false acceptance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -58,12 +57,6 @@ class GateReport:
         }
 
 
-def write_transcript(path, reports) -> None:
-    with open(path, "w") as fh:
-        for rep in reports:
-            fh.write(json.dumps(rep.to_json_dict(), sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # deterministic random streams
 # ---------------------------------------------------------------------------
@@ -82,6 +75,7 @@ class RngStream:
 
 
 DRAW_CAP = 10**9
+DRAW_CHUNK = 8_000_000  # uniforms drawn per block of parents
 
 
 def bernoulli_layer(
@@ -89,7 +83,6 @@ def bernoulli_layer(
     N_next: int,
     p: float,
     rng: np.random.Generator,
-    chunk: int = 8_000_000,
 ) -> np.ndarray:
     """Independent child draws under every selected parent.
 
@@ -111,7 +104,7 @@ def bernoulli_layer(
     if len(parents) == 0:
         return np.empty(0, dtype=np.int64)
     out = []
-    per_block = max(1, chunk // N_next)
+    per_block = max(1, DRAW_CHUNK // N_next)
     for i in range(0, len(parents), per_block):
         block = parents[i : i + per_block]
         mask = rng.random(len(block) * N_next) < p
@@ -266,9 +259,10 @@ def gate_correlation(
     )
 
 
-def boundedness_check(params: ConstructionParams, K: int | None = None) -> GateReport:
-    """Schedule condition sup_k 2^((5+gamma)k) ln(M_k) / N_{k+1}^(1-eps_{k+1}) <= 1/32."""
-    K = K if K is not None else params.depth
+def boundedness_check(params: ConstructionParams) -> GateReport:
+    """Schedule condition sup_k 2^((5+gamma)k) ln(M_k) / N_{k+1}^(1-eps_{k+1}) <= 1/32,
+    over k <= K = params.depth."""
+    K = params.depth
     limit = params.schedule_len()
     k_max = K if limit is None else min(K, limit - 1)
     worst = 0.0

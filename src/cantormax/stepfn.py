@@ -23,6 +23,12 @@ G >= 2^61, G*span >= 2^87 or |offset| >= 2^91), or more than 2^24
 breakpoints in all, sends the merge to a pure-Python ``heapq`` sweep that
 sums the widths per class tuple, so its memory grows with the number of
 distinct tuples, not of gaps.
+
+The methods are thin calls of these kernels: ``integral`` is a one-factor
+``product_integral``, ``mass_between`` the product with an indicator, and
+``affine_image`` and ``scale`` one-term ``linear_combination``s.  The one
+per-cell loop left is ``lp_power``, which the adjoint checks compare the
+kernels against.
 """
 
 from __future__ import annotations
@@ -65,7 +71,6 @@ class StepFunction:
         "val_den",
         "_np_units",
         "_classes",
-        "_prefix",
         "_float_bps",
     )
 
@@ -82,7 +87,6 @@ class StepFunction:
         self.val_den = val_den
         self._np_units = None
         self._classes = None
-        self._prefix = None
         self._float_bps = None
 
     # -- constructors --------------------------------------------------
@@ -212,35 +216,17 @@ class StepFunction:
 
     # -- exact integrals ---------------------------------------------------
 
-    def _prefix_ints(self):
-        if self._prefix is None:
-            pre = [0]
-            for i, v in enumerate(self.val_nums):
-                pre.append(pre[-1] + v * (self.units[i + 1] - self.units[i]))
-            self._prefix = pre
-        return self._prefix
-
     def integral(self) -> Fraction:
-        return Fraction(self._prefix_ints()[-1], self.den * self.val_den)
-
-    def mass_below(self, x) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        xs = Fraction(x) * self.den
-        pre = self._prefix_ints()
-        idx = bisect_right(self.units, xs) - 1
-        if idx < 0:
-            return Fraction(0)
-        if idx >= len(self.val_nums):
-            return Fraction(pre[-1], self.den * self.val_den)
-        part = pre[idx] + self.val_nums[idx] * (xs - self.units[idx])
-        return part / (self.den * self.val_den)
+        return product_integral([(self, 0, 1)])
 
     def mass_between(self, a, b) -> Fraction:
+        """Exact integral over [a, b]."""
         a, b = Fraction(a), Fraction(b)
         if b < a:
             raise DomainError("mass_between needs a <= b")
-        return self.mass_below(b) - self.mass_below(a)
+        if a == b:
+            return Fraction(0)
+        return product_integral([(self, 0, 1), (StepFunction.indicator(a, b), 0, 1)])
 
     def linear_pieces(self):
         """(left, right, alpha, beta) per cell, with f(z) = alpha + beta z on
@@ -273,27 +259,16 @@ class StepFunction:
 
     def affine_image(self, c, r) -> "StepFunction":
         """The function z -> f((z - c)/r) for r > 0."""
-        c, r = Fraction(c), Fraction(r)
-        if r <= 0:
+        if Fraction(r) <= 0:
             raise DomainError("affine_image needs r > 0")
-        if self.is_zero:
-            return StepFunction.zero()
-        D = math.lcm(c.denominator, r.denominator * self.den)
-        C = c.numerator * (D // c.denominator)
-        G = r.numerator * (D // (r.denominator * self.den))
-        units = [C + G * u for u in self.units]
-        return StepFunction(units, D, self.val_nums, self.val_den)
+        return linear_combination([(1, self, c, r)])
 
     def dilate_arg(self, factor) -> "StepFunction":
         """The function z -> f(z/factor) for factor > 0."""
         return self.affine_image(0, factor)
 
     def scale(self, s) -> "StepFunction":
-        s = Fraction(s)
-        if self.is_zero or s == 0:
-            return StepFunction.zero()
-        nums = [v * s.numerator for v in self.val_nums]
-        return StepFunction(self.units, self.den, nums, self.val_den * s.denominator)
+        return linear_combination([(s, self, 0, 1)])
 
     def __neg__(self):
         return self.scale(-1)
@@ -310,27 +285,6 @@ class StepFunction:
 
     def abs(self) -> "StepFunction":
         return StepFunction(self.units, self.den, [abs(v) for v in self.val_nums], self.val_den)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_cells(self) -> list[dict]:
-        out = []
-        for l, r, v in self.cells():
-            if v != 0:
-                out.append(
-                    {
-                        "left": f"{l.numerator}/{l.denominator}",
-                        "right": f"{r.numerator}/{r.denominator}",
-                        "value": f"{v.numerator}/{v.denominator}",
-                    }
-                )
-        return out
-
-    @classmethod
-    def from_json_cells(cls, cells: list[dict]) -> "StepFunction":
-        return cls.from_cells(
-            (Fraction(c["left"]), Fraction(c["right"]), Fraction(c["value"])) for c in cells
-        )
 
     # -- internal ----------------------------------------------------------
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,27 @@ def random_fraction(rnd: random.Random, lo: Fraction, hi: Fraction, den: int = 6
     lo, hi = Fraction(lo), Fraction(hi)
     t = Fraction(rnd.randint(0, den), den)
     return lo + (hi - lo) * t
+
+
+def prefix_mass(f: StepFunction, a, b) -> Fraction:
+    """Exact mass of f over [a, b] from a per-cell prefix-sum table and two
+    bisects: no merge code shared with ``mass_between`` or ``integral``."""
+    a, b = Fraction(a), Fraction(b)
+    assert a <= b
+    pre = [0]
+    for i, v in enumerate(f.val_nums):
+        pre.append(pre[-1] + v * (f.units[i + 1] - f.units[i]))
+
+    def below(x):
+        xs = x * f.den
+        idx = bisect_right(f.units, xs) - 1
+        if idx < 0:
+            return 0
+        if idx >= len(f.val_nums):
+            return pre[-1]
+        return pre[idx] + f.val_nums[idx] * (xs - f.units[idx])
+
+    return Fraction(below(b) - below(a)) / (f.den * f.val_den)
 
 
 def _per_gap_sweep(prepared, mults):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -102,6 +103,36 @@ class TestCli:
         out2 = tmp_path / "again"
         assert main(["construct", "-c", str(cfg), "-o", str(out2)]) == 0
         assert (out / "set.json").read_bytes() == (out2 / "set.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "overrides, set_sha, transcript_sha",
+        [
+            (
+                ["N=8", "epsilon=1/4", "K=3", "seed=11", "gate_c_budget=4"],
+                "9fde1c126e9efcdd82157a206534108a11d836a1834c8efd74362d66dd7a456a",
+                "ae91a971e3acdd11d8ba5ee25a3fc70fac3a4e955a73ec453b7c812810a03bc1",
+            ),
+            (
+                ["regime=one-dimensional", "N=4", "K=3", "seed=3", "gate_c_budget=4"],
+                "67424e23c1a216fcd13c554f7ebe762016ccf31553c3011c7bfdba65f85f2a82",
+                "419c5798cf463124860edb896b739fd8844e7e7e3088307d75a1ac189eb9d82f",
+            ),
+            (
+                ["regime=custom", "level_counts=8,8,8", "epsilon_schedule=1/4,1/4,1/4", "K=3", "seed=23", "gate_c_budget=4"],
+                "94d9dbfc75fd27c8197df6c115a9850b97e0e98ea106b60b62d62407d7bc487f",
+                "302e5576228075ebe6db2ca4810c13672164a5908592a405573c444591b7e9c0",
+            ),
+        ],
+        ids=["fixed-dimension", "one-dimensional", "custom"],
+    )
+    def test_construct_bytes_pinned(self, tmp_path, overrides, set_sha, transcript_sha):
+        # set.json and transcript.jsonl of one small set per regime, byte for byte
+        argv = ["construct", "-o", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", f"construction.{item}"]
+        assert main(argv) == 0
+        assert hashlib.sha256((tmp_path / "set.json").read_bytes()).hexdigest() == set_sha
+        assert hashlib.sha256((tmp_path / "transcript.jsonl").read_bytes()).hexdigest() == transcript_sha
 
     def test_verify_accepts_own_output(self, cli_workspace, tmp_path):
         _, cfg, out = cli_workspace

@@ -23,7 +23,7 @@ from cantormax.errors import (
     StructureError,
 )
 
-from conftest import FIXTURE_A_SELECTIONS
+from conftest import FIXTURE_A_SELECTIONS, prefix_mass
 
 F = Fraction
 
@@ -146,12 +146,12 @@ class TestMeasures:
         assert a <= fixture_a.nu_interval((1, F(7, 4)))
 
     def test_matches_density_mass(self, z8_set):
-        # the prefix-table cut against the phi_K mass of the merged density
+        # the prefix-moment cut against the prefix-table phi_K mass
         rnd = random.Random(61)
         phi = z8_set.density(z8_set.depth)
         for _ in range(20):
             a, b = sorted(1 + F(rnd.randint(0, 10**6), 10**6) for _ in range(2))
-            assert z8_set.nu_interval((a, b)) == phi.mass_between(a, b)
+            assert z8_set.nu_interval((a, b)) == prefix_mass(phi, a, b)
 
     def test_outside_domain_rejected(self, fixture_a):
         with pytest.raises(InvalidIndexError):

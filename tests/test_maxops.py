@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -43,7 +44,7 @@ from cantormax.maxops import (
 import cantormax.stepfn as sf
 from cantormax.stepfn import PiecewiseLinear, StepFunction, inner_product, product_integral
 
-from conftest import random_fraction, random_step
+from conftest import prefix_mass, random_fraction, random_step
 
 F = Fraction
 
@@ -63,21 +64,21 @@ def _rand_assignment(cset, k, n_cells, seed):
 
 def _merge_average(f, cset, k, r, x):
     """Merge oracle: the product integral of f against the affine image of
-    1_{S_k}, over r |S_k|."""
+    phi_k, over r."""
     r, x = F(r), F(x)
-    if f.is_zero:
-        return F(0)
-    return product_integral([(f, 0, 1), (cset.indicator(k), x, r)]) / (r * cset.level(k).measure)
+    return product_integral([(f, 0, 1), (cset.density(k), x, r)]) / r
 
 
 def _run_loop_average(f, cset, k, r, x):
-    """Run-loop oracle: the f-mass over the affine image of every run of S_k."""
+    """Run-loop oracle: the f-mass over the affine image of every run of S_k,
+    by the prefix table for a step function."""
     r, x = F(r), F(x)
     lv = cset.level(k)
     M = lv.M_k
+    mass = partial(prefix_mass, f) if isinstance(f, StepFunction) else f.mass_between
     total = F(0)
     for s, e in lv.runs():
-        total += f.mass_between(x + r * (1 + F(int(s), M)), x + r * (1 + F(int(e), M)))
+        total += mass(x + r * (1 + F(int(s), M)), x + r * (1 + F(int(e), M)))
     return total / (r * lv.measure)
 
 
@@ -686,6 +687,21 @@ class TestL1Demo:
     def test_depth_validation(self, fixture_a):
         with pytest.raises(DomainError):
             l1_divergence_demo(fixture_a, 5, rho0=F(1, 16))
+
+    @pytest.mark.parametrize("name", ["z4_deep_set", "z16_set"])
+    def test_ball_masses_match_prefix_oracle(self, name, request):
+        # each ball mass is the prefix-table phi_k mass of [x0 - rho, x0 + rho]
+        # clipped to [1, 2]; the demo reads it from the prefix moments
+        cset = request.getfixturevalue(name)
+        res = l1_divergence_demo(cset, cset.depth, rho0=F(1, 64))
+        assert len(res.ball_masses) == cset.depth
+        for j in range(1, cset.depth + 1):
+            rho = cset.params.delta(j)
+            lo, hi = max(F(1), res.x0 - rho), min(F(2), res.x0 + rho)
+            want = [prefix_mass(cset.density(k), lo, hi) for k in range(1, cset.depth + 1)]
+            got = [average(StepFunction.indicator(lo, hi), cset, k, 1, 0) for k in range(1, cset.depth + 1)]
+            assert got == want
+            assert res.ball_masses[f"{rho.numerator}/{rho.denominator}"] == [float(m) for m in want]
 
 
 class TestPositiveExponent:

@@ -23,6 +23,7 @@ from cantormax import (
     sup_lambda_tr,
     verify_set,
 )
+import cantormax.randomize as randomize
 from cantormax.errors import ConstructionFailure, DomainError
 
 F = Fraction
@@ -55,12 +56,14 @@ class TestBernoulliLayer:
             total += len(bernoulli_layer(None, 16, 0.25, rng))
         assert abs(total / trials - 4.0) < 0.1
 
-    def test_chunking_consistent(self):
+    def test_chunking_consistent(self, monkeypatch):
         parents = np.arange(0, 50, dtype=np.int64)
-        a = bernoulli_layer(parents, 16, 0.3, RngStream(5).child(1), chunk=8_000_000)
-        b = bernoulli_layer(parents, 16, 0.3, RngStream(5).child(1), chunk=64)
-        # different chunking consumes the stream differently; only the law is
-        # shared, so check structure not equality
+        a = bernoulli_layer(parents, 16, 0.3, RngStream(5).child(1))
+        monkeypatch.setattr(randomize, "DRAW_CHUNK", 64)  # 4 parents per block
+        b = bernoulli_layer(parents, 16, 0.3, RngStream(5).child(1))
+        # the blocks take the uniforms from the stream in the same order, so
+        # the draws do not depend on the block size
+        assert np.array_equal(a, b)
         assert all(int(o) // 16 in set(map(int, parents)) for o in b)
         assert len(set(map(int, a))) == len(a)
 
