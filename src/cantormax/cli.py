@@ -1,9 +1,10 @@
-"""Command-line front end.
+"""Command-line front end, and the one module that writes report files.
 
 Commands: construct, verify, correlate, maximal, dimension, differentiate,
-demo-l1.  One config file drives a run; --set key=value overrides single
-fields.  Exit codes are a stable contract: 0 success, 1 gate/check failure,
-2 usage/config error, 3 capacity error.
+demo-l1, init-config, each declared once in ``_COMMANDS``.  One config file
+drives a run; --set key=value overrides single fields.  Exit codes are a
+stable contract: 0 success, 1 gate/check failure, 2 usage/config error,
+3 capacity error.
 """
 
 from __future__ import annotations
@@ -17,11 +18,7 @@ from pathlib import Path
 
 from . import core, maxops
 from .config import RunConfig, apply_key, load_config, serialize_config, validate
-from .correlation import (
-    sup_lambda_tr,
-    trivial_bound,
-    write_reports_csv,
-)
+from .correlation import sup_lambda_tr, trivial_bound
 from .errors import (
     CantorError,
     CapacityError,
@@ -53,12 +50,6 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _outdir(cfg: RunConfig, args) -> Path:
-    out = Path(args.outdir or cfg.report.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _load_set(path) -> core.CantorSet:
     try:
         text = Path(path).read_text()
@@ -79,14 +70,19 @@ def _write_jsonl(path: Path, reports) -> None:
             fh.write(json.dumps(rep.to_json_dict(), sort_keys=True) + "\n")
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
-def cmd_construct(args) -> int:
-    cfg = _load_run_config(args)
-    out = _outdir(cfg, args)
+def cmd_construct(cfg: RunConfig, out: Path) -> int:
     params = cfg.construction.to_params()
     try:
         cset, transcript = construct(
@@ -106,10 +102,7 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_run_config(args)
-    out = _outdir(cfg, args)
-    cset = _load_set(args.set_file)
+def cmd_verify(cfg: RunConfig, out: Path, cset: core.CantorSet) -> int:
     ok, reports = verify_set(
         cset,
         gate_c_n=cfg.construction.gate_c_n,
@@ -130,10 +123,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_correlate(args) -> int:
-    cfg = _load_run_config(args)
-    out = _outdir(cfg, args)
-    cset = _load_set(args.set_file)
+def cmd_correlate(cfg: RunConfig, out: Path, cset: core.CantorSet) -> int:
     cc = cfg.correlate
     if cc.k >= cset.depth:
         raise ConfigError(f"correlate.k must lie in 0..{cset.depth - 1} for this set", field="correlate.k")
@@ -164,7 +154,11 @@ def cmd_correlate(args) -> int:
             f"{result.transverse_seen} transverse tuples ({result.coverage['mode']})"
         )
     _write_jsonl(out / "correlation.jsonl", all_reports)
-    write_reports_csv(out / "correlation.csv", all_reports)
+    _write_csv(
+        out / "correlation.csv",
+        ["k", "n", "class", "lambda", "trivial_bound", "c0"],
+        ([r.k, r.n, r.cls, float(r.lam), float(r.trivial), r.c0] for r in all_reports),
+    )
     _write_json(out / "correlate.json", {"levels": summaries})
     return EXIT_OK
 
@@ -173,10 +167,7 @@ def _sample_points(n: int, lo: Fraction, hi: Fraction) -> list[Fraction]:
     return [lo + (hi - lo) * Fraction(2 * i + 1, 2 * n) for i in range(n)]
 
 
-def cmd_maximal(args) -> int:
-    cfg = _load_run_config(args)
-    out = _outdir(cfg, args)
-    cset = _load_set(args.set_file)
+def cmd_maximal(cfg: RunConfig, out: Path, cset: core.CantorSet) -> int:
     mc = cfg.maximal
     query = maxops.MaximalQuery(
         points=tuple(_sample_points(mc.points, Fraction(-4), Fraction(0))),
@@ -189,25 +180,20 @@ def cmd_maximal(args) -> int:
     f = StepFunction.indicator(0, 1)
     sweep = maxops.maximal_sweep(f, cset, query, {0, *range(mc.m_min, mc.m_max + 1)})
     restricted = sweep.restricted()
-    with open(out / "maximal.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "r_or_m", "x", "value"])
-        for x in query.points:
-            for k in range(1, sweep.k_top + 1):
-                for r in query.r_grid:
-                    w.writerow([k, float(r), float(x), float(sweep.averages[x, 0, k, r])])
-        for x, v in restricted:
-            w.writerow(["max", "", float(x), float(v)])
-        for x, v in sweep.windowed():
-            w.writerow(["max_windowed", f"{mc.m_min}..{mc.m_max}", float(x), v])
+    rows = [
+        [k, float(r), float(x), float(sweep.averages[x, 0, k, r])]
+        for x in query.points
+        for k in range(1, sweep.k_top + 1)
+        for r in query.r_grid
+    ]
+    rows += [["max", "", float(x), float(v)] for x, v in restricted]
+    rows += [["max_windowed", f"{mc.m_min}..{mc.m_max}", float(x), v] for x, v in sweep.windowed()]
+    _write_csv(out / "maximal.csv", ["k", "r_or_m", "x", "value"], rows)
     print(f"wrote {out / 'maximal.csv'} ({len(restricted)} points, a = {query.a})")
     return EXIT_OK
 
 
-def cmd_dimension(args) -> int:
-    cfg = _load_run_config(args)
-    out = _outdir(cfg, args)
-    cset = _load_set(args.set_file)
+def cmd_dimension(cfg: RunConfig, out: Path, cset: core.CantorSet) -> int:
     rep = core.dim_bounds(cset)
     box = cset.box_count_report()
     payload = {
@@ -241,15 +227,20 @@ def _test_function(name: str):
     raise ConfigError(f"unknown test function {name!r}", field="differentiate.function")
 
 
-def cmd_differentiate(args) -> int:
-    cfg = _load_run_config(args)
-    out = _outdir(cfg, args)
-    cset = _load_set(args.set_file)
+def cmd_differentiate(cfg: RunConfig, out: Path, cset: core.CantorSet) -> int:
     dc = cfg.differentiate
     f = _test_function(dc.function)
     points = _sample_points(dc.point_count, Fraction(-3), Fraction(-1))
     rows = maxops.differentiation_experiment(f, cset, points, dc.r_sequence)
-    maxops.write_diff_csv(out / "differentiate.csv", rows)
+    _write_csv(
+        out / "differentiate.csv",
+        ["k", "r", "x", "value"],
+        (
+            [k, float(row.r), float(row.x), float(err)]
+            for row in rows
+            for k, err in [*enumerate(row.per_level, start=1), ("sup", row.sup_error)]
+        ),
+    )
     lip_ok = None
     if isinstance(f, PiecewiseLinear):
         lip = f.lipschitz_constant()
@@ -270,10 +261,7 @@ def cmd_differentiate(args) -> int:
     return EXIT_OK
 
 
-def cmd_demo_l1(args) -> int:
-    cfg = _load_run_config(args)
-    out = _outdir(cfg, args)
-    cset = _load_set(args.set_file)
+def cmd_demo_l1(cfg: RunConfig, out: Path, cset: core.CantorSet) -> int:
     dc = cfg.demo
     depth = min(dc.depth, cset.depth)
     rho0 = dc.rho0 if dc.rho0 is not None else cset.params.delta(depth)
@@ -288,11 +276,7 @@ def cmd_demo_l1(args) -> int:
         "eta_estimates": result.eta_estimates,
     }
     _write_json(out / "demo_l1.json", payload)
-    with open(out / "demo_l1.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "value"])
-        for k, v in result.rows:
-            w.writerow([k, v])
+    _write_csv(out / "demo_l1.csv", ["k", "value"], result.rows)
     print(
         f"singular-profile averages grew by {result.growth_factor:.2f}x "
         f"from k=1 to k={depth} (rho0 = {result.rho0})"
@@ -300,11 +284,11 @@ def cmd_demo_l1(args) -> int:
     return EXIT_OK
 
 
-def cmd_init_config(args) -> int:
+def cmd_init_config(output: str | None) -> int:
     text = serialize_config(RunConfig())
-    if args.output:
-        Path(args.output).write_text(text)
-        print(f"wrote {args.output}")
+    if output:
+        Path(output).write_text(text)
+        print(f"wrote {output}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -315,49 +299,51 @@ def cmd_init_config(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# name -> (handler, help text, reads a set file); handlers take the run
+# config and the output directory, and the loaded set when they read one
+_COMMANDS = {
+    "construct": (cmd_construct, "draw a set through the acceptance gates", False),
+    "verify": (cmd_verify, "re-run all gates on a stored set", True),
+    "correlate": (cmd_correlate, "sampled transverse correlation sup", True),
+    "maximal": (cmd_maximal, "restricted/windowed maximal sweeps", True),
+    "dimension": (cmd_dimension, "dimension quotients and box slope", True),
+    "differentiate": (cmd_differentiate, "differentiation error table", True),
+    "demo-l1": (cmd_demo_l1, "singular-profile divergence table", True),
+    "init-config": (cmd_init_config, "print a default config file", False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cantormax",
         description="Randomized sparse Cantor constructions and maximal-operator experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_set_file=False):
+    for name, (_, help_text, reads_set) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "init-config":
+            p.add_argument("-o", "--output", help="write to file instead of stdout")
+            continue
         p.add_argument("-c", "--config", help="key-value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
         p.add_argument("-o", "--outdir", help="output directory (default from config)")
-        if with_set_file:
+        if reads_set:
             p.add_argument("set_file", help="stored set JSON from `construct`")
-
-    common(sub.add_parser("construct", help="draw a set through the acceptance gates"))
-    common(sub.add_parser("verify", help="re-run all gates on a stored set"), with_set_file=True)
-    common(sub.add_parser("correlate", help="sampled transverse correlation sup"), with_set_file=True)
-    common(sub.add_parser("maximal", help="restricted/windowed maximal sweeps"), with_set_file=True)
-    common(sub.add_parser("dimension", help="dimension quotients and box slope"), with_set_file=True)
-    common(sub.add_parser("differentiate", help="differentiation error table"), with_set_file=True)
-    common(sub.add_parser("demo-l1", help="singular-profile divergence table"), with_set_file=True)
-    init = sub.add_parser("init-config", help="print a default config file")
-    init.add_argument("-o", "--output", help="write to file instead of stdout")
     return parser
 
 
-_COMMANDS = {
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "correlate": cmd_correlate,
-    "maximal": cmd_maximal,
-    "dimension": cmd_dimension,
-    "differentiate": cmd_differentiate,
-    "demo-l1": cmd_demo_l1,
-    "init-config": cmd_init_config,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, reads_set = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "init-config":
+            return handler(args.output)
+        cfg = _load_run_config(args)
+        out = Path(args.outdir or cfg.report.outdir)
+        out.mkdir(parents=True, exist_ok=True)
+        if reads_set:
+            return handler(cfg, out, _load_set(args.set_file))
+        return handler(cfg, out)
     except (ConfigError, ParameterError, FormatError, EmptySampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -298,25 +298,24 @@ class CantorSet:
         hi, _ = moments.below((b - 1) * lv.M_k)
         return Fraction(hi - lo) / lv.P
 
+    def descendant_counts(self, k: int, k2: int) -> np.ndarray:
+        """Selected level-k2 offsets under each selected level-k offset, in
+        level-k order, for k <= k2."""
+        ratio = self.level(k2).M_k // self.level(k).M_k
+        parents = np.asarray(self.level(k).offsets, dtype=np.int64) * ratio
+        children = np.asarray(self.level(k2).offsets, dtype=np.int64)
+        return np.searchsorted(children, parents + ratio) - np.searchsorted(children, parents)
+
     def weak_star_defect(self, k: int, k2: int) -> Fraction:
         """Sum over selected level-k intervals of |∫ (phi_k2 - phi_k)|, exact."""
         if not (1 <= k <= k2 <= self.depth):
             raise InsufficientDepthError(f"need 1 <= k <= k' <= {self.depth}")
-        lv, lv2 = self.level(k), self.level(k2)
-        if lv.P == 0 or lv2.P == 0:
+        P, P2 = self.P(k), self.P(k2)
+        if P == 0 or P2 == 0:
             raise DegenerateMeasureError("defect needs nonempty levels")
-        if k == k2:
-            return Fraction(0)
-        ratio = lv2.M_k // lv.M_k
-        anc = np.asarray(lv2.offsets, dtype=np.int64) // ratio
-        uniq, counts = np.unique(anc, return_counts=True)
-        desc = dict(zip((int(u) for u in uniq), (int(c) for c in counts)))
-        P, P2 = lv.P, lv2.P
-        total = 0
-        for o in lv.offsets:
-            cnt = desc.get(o, 0)
-            total += abs(cnt * P - P2)
-        return Fraction(total, P * P2)
+        # summed in Python ints, so the total is exact at any level size
+        total = np.abs(self.descendant_counts(k, k2).astype(object) * P - P2).sum()
+        return Fraction(int(total), P * P2)
 
     # -- covering counts -------------------------------------------------------
 
@@ -350,7 +349,7 @@ class CantorSet:
                     "N_k": lv.N_k,
                     "P_k": lv.P,
                     # offsets encode multi-indices: o = sum (i_j - 1) M_k/M_j
-                    "selected": [int(o) for o in lv.offsets],
+                    "selected": list(lv.offsets),
                 }
                 for lv in self.levels
             ],

@@ -14,7 +14,6 @@ reports.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -243,14 +242,3 @@ def c0_constant(
         inner += 2 * params.L * n * math.log(params.level_N(j))
     value = math.exp(log_val) * math.sqrt(inner)
     return nudge(value, up=(rounding == "up"))
-
-
-def write_reports_csv(path, reports: Sequence[CorrelationReport]) -> None:
-    """Summary rows (k, n, class, lambda, bounds) for decay-curve plotting."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "n", "class", "lambda", "trivial_bound", "c0"])
-        for rep in reports:
-            w.writerow(
-                [rep.k, rep.n, rep.cls, float(rep.lam), float(rep.trivial), rep.c0]
-            )

@@ -119,7 +119,7 @@ def _slot_geometry(n: int, k: int, A: AffineTuple, params: ConstructionParams):
 def _check_grid(k: int, M_k: int) -> None:
     if M_k > DEFAULT_GRID_CAP:
         raise CapacityError(
-            f"full index grid M_{k}={M_k} exceeds cap {DEFAULT_GRID_CAP}; pass restrict_to"
+            f"level {k} index grid M_{k} = {M_k} exceeds cap {DEFAULT_GRID_CAP}"
         )
 
 

@@ -12,7 +12,6 @@ replaced by a grid max; refinement of the grid never decreases any value.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -594,16 +593,6 @@ def differentiation_experiment(
             )
             rows.append(DiffRow(x, r, max(errs), errs))
     return rows
-
-
-def write_diff_csv(path, rows: Sequence[DiffRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "r", "x", "value"])
-        for row in rows:
-            for k, err in enumerate(row.per_level, start=1):
-                w.writerow([k, float(row.r), float(row.x), float(err)])
-            w.writerow(["sup", float(row.r), float(row.x), float(row.sup_error)])
 
 
 # ---------------------------------------------------------------------------

@@ -87,16 +87,12 @@ def bernoulli_layer(
     """Independent child draws under every selected parent.
 
     Children of unselected parents are never drawn.  Returns sorted child
-    offsets; ``parent_offsets=None`` draws the root layer over N_next slots.
+    offsets; ``parent_offsets=None`` draws the root layer, the children of
+    the one parent at offset 0.
     """
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"probability {p} outside [0, 1]")
-    if parent_offsets is None:
-        if N_next > DRAW_CAP:
-            raise CapacityError(f"root layer needs {N_next} draws, above {DRAW_CAP}")
-        mask = rng.random(N_next) < p
-        return np.flatnonzero(mask).astype(np.int64)
-    parents = np.asarray(parent_offsets, dtype=np.int64)
+    parents = np.asarray((0,) if parent_offsets is None else parent_offsets, dtype=np.int64)
     if len(parents) * N_next > DRAW_CAP:
         raise CapacityError(
             f"layer needs {len(parents) * N_next} draws, above {DRAW_CAP}"
@@ -185,14 +181,7 @@ def gate_deviation(cset: CantorSet, k_child: int) -> GateReport:
         raise DomainError("gate (d) applies to levels >= 2")
     params = cset.params
     parent = cset.level(k_child - 1)
-    child = cset.level(k_child)
-    N_next = child.N_k
-    parents = np.asarray(parent.offsets, dtype=np.int64)
-    counts = np.zeros(len(parents), dtype=np.int64)
-    if child.P:
-        owner = np.asarray(child.offsets, dtype=np.int64) // N_next
-        pos = np.searchsorted(parents, owner)
-        counts = np.bincount(pos, minlength=len(parents))
+    counts = cset.descendant_counts(k_child - 1, k_child)
     cmax = int(counts.max()) if len(counts) else 0
     cmin = int(counts.min()) if len(counts) else 0
     growth = params.expected_growth(k_child)  # N^(1-eps), exact when rational
@@ -214,7 +203,7 @@ def gate_deviation(cset: CantorSet, k_child: int) -> GateReport:
         measured=measured,
         threshold=thr,
         passed=bool(passed),
-        detail=f"sup over {len(parents)} parents of |sum (X - p)|",
+        detail=f"sup over {parent.P} parents of |sum (X - p)|",
         measured_exact=measured_exact,
         extras={"count_max": cmax, "count_min": cmin},
     )
@@ -365,17 +354,13 @@ def construct(
         accepted = False
         for attempt in range(params.max_retries):
             rng = stream.child(lev, attempt)
-            if lev == 1:
-                offsets = bernoulli_layer(None, params.level_N(1), params.p_float(1), rng)
-            else:
-                offsets = bernoulli_layer(
-                    levels[-1].offsets, params.level_N(lev), params.p_float(lev), rng
-                )
+            parents = levels[-1].offsets if levels else None
+            offsets = bernoulli_layer(parents, params.level_N(lev), params.p_float(lev), rng)
             cand_level = CantorLevel(
                 k=lev,
                 N_k=params.level_N(lev),
                 M_k=params.M(lev),
-                offsets=tuple(int(o) for o in offsets),
+                offsets=tuple(offsets.tolist()),
             )
             cand = CantorSet(params, levels + [cand_level], validate=False)
             reports = _level_gates(cand, lev, attempt, stream, gate_c_n, gate_c_budget)

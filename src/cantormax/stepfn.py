@@ -74,13 +74,12 @@ class StepFunction:
         "_float_bps",
     )
 
-    def __init__(self, units, den, val_nums, val_den, *, _normalized=False):
+    def __init__(self, units, den, val_nums, val_den):
         if den <= 0 or val_den <= 0:
             raise DomainError("denominators must be positive")
         if len(units) != len(val_nums) + 1 and (len(units) or len(val_nums)):
             raise DomainError("need one more breakpoint than cell values")
-        if not _normalized:
-            units, den, val_nums, val_den = _normalize(units, den, val_nums, val_den)
+        units, den, val_nums, val_den = _normalize(units, den, val_nums, val_den)
         self.units = tuple(units)
         self.den = den
         self.val_nums = tuple(val_nums)
@@ -93,7 +92,7 @@ class StepFunction:
 
     @classmethod
     def zero(cls) -> "StepFunction":
-        return cls((), 1, (), 1, _normalized=True)
+        return cls((), 1, (), 1)
 
     @classmethod
     def from_breakpoints(cls, breakpoints, values) -> "StepFunction":

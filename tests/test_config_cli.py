@@ -4,12 +4,16 @@ import contextlib
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import cantormax
 from cantormax.cli import main
 from cantormax.config import RunConfig, parse_config, serialize_config
 from cantormax.errors import ConfigError
@@ -133,6 +137,67 @@ class TestCli:
         assert main(argv) == 0
         assert hashlib.sha256((tmp_path / "set.json").read_bytes()).hexdigest() == set_sha
         assert hashlib.sha256((tmp_path / "transcript.jsonl").read_bytes()).hexdigest() == transcript_sha
+
+    @pytest.mark.parametrize(
+        "command, overrides, name, sha",
+        [
+            (
+                "correlate",
+                ["correlate.budget=8"],
+                "correlation.csv",
+                "bf66eadaaab7aa9afb495ab4cfe18d8d7fa260d105470633a297d47bfc499d43",
+            ),
+            (
+                "maximal",
+                ["maximal.points=3", "maximal.r_count=2", "maximal.m_min=-1", "maximal.m_max=1"],
+                "maximal.csv",
+                "5633d428a651ed50710e117ce1a91aebcaf02fb67b63177183bbd01cdd9d2b1a",
+            ),
+            (
+                "differentiate",
+                ["differentiate.point_count=5"],
+                "differentiate.csv",
+                "11c1019500f71c4fa2b58e5f68f01dcc69d9f08cd5b677f69da8523b2319cb57",
+            ),
+            (
+                "differentiate",
+                ["differentiate.point_count=5", "differentiate.function=indicator"],
+                "differentiate.csv",
+                "63f7077d54060a757ff0b8b280de79f99c153739952bf1dd2098f8f6fb33b4a1",
+            ),
+            (
+                "demo-l1",
+                ["demo.depth=3"],
+                "demo_l1.csv",
+                "eb767f3ccbf97c3ae945f6c6523f2f4fb9bd30910fddcd4990f085804522b128",
+            ),
+        ],
+        ids=["correlation", "maximal", "differentiate-hat", "differentiate-indicator", "demo-l1"],
+    )
+    def test_report_csv_bytes_pinned(self, cli_workspace, tmp_path, command, overrides, name, sha):
+        # every CSV report on the workspace set, byte for byte
+        _, _, out = cli_workspace
+        argv = [command, str(out / "set.json"), "-o", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
+
+    def test_module_entry_point(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(cantormax.__file__).parents[1])}
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "cantormax.cli", *argv],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+            )
+
+        init = run("init-config")
+        assert init.returncode == 0
+        assert init.stdout == serialize_config(RunConfig())
+        missing = run("verify", "missing.json", "-o", "out")
+        assert missing.returncode == 2
+        assert missing.stderr.count("\n") == 1 and missing.stderr.startswith("error: cannot read set file")
 
     def test_verify_accepts_own_output(self, cli_workspace, tmp_path):
         _, cfg, out = cli_workspace

@@ -1,6 +1,7 @@
 """Cantor iteration: indices, intervals, densities, measures, dimension."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,19 @@ class TestWeakStarDefect:
         for k in range(1, z8_set.depth + 1):
             for k2 in range(k, z8_set.depth + 1):
                 assert z8_set.weak_star_defect(k, k2) >= 0
+
+    @pytest.mark.parametrize("name", ["z8_set", "z16_set"])
+    def test_matches_loop_oracle(self, request, name):
+        # the per-parent dict loop this method once ran, as an == oracle
+        cset = request.getfixturevalue(name)
+        for k in range(1, cset.depth + 1):
+            for k2 in range(k, cset.depth + 1):
+                lv, lv2 = cset.level(k), cset.level(k2)
+                ratio = lv2.M_k // lv.M_k
+                desc = Counter(o // ratio for o in lv2.offsets)
+                assert cset.descendant_counts(k, k2).tolist() == [desc[o] for o in lv.offsets]
+                total = sum(abs(desc[o] * lv.P - lv2.P) for o in lv.offsets)
+                assert cset.weak_star_defect(k, k2) == Fraction(total, lv.P * lv2.P)
 
     def test_accepted_set_defect_under_formula_bound(self, z8_set):
         # 2B 2^(-k gamma/2) / (1 - 2^(-gamma/2)); wide at this depth but honest

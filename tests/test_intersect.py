@@ -226,6 +226,15 @@ class TestCountInternal:
         with pytest.raises(CapacityError):
             count_internal(2, 3, A, P16)
 
+    def test_capacity_message_names_level_and_cap(self):
+        # gate (c) and correlate reach the grid check through classify_A,
+        # which has no restrict_to to suggest
+        A = AffineTuple(((F(0), F(1)), (F(0), F(1))), 1)
+        params = custom([4096, 1024], [F(1, 4), F(1, 4)])
+        with pytest.raises(CapacityError) as info:
+            count_internal(2, 2, A, params)
+        assert str(info.value) == "level 2 index grid M_2 = 4194304 exceeds cap 2097152"
+
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_random_grid_tuples(self, data):
