@@ -221,9 +221,7 @@ def _test_function(name: str):
     if name == "indicator":
         return StepFunction.indicator(0, 1)
     if name == "hat":
-        return PiecewiseLinear(
-            [Fraction(-4), Fraction(-2), Fraction(0)], [Fraction(0), Fraction(1), Fraction(0)]
-        )
+        return PiecewiseLinear.from_nodes([-4, -2, 0], [0, 1, 0])
     raise ConfigError(f"unknown test function {name!r}", field="differentiate.function")
 
 
@@ -344,7 +342,7 @@ def main(argv=None) -> int:
         if reads_set:
             return handler(cfg, out, _load_set(args.set_file))
         return handler(cfg, out)
-    except (ConfigError, ParameterError, FormatError, EmptySampleError) as exc:
+    except (ConfigError, ParameterError, FormatError, EmptySampleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:

@@ -224,9 +224,9 @@ def c0_constant(
     4^(n+2) n! B 2^(k(n+3/2)) prod_j N_j^(-1/2 + eps_j (n-1/2))
     * N_{k+1}^(n eps_{k+1}) * sqrt(ln(4^n n! B prod_{j<=k+1} N_j^(2Ln))).
 
-    Float evaluation; ``rounding`` nudges the result a few ulps up (reporting
-    default, conservative over-estimate) or down (gate thresholds, so float
-    error can only reject, never falsely accept).
+    Float evaluation; ``rounding`` nudges the result 8 ulps up (reporting
+    default) or down (gate thresholds).  The error of the exp of a sum of logs
+    can exceed the nudge, so neither side is certified (see ``params.nudge``).
     """
     if n < 2 or n % 2:
         raise DomainError("n must be an even integer >= 2")

@@ -31,7 +31,7 @@ from .errors import (
 from .stepfn import (
     PiecewiseLinear,
     StepFunction,
-    combination_cells,
+    antiderivative,
     linear_combination,
     power_integral,
     product_integral,
@@ -344,28 +344,6 @@ def _dilation_cells(cells) -> list[tuple[Fraction, Fraction, Fraction]]:
     return out
 
 
-def _mk_adjoint_nodes(cells, cset: CantorSet, k: int):
-    """Nodes and values of Phi_k* 1_omega in integers, or None if it is zero.
-
-    Returns (Z, H, D, HD): the adjoint is H/HD at the sorted distinct nodes
-    Z/D, linear between them and zero outside.  Its derivative
-    sum_i (1/r_i)[sigma_k((z - a_i)/r_i) - sigma_k((z - b_i)/r_i)] is a step
-    function whose unnormalized cells ``stepfn.combination_cells`` gives from
-    the shared merge, so Z is every transformed sigma_k breakpoint and H is
-    the running sum of width times slope.
-    """
-    sig = cset.sigma(k)
-    terms = []
-    for a, b, r in _dilation_cells(cells):
-        terms += [(1 / r, sig, a, r), (-1 / r, sig, b, r)]
-    slope_cells = combination_cells(terms)
-    if slope_cells is None:
-        return None
-    Z, slopes, D, VW = slope_cells
-    H = np.concatenate(([0], np.cumsum(np.diff(Z).astype(object) * slopes)))
-    return Z, H, D, D * VW
-
-
 def mk_adjoint(cells, cset: CantorSet, k: int) -> PiecewiseLinear:
     """Adjoint of the linearized ``mk_operator`` applied to 1_omega, exact.
 
@@ -374,46 +352,16 @@ def mk_adjoint(cells, cset: CantorSet, k: int) -> PiecewiseLinear:
     sigma_k(y) dy = integral f(z) sigma_k((z - x)/r(x)) dz / r(x) has the
     adjoint Phi* g(z) = integral g(x) sigma_k((z - x)/r(x)) dx / r(x); on a
     cell it is S((z - lo)/r) - S((z - hi)/r), with S the antiderivative of
-    sigma_k.  The result is continuous and piecewise linear with compact
-    support.
+    sigma_k.  So the result is ``stepfn.antiderivative`` of the slope terms
+    (1/r) sigma_k((z - lo)/r) and -(1/r) sigma_k((z - hi)/r): continuous and
+    piecewise linear with compact support, its nodes every transformed
+    sigma_k breakpoint, held in cleared-denominator integers.
     """
-    nodes = _mk_adjoint_nodes(cells, cset, k)
-    if nodes is None:
-        return PiecewiseLinear((0, 1), (0, 0))
-    Z, H, D, HD = nodes
-    return PiecewiseLinear([Fraction(int(z), D) for z in Z], [Fraction(h, HD) for h in H])
-
-
-def mk_adjoint_norm_power(cells, cset: CantorSet, k: int, n: int) -> Fraction:
-    """Exact integral of |Phi_k* 1_omega|^n for ``mk_adjoint``'s cells.
-
-    On a piece of width w from h0 to h1 the integral of h^n is
-    w * sum_j h0^j h1^(n-j) / (n+1), summed in integers.  For odd n a piece
-    on which h changes sign is split at its zero, which gives
-    w (|h0|^(n+1) + |h1|^(n+1)) / ((|h0| + |h1|)(n+1)).
-    """
-    if n < 1 or int(n) != n:
-        raise DomainError("mk_adjoint_norm_power needs an integer n >= 1")
-    nodes = _mk_adjoint_nodes(cells, cset, k)
-    if nodes is None:
-        return Fraction(0)
-    Z, H, D, HD = nodes
-    w = np.diff(Z).astype(object)
-    h0, h1 = H[:-1], H[1:]
-    cross = ()
-    if n % 2:
-        cross = np.flatnonzero(h0 * h1 < 0)
-        h0, h1 = abs(h0), abs(h1)
-    poly, p = h0 + h1, h0
-    for _ in range(n - 1):
-        p = p * h0
-        poly = poly * h1 + p
-    split = Fraction(0)
-    for i in cross:
-        a, b = h0[i], h1[i]
-        split += Fraction(w[i] * (a ** (n + 1) + b ** (n + 1)), a + b)
-        poly[i] = 0
-    return (int((w * poly).sum()) + split) / ((n + 1) * D * HD**n)
+    sig = cset.sigma(k)
+    terms = []
+    for a, b, r in _dilation_cells(cells):
+        terms += [(1 / r, sig, a, r), (-1 / r, sig, b, r)]
+    return antiderivative(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +485,7 @@ def mk_restricted_type_ratio(
 
     def norm_power(omega, assign):
         cells = [(lo, hi, r) for lo, hi, _, r in _omega_cells(omega, assign)]
-        return mk_adjoint_norm_power(cells, cset, k, n)
+        return mk_adjoint(cells, cset, k).lp_power(n)
 
     return _sampled_ratio(cset, k, n, budget, rng, n_cells, norm_power)
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import FormatError, ParameterError
 
 REGIME_ONE_DIM = "one-dimensional"
 REGIME_FIXED_DIM = "fixed-dimension"
@@ -28,8 +28,10 @@ _REGIMES = (REGIME_ONE_DIM, REGIME_FIXED_DIM, REGIME_CUSTOM)
 def nudge(x: float, up: bool) -> float:
     """x moved 8 ulps up or down.
 
-    Float thresholds are nudged against acceptance, so float error can only
-    cause a false rejection, never a false acceptance.
+    Gate thresholds are nudged against acceptance, which covers only 8 ulps
+    of float error: the "down" ``c0_constant`` at N=128, eps=1/5, n=2, k=4
+    lies 34.3 ulps above its true value (3.3 and 6.9 below at N=16, eps=1/4,
+    n=2, k=1, 2), so float error can falsely accept.  See ROADMAP item 5.
     """
     target = math.inf if up else -math.inf
     for _ in range(8):
@@ -218,6 +220,14 @@ class ConstructionParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConstructionParams":
+        """Read a set file's params; its integer fields must hold plain ints."""
+        ints = {key: d[key] for key in ("depth", "L", "seed", "max_retries")}
+        if d.get("N") is not None:
+            ints["N"] = d["N"]
+        ints.update((f"level_counts[{i}]", v) for i, v in enumerate(d.get("level_counts") or ()))
+        for key, value in ints.items():
+            if type(value) is not int:
+                raise FormatError(f"params {key} = {value!r} is not an integer")
         return cls(
             regime=d["regime"],
             N=d.get("N"),

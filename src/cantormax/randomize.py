@@ -7,9 +7,9 @@ layer is kept only if the count gates (a)-(b), the per-parent deviation gate
 with a fresh derived stream.  Earlier levels are never revisited.
 
 Threshold arithmetic: comparisons that admit integer forms are exact; the
-ones involving logs or square roots are evaluated in floats nudged in the
-acceptance-unfavorable direction, so float error can only cause a false
-rejection, never a false acceptance.
+ones involving logs or square roots are evaluated in floats nudged 8 ulps in
+the acceptance-unfavorable direction.  The float error can exceed the nudge,
+so a false acceptance is not ruled out (see ``params.nudge``).
 """
 
 from __future__ import annotations

@@ -1,34 +1,35 @@
-"""Exact piecewise-constant functions and their integration kernels.
+"""Exact step and piecewise-linear functions and their integration kernels.
 
 A ``StepFunction`` is stored in cleared-denominator form: integer breakpoint
 numerators over one common denominator, and integer value numerators over
-another.  Every integral here is computed in integer arithmetic, so results
-are exact Fractions with no quadrature tolerance anywhere.  One array
-routine normalizes every step function (equal neighbours merged, zero end
-cells stripped, gcds divided out).
+another.  A ``PiecewiseLinear`` holds its nodes and node values the same
+way, unnormalized.  Every integral here is computed in integer arithmetic,
+so results are exact Fractions with no quadrature tolerance anywhere.  One
+array routine normalizes every step function (equal neighbours merged, zero
+end cells stripped, gcds divided out).
 
-The kernels ``product_integral``, ``power_integral`` and
-``linear_combination``, and through ``combination_cells`` the nodes of
-``maxops.mk_adjoint``, get their factors' transformed breakpoints C + G*u
-from one seam, ``_merge``, which returns the gaps grouped by the tuple of
-their factors' value classes (a factor's distinct cell values, class 0
-being zero).  Each kernel multiplies, or weights and sums, the class values
-once per group in Python ints.  The vectorised merge encodes each factor
-relative to its first unit in two int64 limbs (hi, lo), and one stable
-argsort of the float64 keys hi*2^39 + lo merges the presorted factor runs:
-rounding never reverses the exact order, and runs of equal keys are
-reordered from the limbs; widths are summed per group in int64 limbs.  A
-factor whose span, step G or offset leaves the limbs (span >= 2^25,
-G >= 2^61, G*span >= 2^87 or |offset| >= 2^91), or more than 2^24
-breakpoints in all, sends the merge to a pure-Python ``heapq`` sweep that
-sums the widths per class tuple, so its memory grows with the number of
-distinct tuples, not of gaps.
+The kernels ``product_integral``, ``power_integral``, ``linear_combination``
+and ``antiderivative`` (which builds ``maxops.mk_adjoint``) get their
+factors' transformed breakpoints C + G*u from one seam, ``_merge``, which
+returns the gaps grouped by the tuple of their factors' value classes (a
+factor's distinct cell values, class 0 being zero).  Each kernel multiplies,
+or weights and sums, the class values once per group in Python ints.  The
+vectorised merge encodes each factor relative to its first unit in two int64
+limbs (hi, lo), and one stable argsort of the float64 keys hi*2^39 + lo
+merges the presorted factor runs: rounding never reverses the exact order,
+and runs of equal keys are reordered from the limbs; widths are summed per
+group in int64 limbs.  A factor whose span, step G or offset leaves the
+limbs (span >= 2^25, G >= 2^61, G*span >= 2^87 or |offset| >= 2^91), or more
+than 2^24 breakpoints in all, sends the merge to a pure-Python ``heapq``
+sweep that sums the widths per class tuple, so its memory grows with the
+number of distinct tuples, not of gaps.
 
 The methods are thin calls of these kernels: ``integral`` is a one-factor
 ``product_integral``, ``mass_between`` the product with an indicator, and
 ``affine_image`` and ``scale`` one-term ``linear_combination``s.  The one
-per-cell loop left is ``lp_power``, which the adjoint checks compare the
-kernels against.
+per-cell loop left is ``StepFunction.lp_power``, which the adjoint checks
+compare the kernels against.  ``PiecewiseLinear.lp_power`` sums all pieces
+at once in object-dtype integers, by Horner's rule.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +53,13 @@ _GU_MAX = 1 << 87
 _C_MAX = 1 << 91  # keeps |hi| < 2^53, so each float key is one rounding
 _POS_MAX = 1 << 24  # merged breakpoints; keeps the low-limb sums in int64
 _KEY_MAX = 1 << 62
+
+
+def _clear_denominators(fracs) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    fracs = [Fraction(f) for f in fracs]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 def _int_array(values) -> np.ndarray:
@@ -96,21 +105,7 @@ class StepFunction:
 
     @classmethod
     def from_breakpoints(cls, breakpoints, values) -> "StepFunction":
-        bps = [Fraction(b) for b in breakpoints]
-        vals = [Fraction(v) for v in values]
-        if len(bps) != len(vals) + 1 and bps:
-            raise DomainError("need one more breakpoint than cell values")
-        if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-            raise DomainError("breakpoints must be strictly increasing")
-        den = 1
-        for b in bps:
-            den = math.lcm(den, b.denominator)
-        vden = 1
-        for v in vals:
-            vden = math.lcm(vden, v.denominator)
-        units = [b.numerator * (den // b.denominator) for b in bps]
-        nums = [v.numerator * (vden // v.denominator) for v in vals]
-        return cls(units, den, nums, vden)
+        return cls(*_clear_denominators(breakpoints), *_clear_denominators(values))
 
     @classmethod
     def from_cells(cls, cells) -> "StepFunction":
@@ -597,13 +592,13 @@ def power_integral(terms: Sequence[tuple], p: int) -> Fraction:
     return Fraction(int(acc.sum()), D * VW**p)
 
 
-def combination_cells(terms: Sequence[tuple]):
+def _combination_cells(terms: Sequence[tuple]):
     """The cells of sum_i w_i f_i((z - c_i)/r_i) before normalization, or
     None when no term is nonzero.
 
     Returns (positions, values, D, VW): the sum is values[j]/VW between the
     distinct merged breakpoints positions[j]/D and positions[j+1]/D, so equal
-    neighbours and zero cells stay.  Package-internal, not exported.
+    neighbours and zero cells stay.
     """
     prep = _prepare_weighted(terms)
     if prep is None:
@@ -617,7 +612,7 @@ def combination_cells(terms: Sequence[tuple]):
 
 def linear_combination(terms: Sequence[tuple]) -> StepFunction:
     """sum_i w_i f_i((z - c_i)/r_i) as an exact StepFunction."""
-    cells = combination_cells(terms)
+    cells = _combination_cells(terms)
     if cells is None:
         return StepFunction.zero()
     positions, values, D, VW = cells
@@ -632,33 +627,52 @@ def inner_product(f: StepFunction, g: StepFunction) -> Fraction:
 class PiecewiseLinear:
     """Continuous piecewise-linear function, constant beyond its end nodes.
 
-    Genuinely Lipschitz, unlike a step function; interval masses are exact
-    (trapezoid rule is exact on linear pieces).  Used by the differentiation
-    experiment, where the error bound 2*Lip*r is checked with zero tolerance.
+    Held like a ``StepFunction`` but unnormalized: node numerators ``units``
+    over ``den`` and value numerators ``val_nums`` over ``val_den``, tuples of
+    Python ints built on first use.  Interval masses are exact (the trapezoid
+    rule is exact on linear pieces), so the differentiation experiment checks
+    2*Lip*r exactly.
     """
 
-    __slots__ = ("nodes", "values")
-
-    def __init__(self, nodes, values):
-        nodes = [Fraction(v) for v in nodes]
-        values = [Fraction(v) for v in values]
-        if len(nodes) != len(values) or len(nodes) < 2:
+    def __init__(self, units, den, val_nums, val_den):
+        if den <= 0 or val_den <= 0:
+            raise DomainError("denominators must be positive")
+        if len(units) != len(val_nums) or len(units) < 2:
             raise DomainError("need matching node/value lists of length >= 2")
-        if any(b <= a for a, b in zip(nodes, nodes[1:])):
+        u = _int_array(units)
+        if not (u[1:] > u[:-1]).all():
             raise DomainError("nodes must be strictly increasing")
-        self.nodes = tuple(nodes)
-        self.values = tuple(values)
+        if u.dtype != object and (u[0] < -(1 << 62) or u[-1] >= 1 << 62):
+            u = u.astype(object)  # keeps the int64 widths below 2^63
+        self._u, self._h = u, np.asarray(val_nums, dtype=object)  # what lp_power reads
+        self.den, self.val_den = den, val_den
+
+    @cached_property
+    def units(self) -> tuple[int, ...]:
+        return tuple(self._u.tolist())
+
+    @cached_property
+    def val_nums(self) -> tuple[int, ...]:
+        return tuple(self._h.tolist())
+
+    @classmethod
+    def from_nodes(cls, nodes, values) -> "PiecewiseLinear":
+        return cls(*_clear_denominators(nodes), *_clear_denominators(values))
+
+    @property
+    def nodes(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(u, self.den) for u in self.units)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.val_den) for v in self.val_nums)
 
     def value_at(self, x, side: str = "+") -> Fraction:
-        x = Fraction(x)
-        if x <= self.nodes[0]:
-            return self.values[0]
-        if x >= self.nodes[-1]:
-            return self.values[-1]
-        i = bisect_right(self.nodes, x) - 1
-        x0, x1 = self.nodes[i], self.nodes[i + 1]
-        y0, y1 = self.values[i], self.values[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        # clamped to the end pieces' ends: beyond the end nodes f is constant
+        xs, us, hs = Fraction(x) * self.den, self.units, self.val_nums
+        i = min(max(bisect_right(us, xs), 1), len(us) - 1)
+        t = min(max((xs - us[i - 1]) / (us[i] - us[i - 1]), 0), 1)
+        return Fraction(hs[i - 1] + (hs[i] - hs[i - 1]) * t, self.val_den)
 
     def linear_pieces(self):
         """(left, right, alpha, beta) per piece, with f(z) = alpha + beta z on
@@ -671,20 +685,59 @@ class PiecewiseLinear:
         yield xs[-1], None, ys[-1], 0
 
     def lipschitz_constant(self) -> Fraction:
-        return max(
-            abs(y1 - y0) / (x1 - x0)
-            for x0, x1, y0, y1 in zip(self.nodes, self.nodes[1:], self.values, self.values[1:])
-        )
+        xs, ys = self.nodes, self.values
+        return max(abs(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
 
     def mass_between(self, a, b) -> Fraction:
         """Exact integral over [a, b]."""
         a, b = Fraction(a), Fraction(b)
         if b < a:
             raise DomainError("mass_between needs a <= b")
-        i0, i1 = bisect_right(self.nodes, a), bisect_left(self.nodes, b)
-        cuts = [a, *self.nodes[i0:i1], b]
-        vals = [self.value_at(a), *self.values[i0:i1], self.value_at(b)]
-        total = Fraction(0)
-        for lo, hi, y0, y1 in zip(cuts, cuts[1:], vals, vals[1:]):
-            total += (y0 + y1) / 2 * (hi - lo)
-        return total
+        i0, i1 = bisect_right(self.units, a * self.den), bisect_left(self.units, b * self.den)
+        cuts = [a * self.den, *self.units[i0:i1], b * self.den]
+        hs = [self.value_at(a) * self.val_den, *self.val_nums[i0:i1], self.value_at(b) * self.val_den]
+        total = sum((h0 + h1) * (u1 - u0) for u0, u1, h0, h1 in zip(cuts, cuts[1:], hs, hs[1:]))
+        return total / (2 * self.den * self.val_den)
+
+    def lp_power(self, p: int) -> Fraction:
+        """Exact integral of |f|^p for integer p >= 1; both end values must be 0.
+
+        On a piece of width w from h0 to h1 the integral of h^p is
+        w * sum_j h0^j h1^(p-j) / (p+1), summed in integers by Horner's rule.
+        For odd p a piece on which h changes sign is split at its zero, which
+        gives w (|h0|^(p+1) + |h1|^(p+1)) / ((|h0| + |h1|)(p+1)).
+        """
+        if p < 1 or int(p) != p:
+            raise DomainError("lp_power needs an integer p >= 1")
+        if self._h[0] or self._h[-1]:
+            raise DomainError("lp_power diverges: an end value is nonzero")
+        w = np.diff(self._u).astype(object)
+        h0, h1 = self._h[:-1], self._h[1:]
+        cross = ()
+        if p % 2:
+            cross = np.flatnonzero(h0 * h1 < 0)
+            h0, h1 = abs(h0), abs(h1)
+        poly, q = h0 + h1, h0
+        for _ in range(p - 1):
+            q = q * h0
+            poly = poly * h1 + q
+        split = Fraction(0)
+        for i in cross:
+            a, b = h0[i], h1[i]
+            split += Fraction(w[i] * (a ** (p + 1) + b ** (p + 1)), a + b)
+            poly[i] = 0
+        return (int((w * poly).sum()) + split) / ((p + 1) * self.den * self.val_den**p)
+
+
+def antiderivative(terms: Sequence[tuple]) -> PiecewiseLinear:
+    """The antiderivative from -infinity of sum_i w_i f_i((z - c_i)/r_i).
+
+    Its nodes are the distinct merged breakpoints and its values the running
+    sum of width times slope, both unnormalized; zero gets the nodes 0, 1.
+    """
+    cells = _combination_cells(terms)
+    if cells is None:
+        return PiecewiseLinear((0, 1), 1, (0, 0), 1)
+    Z, slopes, D, VW = cells
+    H = np.concatenate(([0], np.cumsum(np.diff(Z).astype(object) * slopes)))
+    return PiecewiseLinear(Z, D, H, D * VW)

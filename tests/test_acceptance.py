@@ -359,7 +359,7 @@ def test_criterion_09_adjoint_identity(fixture_a, z8_set):
 
 def test_criterion_10_differentiation(toy88_set):
     t0 = time.time()
-    hat = PiecewiseLinear([-4, -2, 0], [0, 3, 0])
+    hat = PiecewiseLinear.from_nodes([-4, -2, 0], [0, 3, 0])
     lip = hat.lipschitz_constant()
     points = [F(-3), F(-5, 2), F(-9, 4), F(-7, 4), F(-1, 2)]
     rows = differentiation_experiment(

@@ -322,6 +322,7 @@ class TestCli:
             "retries_negative", "retries_str", "retries_float", "retries_bool", "retries_object",
             "retries_short", "retries_long", "retries_huge", "retries_at_max",
             "level_k_bool", "N_k_wrong", "P_k_wrong",
+            "N_float", "seed_float", "L_float", "seed_bool", "L_bool", "max_retries_float",
         ],
     )
     def test_malformed_set_file_is_usage_error(self, cli_workspace, tmp_path, capsys, mutation):
@@ -366,6 +367,9 @@ class TestCli:
             levels[1]["N_k"] = 3
         elif mutation == "P_k_wrong":
             levels[1]["P_k"] = 12345
+        elif mutation.endswith(("_float", "_bool")):
+            key = mutation.rsplit("_", 1)[0]
+            payload["params"][key] = float(payload["params"][key]) if mutation.endswith("_float") else True
         else:
             levels[2]["selected"][-1] = 2**70
         bad = tmp_path / "bad.json"
@@ -376,6 +380,24 @@ class TestCli:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["missing_dir", "existing_file", "under_file"])
+    def test_unwritable_output_is_usage_error(self, cli_workspace, tmp_path, capsys, case):
+        _, cfg, out = cli_workspace
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("keep")
+        argv = {
+            "missing_dir": ["init-config", "-o", str(tmp_path / "missing" / "x.txt")],
+            "existing_file": ["dimension", str(out / "set.json"), "-c", str(cfg), "-o", str(blocker)],
+            "under_file": ["init-config", "-o", str(blocker / "sub")],
+        }[case]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert blocker.read_text() == "keep"
 
     def test_maximal_csv_rows_match_library(self, cli_workspace, tmp_path):
         from cantormax.core import CantorSet

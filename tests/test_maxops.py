@@ -1,5 +1,6 @@
 """Averaging/maximal/adjoint operators, norms, and the two experiments."""
 
+import hashlib
 import random
 from fractions import Fraction
 from functools import partial
@@ -29,12 +30,10 @@ from cantormax.grids import DiscretizationGrid
 from cantormax.maxops import (
     AdjointAssignment,
     _dilation_cells,
-    _mk_adjoint_nodes,
     _omega_cells,
     _ratio_draws,
     restricted_type_target,
     dyadic_r_grid,
-    mk_adjoint_norm_power,
     phi_forward,
     phi_star_apply,
     phi_star_norm_power,
@@ -127,7 +126,7 @@ def _window_step(rnd, x, r, cells=4):
     return StepFunction.from_breakpoints([x + r * t for t in ts], vals)
 
 
-_HAT = PiecewiseLinear([-4, -2, 0], [0, 1, 0])
+_HAT = PiecewiseLinear.from_nodes([-4, -2, 0], [0, 1, 0])
 
 
 class TestPrefixMomentAverage:
@@ -170,7 +169,7 @@ class TestPrefixMomentAverage:
                     if ys[0] == ys[1]:
                         continue
                     f = StepFunction.indicator(x + r * ys[0], x + r * ys[1])
-                    pl = PiecewiseLinear([x + r * y for y in ys], [F(3, 2), F(-1, 3)])
+                    pl = PiecewiseLinear.from_nodes([x + r * y for y in ys], [F(3, 2), F(-1, 3)])
                     got = average(f, cset, k, r, x)
                     assert got == _run_loop_average(f, cset, k, r, x) == _merge_average(f, cset, k, r, x)
                     assert 0 < got < 1
@@ -178,9 +177,9 @@ class TestPrefixMomentAverage:
 
     def test_piecewise_linear_tails_overlap_support(self, fixture_a, z8_set):
         # window x + r [1, 2] = [-7/2, -1/2] covers both constant tails
-        pl = PiecewiseLinear([-3, F(-5, 2), -1], [2, F(-1, 3), 5])
-        steep_right = PiecewiseLinear([F(-3, 2), F(-1, 2)], [F(-7, 4), 3])
-        flat = PiecewiseLinear([0, 1], [F(7, 3), F(7, 3)])
+        pl = PiecewiseLinear.from_nodes([-3, F(-5, 2), -1], [2, F(-1, 3), 5])
+        steep_right = PiecewiseLinear.from_nodes([F(-3, 2), F(-1, 2)], [F(-7, 4), 3])
+        flat = PiecewiseLinear.from_nodes([0, 1], [F(7, 3), F(7, 3)])
         for cset in (fixture_a, z8_set):
             for k in range(1, cset.depth + 1):
                 for x, r in ((F(-13, 2), F(3)), (F(-3), F(3, 4)), (F(-1), F(5, 4))):
@@ -201,7 +200,7 @@ class TestPrefixMomentAverage:
     def test_support_misses_the_set(self, fixture_a, z8_set):
         # fixture_a level 1 has the gap [3/2, 7/4) between its runs
         gap = StepFunction.indicator(F(3, 2), F(7, 4))
-        gap_pl = PiecewiseLinear([F(3, 2), F(13, 8), F(7, 4)], [0, 9, 0])
+        gap_pl = PiecewiseLinear.from_nodes([F(3, 2), F(13, 8), F(7, 4)], [0, 9, 0])
         for k in (1, 2):
             assert average(gap, fixture_a, k, 1, 0) == 0 == _merge_average(gap, fixture_a, k, 1, 0)
             assert average(gap_pl, fixture_a, k, 1, 0) == 0 == _run_loop_average(gap_pl, fixture_a, k, 1, 0)
@@ -248,7 +247,7 @@ def _window_functions(draw):
     vals = draw(st.lists(st.fractions(-4, 4, max_denominator=9), min_size=len(zs), max_size=len(zs)))
     if draw(st.booleans()):
         return x, r, StepFunction.from_breakpoints(zs, vals[1:])
-    return x, r, PiecewiseLinear(zs, vals)
+    return x, r, PiecewiseLinear.from_nodes(zs, vals)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -508,6 +507,11 @@ def _node_lists(nodes):
     return Z.tolist(), H.tolist(), D, HD
 
 
+def _int_form(h):
+    """A PiecewiseLinear's integers in ``_node_lists``' order."""
+    return list(h.units), list(h.val_nums), h.den, h.val_den
+
+
 class TestMkAdjoint:
     def test_pairing_matches_sigma_average_oracle(self, fixture_a, z8_set):
         # <f, Phi* 1_omega> == sum over omega cells of the integral of the
@@ -556,11 +560,12 @@ class TestMkAdjoint:
         assert sf._merge_numpy(prepared) is None
         for cset, k, cells, force in cases:
             want = _node_lists(_private_merge_nodes(cells, cset, k))
-            assert _node_lists(_mk_adjoint_nodes(cells, cset, k)) == want
+            assert _int_form(mk_adjoint(cells, cset, k)) == want
             if force:
                 with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
-                    assert _node_lists(_mk_adjoint_nodes(cells, cset, k)) == want
-        assert _mk_adjoint_nodes([], fixture_a, 1) is None
+                    assert _int_form(mk_adjoint(cells, cset, k)) == want
+        assert _private_merge_nodes([], fixture_a, 1) is None
+        assert _int_form(mk_adjoint([], fixture_a, 1)) == ([0, 1], [0, 0], 1, 1)
 
     def test_norm_power_matches_simpson_oracle(self, fixture_a, z8_set):
         rnd = random.Random(43)
@@ -569,7 +574,7 @@ class TestMkAdjoint:
                 cells = _random_dilation_cells(rnd, cset, k, 32, rnd.randint(1, 4))
                 h = mk_adjoint(cells, cset, k)
                 for n in (1, 2, 3):
-                    assert mk_adjoint_norm_power(cells, cset, k, n) == _power_oracle(h, n)
+                    assert h.lp_power(n) == _power_oracle(h, n)
 
     def test_zero_mean_and_compact_support(self, z8_set):
         cells = _random_dilation_cells(random.Random(44), z8_set, 1, 32, 3)
@@ -578,12 +583,12 @@ class TestMkAdjoint:
         assert h.mass_between(h.nodes[0], h.nodes[-1]) == 0
 
     def test_empty_and_invalid_cells(self, fixture_a):
-        assert mk_adjoint_norm_power([], fixture_a, 1, 2) == 0
+        assert mk_adjoint([], fixture_a, 1).lp_power(2) == 0
         assert mk_adjoint([], fixture_a, 1).mass_between(0, 5) == 0
         with pytest.raises(DomainError):
             mk_adjoint([(F(0), F(1, 2), F(3, 2)), (F(1, 4), F(1), F(3, 2))], fixture_a, 1)
         with pytest.raises(DomainError):
-            mk_adjoint_norm_power([(F(0), F(1, 2), F(3, 2))], fixture_a, 1, 0)
+            mk_adjoint([(F(0), F(1, 2), F(3, 2))], fixture_a, 1).lp_power(0)
 
     def test_mass_between_matches_full_scan(self, z8_set):
         # mass_between bisects to the nodes inside (a, b); the oracle is the
@@ -615,6 +620,21 @@ class TestMkAdjoint:
         for res in (free, mk):
             assert res.max_ratio == pytest.approx(float(res.max_power) ** 0.5, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "k, budget, digest",
+        [
+            (1, 200, "133657f2b4c375d2dab0031814c40582d43942a0d952e2b0d5a8a52312e16f29"),
+            (2, 10, "b4f7fe686fbaf487e907ae95fb6fddf26ba75f6e24fd617363c30058e1fa6a0d"),
+        ],
+        ids=["k1", "k2"],
+    )
+    def test_criterion_8_values_pinned(self, z8_set, k, budget, digest):
+        # criterion 8's mk sampler on its own stream: the exact max_power, the
+        # max ratio and every sample's ratio, bit for bit (k=2: first draws)
+        res = mk_restricted_type_ratio(z8_set, k, 2, budget, RngStream(7).child(82, k))
+        text = "\n".join([str(res.max_power), repr(res.max_ratio), *(repr(s.ratio) for s in res.samples)])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestNorms:
     def test_fixture_density_l2(self, fixture_a):
@@ -641,7 +661,7 @@ class TestDifferentiation:
         assert all(row.sup_error == 0 for row in rows)
 
     def test_lipschitz_bound_every_entry(self, fixture_a, z8_set):
-        hat = PiecewiseLinear([-4, -2, 0], [0, 3, 0])
+        hat = PiecewiseLinear.from_nodes([-4, -2, 0], [0, 3, 0])
         lip = hat.lipschitz_constant()
         for cset in (fixture_a, z8_set):
             rows = differentiation_experiment(

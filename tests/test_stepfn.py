@@ -473,20 +473,87 @@ class TestArrayNormalizer:
 
 class TestPiecewiseLinear:
     def test_value_interpolation(self):
-        h = PiecewiseLinear([0, 2], [0, 4])
+        h = PiecewiseLinear.from_nodes([0, 2], [0, 4])
         assert h.value_at(F(1, 2)) == 1
         assert h.value_at(-5) == 0
         assert h.value_at(7) == 4
 
     def test_mass_exact_trapezoid(self):
-        h = PiecewiseLinear([0, 2], [0, 4])
+        h = PiecewiseLinear.from_nodes([0, 2], [0, 4])
         assert h.mass_between(0, 2) == 4
         assert h.mass_between(0, 1) == 1
         assert h.mass_between(-1, 0) == 0
 
     def test_lipschitz_constant(self):
-        h = PiecewiseLinear([-4, -2, 0], [0, 1, 0])
+        h = PiecewiseLinear.from_nodes([-4, -2, 0], [0, 1, 0])
         assert h.lipschitz_constant() == F(1, 2)
+
+    def test_from_nodes_round_trip(self):
+        nodes, values = [F(-7, 3), F(1, 6), F(5, 4)], [F(2, 9), F(-3), F(0)]
+        h = PiecewiseLinear.from_nodes(nodes, values)
+        assert (h.nodes, h.values) == (tuple(nodes), tuple(values))
+        assert (h.units, h.den, h.val_nums, h.val_den) == ((-28, 2, 15), 12, (2, -27, 0), 9)
+        # the integer form is kept as given, not normalized
+        assert PiecewiseLinear((0, 2, 4), 2, (0, 6, 0), 3).values == (0, 2, 0)
+
+    def test_invalid_forms_and_powers(self):
+        for args in [((0, 0, 1), 1, (0, 1, 0), 1), ((0, 2, 1), 1, (0, 1, 0), 1), ((0, 1), 0, (0, 0), 1),
+                     ((0, 1), 1, (0,), 1), ((0,), 1, (0,), 1)]:
+            with pytest.raises(DomainError):
+                PiecewiseLinear(*args)
+        with pytest.raises(DomainError):
+            PiecewiseLinear.from_nodes([0, 1, 1], [0, 1, 0])
+        h = PiecewiseLinear.from_nodes([0, 1, 2], [0, 1, 0])
+        assert h.lp_power(1) == 1 and h.lp_power(2) == F(2, 3)
+        for p in (0, -1, F(3, 2)):
+            with pytest.raises(DomainError):
+                h.lp_power(p)
+        # a nonzero end value is a nonzero constant tail: the integral diverges
+        for values in ([1, 1, 0], [0, 1, F(-1, 2)]):
+            with pytest.raises(DomainError):
+                PiecewiseLinear.from_nodes([0, 1, 2], values).lp_power(2)
+
+
+    def test_lp_power_wide_units(self):
+        # units inside int64 whose span is not: the widths are taken in Python ints
+        lo, hi = -(2**62) - 5, 2**62 + 7
+        h = PiecewiseLinear((lo, 0, hi), 3, (0, 2, 0), 1)
+        assert h.lp_power(1) == F(hi - lo, 3)
+        assert h.lp_power(2) == F(4 * (hi - lo), 9)
+
+
+def _lp_power_oracle(nodes, values, p):
+    """Integral of |h|^p piece by piece in Fractions: a piece of width w on
+    which |h| runs linearly from y0 to y1 gives w (y1^(p+1) - y0^(p+1)) /
+    ((p+1)(y1 - y0)); for odd p a piece is first cut at its zero."""
+    total = F(0)
+    for x0, x1, y0, y1 in zip(nodes, nodes[1:], values, values[1:]):
+        pieces = [(x0, x1, y0, y1)]
+        if p % 2 and y0 * y1 < 0:
+            z = x0 + (x1 - x0) * y0 / (y0 - y1)
+            pieces = [(x0, z, y0, F(0)), (z, x1, F(0), y1)]
+        for a, b, u, v in pieces:
+            u, v = (abs(u), abs(v)) if p % 2 else (u, v)
+            w = b - a
+            total += w * u**p if u == v else w * (v ** (p + 1) - u ** (p + 1)) / ((p + 1) * (v - u))
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nodes=st.lists(st.fractions(-20, 20, max_denominator=30), min_size=2, max_size=9, unique=True),
+    inner=st.lists(st.fractions(-6, 6, max_denominator=12), min_size=7, max_size=7),
+)
+def test_piecewise_linear_lp_power_matches_fraction_oracle(nodes, inner):
+    nodes = sorted(nodes)
+    values = [F(0), *inner[: len(nodes) - 2], F(0)]
+    h = PiecewiseLinear.from_nodes(nodes, values)
+    assert (h.nodes, h.values) == (tuple(nodes), tuple(values))
+    for p in (1, 2, 3, 4):
+        assert h.lp_power(p) == _lp_power_oracle(nodes, values, p)
+    trapezoid = sum(((y0 + y1) / 2 * (x1 - x0) for x0, x1, y0, y1 in zip(nodes, nodes[1:], values, values[1:])), F(0))
+    assert h.mass_between(nodes[0] - 1, nodes[-1] + 1) == trapezoid
+    assert [h.value_at(x) for x in nodes] == values
 
 
 class TestAffineComposition:
