@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (
     StructureError,
 )
 from .params import ConstructionParams, REGIME_FIXED_DIM, REGIME_ONE_DIM
-from .stepfn import StepFunction, _int_array
+from .stepfn import StepFunction
 
 MultiIndex = tuple[int, ...]
 
@@ -71,12 +72,23 @@ def interval_of(i: MultiIndex, params: ConstructionParams) -> tuple[Fraction, Fr
     return a, a + params.delta(len(i))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CantorLevel:
     k: int
     N_k: int
     M_k: int
-    offsets: tuple[int, ...]  # sorted, distinct, in [0, M_k)
+    offsets: np.ndarray  # sorted, distinct, in [0, M_k); int64, read-only
+
+    def __post_init__(self):
+        arr = np.asarray(self.offsets, dtype=np.int64)
+        arr.flags.writeable = False
+        object.__setattr__(self, "offsets", arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, CantorLevel):
+            return NotImplemented
+        same = (self.k, self.N_k, self.M_k) == (other.k, other.N_k, other.M_k)
+        return same and np.array_equal(self.offsets, other.offsets)
 
     @property
     def P(self) -> int:
@@ -94,13 +106,19 @@ class CantorLevel:
     def runs(self) -> np.ndarray:
         """Maximal runs of consecutive offsets, as an (n, 2) array of
         half-open [start, end) offset pairs."""
-        if not self.offsets:
+        return self._runs
+
+    @cached_property
+    def _runs(self) -> np.ndarray:
+        arr = self.offsets
+        if not len(arr):
             return np.empty((0, 2), dtype=np.int64)
-        arr = np.asarray(self.offsets, dtype=np.int64)
         breaks = np.flatnonzero(np.diff(arr) > 1)
         starts = np.concatenate(([0], breaks + 1))
         ends = np.concatenate((breaks, [len(arr) - 1]))
-        return np.stack([arr[starts], arr[ends] + 1], axis=1)
+        runs = np.stack([arr[starts], arr[ends] + 1], axis=1)
+        runs.flags.writeable = False
+        return runs
 
 
 class RunMoments:
@@ -192,6 +210,12 @@ class CantorSet:
     # -- structure ----------------------------------------------------------
 
     def structure_problems(self) -> list[str]:
+        """What breaks the nesting, order, range or subdivision of the
+        levels; checked once per set."""
+        return list(self._problems)
+
+    @cached_property
+    def _problems(self) -> list[str]:
         problems = []
         parents = None
         for idx, lv in enumerate(self.levels):
@@ -200,7 +224,7 @@ class CantorSet:
                 problems.append(f"level list out of order at {k}")
             if lv.N_k != self.params.level_N(k) or lv.M_k != self.params.M(k):
                 problems.append(f"level {k} subdivision disagrees with params")
-            arr = np.asarray(lv.offsets, dtype=np.int64)
+            arr = lv.offsets
             if (np.diff(arr) <= 0).any():
                 problems.append(f"level {k} offsets not sorted/distinct")
             in_range = (arr >= 0) & (arr < lv.M_k)
@@ -210,13 +234,13 @@ class CantorSet:
                 # only an offset in range can be decoded into an index
                 orphan = in_range & np.isin(arr // lv.N_k, parents, invert=True)
                 if orphan.any():
-                    bad = index_of(lv.offsets[int(np.argmax(orphan))], k, self.params)
+                    bad = index_of(int(arr[np.argmax(orphan)]), k, self.params)
                     problems.append(f"index {bad} at level {k} has unselected parent")
             parents = arr
         return problems
 
     def selection(self, k: int) -> set[MultiIndex]:
-        return {index_of(o, k, self.params) for o in self.level(k).offsets}
+        return {index_of(o, k, self.params) for o in self.level(k).offsets.tolist()}
 
     def run_moments(self, k: int) -> RunMoments:
         """Prefix moments of the runs of S_k, built on first use."""
@@ -236,9 +260,9 @@ class CantorSet:
             # (P_k delta_k)^{-1} on each run of S_k, 0 on the gaps between runs
             runs = lv.runs()
             value = Fraction(lv.M_k, lv.P)
-            vals = _int_array([value.numerator, 0])[np.arange(2 * len(runs) - 1) % 2]
-            self._density_cache[k] = StepFunction(
-                runs.ravel() + lv.M_k, lv.M_k, vals, value.denominator
+            classes = 1 - np.arange(2 * len(runs) - 1) % 2
+            self._density_cache[k] = StepFunction.from_classes(
+                runs.ravel() + lv.M_k, lv.M_k, [0, value.numerator], classes, value.denominator
             )
         return self._density_cache[k]
 
@@ -273,8 +297,8 @@ class CantorSet:
             - np.searchsorted(child_runs[:, 1], starts, side="right")
         ) == 1
         # 0 off S_k, b_num on S_k minus S_{k+1}, a_num on S_{k+1}
-        vals = _int_array([0, b_num, a_num])[np.where(in_child, 2, in_parent.astype(np.int64))]
-        fn = StepFunction(bps + M_next, M_next, vals, vden)
+        classes = np.where(in_child, 2, in_parent.astype(np.int64))
+        fn = StepFunction.from_classes(bps + M_next, M_next, [0, b_num, a_num], classes, vden)
         self._sigma_cache[k] = fn
         return fn
 
@@ -302,8 +326,8 @@ class CantorSet:
         """Selected level-k2 offsets under each selected level-k offset, in
         level-k order, for k <= k2."""
         ratio = self.level(k2).M_k // self.level(k).M_k
-        parents = np.asarray(self.level(k).offsets, dtype=np.int64) * ratio
-        children = np.asarray(self.level(k2).offsets, dtype=np.int64)
+        parents = self.level(k).offsets * ratio
+        children = self.level(k2).offsets
         return np.searchsorted(children, parents + ratio) - np.searchsorted(children, parents)
 
     def weak_star_defect(self, k: int, k2: int) -> Fraction:
@@ -324,10 +348,7 @@ class CantorSet:
         lv = self.level(k)
         deepest = self.level(self.depth)
         ratio = deepest.M_k // lv.M_k
-        arr = np.asarray(deepest.offsets, dtype=np.int64)
-        if len(arr) == 0:
-            return 0
-        return int(len(np.unique(arr // ratio)))
+        return len(np.unique(deepest.offsets // ratio))
 
     def box_count_report(self) -> dict:
         counts = [self.box_count(k) for k in range(1, self.depth + 1)]
@@ -349,7 +370,7 @@ class CantorSet:
                     "N_k": lv.N_k,
                     "P_k": lv.P,
                     # offsets encode multi-indices: o = sum (i_j - 1) M_k/M_j
-                    "selected": list(lv.offsets),
+                    "selected": lv.offsets.tolist(),
                 }
                 for lv in self.levels
             ],
@@ -390,7 +411,7 @@ class CantorSet:
                         k=k,
                         N_k=params.level_N(k),
                         M_k=params.M(k),
-                        offsets=tuple(selected),
+                        offsets=selected,
                     )
                 )
             retries = d.get("accepted_retries")
@@ -442,7 +463,7 @@ def build_deterministic(selections, params: ConstructionParams) -> CantorSet:
                     raise InvalidIndexError(f"offset {o} out of range at level {k}")
                 offsets.add(o)
         levels.append(
-            CantorLevel(k=k, N_k=params.level_N(k), M_k=params.M(k), offsets=tuple(sorted(offsets)))
+            CantorLevel(k=k, N_k=params.level_N(k), M_k=params.M(k), offsets=sorted(offsets))
         )
     return CantorSet(params, levels)
 

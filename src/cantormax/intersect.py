@@ -137,7 +137,7 @@ def _walk(
         _check_grid(k, M_k)
         slot_offsets: Sequence[int] | None = None
     else:
-        slot_offsets = restrict_to.level(k).offsets
+        slot_offsets = restrict_to.level(k).offsets.tolist()
 
     def candidates(slot: int, lo: int, hi: int) -> Iterable[int]:
         # offsets o with interval [start, start + G] meeting [lo, hi]

@@ -565,7 +565,7 @@ def densest_point(cset: CantorSet) -> Fraction:
     lv = cset.level(cset.depth)
     if lv.P == 0:
         raise EmptySampleError("no selected intervals at the deepest level")
-    arr = np.asarray(lv.offsets, dtype=np.int64)
+    arr = lv.offsets
     hi = np.searchsorted(arr, arr + 8, side="right")
     lo = np.searchsorted(arr, arr - 8, side="left")
     best = int(np.argmax(hi - lo))

@@ -220,7 +220,8 @@ class ConstructionParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConstructionParams":
-        """Read a set file's params; its integer fields must hold plain ints."""
+        """Read a set file's params; its integer fields must hold plain ints
+        and its rational fields "p/q" strings."""
         ints = {key: d[key] for key in ("depth", "L", "seed", "max_retries")}
         if d.get("N") is not None:
             ints["N"] = d["N"]
@@ -231,14 +232,16 @@ class ConstructionParams:
         return cls(
             regime=d["regime"],
             N=d.get("N"),
-            epsilon=_frac_parse(d.get("epsilon")),
+            epsilon=_frac_parse("epsilon", d.get("epsilon")),
             level_counts=tuple(d.get("level_counts") or ()),
-            epsilon_schedule=tuple(_frac_parse(e) for e in d.get("epsilon_schedule") or ()),
+            epsilon_schedule=tuple(
+                _frac_parse("epsilon_schedule", e) for e in d.get("epsilon_schedule") or ()
+            ),
             depth=d["depth"],
-            B=_frac_parse(d["B"]),
+            B=_frac_parse("B", d["B"]),
             L=d["L"],
-            epsilon0=_frac_parse(d["epsilon0"]),
-            gamma=_frac_parse(d["gamma"]),
+            epsilon0=_frac_parse("epsilon0", d["epsilon0"]),
+            gamma=_frac_parse("gamma", d["gamma"]),
             seed=d["seed"],
             max_retries=d["max_retries"],
         )
@@ -251,8 +254,14 @@ def _frac_str(x: Fraction | None) -> str | None:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _frac_parse(s) -> Fraction | None:
-    return None if s is None else Fraction(s)
+def _frac_parse(key: str, s) -> Fraction | None:
+    """A set file's rational field: null, or the "p/q" string ``_frac_str``
+    writes."""
+    if s is None:
+        return None
+    if type(s) is not str or _frac_str(Fraction(s)) != s:
+        raise FormatError(f'params {key} = {s!r} is not a "p/q" string')
+    return Fraction(s)
 
 
 def one_dimensional(N: int, depth: int, **kw) -> ConstructionParams:

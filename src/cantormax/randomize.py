@@ -360,7 +360,7 @@ def construct(
                 k=lev,
                 N_k=params.level_N(lev),
                 M_k=params.M(lev),
-                offsets=tuple(offsets.tolist()),
+                offsets=offsets,
             )
             cand = CantorSet(params, levels + [cand_level], validate=False)
             reports = _level_gates(cand, lev, attempt, stream, gate_c_n, gate_c_budget)

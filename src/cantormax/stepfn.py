@@ -1,35 +1,39 @@
 """Exact step and piecewise-linear functions and their integration kernels.
 
-A ``StepFunction`` is stored in cleared-denominator form: integer breakpoint
-numerators over one common denominator, and integer value numerators over
-another.  A ``PiecewiseLinear`` holds its nodes and node values the same
-way, unnormalized.  Every integral here is computed in integer arithmetic,
-so results are exact Fractions with no quadrature tolerance anywhere.  One
-array routine normalizes every step function (equal neighbours merged, zero
-end cells stripped, gcds divided out).
+A ``StepFunction`` is stored in cleared-denominator form and
+dictionary-encoded: integer breakpoint numerators over one common
+denominator (an int64 array, Python ints past it), the distinct value
+numerators over another (its ``levels``, class 0 being zero) and one int64
+class index per cell.  A ``PiecewiseLinear`` holds its nodes and node values
+as cleared-denominator integers, unnormalized.  Every integral here is
+computed in integer arithmetic, so results are exact Fractions with no
+quadrature tolerance anywhere.  One array routine normalizes every step
+function on its classes (equal neighbours merged, zero end cells stripped,
+gcds divided out, classes renumbered).
 
 The kernels ``product_integral``, ``power_integral``, ``linear_combination``
 and ``antiderivative`` (which builds ``maxops.mk_adjoint``) get their
 factors' transformed breakpoints C + G*u from one seam, ``_merge``, which
-returns the gaps grouped by the tuple of their factors' value classes (a
-factor's distinct cell values, class 0 being zero).  Each kernel multiplies,
-or weights and sums, the class values once per group in Python ints.  The
-vectorised merge encodes each factor relative to its first unit in two int64
-limbs (hi, lo), and one stable argsort of the float64 keys hi*2^39 + lo
-merges the presorted factor runs: rounding never reverses the exact order,
-and runs of equal keys are reordered from the limbs; widths are summed per
-group in int64 limbs.  A factor whose span, step G or offset leaves the
-limbs (span >= 2^25, G >= 2^61, G*span >= 2^87 or |offset| >= 2^91), or more
-than 2^24 breakpoints in all, sends the merge to a pure-Python ``heapq``
-sweep that sums the widths per class tuple, so its memory grows with the
-number of distinct tuples, not of gaps.
+returns the gaps grouped by the tuple of their factors' stored value
+classes.  Each kernel multiplies, or weights and sums, the class values once
+per group in Python ints.  The vectorised merge encodes each factor
+relative to its first unit in two int64 limbs (hi, lo), and one stable
+argsort of the float64 keys hi*2^39 + lo merges the presorted factor runs:
+rounding never reverses the exact order, and runs of equal keys are
+reordered from the limbs; widths are summed per group in int64 limbs.  A
+factor whose span, step G or offset leaves the limbs (span >= 2^25,
+G >= 2^61, G*span >= 2^87 or |offset| >= 2^91), or more than 2^24
+breakpoints in all, sends the merge to a pure-Python ``heapq`` sweep that
+sums the widths per class tuple, so its memory grows with the number of
+distinct tuples, not of gaps.
 
 The methods are thin calls of these kernels: ``integral`` is a one-factor
 ``product_integral``, ``mass_between`` the product with an indicator, and
-``affine_image`` and ``scale`` one-term ``linear_combination``s.  The one
-per-cell loop left is ``StepFunction.lp_power``, which the adjoint checks
-compare the kernels against.  ``PiecewiseLinear.lp_power`` sums all pieces
-at once in object-dtype integers, by Horner's rule.
+``affine_image`` and ``scale`` one-term ``linear_combination``s, which hand
+their merge groups to the result as its classes.  ``StepFunction.lp_power``
+sums per class, and ``PiecewiseLinear.lp_power`` sums all pieces at once in
+object-dtype integers, by Horner's rule.  The ``units`` and ``val_nums``
+tuples are views for callers that want Python ints; no kernel reads them.
 """
 
 from __future__ import annotations
@@ -71,31 +75,33 @@ def _int_array(values) -> np.ndarray:
 
 
 class StepFunction:
-    """Compactly supported step function, zero outside its breakpoint span."""
+    """Compactly supported step function, zero outside its breakpoint span.
 
-    __slots__ = (
-        "units",
-        "den",
-        "val_nums",
-        "val_den",
-        "_np_units",
-        "_classes",
-        "_float_bps",
-    )
+    Held as ``_u`` over ``den``, ``levels`` (0, then the nonzero values
+    ascending) over ``val_den`` and one class index per cell in ``_cls``;
+    ``units`` and ``val_nums`` are tuple views built on first use.
+    """
 
     def __init__(self, units, den, val_nums, val_den):
+        levels, classes = np.unique(_int_array(val_nums), return_inverse=True)
+        self._store(units, den, levels, classes, val_den)
+
+    @classmethod
+    def from_classes(cls, units, den, levels, classes, val_den) -> "StepFunction":
+        """Build from one index per cell into ``levels``, value numerators in
+        any order; repeats and zero are allowed."""
+        fn = cls.__new__(cls)
+        fn._store(units, den, levels, classes, val_den)
+        return fn
+
+    def _store(self, units, den, levels, classes, val_den):
         if den <= 0 or val_den <= 0:
             raise DomainError("denominators must be positive")
-        if len(units) != len(val_nums) + 1 and (len(units) or len(val_nums)):
+        if len(units) != len(classes) + 1 and (len(units) or len(classes)):
             raise DomainError("need one more breakpoint than cell values")
-        units, den, val_nums, val_den = _normalize(units, den, val_nums, val_den)
-        self.units = tuple(units)
-        self.den = den
-        self.val_nums = tuple(val_nums)
-        self.val_den = val_den
-        self._np_units = None
-        self._classes = None
-        self._float_bps = None
+        self._u, self.den, self.levels, self._cls, self.val_den = _normalize(
+            units, den, levels, classes, val_den
+        )
 
     # -- constructors --------------------------------------------------
 
@@ -137,6 +143,14 @@ class StepFunction:
 
     # -- canonical views -------------------------------------------------
 
+    @cached_property
+    def units(self) -> tuple[int, ...]:
+        return tuple(self._u.tolist())
+
+    @cached_property
+    def val_nums(self) -> tuple[int, ...]:
+        return tuple(map(self.levels.__getitem__, self._cls.tolist()))
+
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(u, self.den) for u in self.units)
@@ -155,29 +169,32 @@ class StepFunction:
 
     @property
     def n_cells(self) -> int:
-        return len(self.val_nums)
+        return len(self._cls)
 
     @property
     def is_zero(self) -> bool:
-        return not self.val_nums
+        return not len(self._cls)
 
     def support(self):
         if self.is_zero:
             return None
-        return Fraction(self.units[0], self.den), Fraction(self.units[-1], self.den)
+        return Fraction(int(self._u[0]), self.den), Fraction(int(self._u[-1]), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, StepFunction):
             return NotImplemented
+        # canonical forms: equal exactly when the tuple views are
         return (
-            self.units == other.units
-            and self.den == other.den
-            and self.val_nums == other.val_nums
+            self.den == other.den
             and self.val_den == other.val_den
+            and self.levels == other.levels
+            and np.array_equal(self._cls, other._cls)
+            and np.array_equal(self._u, other._u)
         )
 
     def __hash__(self):
-        return hash((self.units, self.den, self.val_nums, self.val_den))
+        u = tuple(self._u.tolist()) if self._u.dtype == object else self._u.tobytes()
+        return hash((u, self.den, self.levels, self._cls.tobytes(), self.val_den))
 
     def __repr__(self):
         if self.is_zero:
@@ -196,15 +213,17 @@ class StepFunction:
             idx = bisect_right(self.units, xs) - 1
         else:
             idx = bisect_left(self.units, xs) - 1
-        if 0 <= idx < len(self.val_nums):
+        if 0 <= idx < self.n_cells:
             return Fraction(self.val_nums[idx], self.val_den)
         return Fraction(0)
 
+    @cached_property
+    def _float_bps(self) -> list[float]:
+        return [u / self.den for u in self.units]
+
     def value_at_float(self, x: float) -> float:
-        if self._float_bps is None:
-            self._float_bps = [u / self.den for u in self.units]
         idx = bisect_right(self._float_bps, x) - 1
-        if 0 <= idx < len(self.val_nums):
+        if 0 <= idx < self.n_cells:
             return self.val_nums[idx] / self.val_den
         return 0.0
 
@@ -229,12 +248,16 @@ class StepFunction:
             yield lo, hi, v, 0
 
     def lp_power(self, p: int) -> Fraction:
-        """Exact integral of |f|^p for integer p >= 1."""
+        """Exact integral of |f|^p for integer p >= 1: per value class,
+        |level|^p times the total width of the class's cells."""
         if p < 1 or int(p) != p:
             raise DomainError("lp_power needs an integer p >= 1")
-        total = 0
-        for i, v in enumerate(self.val_nums):
-            total += abs(v) ** p * (self.units[i + 1] - self.units[i])
+        u = self._u
+        if u.dtype == object or len(u) and self._span() >= 1 << 63:
+            u = u.astype(object)  # widths summed in Python ints
+        widths = np.zeros(len(self.levels), dtype=u.dtype)
+        np.add.at(widths, self._cls, np.diff(u))
+        total = sum(abs(v) ** p * w for v, w in zip(self.levels, widths.tolist()))
         return Fraction(total, self.den * self.val_den**p)
 
     def lp_norm(self, p) -> float:
@@ -278,50 +301,61 @@ class StepFunction:
         return linear_combination([(1, self, 0, 1), (-1, other, 0, 1)])
 
     def abs(self) -> "StepFunction":
-        return StepFunction(self.units, self.den, [abs(v) for v in self.val_nums], self.val_den)
+        levels = [abs(v) for v in self.levels]
+        return StepFunction.from_classes(self._u, self.den, levels, self._cls, self.val_den)
 
     # -- internal ----------------------------------------------------------
 
+    def _span(self) -> int:
+        return int(self._u[-1]) - int(self._u[0])
+
+    @cached_property
     def _rel_units(self) -> np.ndarray:
-        """Units minus the first unit, as int64; for spans below 2^62."""
-        if self._np_units is None:
-            u0 = self.units[0]
-            if max(abs(u0), abs(self.units[-1])) < 1 << 62:
-                self._np_units = np.asarray(self.units, dtype=np.int64) - u0
-            else:
-                self._np_units = np.fromiter((u - u0 for u in self.units), np.int64, len(self.units))
-        return self._np_units
+        """Units minus the first unit, as int64; for spans below 2^63."""
+        return (self._u - self._u[0]).astype(np.int64)
+
+    @cached_property
+    def _padded_classes(self) -> np.ndarray:
+        return np.concatenate(([0], self._cls, [0]))
 
     def _class_table(self):
-        """(values, table): the distinct cell values with 0 first, and for each
-        cell its index into them, padded with class 0 on both sides."""
-        if self._classes is None:
-            uniq, inv = np.unique(_int_array(self.val_nums), return_inverse=True)
-            nonzero = uniq != 0
-            table = np.zeros(len(self.val_nums) + 2, dtype=np.int64)
-            table[1:-1] = (np.cumsum(nonzero) * nonzero)[inv]
-            self._classes = ([0, *uniq[nonzero].tolist()], table)
-        return self._classes
+        """(levels, table): the distinct cell values with 0 first, and for
+        each cell its class, padded with class 0 on both sides."""
+        return self.levels, self._padded_classes
 
 
-def _normalize(units, den, val_nums, val_den):
-    """Canonical form of a step function given as integer arrays: equal
-    neighbours merged, zero end cells stripped, both gcds divided out.
-    Returns Python-int lists."""
-    u, v = _int_array(units), _int_array(val_nums)
+def _normalize(units, den, levels, classes, val_den):
+    """Canonical form of a dictionary-encoded step function: equal
+    neighbours merged, zero end cells stripped, unused classes dropped, the
+    classes renumbered to 0 first and the nonzero levels ascending, both gcds
+    divided out.
+
+    Returns (units, den, levels, classes, val_den): units int64 whenever
+    they fit, levels a tuple of Python ints, classes int64.
+    """
+    u = _int_array(units)
     if len(u) > 1 and not (u[1:] > u[:-1]).all():
         raise DomainError("breakpoints must be strictly increasing")
-    nonzero = np.flatnonzero(v != 0)
-    if not len(nonzero):
-        return [], 1, [], 1
-    first, last = nonzero[0], nonzero[-1] + 1
-    v = v[first:last]
-    keep = np.concatenate(([True], v[1:] != v[:-1]))
+    uniq, inv = np.unique(_int_array(levels), return_inverse=True)
+    nonzero = uniq != 0
+    c = inv[np.asarray(classes, dtype=np.int64)]  # equal classes hold equal values
+    live = np.flatnonzero(nonzero[c])
+    if not len(live):
+        return np.empty(0, dtype=np.int64), 1, (0,), np.empty(0, dtype=np.int64), 1
+    first, last = live[0], live[-1] + 1
+    c = c[first:last]
+    keep = np.concatenate(([True], c[1:] != c[:-1]))
     u = np.concatenate((u[first:last][keep], u[last : last + 1]))
-    v = v[keep]
+    c = c[keep]
+    used = np.zeros(len(uniq), dtype=bool)
+    used[c] = True
+    used &= nonzero
+    c = (np.cumsum(used) * used)[c]
+    nums = uniq[used].tolist()
     g = math.gcd(den, int(np.gcd.reduce(u)))
-    h = math.gcd(val_den, int(np.gcd.reduce(v)))
-    return (u // g).tolist(), den // g, (v // h).tolist(), val_den // h
+    h = math.gcd(val_den, *nums)
+    u = _int_array(u // g if g > 1 else u)  # int64 again once it fits
+    return u, den // g, (0, *(v // h for v in nums)), c, val_den // h
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +460,16 @@ def _merge_numpy(prepared):
     gives the distinct merged positions (int64, or Python ints past it) and
     the group of each cell between neighbours.
     """
-    sizes = [len(fn.units) for _, _, fn in prepared]
+    sizes = [len(fn._u) for _, _, fn in prepared]
     if sum(sizes) > _POS_MAX:
         return None
     his, los = [], []
     for C, G, fn in prepared:
-        span = fn.units[-1] - fn.units[0]
-        C0 = C + G * fn.units[0]  # bias by the first unit
+        span = fn._span()
+        C0 = C + G * int(fn._u[0])  # bias by the first unit
         if not (span < _SPAN_MAX and 0 < G < _G_MAX and G * span < _GU_MAX and abs(C0) < _C_MAX):
             return None
-        hi, lo = _encode_positions(C0, G, fn._rel_units())
+        hi, lo = _encode_positions(C0, G, fn._rel_units)
         his.append(hi)
         los.append(lo)
     hi, lo = np.concatenate(his), np.concatenate(los)
@@ -488,8 +522,8 @@ def _sweep(prepared, radices):
     streams = []
     for (C, G, fn), radix in zip(prepared, radices):
         steps = [d * radix for d in np.diff(fn._class_table()[1]).tolist()]
-        streams.append(zip([C + G * u for u in fn.units], steps))
-    key, prev = 0, min(C + G * fn.units[0] for C, G, fn in prepared)
+        streams.append(zip([C + G * u for u in fn._u.tolist()], steps))
+    key, prev = 0, min(C + G * int(fn._u[0]) for C, G, fn in prepared)
     for pos, step in heapq.merge(*streams):
         if pos != prev:
             yield prev, pos, key
@@ -596,9 +630,10 @@ def _combination_cells(terms: Sequence[tuple]):
     """The cells of sum_i w_i f_i((z - c_i)/r_i) before normalization, or
     None when no term is nonzero.
 
-    Returns (positions, values, D, VW): the sum is values[j]/VW between the
-    distinct merged breakpoints positions[j]/D and positions[j+1]/D, so equal
-    neighbours and zero cells stay.
+    Returns (positions, group, value, D, VW): the sum is value[group[j]]/VW
+    between the distinct merged breakpoints positions[j]/D and
+    positions[j+1]/D, so equal neighbours and zero cells stay; ``value``
+    holds one Python int per merge group.
     """
     prep = _prepare_weighted(terms)
     if prep is None:
@@ -606,8 +641,7 @@ def _combination_cells(terms: Sequence[tuple]):
     D, VW, prepared, mults = prep
     _, classes, cells = _merge(prepared)
     positions, group = cells()
-    value = _int_array(sum(_class_values(prepared, classes, mults)).tolist())
-    return positions, value[group], D, VW
+    return positions, group, sum(_class_values(prepared, classes, mults)), D, VW
 
 
 def linear_combination(terms: Sequence[tuple]) -> StepFunction:
@@ -615,8 +649,8 @@ def linear_combination(terms: Sequence[tuple]) -> StepFunction:
     cells = _combination_cells(terms)
     if cells is None:
         return StepFunction.zero()
-    positions, values, D, VW = cells
-    return StepFunction(positions, D, values, VW)
+    positions, group, value, D, VW = cells
+    return StepFunction.from_classes(positions, D, value, group, VW)
 
 
 def inner_product(f: StepFunction, g: StepFunction) -> Fraction:
@@ -738,6 +772,6 @@ def antiderivative(terms: Sequence[tuple]) -> PiecewiseLinear:
     cells = _combination_cells(terms)
     if cells is None:
         return PiecewiseLinear((0, 1), 1, (0, 0), 1)
-    Z, slopes, D, VW = cells
-    H = np.concatenate(([0], np.cumsum(np.diff(Z).astype(object) * slopes)))
+    Z, group, slope, D, VW = cells
+    H = np.concatenate(([0], np.cumsum(np.diff(Z).astype(object) * slope[group])))
     return PiecewiseLinear(Z, D, H, D * VW)

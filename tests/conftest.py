@@ -112,6 +112,15 @@ def prefix_mass(f: StepFunction, a, b) -> Fraction:
     return Fraction(below(b) - below(a)) / (f.den * f.val_den)
 
 
+def lp_power_oracle(f: StepFunction, p: int) -> Fraction:
+    """Exact integral of |f|^p cell by cell from the tuple views: the loop
+    that ``StepFunction.lp_power``'s per-class sum replaced."""
+    total = 0
+    for i, v in enumerate(f.val_nums):
+        total += abs(v) ** p * (f.units[i + 1] - f.units[i])
+    return Fraction(total, f.den * f.val_den**p)
+
+
 def _per_gap_sweep(prepared, mults):
     """Exact merge gap by gap: (start, end, weighted factor values) per gap of
     positive width, from a heapq merge of the transformed breakpoints."""

@@ -94,6 +94,18 @@ def cli_workspace(tmp_path_factory):
     return root, cfg, out
 
 
+# rational params as JSON numbers equal to the set's own values; the writer
+# emits only "p/q" strings
+_RATIONAL_MUTATIONS = {
+    "epsilon_float": ("epsilon", 0.25),
+    "B_float": ("B", 10.0),
+    "B_half": ("B", 10.5),
+    "B_bool": ("B", True),
+    "gamma_float": ("gamma", 1.0),
+    "epsilon0_float": ("epsilon0", 0.5),
+}
+
+
 class TestCli:
     def test_construct_writes_artifacts(self, cli_workspace):
         _, _, out = cli_workspace
@@ -323,6 +335,7 @@ class TestCli:
             "retries_short", "retries_long", "retries_huge", "retries_at_max",
             "level_k_bool", "N_k_wrong", "P_k_wrong",
             "N_float", "seed_float", "L_float", "seed_bool", "L_bool", "max_retries_float",
+            *_RATIONAL_MUTATIONS,
         ],
     )
     def test_malformed_set_file_is_usage_error(self, cli_workspace, tmp_path, capsys, mutation):
@@ -367,6 +380,9 @@ class TestCli:
             levels[1]["N_k"] = 3
         elif mutation == "P_k_wrong":
             levels[1]["P_k"] = 12345
+        elif mutation in _RATIONAL_MUTATIONS:
+            key, value = _RATIONAL_MUTATIONS[mutation]
+            payload["params"][key] = value
         elif mutation.endswith(("_float", "_bool")):
             key = mutation.rsplit("_", 1)[0]
             payload["params"][key] = float(payload["params"][key]) if mutation.endswith("_float") else True

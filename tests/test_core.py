@@ -229,13 +229,13 @@ def loop_structure_problems(cset):
             problems.append(f"level list out of order at {k}")
         if lv.N_k != cset.params.level_N(k) or lv.M_k != cset.params.M(k):
             problems.append(f"level {k} subdivision disagrees with params")
-        arr = lv.offsets
+        arr = lv.offsets.tolist()
         if any(b <= a for a, b in zip(arr, arr[1:])):
             problems.append(f"level {k} offsets not sorted/distinct")
         if any(not 0 <= o < lv.M_k for o in arr):
             problems.append(f"level {k} offset out of range")
         if k >= 2:
-            parents = set(cset.levels[idx - 1].offsets)
+            parents = set(cset.levels[idx - 1].offsets.tolist())
             for o in arr:
                 if 0 <= o < lv.M_k and o // lv.N_k not in parents:
                     bad = index_of(o, k, cset.params)

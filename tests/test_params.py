@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cantormax import custom, fixed_dimension, one_dimensional
-from cantormax.errors import ParameterError
+from cantormax.errors import FormatError, ParameterError
 from cantormax.params import ConstructionParams, exact_pow
 
 F = Fraction
@@ -76,6 +76,15 @@ class TestSerialization:
     def test_custom_roundtrip(self):
         p = custom([4, 6], [F(1, 4), F(1, 3)], seed=2)
         assert ConstructionParams.from_json_dict(p.to_json_dict()) == p
+
+    @pytest.mark.parametrize("value", [0.25, True, 1, "0.25", "2/8", "1/4 ", "+1/4"])
+    def test_rational_fields_only_as_written(self, value):
+        # only the "p/q" string the writer emits is read back
+        d = custom([4, 6], [F(1, 4), F(1, 3)], seed=2).to_json_dict()
+        for key in ("epsilon_schedule", "B", "gamma"):
+            bad = dict(d, **{key: [value, "1/3"] if key == "epsilon_schedule" else value})
+            with pytest.raises(FormatError, match=f"params {key} = "):
+                ConstructionParams.from_json_dict(bad)
 
 
 class TestIntegerRoot:

@@ -173,6 +173,18 @@ class TestConstruct:
         ok2, reports2 = verify_set(z8_set, gate_c_budget=4)
         assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in reports2]
 
+    def test_verify_reuses_the_load_time_structure_check(self, z8_set, monkeypatch):
+        from cantormax.core import CantorSet
+
+        cset = CantorSet.from_json(z8_set.to_json())
+
+        def nesting_check_again(*args, **kwargs):
+            raise AssertionError("structure checked a second time")
+
+        monkeypatch.setattr(np, "isin", nesting_check_again)
+        ok, reports = verify_set(cset, gate_c_budget=4)
+        assert ok and reports[0].detail == "nesting/tiling/counts ok"
+
     def test_verify_catches_broken_nesting(self, z8_set):
         from cantormax.core import CantorLevel, CantorSet
 

@@ -20,7 +20,7 @@ from cantormax.stepfn import (
     product_integral,
 )
 
-from conftest import per_gap_oracle, prefix_mass, random_step
+from conftest import lp_power_oracle, per_gap_oracle, prefix_mass, random_step
 
 F = Fraction
 
@@ -464,11 +464,123 @@ class TestArrayNormalizer:
                 units.append(end)
             got = StepFunction(np.array(units, dtype=object), den, np.array(nums, dtype=object), vden)
             assert (list(got.units), got.den, list(got.val_nums), got.val_den) == tuple(want)
-            assert sf._normalize(units, den, nums, vden) == tuple(want)
+            # one class per cell: repeated and zero levels merge in the normalizer
+            u, d, levels, classes, vd = sf._normalize(units, den, nums, np.arange(len(nums)), vden)
+            assert (u.tolist(), d, [levels[c] for c in classes.tolist()], vd) == tuple(want)
 
     def test_rejects_unsorted_units(self):
         with pytest.raises(DomainError):
             StepFunction(np.array([0, 2, 2]), 1, np.array([1, 2]), 1)
+
+
+_BIG = 1 << 70
+
+
+@st.composite
+def _per_cell_forms(draw):
+    """(units, den, val_nums, val_den) with repeated values, so equal
+    neighbours, zero end cells, negatives, and units, widths and values past
+    int64 all occur."""
+    n = draw(st.integers(0, 8))
+    pool = draw(st.lists(st.sampled_from([0, 1, -1, 2, -6, 3, _BIG, -_BIG]), min_size=1, max_size=4))
+    vals = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    widths = draw(st.lists(st.sampled_from([1, 2, 3, 6, 1 << 64]), min_size=n, max_size=n))
+    units = [draw(st.sampled_from([0, -7, _BIG, -(1 << 66)]))] if n else []
+    for w in widths:
+        units.append(units[-1] + w)
+    return units, draw(st.sampled_from([1, 2, 6, _BIG])), vals, draw(st.sampled_from([1, 3, 4, 10**25]))
+
+
+def _expanded(terms):
+    """linear_combination's cells expanded to one value per cell and
+    normalized by the public per-cell constructor."""
+    cells = sf._combination_cells(terms)
+    if cells is None:
+        return StepFunction.zero()
+    positions, group, value, D, VW = cells
+    return StepFunction(positions, D, [value[g] for g in group.tolist()], VW)
+
+
+class TestDictionaryEncoding:
+    @given(form=_per_cell_forms(), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_cell_form(self, form, data):
+        units, den, vals, vden = form
+        f = StepFunction(units, den, vals, vden)
+        want = loop_normalize(units, den, vals, vden)
+        assert (list(f.units), f.den, list(f.val_nums), f.val_den) == tuple(want)
+        assert f.levels[0] == 0 and list(f.levels[1:]) == sorted(set(want[2]) - {0})
+        # the same function from shuffled, repeated and unused levels, from
+        # object arrays and from its own canonical tuples
+        levels = data.draw(st.permutations(sorted(set(vals)) * 2 + [5]))
+        classes = [data.draw(st.sampled_from([i for i, v in enumerate(levels) if v == x])) for x in vals]
+        for g in (
+            StepFunction.from_classes(units, den, levels, classes, vden),
+            StepFunction(np.array(units, dtype=object), den, np.array(vals, dtype=object), vden),
+            StepFunction(f.units, f.den, f.val_nums, f.val_den),
+        ):
+            assert g == f and hash(g) == hash(f)
+            assert (g.units, g.val_nums) == (f.units, f.val_nums)
+        for p in (1, 2, 3, 4):
+            assert f.lp_power(p) == lp_power_oracle(f, p)
+            # v and -v fall into one class of |f|
+            assert f.abs().lp_power(p) == lp_power_oracle(f, p)
+        assert f.abs() == StepFunction(units, den, [abs(v) for v in vals], vden)
+        terms = [(data.draw(small_fraction()), f, data.draw(small_fraction()), data.draw(st.integers(1, 3)))]
+        if data.draw(st.booleans()):
+            terms.append((data.draw(small_fraction()), f.abs(), F(1, 2), F(3, 2)))
+        assert linear_combination(terms) == _expanded(terms)
+        # forced sweep
+        with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
+            got = linear_combination(terms)
+            assert got == _expanded(terms) == per_gap_oracle(linear_combination, terms)
+
+    def test_units_stored_as_int64_once_they_fit(self):
+        # past int64 until the gcd is divided out, or until a zero end cell goes
+        for f, units in (
+            (StepFunction([1 << 70, (1 << 70) + (1 << 64)], 1 << 70, [3], 1), [64, 65]),
+            (StepFunction([-(1 << 66), 0, 1], 1, [0, 5], 1), [0, 1]),
+        ):
+            g = StepFunction(units, f.den, f.val_nums, f.val_den)
+            assert f._u.dtype == np.int64 and list(f.units) == units
+            assert f == g and hash(f) == hash(g)
+
+    def test_lp_power_of_int64_units_spanning_past_2_63(self):
+        a, w = -(1 << 62) - 3, 1 << 62
+        wide_cell = StepFunction([a, a + 2 * w + 8, a + 2 * w + 9], 1, [1, -2], 1)
+        wide_class = StepFunction([a, a + w, a + w + 1, a + 2 * w + 1], 1, [1, -2, 1], 1)
+        for f in (wide_cell, wide_class):
+            assert f._u.dtype == np.int64 and f._span() > 1 << 63
+            for p in (1, 2, 3):
+                assert f.lp_power(p) == lp_power_oracle(f, p)
+
+    def test_hot_paths_build_no_tuple_views(self, z16_set, z8_set, monkeypatch):
+        """verify and a materialised adjoint read only the stored arrays: no
+        StepFunction they build materialises its ``units``/``val_nums``."""
+        from cantormax import CantorSet, DiscretizationGrid, verify_set
+        from cantormax.maxops import phi_star, phi_star_norm_power, uniform_assignment
+
+        built = []
+        store = StepFunction._store
+
+        def recording_store(fn, *args):
+            store(fn, *args)
+            built.append(fn)
+
+        monkeypatch.setattr(StepFunction, "_store", recording_store)
+        assert verify_set(CantorSet.from_json(z16_set.to_json()), gate_c_budget=6)[0]
+        cset = CantorSet.from_json(z8_set.to_json())
+        grid = DiscretizationGrid.for_level(cset.params, 2)
+        rng = np.random.default_rng(83)
+        pairs = [
+            (grid.c_value(int(c)), grid.r_value(int(r)))
+            for c, r in zip(rng.integers(1, grid.n_c + 1, 32), rng.integers(1, grid.n_r + 1, 32))
+        ]
+        assign = uniform_assignment(cset, 2, 32, pairs.__getitem__)
+        omega = list(range(0, 32, 2))
+        assert phi_star(omega, cset, 2, assign).lp_power(2) == phi_star_norm_power(omega, cset, 2, assign, 2)
+        assert sum(fn.n_cells for fn in built) > 500_000
+        assert [fn for fn in built if {"units", "val_nums"} & vars(fn).keys()] == []
 
 
 class TestPiecewiseLinear:
