@@ -283,22 +283,16 @@ class CantorSet:
         a_num = on_child.numerator * (vden // on_child.denominator)
         b_num = off_child.numerator * (vden // off_child.denominator)
 
-        parent_runs = parent.runs() * N_next  # scaled to the child grid
-        child_runs = child.runs()
-        bps = np.sort(np.concatenate([parent_runs.ravel(), child_runs.ravel()]), kind="stable")
-        bps = bps[np.concatenate(([True], bps[1:] != bps[:-1]))]
-        starts = bps[:-1]
-        in_parent = (
-            np.searchsorted(parent_runs[:, 0], starts, side="right")
-            - np.searchsorted(parent_runs[:, 1], starts, side="right")
-        ) == 1
-        in_child = (
-            np.searchsorted(child_runs[:, 0], starts, side="right")
-            - np.searchsorted(child_runs[:, 1], starts, side="right")
-        ) == 1
-        # 0 off S_k, b_num on S_k minus S_{k+1}, a_num on S_{k+1}
-        classes = np.where(in_child, 2, in_parent.astype(np.int64))
-        fn = StepFunction.from_classes(bps + M_next, M_next, [0, b_num, a_num], classes, vden)
+        # run endpoints on the child grid, each start +1 and each end -1: as
+        # S_{k+1} lies in S_k, the running sum in merged order is the class,
+        # 0 off S_k, 1 (b_num) on S_k minus S_{k+1} and 2 (a_num) on S_{k+1}
+        pos = np.concatenate([(parent.runs() * N_next).ravel(), child.runs().ravel()])
+        order = np.argsort(pos, kind="stable")
+        pos = pos[order]
+        first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
+        step = 1 - 2 * (order & 1)  # starts sit at even slots, ends at odd ones
+        classes = np.cumsum(step)[first[1:] - 1]
+        fn = StepFunction.from_classes(pos[first] + M_next, M_next, [0, b_num, a_num], classes, vden)
         self._sigma_cache[k] = fn
         return fn
 

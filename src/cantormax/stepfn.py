@@ -27,13 +27,21 @@ breakpoints in all, sends the merge to a pure-Python ``heapq`` sweep that
 sums the widths per class tuple, so its memory grows with the number of
 distinct tuples, not of gaps.
 
-The methods are thin calls of these kernels: ``integral`` is a one-factor
-``product_integral``, ``mass_between`` the product with an indicator, and
-``affine_image`` and ``scale`` one-term ``linear_combination``s, which hand
-their merge groups to the result as its classes.  ``StepFunction.lp_power``
-sums per class, and ``PiecewiseLinear.lp_power`` sums all pieces at once in
-object-dtype integers, by Horner's rule.  The ``units`` and ``val_nums``
-tuples are views for callers that want Python ints; no kernel reads them.
+A product vanishes off the common support of its factors, so
+``product_integral`` first intersects the factors' support runs (maximal
+runs of nonzero cells, kept per function as Python-int unit bounds) in
+exact integers, returns 0 without a merge when they meet in a null set,
+and otherwise merges only the cells that meet the intersection: its cost
+is O(runs + cells in the common support).  One factor needs no merge.
+
+``integral`` and ``lp_power`` sum per value class (level times the class's
+width), so a one-factor ``product_integral`` is r times an ``integral``;
+``mass_between`` is the product with an indicator, and ``affine_image`` and
+``scale`` are one-term ``linear_combination``s, which hand their merge
+groups to the result as its classes.  ``PiecewiseLinear.lp_power`` sums all
+pieces at once in object-dtype integers, by Horner's rule.  The ``units``
+and ``val_nums`` tuples are views for callers that want Python ints; no
+kernel reads them.
 """
 
 from __future__ import annotations
@@ -230,7 +238,9 @@ class StepFunction:
     # -- exact integrals ---------------------------------------------------
 
     def integral(self) -> Fraction:
-        return product_integral([(self, 0, 1)])
+        """Exact integral: per value class, level times the class's width."""
+        total = sum(v * w for v, w in zip(self.levels, self._class_widths()))
+        return Fraction(total, self.den * self.val_den)
 
     def mass_between(self, a, b) -> Fraction:
         """Exact integral over [a, b]."""
@@ -252,12 +262,7 @@ class StepFunction:
         |level|^p times the total width of the class's cells."""
         if p < 1 or int(p) != p:
             raise DomainError("lp_power needs an integer p >= 1")
-        u = self._u
-        if u.dtype == object or len(u) and self._span() >= 1 << 63:
-            u = u.astype(object)  # widths summed in Python ints
-        widths = np.zeros(len(self.levels), dtype=u.dtype)
-        np.add.at(widths, self._cls, np.diff(u))
-        total = sum(abs(v) ** p * w for v, w in zip(self.levels, widths.tolist()))
+        total = sum(abs(v) ** p * w for v, w in zip(self.levels, self._class_widths()))
         return Fraction(total, self.den * self.val_den**p)
 
     def lp_norm(self, p) -> float:
@@ -308,6 +313,26 @@ class StepFunction:
 
     def _span(self) -> int:
         return int(self._u[-1]) - int(self._u[0])
+
+    def _class_widths(self) -> list[int]:
+        """The total width of each value class's cells, in units."""
+        u = self._u
+        if u.dtype == object or len(u) and self._span() >= 1 << 63:
+            u = u.astype(object)  # widths summed in Python ints
+        widths = np.zeros(len(self.levels), dtype=u.dtype)
+        np.add.at(widths, self._cls, np.diff(u))
+        return widths.tolist()
+
+    @cached_property
+    def _run_bounds(self) -> np.ndarray:
+        """The units that bound the maximal runs of nonzero cells of a
+        nonzero function, start and end alternating, as Python ints.  In
+        canonical form the end cells are nonzero and each zero cell parts
+        two runs."""
+        zero = np.flatnonzero(self._cls == 0)
+        ends = np.empty(2 * len(zero) + 2, dtype=np.int64)
+        ends[0], ends[1:-1:2], ends[2::2], ends[-1] = 0, zero, zero + 1, len(self._cls)
+        return self._u[ends].astype(object)
 
     @cached_property
     def _rel_units(self) -> np.ndarray:
@@ -571,12 +596,66 @@ def _class_values(prepared, classes, mults) -> list[np.ndarray]:
     ]
 
 
+def _common_support(prepared):
+    """The windows [lo, hi) in which the factors' support runs all overlap,
+    in the common units of ``prepared``: an object array of Python ints
+    holding every lo, then every hi - 1.
+
+    Each run adds +1 at its start and -1 at its end; the windows are the
+    stretches between distinct endpoints where the running sum counts every
+    factor.  Only run endpoints are Python ints, so this costs O(runs).
+    """
+    pos = np.concatenate([C + G * fn._run_bounds for C, G, fn in prepared])
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    step = 1 - 2 * (order & 1)  # starts sit at even slots, ends at odd ones
+    first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
+    full = np.flatnonzero(np.cumsum(step)[first[1:] - 1] == len(prepared))
+    return np.concatenate((pos[first[full]], pos[first[full + 1]] - 1))
+
+
+def _clip(C: int, G: int, fn: StepFunction, windows: np.ndarray) -> StepFunction:
+    """fn restricted to its cells whose images C + G*[u_j, u_j+1] meet a
+    window of ``_common_support`` in positive length, zero elsewhere.
+
+    Cell j meets [lo, hi) exactly when u_j+1 > floor((lo - C)/G) and
+    u_j <= floor((hi - 1 - C)/G), so one ``searchsorted`` of the floors
+    finds each window's cells.  The windows lie inside fn's support, so the
+    floors fit fn's unit dtype.  Windows that share or abut a cell join one
+    cell range; one range is a view on fn's arrays, and one class-0 cell
+    parts neighbouring ranges.  The result keeps fn's ``levels``, ``den``
+    and ``val_den`` and is not normalized, which no kernel minds.
+    """
+    u, cls = fn._u, fn._cls
+    ranks = np.searchsorted(u, ((windows - C) // G).astype(u.dtype), side="right")
+    first, stop = ranks[: len(ranks) // 2] - 1, ranks[len(ranks) // 2 :]
+    split = np.flatnonzero(first[1:] > stop[:-1])
+    first, stop = first[np.concatenate(([0], split + 1))], stop[np.concatenate((split, [-1]))]
+    if len(first) == 1:
+        a, b = int(first[0]), int(stop[0])
+        if a == 0 and b == len(cls):
+            return fn
+        u, cls = u[a : b + 1], cls[a:b]
+    else:
+        lengths = stop - first + 1  # units per range
+        ends = np.cumsum(lengths)
+        idx = np.arange(ends[-1]) + np.repeat(first - (ends - lengths), lengths)
+        u, cls = u[idx], cls[idx[:-1]]
+        cls[ends[:-1] - 1] = 0
+    clipped = StepFunction.__new__(StepFunction)
+    clipped._u, clipped._cls = u, cls
+    clipped.den, clipped.levels, clipped.val_den = fn.den, fn.levels, fn.val_den
+    return clipped
+
+
 def product_integral(entries: Sequence[tuple]) -> Fraction:
     """Exact integral of the product of f_i((z - c_i)/r_i) over all z.
 
-    ``entries`` holds (StepFunction, c, r) triples with r > 0.  A single
-    merge of all transformed breakpoints is used; closed endpoint contacts
-    have zero width and contribute nothing.
+    ``entries`` holds (StepFunction, c, r) triples with r > 0.  One factor
+    is r times its integral.  Otherwise the product vanishes off the common
+    support of the factors, so each factor is clipped to the cells that meet
+    it, and one merge of the clipped factors' transformed breakpoints is
+    used; closed endpoint contacts have zero width and contribute nothing.
     """
     if not entries:
         raise DomainError("product_integral needs at least one factor")
@@ -584,6 +663,12 @@ def product_integral(entries: Sequence[tuple]) -> Fraction:
         if fn.is_zero:
             return Fraction(0)
     D, prepared = _prepare_factors(entries)
+    if len(prepared) == 1:
+        return Fraction(entries[0][2]) * prepared[0][2].integral()
+    windows = _common_support(prepared)
+    if not len(windows):
+        return Fraction(0)
+    prepared = [(C, G, _clip(C, G, fn, windows)) for C, G, fn in prepared]
     vden = math.prod(fn.val_den for _, _, fn in prepared)
     widths, classes, _ = _merge(prepared)
     acc = np.array(widths, dtype=object)

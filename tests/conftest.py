@@ -9,6 +9,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import cantormax.stepfn as sf
@@ -168,3 +169,17 @@ def per_gap_oracle(kernel, *args):
         nums.append(sum(vals))
     units.append(end)
     return StepFunction(units, D, nums, VW)
+
+
+def unclipped_product_integral(entries) -> Fraction:
+    """``product_integral`` without clipping to the common support: one
+    merge of every breakpoint of every factor, reduced per class tuple."""
+    if any(fn.is_zero for fn, _, _ in entries):
+        return Fraction(0)
+    D, prepared = sf._prepare_factors(entries)
+    vden = math.prod(fn.val_den for _, _, fn in prepared)
+    widths, classes, _ = sf._merge(prepared)
+    acc = np.array(widths, dtype=object)
+    for vals in sf._class_values(prepared, classes, [1] * len(prepared)):
+        acc = acc * vals
+    return Fraction(int(acc.sum()), D * vden)

@@ -1,9 +1,11 @@
 """Cantor iteration: indices, intervals, densities, measures, dimension."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cantormax import (
@@ -17,6 +19,7 @@ from cantormax import (
     one_dimensional,
 )
 from cantormax.core import CantorSet, index_of, offset_of
+from cantormax.stepfn import StepFunction
 from cantormax.errors import (
     DegenerateMeasureError,
     InsufficientDepthError,
@@ -123,6 +126,40 @@ class TestDensities:
     def test_sigma_needs_next_level(self, fixture_a):
         with pytest.raises(InsufficientDepthError):
             fixture_a.sigma(2)
+
+
+def searchsorted_sigma(cset, k):
+    """sigma_k with each cell classed by four searchsorted passes over the
+    run endpoints: the build that the one-pass running sum replaced."""
+    parent, child = cset.level(k), cset.level(k + 1)
+    on_child = F(child.M_k, child.P) - F(parent.M_k, parent.P)
+    off_child = -F(parent.M_k, parent.P)
+    vden = math.lcm(on_child.denominator, off_child.denominator)
+    a_num = on_child.numerator * (vden // on_child.denominator)
+    b_num = off_child.numerator * (vden // off_child.denominator)
+    parent_runs = parent.runs() * child.N_k
+    child_runs = child.runs()
+    bps = np.unique(np.concatenate([parent_runs.ravel(), child_runs.ravel()]))
+    starts = bps[:-1]
+    in_parent = (
+        np.searchsorted(parent_runs[:, 0], starts, side="right")
+        - np.searchsorted(parent_runs[:, 1], starts, side="right")
+    ) == 1
+    in_child = (
+        np.searchsorted(child_runs[:, 0], starts, side="right")
+        - np.searchsorted(child_runs[:, 1], starts, side="right")
+    ) == 1
+    classes = np.where(in_child, 2, in_parent.astype(np.int64))
+    return StepFunction.from_classes(
+        bps + child.M_k, child.M_k, [0, b_num, a_num], classes, vden
+    )
+
+
+@pytest.mark.parametrize("name", ["fixture_a", "z8_set", "z16_set"])
+def test_sigma_matches_searchsorted_build(request, name):
+    cset = request.getfixturevalue(name)
+    for k in range(1, cset.depth):
+        assert cset.sigma(k) == searchsorted_sigma(cset, k)
 
 
 class TestMeasures:

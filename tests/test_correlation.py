@@ -346,6 +346,57 @@ class TestMergeKernelOnSets:
         assert got.n_cells > 1000
 
 
+class TestSupportClipping:
+    @staticmethod
+    def _sigma_2_candidates(cset):
+        """Every level-3 gate (c) candidate of the set's construction, and
+        every k=2 candidate of ``correlate`` with its default seed 0."""
+        from cantormax.correlation import _transverse_scan
+        from cantormax.randomize import GATE_C_STREAM_TAG
+
+        stream = RngStream(cset.params.seed).child(3, cset.accepted_retries[2], GATE_C_STREAM_TAG)
+        scans = [_transverse_scan(cset, 2, 2, 6, stream), _transverse_scan(cset, 2, 2, 8, RngStream(0).child(90, 2))]
+        return [(A, cls) for scan in scans for A, cls in zip(scan.candidates, scan.classes)]
+
+    def test_sigma_2_lambdas_match_unclipped_merge(self, z16_set):
+        # transverse, near-diagonal (internal) and disjoint tuples alike
+        from conftest import unclipped_product_integral
+
+        sig = z16_set.sigma(2)
+        seen = set()
+        for A, cls in self._sigma_2_candidates(z16_set):
+            want = unclipped_product_integral([(sig, c, r) for c, r in A.pairs])
+            assert lambda_sigma(A, z16_set, 2) == want
+            seen.add((cls, want == 0))
+        assert {("internal", False), ("transverse", False), ("transverse", True)} <= seen
+
+    def test_transverse_lambdas_merge_a_small_share(self, z16_set):
+        from unittest import mock
+
+        import cantormax.stepfn as sf
+
+        sig = z16_set.sigma(2)
+        full = 2 * len(sig._u)
+        assert full == 677524
+        merged = []
+        real_merge = sf._merge
+
+        def counting_merge(prepared):
+            merged.append(sum(len(fn._u) for _, _, fn in prepared))
+            return real_merge(prepared)
+
+        with mock.patch.object(sf, "_merge", counting_merge):
+            for A, cls in self._sigma_2_candidates(z16_set):
+                if cls == "transverse":
+                    _, prepared = sf._prepare_factors([(sig, c, r) for c, r in A.pairs])
+                    meet = len(sf._common_support(prepared)) > 0
+                    before = len(merged)
+                    lambda_sigma(A, z16_set, 2)
+                    # a tuple whose supports meet in a null set never merges
+                    assert len(merged) == before + meet
+        assert merged and max(merged) < 0.15 * full
+
+
 class TestReports:
     def test_report_flags(self, fixture_a):
         A = AffineTuple((pair(0, 1), pair(0, 1)), 1)

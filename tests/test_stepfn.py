@@ -1,5 +1,6 @@
 """Exact step-function algebra and the merge kernels."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,13 @@ from cantormax.stepfn import (
     product_integral,
 )
 
-from conftest import lp_power_oracle, per_gap_oracle, prefix_mass, random_step
+from conftest import (
+    lp_power_oracle,
+    per_gap_oracle,
+    prefix_mass,
+    random_step,
+    unclipped_product_integral,
+)
 
 F = Fraction
 
@@ -153,7 +160,12 @@ def _wide_steps(draw):
 def test_integral_and_mass_match_prefix_oracle(data):
     f, a, b = data
     lo, hi = f.support() or (F(0), F(0))
-    assert f.integral() == prefix_mass(f, lo, hi)
+    with mock.patch.object(sf, "_merge", side_effect=AssertionError("one factor merged")):
+        assert f.integral() == prefix_mass(f, lo, hi)
+        assert product_integral([(f, a, F(5, 3))]) == F(5, 3) * prefix_mass(f, lo, hi)
+        if not f.is_zero:
+            with pytest.raises(DomainError):
+                product_integral([(f, 0, 0)])
     assert f.mass_between(a, b) == prefix_mass(f, a, b)
     if a < b:
         with pytest.raises(DomainError):
@@ -435,6 +447,79 @@ class TestMergeKernel:
         assert product_integral(entries) == swept(product_integral, entries)
         assert power_integral(terms, p) == swept(power_integral, terms, p)
         assert linear_combination(terms) == swept(linear_combination, terms)
+
+
+@st.composite
+def _sparse_factor(draw):
+    """(f, c, r): a step function with several support runs, its units past
+    int64 in some draws, and a random affine map."""
+    n = draw(st.integers(1, 8))
+    gaps = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    units = list(itertools.accumulate(gaps, initial=draw(st.integers(-20, 20))))
+    # zero values part the support into runs; scale/den keeps x near units
+    vals = draw(st.lists(st.sampled_from([0, 0, 1, -2, 3]), min_size=n, max_size=n))
+    scale, den = draw(st.sampled_from([(1, 1), (1, 2), (3, 4), (1 << 65, (1 << 65) + 1)]))
+    f = StepFunction([u * scale for u in units], den, vals, draw(st.sampled_from([1, 3])))
+    c = draw(st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3])))
+    r = draw(st.builds(F, st.integers(1, 6), st.sampled_from([1, 2, 3])))
+    return f, c, r
+
+
+def _runs(lo_hi_vals):
+    """A step function from (left, right, value) cells."""
+    return StepFunction.from_cells([(F(a), F(b), F(v)) for a, b, v in lo_hi_vals])
+
+
+class TestSupportClipping:
+    """``product_integral`` clips its factors to their common support."""
+
+    @given(entries=st.lists(_sparse_factor(), min_size=2, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_gap_oracle(self, entries):
+        want = per_gap_oracle(product_integral, entries)
+        assert product_integral(entries) == want
+        assert swept(product_integral, entries) == want
+
+    @pytest.mark.parametrize(
+        "cells, merges",
+        [
+            # disjoint supports
+            ([[(0, 1, 1), (2, 3, -1)], [(5, 6, 2)]], False),
+            # runs that interleave and touch only at endpoints
+            ([[(0, 1, 1), (2, 3, -1)], [(1, 2, 3), (3, 4, 5)]], False),
+            # three supports that meet pairwise but not all at once
+            ([[(0, 2, 1)], [(1, 3, 2)], [(2, 4, 3)]], False),
+            # one support nested in a gap of the other
+            ([[(0, 2, 1), (8, 10, 2)], [(3, 7, 5)]], False),
+            # nested in one long cell: the cell is shared by two windows
+            ([[(0, 10, 7)], [(1, 2, 1), (3, 4, -1)]], True),
+            # windows in far cells: the cells between become one zero cell
+            ([[(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4)], [(F(1, 4), F(1, 2), 3), (F(13, 4), F(7, 2), 5)]], True),
+            # equal supports: nothing is clipped
+            ([[(0, 1, 2), (1, 3, -1)], [(0, 2, 1), (2, 3, 4)]], True),
+        ],
+    )
+    def test_support_layouts(self, cells, merges):
+        entries = [(_runs(c), 0, 1) for c in cells]
+        with mock.patch.object(sf, "_merge", wraps=sf._merge) as spy:
+            got = product_integral(entries)
+        assert spy.called == merges
+        assert got == per_gap_oracle(product_integral, entries)
+        assert got == swept(product_integral, entries)
+        assert got == unclipped_product_integral(entries)
+        if not merges:
+            assert got == 0
+
+    def test_clipped_factor_keeps_only_cells_meeting_windows(self):
+        f = _runs([(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4)])
+        g = _runs([(F(1, 4), F(1, 2), 3), (F(13, 4), F(7, 2), 5)])
+        _, prepared = sf._prepare_factors([(f, 0, 1), (g, 0, 1)])
+        windows = sf._common_support(prepared)
+        C, G, fn = prepared[0]
+        clipped = sf._clip(C, G, fn, windows)
+        assert clipped.breakpoints == (0, 1, 3, 4)
+        assert clipped.values == (1, 0, 4)
+        assert product_integral([(f, 0, 1), (g, 0, 1)]) == F(3, 4) + 5
 
 
 class TestArrayNormalizer:
