@@ -329,18 +329,14 @@ def phi_star_norm_power(
 
 
 def _dilation_cells(cells) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Sorted (lo, hi, r) cells with equal-r neighbours merged: the endpoint
-    two such cells share cancels in the adjoint."""
-    out: list[tuple[Fraction, Fraction, Fraction]] = []
-    for lo, hi, r in sorted((Fraction(lo), Fraction(hi), Fraction(r)) for lo, hi, r in cells):
+    """The (lo, hi, r) cells sorted and checked.  The endpoint two equal-r
+    neighbours share gives opposite terms, which ``stepfn`` sums to 0."""
+    out = sorted((Fraction(lo), Fraction(hi), Fraction(r)) for lo, hi, r in cells)
+    for prev, (lo, hi, r) in zip([None, *out], out):
         if hi <= lo or r <= 0:
             raise DomainError("adjoint cells need lo < hi and r > 0")
-        if out and lo < out[-1][1]:
+        if prev and lo < prev[1]:
             raise DomainError("adjoint cells overlap")
-        if out and lo == out[-1][1] and r == out[-1][2]:
-            out[-1] = (out[-1][0], hi, r)
-        else:
-            out.append((lo, hi, r))
     return out
 
 

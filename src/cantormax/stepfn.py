@@ -16,32 +16,35 @@ and ``antiderivative`` (which builds ``maxops.mk_adjoint``) get their
 factors' transformed breakpoints C + G*u from one seam, ``_merge``, which
 returns the gaps grouped by the tuple of their factors' stored value
 classes.  Each kernel multiplies, or weights and sums, the class values once
-per group in Python ints.  The vectorised merge encodes each factor
-relative to its first unit in two int64 limbs (hi, lo), and one stable
-argsort of the float64 keys hi*2^39 + lo merges the presorted factor runs:
-rounding never reverses the exact order, and runs of equal keys are
-reordered from the limbs; widths are summed per group in int64 limbs.  A
-factor whose span, step G or offset leaves the limbs (span >= 2^25,
-G >= 2^61, G*span >= 2^87 or |offset| >= 2^91), or more than 2^24
-breakpoints in all, sends the merge to a pure-Python ``heapq`` sweep that
-sums the widths per class tuple, so its memory grows with the number of
-distinct tuples, not of gaps.
+per group in Python ints.  The sums first add up equal terms: terms with
+one function object and equal c and r are one term of the summed weight,
+and a term whose weight sums to 0 is dropped, so the merge does not grow
+with the number of copies.  One factor needs no merge: its groups are its
+own value classes and its cells its own, moved to C + G*u.  The vectorised
+merge encodes each factor relative to its first unit in two int64 limbs
+(hi, lo), and one stable argsort of the float64 keys hi*2^39 + lo merges
+the presorted factor runs: rounding never reverses the exact order, and
+runs of equal keys are reordered from the limbs; widths are summed per
+group in int64 limbs.  A factor whose span, step G or offset leaves the
+limbs (span >= 2^25, G >= 2^61, G*span >= 2^87 or |offset| >= 2^91), or
+more than 2^24 breakpoints in all, sends the merge to a pure-Python
+``heapq`` sweep that sums the widths per class tuple, so its memory grows
+with the number of distinct tuples, not of gaps.
 
 A product vanishes off the common support of its factors, so
 ``product_integral`` first intersects the factors' support runs (maximal
 runs of nonzero cells, kept per function as Python-int unit bounds) in
 exact integers, returns 0 without a merge when they meet in a null set,
 and otherwise merges only the cells that meet the intersection: its cost
-is O(runs + cells in the common support).  One factor needs no merge.
+is O(runs + cells in the common support).
 
 ``integral`` and ``lp_power`` sum per value class (level times the class's
-width), so a one-factor ``product_integral`` is r times an ``integral``;
-``mass_between`` is the product with an indicator, and ``affine_image`` and
-``scale`` are one-term ``linear_combination``s, which hand their merge
-groups to the result as its classes.  ``PiecewiseLinear.lp_power`` sums all
-pieces at once in object-dtype integers, by Horner's rule.  The ``units``
-and ``val_nums`` tuples are views for callers that want Python ints; no
-kernel reads them.
+width), as a one-factor merge does; ``mass_between`` is the product with
+an indicator, and ``affine_image`` and ``scale`` are one-term
+``linear_combination``s, which hand their classes to the result.
+``PiecewiseLinear.lp_power`` sums all pieces at once in object-dtype
+integers, by Horner's rule.  The ``units`` and ``val_nums`` tuples are
+views for callers that want Python ints; no kernel reads them.
 """
 
 from __future__ import annotations
@@ -556,13 +559,31 @@ def _sweep(prepared, radices):
         prev = pos
 
 
+def _one_factor(C: int, G: int, fn: StepFunction):
+    """The grouped triple of one factor, with no merge: its groups are its
+    own value classes, of widths G times the class widths, and its cells are
+    C + G*u with its own class indices."""
+
+    def cells():
+        first, last = C + G * int(fn._u[0]), C + G * int(fn._u[-1])
+        if -(1 << 62) <= first and last < 1 << 62:  # G*(u - u0) <= last - first < 2^63
+            return first + G * fn._rel_units, fn._cls
+        return C + G * fn._u.astype(object), fn._cls
+
+    widths = [G * w for w in fn._class_widths()]
+    return widths, [np.arange(len(fn.levels))], cells
+
+
 def _merge(prepared):
     """The exact merge of the factors' transformed breakpoints, grouped by
     class tuple: the triple (widths, classes, cells) of ``_merge_numpy``.
 
-    Inputs out of the limb range take the ``heapq`` sweep, which sums each
-    gap's width into its class tuple's group; ``cells()`` replays it.
+    One factor needs no merge (``_one_factor``).  Inputs out of the limb
+    range take the ``heapq`` sweep, which sums each gap's width into its
+    class tuple's group; ``cells()`` replays it.
     """
+    if len(prepared) == 1:
+        return _one_factor(*prepared[0])
     merged = _merge_numpy(prepared)
     if merged is not None:
         return merged
@@ -651,11 +672,11 @@ def _clip(C: int, G: int, fn: StepFunction, windows: np.ndarray) -> StepFunction
 def product_integral(entries: Sequence[tuple]) -> Fraction:
     """Exact integral of the product of f_i((z - c_i)/r_i) over all z.
 
-    ``entries`` holds (StepFunction, c, r) triples with r > 0.  One factor
-    is r times its integral.  Otherwise the product vanishes off the common
-    support of the factors, so each factor is clipped to the cells that meet
-    it, and one merge of the clipped factors' transformed breakpoints is
-    used; closed endpoint contacts have zero width and contribute nothing.
+    ``entries`` holds (StepFunction, c, r) triples with r > 0.  The product
+    vanishes off the common support of the factors, so each factor is
+    clipped to the cells that meet it, and one merge of the clipped factors'
+    transformed breakpoints is used (one factor takes ``_merge``'s no-merge
+    path); closed endpoint contacts have zero width and contribute nothing.
     """
     if not entries:
         raise DomainError("product_integral needs at least one factor")
@@ -663,8 +684,6 @@ def product_integral(entries: Sequence[tuple]) -> Fraction:
         if fn.is_zero:
             return Fraction(0)
     D, prepared = _prepare_factors(entries)
-    if len(prepared) == 1:
-        return Fraction(entries[0][2]) * prepared[0][2].integral()
     windows = _common_support(prepared)
     if not len(windows):
         return Fraction(0)
@@ -678,13 +697,24 @@ def product_integral(entries: Sequence[tuple]) -> Fraction:
 
 
 def _prepare_weighted(terms):
-    """Common scaling for (weight, fn, c, r) terms of a linear combination."""
-    cleaned = []
+    """Common scaling for (weight, fn, c, r) terms of a linear combination,
+    or None when no term is left.
+
+    Equal terms are summed first: terms with one function object (keyed by
+    ``id``, not by the hash of every cell) and equal c and r become one term
+    of the summed weight, and a term whose weight sums to 0 is dropped.  So
+    m copies of one affine image merge as one factor, which needs no merge.
+    """
+    summed: dict[tuple, list] = {}
     for w, fn, c, r in terms:
-        w = Fraction(w)
+        w, c, r = Fraction(w), Fraction(c), Fraction(r)
         if fn.is_zero or w == 0:
             continue
-        cleaned.append((w, fn, Fraction(c), Fraction(r)))
+        if r <= 0:
+            raise DomainError("affine factors need r > 0")
+        term = summed.setdefault((id(fn), c, r), [0, fn, c, r])
+        term[0] += w
+    cleaned = [term for term in summed.values() if term[0]]
     if not cleaned:
         return None
     D, prepared = _prepare_factors([(fn, c, r) for _, fn, c, r in cleaned])

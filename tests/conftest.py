@@ -3,11 +3,13 @@ and random-input helpers used across the suite."""
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,10 +141,21 @@ def _per_gap_sweep(prepared, mults):
         prev = pos
 
 
+def _uncollapsed(terms):
+    """(D, VW, prepared, mults) for (weight, fn, c, r) terms, one factor per
+    term as given: no equal terms summed, zero weights and zero functions
+    kept."""
+    terms = [(Fraction(w), fn, c, r) for w, fn, c, r in terms]
+    D, prepared = sf._prepare_factors([(fn, c, r) for _, fn, c, r in terms])
+    VW = math.lcm(1, *(w.denominator * fn.val_den for w, fn, _, _ in terms))
+    mults = [w.numerator * (VW // (w.denominator * fn.val_den)) for w, fn, _, _ in terms]
+    return D, VW, prepared, mults
+
+
 def per_gap_oracle(kernel, *args):
-    """``product_integral``, ``power_integral`` or ``linear_combination`` by
-    per-gap formulas over ``_per_gap_sweep``: no grouping and no reduction
-    code shared with the kernels."""
+    """``product_integral``, ``power_integral``, ``linear_combination`` or
+    ``antiderivative`` by per-gap formulas over ``_per_gap_sweep``: no term
+    summing, no grouping and no reduction code shared with the kernels."""
     if kernel is sf.product_integral:
         (entries,) = args
         if any(fn.is_zero for fn, _, _ in entries):
@@ -151,24 +164,21 @@ def per_gap_oracle(kernel, *args):
         vden = math.prod(fn.val_den for _, _, fn in prepared)
         gaps = _per_gap_sweep(prepared, [1] * len(prepared))
         return Fraction(sum((end - start) * math.prod(vals) for start, end, vals in gaps), D * vden)
-    prep = sf._prepare_weighted(args[0])
+    D, VW, prepared, mults = _uncollapsed(args[0])
+    gaps = list(_per_gap_sweep(prepared, mults))
     if kernel is sf.power_integral:
         p = args[1]
-        if prep is None:
-            return Fraction(0)
-        D, VW, prepared, mults = prep
-        gaps = _per_gap_sweep(prepared, mults)
         return Fraction(sum(abs(sum(vals)) ** p * (end - start) for start, end, vals in gaps), D * VW**p)
-    assert kernel is sf.linear_combination
-    if prep is None:
-        return StepFunction.zero()
-    D, VW, prepared, mults = prep
-    units, nums = [], []
-    for start, end, vals in _per_gap_sweep(prepared, mults):
-        units.append(start)
-        nums.append(sum(vals))
-    units.append(end)
-    return StepFunction(units, D, nums, VW)
+    if not gaps:
+        return StepFunction.zero() if kernel is sf.linear_combination else sf.PiecewiseLinear((0, 1), 1, (0, 0), 1)
+    units = [start for start, _, _ in gaps] + [gaps[-1][1]]
+    if kernel is sf.linear_combination:
+        return StepFunction(units, D, [sum(vals) for _, _, vals in gaps], VW)
+    assert kernel is sf.antiderivative
+    heights = [0]
+    for start, end, vals in gaps:
+        heights.append(heights[-1] + (end - start) * sum(vals))
+    return sf.PiecewiseLinear(units, D, heights, D * VW)
 
 
 def unclipped_product_integral(entries) -> Fraction:
@@ -183,3 +193,12 @@ def unclipped_product_integral(entries) -> Fraction:
     for vals in sf._class_values(prepared, classes, [1] * len(prepared)):
         acc = acc * vals
     return Fraction(int(acc.sum()), D * vden)
+
+
+@contextlib.contextmanager
+def no_merge():
+    """Fail on any call of either merge path: the vectorised merge or the
+    ``heapq`` sweep."""
+    with mock.patch.object(sf, "_merge_numpy", side_effect=AssertionError("merged")):
+        with mock.patch.object(sf, "_sweep", side_effect=AssertionError("swept")):
+            yield

@@ -43,7 +43,7 @@ from cantormax.maxops import (
 import cantormax.stepfn as sf
 from cantormax.stepfn import PiecewiseLinear, StepFunction, inner_product, product_integral
 
-from conftest import prefix_mass, random_fraction, random_step
+from conftest import no_merge, prefix_mass, random_fraction, random_step
 
 F = Fraction
 
@@ -424,6 +424,33 @@ class TestRestrictedTypeRatio:
     def test_rhs_uses_measured_counts(self, z8_set):
         assert restricted_type_target(z8_set, 2, 1) > 0
 
+    def test_constant_draws_need_no_merge(self, z8_set):
+        # a constant draw sums |omega| copies of one affine image of sigma_k:
+        # one factor, so no merge, and the closed form |omega|^n r ||sigma_k||_n^n
+        k, n_cells = 2, 32
+        sig = z8_set.sigma(k)
+        draws = list(_ratio_draws(z8_set, k, 5, RngStream(7).child(82, k), n_cells))
+        constant = [(assign, omega) for const, assign, omega in draws if const]
+        assert len(constant) == 3
+        with no_merge():
+            for assign, omega in constant:
+                (r,) = {cell[3] for cell in assign.cells}
+                measure = F(len(omega), n_cells)
+                adj = phi_star(omega, z8_set, k, assign)
+                for n in (1, 2, 3):
+                    want = measure**n * r * sig.lp_power(n)
+                    assert adj.lp_power(n) == want
+                    assert phi_star_norm_power(omega, z8_set, k, assign, n) == want
+            for n in (2, 4):
+                res = restricted_type_ratio(z8_set, k, n, 1, RngStream(7).child(82, k), n_cells)
+                assign, omega = constant[0]
+                measure = F(len(omega), n_cells)
+                power = measure**n * assign.cells[0][3] * sig.lp_power(n)
+                assert res.max_power == power / measure ** (n - 1)
+                assert [s.ratio for s in res.samples] == [
+                    float(power) ** (1.0 / n) / float(measure) ** ((n - 1) / n)
+                ]
+
 
 def _step_near_adjoint(rnd):
     """Random step function with 2-4 cells and breakpoints in [1, 5], where
@@ -581,6 +608,25 @@ class TestMkAdjoint:
         h = mk_adjoint(cells, z8_set, 1)
         assert h.values[0] == h.values[-1] == 0
         assert h.mass_between(h.nodes[0], h.nodes[-1]) == 0
+
+    def test_split_equal_dilation_cells_match_merged(self, fixture_a, z8_set):
+        # neighbours with one dilation are no longer merged by hand: the
+        # terms at their shared endpoint sum to 0 in the kernel and drop out
+        wide = 1 + F(1, 3**40)
+        for cset, k, r in ((fixture_a, 1, F(5, 4)), (fixture_a, 1, wide), (z8_set, 2, F(3, 2))):
+            merged = [(F(1, 8), F(1, 2), r), (F(5, 8), F(3, 4), F(7, 4)), (F(3, 4), F(13, 16), r)]
+            split = [
+                (F(3, 8), F(1, 2), r),
+                (F(1, 8), F(1, 4), r),
+                (F(5, 8), F(11, 16), F(7, 4)),
+                (F(3, 4), F(13, 16), r),
+                (F(1, 4), F(3, 8), r),
+                (F(11, 16), F(3, 4), F(7, 4)),
+            ]
+            want, got = mk_adjoint(merged, cset, k), mk_adjoint(split, cset, k)
+            assert got._u.dtype == want._u.dtype and np.array_equal(got._u, want._u)
+            assert got._h.dtype == want._h.dtype and np.array_equal(got._h, want._h)
+            assert (got.den, got.val_den) == (want.den, want.val_den)
 
     def test_empty_and_invalid_cells(self, fixture_a):
         assert mk_adjoint([], fixture_a, 1).lp_power(2) == 0

@@ -1,5 +1,6 @@
 """Exact step-function algebra and the merge kernels."""
 
+import contextlib
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ from cantormax.errors import DomainError
 from cantormax.stepfn import (
     PiecewiseLinear,
     StepFunction,
+    antiderivative,
     inner_product,
     linear_combination,
     power_integral,
@@ -23,6 +25,7 @@ from cantormax.stepfn import (
 
 from conftest import (
     lp_power_oracle,
+    no_merge,
     per_gap_oracle,
     prefix_mass,
     random_step,
@@ -160,7 +163,7 @@ def _wide_steps(draw):
 def test_integral_and_mass_match_prefix_oracle(data):
     f, a, b = data
     lo, hi = f.support() or (F(0), F(0))
-    with mock.patch.object(sf, "_merge", side_effect=AssertionError("one factor merged")):
+    with no_merge():
         assert f.integral() == prefix_mass(f, lo, hi)
         assert product_integral([(f, a, F(5, 3))]) == F(5, 3) * prefix_mass(f, lo, hi)
         if not f.is_zero:
@@ -520,6 +523,131 @@ class TestSupportClipping:
         assert clipped.breakpoints == (0, 1, 3, 4)
         assert clipped.values == (1, 0, 4)
         assert product_integral([(f, 0, 1), (g, 0, 1)]) == F(3, 4) + 5
+
+
+@st.composite
+def _repeated_terms(draw):
+    """(weight, fn, c, r) terms that repeat (fn, c, r) triples: each triple
+    comes with 1-5 weights, some of which sum to exactly 0, in shuffled
+    order."""
+    fns = draw(st.lists(step_strategy(4), min_size=1, max_size=3))
+    place = st.tuples(
+        st.integers(0, len(fns) - 1),
+        small_fraction(-6, 6),
+        st.builds(F, st.integers(1, 4), st.sampled_from([1, 2, 3])),
+    )
+    terms = []
+    for i, c, r in draw(st.lists(place, min_size=1, max_size=4)):
+        weights = draw(st.lists(small_fraction(-3, 3), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            weights.append(-sum(weights))
+        terms += [(w, fns[i], c, r) for w in weights]
+    return draw(st.permutations(terms))
+
+
+def _zero_mean(terms, shift):
+    """The terms and their negatives moved by shift: the sum integrates to
+    0, so its antiderivative vanishes at both ends."""
+    return terms + [(-w, fn, c + shift, r) for w, fn, c, r in terms]
+
+
+class TestEqualTerms:
+    """The sums add up equal terms before the merge, and one factor skips it."""
+
+    @given(terms=_repeated_terms(), shift=small_fraction(-4, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_sums_match_uncollapsed_oracle(self, terms, shift):
+        anti_terms = _zero_mean(terms, shift)
+        anti_want = per_gap_oracle(antiderivative, anti_terms)
+        for p in (1, 2, 3, 4):
+            want = per_gap_oracle(power_integral, terms, p)
+            assert power_integral(terms, p) == want
+            assert swept(power_integral, terms, p) == want
+        want = per_gap_oracle(linear_combination, terms)
+        assert linear_combination(terms) == want
+        assert swept(linear_combination, terms) == want
+        for forced in (False, True):
+            with mock.patch.object(sf, "_merge_numpy", lambda prepared: None) if forced else contextlib.nullcontext():
+                got = antiderivative(anti_terms)
+            for p in (1, 2, 3, 4):
+                assert got.lp_power(p) == anti_want.lp_power(p)
+
+    def test_equal_terms_become_one_factor(self):
+        f = StepFunction.from_breakpoints([0, 1, 3, 4], [2, -1, 3])
+        terms = [(F(1, 3), f, F(1, 2), F(3, 2))] * 5 + [(F(-1, 2), f, F(1, 2), F(3, 2))]
+        D, VW, prepared, mults = sf._prepare_weighted(terms)
+        assert [fn for _, _, fn in prepared] == [f] and mults == [F(7, 6) * VW / f.val_den]
+        with no_merge():
+            got = linear_combination(terms)
+            assert got == f.affine_image(F(1, 2), F(3, 2)).scale(F(7, 6))
+            for p in (1, 2, 3):
+                assert power_integral(terms, p) == got.lp_power(p) == per_gap_oracle(power_integral, terms, p)
+
+    def test_self_difference_needs_no_merge(self):
+        f = StepFunction.from_breakpoints([0, 1, 3, 4], [2, -1, 3])
+        with no_merge():
+            assert f - f == StepFunction.zero()
+            assert linear_combination([(F(2, 3), f, 1, 2), (F(-2, 3), f, 1, 2)]) == StepFunction.zero()
+            assert power_integral([(1, f, 0, 1), (-1, f, 0, 1)], 2) == 0
+            zero = antiderivative([(1, f, 0, 1), (-1, f, 0, 1)])
+            assert (zero.units, zero.val_nums, zero.den, zero.val_den) == ((0, 1), (0, 0), 1, 1)
+        # a dilation r <= 0 is refused even when its weights cancel
+        with pytest.raises(DomainError):
+            power_integral([(1, f, 0, -1), (-1, f, 0, -1)], 2)
+
+    def test_full_tie_of_distinct_objects(self):
+        # the only full tie left: two function objects under one (c, r), so
+        # every transformed breakpoint of one equals one of the other
+        f = StepFunction.from_breakpoints([0, 1, 2, 4], [2, -1, 3])
+        twin = StepFunction(f.units, f.den, f.val_nums, f.val_den)
+        other = StepFunction.from_breakpoints([0, 1, 2, 4], [1, 5, -2])
+        for second in (twin, other):
+            assert second is not f
+            c, r = F(1, 2), F(3, 2)
+            terms = [(F(2, 3), f, c, r), (F(-1, 2), second, c, r)]
+            assert len(sf._prepare_weighted(terms)[2]) == 2
+            assert vectorised([(f, c, r), (second, c, r)])
+            anti_terms = _zero_mean(terms, F(5, 2))
+            anti_want = per_gap_oracle(antiderivative, anti_terms)
+            with mock.patch.object(sf, "_merged_order", wraps=sf._merged_order) as spy:
+                for p in (1, 2, 3):
+                    assert power_integral(terms, p) == per_gap_oracle(power_integral, terms, p)
+                    assert antiderivative(anti_terms).lp_power(p) == anti_want.lp_power(p)
+                assert linear_combination(terms) == per_gap_oracle(linear_combination, terms)
+            assert spy.called
+            for p in (1, 2, 3):
+                swept(power_integral, terms, p)
+            swept(linear_combination, terms)
+            swept(product_integral, [(f, c, r), (second, c, r)])
+            with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
+                got = antiderivative(anti_terms)
+            for p in (1, 2, 3):
+                assert got.lp_power(p) == anti_want.lp_power(p)
+
+    def test_sweep_on_one_factor_matches_no_merge_path(self):
+        M = 1 << 24
+        f = StepFunction([M, M + 1, 2 * M - 1, 2 * M, 2 * M + 3], M, [1, 0, 3, -2], 1)
+        far = f.affine_image(1 << 40, 1)  # units near 2^64
+        assert far._u.dtype == object
+        cases = [(f, F(1, 3), F(3, 2)), (f, 1 << 50, 1), (f, -(1 << 45), F(1, 5)), (far, 0, 1), (far, -(1 << 40), 1)]
+        # positions on either side of the int64 path's bounds, +-2^62
+        cases += [(f, c, 1) for c in ((1 << 38) - 4, 1 << 38, -(1 << 38) - 1, -(1 << 38) - 2)]
+        for fn, c, r in cases:
+            _, prepared = sf._prepare_factors([(fn, c, r)])
+            with no_merge():
+                widths, classes, cells = sf._merge(prepared)
+                positions, group = cells()
+            assert classes[0].tolist() == list(range(len(fn.levels)))
+            gaps = list(sf._sweep(prepared, [1]))
+            swept_widths = [0] * len(fn.levels)
+            for start, end, key in gaps:
+                swept_widths[key] += end - start
+            assert swept_widths == widths == [prepared[0][1] * w for w in fn._class_widths()]
+            assert positions.tolist() == [start for start, _, _ in gaps] + [gaps[-1][1]]
+            assert group.tolist() == [key for _, _, key in gaps] == fn._cls.tolist()
+            term = [(1, fn, c, r)]
+            assert linear_combination(term) == per_gap_oracle(linear_combination, term)
+            assert product_integral([(fn, c, r)]) == F(r) * fn.integral()
 
 
 class TestArrayNormalizer:
