@@ -190,11 +190,6 @@ class CantorSet:
     def P(self, k: int) -> int:
         return self.level(k).P
 
-    @property
-    def degenerate(self) -> bool:
-        """True when some level selected nothing (flagged, still representable)."""
-        return any(lv.P == 0 for lv in self.levels)
-
     def Q(self, k: int) -> float:
         """Conditional expectation of P_k given the previous level, as a float."""
         prev = self.P(k - 1) if k >= 2 else 1
@@ -376,7 +371,10 @@ class CantorSet:
     @classmethod
     def from_json_dict(cls, d: dict) -> "CantorSet":
         """Parse and check a set file; a malformed one raises ``FormatError``,
-        a well-formed one that is not a nested family ``StructureError``."""
+        a well-formed one that is not a nested family ``StructureError``.
+
+        A level's ``selected`` is a list of ints or a one-dimensional int64
+        array; either way its ``N_k``, ``P_k`` and the structure are checked."""
         try:
             if not isinstance(d, dict):
                 raise FormatError(f"set file must hold a JSON object, not {type(d).__name__}")
@@ -394,7 +392,11 @@ class CantorSet:
             levels = []
             for k, entry in zip(ks, d["levels"]):
                 selected = entry["selected"]
-                if not isinstance(selected, list) or set(map(type, selected)) - {int}:
+                if isinstance(selected, np.ndarray):
+                    ints = selected.dtype == np.int64 and selected.ndim == 1
+                else:
+                    ints = isinstance(selected, list) and not set(map(type, selected)) - {int}
+                if not ints:
                     raise FormatError(f"level {k} selected offsets must be a list of integers")
                 # a recorded N_k or P_k that disagrees with params or offsets is refused
                 for key, want in (("N_k", params.level_N(k)), ("P_k", len(selected))):
@@ -430,11 +432,79 @@ class CantorSet:
 
     @classmethod
     def from_json(cls, text: str) -> "CantorSet":
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"set file is not valid JSON: {exc}") from exc
+        """Parse and check the text of a set file.  Offset lists in the
+        writer's compact form are read straight into int64 arrays; any other
+        input goes through ``json.loads`` whole, with the same checks."""
+        d = _compact_set_dict(text)
+        if d is None:
+            try:
+                d = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"set file is not valid JSON: {exc}") from exc
         return cls.from_json_dict(d)
+
+
+def _compact_set_dict(text: str) -> dict | None:
+    """``json.loads(text)`` with each level's ``selected`` as an int64 array,
+    or None unless every ``"selected":[...]`` list in the text is plain
+    (see ``_offset_list``) and is the ``selected`` of its own level.
+
+    The lists are cut out and the small rest is parsed with a ``NaN`` in
+    place of each; ``parse_constant`` turns every ``NaN`` into a fresh
+    marker, so a list is used only where its own marker comes back."""
+    pieces, arrays = [], []
+    at = 0
+    while (start := text.find('"selected":[', at)) >= 0:
+        start += len('"selected":')
+        end = text.find("]", start)
+        offsets = _offset_list(text[start + 1 : end]) if end >= 0 else None
+        if offsets is None:
+            return None
+        pieces += [text[at:start], "NaN"]
+        arrays.append(offsets)
+        at = end + 1
+    pieces.append(text[at:])
+    markers = []
+
+    def marker(_):
+        markers.append(object())
+        return markers[-1]
+
+    try:
+        d = json.loads("".join(pieces), parse_constant=marker)
+    except ValueError:
+        return None
+    entries = d.get("levels") if isinstance(d, dict) else None
+    if not (
+        isinstance(entries, list)
+        and len(entries) == len(markers) == len(arrays)
+        and all(isinstance(e, dict) and e.get("selected") is m for e, m in zip(entries, markers))
+    ):
+        return None
+    for entry, offsets in zip(entries, arrays):
+        entry["selected"] = offsets
+    return d
+
+
+def _offset_list(body: str) -> np.ndarray | None:
+    """The int64 array of a JSON list body, or None unless it is
+    comma-separated fields of 1-18 ASCII digits without a leading zero:
+    plain ints that fit int64."""
+    if not body:
+        return np.empty(0, dtype=np.int64)
+    if not body.isascii():
+        return None
+    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    cuts = np.flatnonzero(b == ord(","))
+    if np.count_nonzero((b - ord("0")) <= 9) != len(b) - len(cuts):
+        return None
+    starts = np.concatenate(([0], cuts + 1))
+    lengths = np.concatenate((cuts, [len(b)])) - starts
+    if lengths.min() < 1 or lengths.max() > 18:
+        return None
+    if ((b[starts] == ord("0")) & (lengths > 1)).any():
+        return None
+    return np.fromstring(body, dtype=np.int64, sep=",")
 
 
 def build_deterministic(selections, params: ConstructionParams) -> CantorSet:

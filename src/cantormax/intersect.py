@@ -70,9 +70,6 @@ class AffineTuple:
         ]
         return min(gaps)
 
-    def permuted(self, perm: Sequence[int]) -> "AffineTuple":
-        return AffineTuple(tuple(self.pairs[p] for p in perm), self.level)
-
 
 @dataclass(frozen=True)
 class IntersectionTuple:

@@ -288,10 +288,6 @@ class StepFunction:
             raise DomainError("affine_image needs r > 0")
         return linear_combination([(1, self, c, r)])
 
-    def dilate_arg(self, factor) -> "StepFunction":
-        """The function z -> f(z/factor) for factor > 0."""
-        return self.affine_image(0, factor)
-
     def scale(self, s) -> "StepFunction":
         return linear_combination([(s, self, 0, 1)])
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import json
 import math
 import random
 from bisect import bisect_right
@@ -16,6 +17,8 @@ import pytest
 
 import cantormax.stepfn as sf
 from cantormax import build_deterministic, construct, custom, fixed_dimension
+from cantormax.core import CantorSet
+from cantormax.errors import FormatError
 from cantormax.stepfn import StepFunction
 
 # Deterministic two-level reference family: K=2, N=(4,4),
@@ -74,6 +77,16 @@ def z16_set():
         fixed_dimension(16, Fraction(1, 4), 3, seed=1, max_retries=50), gate_c_budget=6
     )
     return cset
+
+
+def reference_load(text: str) -> CantorSet:
+    """A set file through plain ``json.loads`` and ``from_json_dict``: every
+    offset a Python int, no compact-form reading."""
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"set file is not valid JSON: {exc}") from exc
+    return CantorSet.from_json_dict(d)
 
 
 def random_step(rnd: random.Random, max_cells: int = 6, span: int = 40) -> StepFunction:

@@ -105,6 +105,30 @@ _RATIONAL_MUTATIONS = {
     "epsilon0_float": ("epsilon0", 0.5),
 }
 
+_SET_MUTATIONS = [
+    "half_offsets", "str_offset", "null_offset", "bool_offset", "top_level_list", "bad_B", "huge_offset",
+    "retries_negative", "retries_str", "retries_float", "retries_bool", "retries_object",
+    "retries_short", "retries_long", "retries_huge", "retries_at_max",
+    "level_k_bool", "N_k_wrong", "P_k_wrong",
+    "N_float", "seed_float", "L_float", "seed_bool", "L_bool", "max_retries_float",
+    *_RATIONAL_MUTATIONS,
+]
+
+
+def _with_writers(cases):
+    """Each case written by ``json.dumps`` defaults, then each in the
+    writer's compact form, whose offset lists the loader reads without
+    ``json.loads``."""
+    return [pytest.param(case, False, id=case) for case in cases] + [
+        pytest.param(case, True, id=f"{case}-canonical") for case in cases
+    ]
+
+
+def _dump_set(payload, canonical: bool) -> str:
+    if canonical:
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(payload)
+
 
 class TestCli:
     def test_construct_writes_artifacts(self, cli_workspace):
@@ -309,8 +333,10 @@ class TestCli:
         assert err.count("\n") == 1 and override.split("=")[0] in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("where", ["below", "above"])
-    def test_level_2_offset_out_of_range_is_a_structure_problem(self, cli_workspace, tmp_path, capsys, where):
+    @pytest.mark.parametrize("where, canonical", _with_writers(["below", "above"]))
+    def test_level_2_offset_out_of_range_is_a_structure_problem(
+        self, cli_workspace, tmp_path, capsys, where, canonical
+    ):
         _, cfg, out = cli_workspace
         payload = json.loads((out / "set.json").read_text())
         levels = payload["levels"]
@@ -319,7 +345,7 @@ class TestCli:
         else:
             levels[1]["selected"][-1] = levels[0]["N_k"] * levels[1]["N_k"]  # M_2
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
+        bad.write_text(_dump_set(payload, canonical))
         capsys.readouterr()
         code = main(["verify", str(bad), "-c", str(cfg), "-o", str(tmp_path)])
         err = capsys.readouterr().err
@@ -327,18 +353,23 @@ class TestCli:
         assert err.count("\n") == 1 and "level 2 offset out of range" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "mutation",
-        [
-            "half_offsets", "str_offset", "null_offset", "bool_offset", "top_level_list", "bad_B", "huge_offset",
-            "retries_negative", "retries_str", "retries_float", "retries_bool", "retries_object",
-            "retries_short", "retries_long", "retries_huge", "retries_at_max",
-            "level_k_bool", "N_k_wrong", "P_k_wrong",
-            "N_float", "seed_float", "L_float", "seed_bool", "L_bool", "max_retries_float",
-            *_RATIONAL_MUTATIONS,
-        ],
-    )
-    def test_malformed_set_file_is_usage_error(self, cli_workspace, tmp_path, capsys, mutation):
+    def test_18_digit_offset_in_compact_form_is_a_structure_problem(self, cli_workspace, tmp_path, capsys):
+        _, cfg, out = cli_workspace
+        payload = json.loads((out / "set.json").read_text())
+        payload["levels"][2]["selected"][-1] = 10**18 - 1  # fits int64, far above M_3
+        text = _dump_set(payload, canonical=True)
+        assert f",{10**18 - 1}]" in text
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        capsys.readouterr()
+        code = main(["verify", str(bad), "-c", str(cfg), "-o", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "level 3 offset out of range" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mutation, canonical", _with_writers(_SET_MUTATIONS))
+    def test_malformed_set_file_is_usage_error(self, cli_workspace, tmp_path, capsys, mutation, canonical):
         _, cfg, out = cli_workspace
         payload = json.loads((out / "set.json").read_text())
         levels = payload["levels"]
@@ -389,7 +420,7 @@ class TestCli:
         else:
             levels[2]["selected"][-1] = 2**70
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
+        bad.write_text(_dump_set(payload, canonical))
         capsys.readouterr()
         code = main(["verify", str(bad), "-c", str(cfg), "-o", str(tmp_path)])
         err = capsys.readouterr().err

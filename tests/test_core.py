@@ -2,11 +2,16 @@
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import cantormax.core as core
 
 from cantormax import (
     alpha,
@@ -22,12 +27,13 @@ from cantormax.core import CantorSet, index_of, offset_of
 from cantormax.stepfn import StepFunction
 from cantormax.errors import (
     DegenerateMeasureError,
+    FormatError,
     InsufficientDepthError,
     InvalidIndexError,
     StructureError,
 )
 
-from conftest import FIXTURE_A_SELECTIONS, prefix_mass
+from conftest import FIXTURE_A_SELECTIONS, prefix_mass, reference_load
 
 F = Fraction
 
@@ -80,7 +86,7 @@ class TestBuildDeterministic:
 
     def test_empty_level_is_degenerate_but_valid(self, fixture_a_params):
         cset = build_deterministic([set(), set()], fixture_a_params)
-        assert cset.degenerate
+        assert any(lv.P == 0 for lv in cset.levels)
         assert cset.P(1) == 0
         with pytest.raises(DegenerateMeasureError):
             cset.density(1)
@@ -329,6 +335,125 @@ class TestSerialization:
             assert again.to_json() == text
             assert again.levels == cset.levels
 
+    def test_empty_level_roundtrips_through_compact_form(self, fixture_a_params):
+        cset = build_deterministic([{(2,)}, set()], fixture_a_params)
+        text = cset.to_json()
+        assert '"selected":[]' in text
+        assert core._compact_set_dict(text) is not None
+        again = CantorSet.from_json(text)
+        assert again.to_json() == text
+        assert again.levels == cset.levels
+        assert again.level(2).offsets.dtype == np.int64
+
     def test_selection_decodes_indices(self, fixture_a):
         assert fixture_a.selection(1) == {(2,), (4,)}
         assert fixture_a.selection(2) == set(FIXTURE_A_SELECTIONS[1])
+
+
+_MUTATIONS = (
+    "edit", "delete", "leading_zero", "minus", "half", "exponent",
+    "digits_18", "digits_19", "digits_25", "space", "duplicate_key",
+    "escaped_key", "non_ascii", "truncate", "digit_anywhere", "nan",
+)
+
+
+def _mutate(text: str, kind: str, draw) -> str:
+    """One edit of a set file's text; list edits land in a drawn level's
+    ``selected`` list, at a drawn field."""
+    if kind == "space":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from([" ", "\n", "\t"])) + text[at:]
+    if kind == "truncate":
+        return text[: draw(st.integers(0, max(len(text) - 1, 0)))]
+    if kind == "digit_anywhere":
+        m = re.compile(r"[0-9]").search(text, draw(st.integers(0, len(text))))
+        if m is None:
+            return text
+        return text[: m.start()] + draw(st.sampled_from("0123456789")) + text[m.end() :]
+    keys = [m.start() for m in re.finditer(re.escape('"selected":['), text)]
+    ends = [text.find("]", key) for key in keys]
+    lists = [(key, end) for key, end in zip(keys, ends) if end >= 0]
+    if not lists:
+        return text
+    key, end = lists[draw(st.integers(0, len(lists) - 1))]
+    lo = key + len('"selected":[')
+    if kind in ("duplicate_key", "escaped_key"):
+        name = {"duplicate_key": "selected", "escaped_key": 'x\\"selected'}[kind]
+        if draw(st.booleans()):
+            return text[:key] + f'"{name}":[0,2],' + text[key:]
+        return text[: end + 1] + f',"{name}":[0,2]' + text[end + 1 :]
+    if kind == "nan":
+        return text[: lo - 1] + "NaN" + text[end + 1 :]
+    pos = draw(st.integers(lo, end))
+    start = text.rfind(",", lo, pos) + 1 or lo
+    stop = text.find(",", pos, end)
+    stop = end if stop < 0 else stop
+    if kind == "edit":
+        return text[:pos] + draw(st.sampled_from("0123456789,")) + text[pos + 1 :]
+    if kind == "delete":
+        return text[:pos] + text[pos + 1 :]
+    if kind in ("leading_zero", "minus"):
+        return text[:start] + {"leading_zero": "0", "minus": "-"}[kind] + text[start:]
+    if kind in ("half", "exponent"):
+        return text[:stop] + {"half": ".5", "exponent": "e3"}[kind] + text[stop:]
+    if kind == "non_ascii":
+        return text[:start] + draw(st.sampled_from(["\u0663", "\uff13", "\u00b2"])) + text[start + 1 :]
+    n = int(kind.split("_")[1])
+    lowest, highest = 10 ** (n - 1), 10**n - 1
+    value = draw(st.one_of(st.sampled_from([lowest, highest]), st.integers(lowest, highest)))
+    return text[:start] + str(value) + text[stop:]
+
+
+def _outcome(load, text):
+    try:
+        cset = load(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return cset.params, cset.levels, cset.accepted_retries
+
+
+class TestCompactLoad:
+    def test_from_json_matches_reference_load(self, fixture_a, z8_set, z16_set):
+        """``from_json`` == ``reference_load`` on mutated set files: the same
+        set, or the same exception class and message."""
+        texts = [cset.to_json() for cset in (fixture_a, z8_set, z16_set)]
+        paths = Counter()
+        compact = core._compact_set_dict
+
+        def spy(text):
+            d = compact(text)
+            paths["fallback" if d is None else "compact"] += 1
+            return d
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.data())
+        def check(data):
+            text = texts[data.draw(st.integers(0, len(texts) - 1))]
+            for kind in data.draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3)):
+                text = _mutate(text, kind, data.draw)
+            assert _outcome(CantorSet.from_json, text) == _outcome(reference_load, text)
+
+        with mock.patch.object(core, "_compact_set_dict", spy):
+            check()
+        assert paths["compact"] and paths["fallback"]
+
+    @pytest.mark.parametrize("case", ["nan_and_moved_list", "spaced_list_and_escaped_key"])
+    def test_each_list_must_be_its_own_levels_selection(self, z8_set, case):
+        """As many plain lists as levels, but not one per level: the last
+        level's list moved to the key ``x"selected`` and NaN in its place,
+        or the first level's list written with a space (so not cut out) and
+        a list under ``x"selected`` added.  Both go through ``json.loads``."""
+        text = z8_set.to_json()
+        if case == "nan_and_moved_list":
+            key = text.rindex('"selected":[')
+            text = text[:key] + '"selected":NaN,"x\\' + text[key:]
+        else:
+            key = text.index('"selected":[')
+            text = text[:key] + '"x\\"selected":[0,2],"selected": ' + text[key + len('"selected":') :]
+        assert core._compact_set_dict(text) is None
+        assert _outcome(CantorSet.from_json, text) == _outcome(reference_load, text)
+        if case == "nan_and_moved_list":
+            with pytest.raises(FormatError, match="level 3 selected offsets must be a list of integers"):
+                CantorSet.from_json(text)
+        else:
+            assert CantorSet.from_json(text).levels == z8_set.levels

@@ -69,7 +69,7 @@ class TestLambdaExact:
     def test_slot_symmetry(self, fixture_a):
         phi1, phi2 = fixture_a.density(1), fixture_a.density(2)
         A = AffineTuple((pair(F(-1, 2), F(3, 2)), pair(F(-1, 4), F(5, 4))), 1)
-        B = A.permuted([1, 0])
+        B = AffineTuple(A.pairs[::-1], A.level)
         assert lambda_exact(A, [phi1, phi2]) == lambda_exact(B, [phi2, phi1])
 
     def test_monte_carlo_oracle(self, fixture_a):

@@ -127,7 +127,7 @@ class TestEnumerate:
             perm = [2, 0, 3, 1]
             base = {t.offsets for t in enumerate_F(4, 1, A, P88)}
             permuted = {
-                t.offsets for t in enumerate_F(4, 1, A.permuted(perm), P88)
+                t.offsets for t in enumerate_F(4, 1, AffineTuple(tuple(A.pairs[p] for p in perm), A.level), P88)
             }
             assert permuted == {tuple(o[p] for p in perm) for o in base}
 

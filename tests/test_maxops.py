@@ -352,7 +352,7 @@ class TestUnrestrictedMaximal:
             x = F(rnd.randint(-12, 4), 4)
             k = rnd.randint(1, 2)
             lhs = average(f, fixture_a, k, r, x)
-            rhs = average(f.dilate_arg(2**m), fixture_a, k, u, x * 2**m)
+            rhs = average(f.affine_image(0, 2**m), fixture_a, k, u, x * 2**m)
             assert lhs == rhs
 
     def test_exponent_validation(self):
@@ -697,7 +697,7 @@ class TestNorms:
             f = random_step(rnd)
             lam = F(rnd.randint(1, 5), rnd.choice([1, 2]))
             p = rnd.choice([1, 2, 3])
-            assert f.dilate_arg(lam).lp_power(p) == lam * f.lp_power(p)
+            assert f.affine_image(0, lam).lp_power(p) == lam * f.lp_power(p)
 
 
 class TestDifferentiation:
