@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -81,6 +81,8 @@ class CantorLevel:
 
     def __post_init__(self):
         arr = np.asarray(self.offsets, dtype=np.int64)
+        if arr is self.offsets and arr.flags.writeable:
+            arr = arr.copy()  # the caller's array stays writeable
         arr.flags.writeable = False
         object.__setattr__(self, "offsets", arr)
 
@@ -348,25 +350,32 @@ class CantorSet:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        """The set file: the same text as ``json.dumps`` with
+        ``sort_keys=True`` and ``separators=(",", ":")`` of the object
+        holding ``schema_version``, ``params``, ``accepted_retries`` (a list,
+        or null when there are none) and per level ``k``, ``N_k``, ``P_k``
+        and ``selected``, the list of its offsets.
+
+        Only the small rest goes through ``json.dumps``, with an empty list
+        in each ``selected``; the offsets are written from the int64 arrays
+        by ``_offset_blocks``."""
+        skeleton = {
             "schema_version": SET_SCHEMA_VERSION,
             "params": self.params.to_json_dict(),
             "accepted_retries": list(self.accepted_retries) if self.accepted_retries else None,
             "levels": [
-                {
-                    "k": lv.k,
-                    "N_k": lv.N_k,
-                    "P_k": lv.P,
-                    # offsets encode multi-indices: o = sum (i_j - 1) M_k/M_j
-                    "selected": lv.offsets.tolist(),
-                }
+                # offsets encode multi-indices: o = sum (i_j - 1) M_k/M_j
+                {"k": lv.k, "N_k": lv.N_k, "P_k": lv.P, "selected": []}
                 for lv in self.levels
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        text = json.dumps(skeleton, sort_keys=True, separators=(",", ":"))
+        head, *tails = text.split('"selected":[]')
+        parts = [head.encode("ascii")]
+        for lv, tail in zip(self.levels, tails, strict=True):
+            parts += [b'"selected":[', *_offset_blocks(lv.offsets), b"]", tail.encode("ascii")]
+        return b"".join(parts).decode("ascii")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CantorSet":
@@ -504,7 +513,72 @@ def _offset_list(body: str) -> np.ndarray | None:
         return None
     if ((b[starts] == ord("0")) & (lengths > 1)).any():
         return None
-    return np.fromstring(body, dtype=np.int64, sep=",")
+    offsets = np.fromstring(body, dtype=np.int64, sep=",")
+    offsets.flags.writeable = False  # handed to its level as it is
+    return offsets
+
+
+# the first value of each run of int64 values whose decimal text has one
+# length: -999...9 (18 nines) up to -9, then 0, 10, ..., 10^18
+_TEXT_LENGTH_EDGES = np.array(
+    [1 - 10**j for j in range(18, 0, -1)] + [0] + [10**j for j in range(1, 19)], dtype=np.int64
+)
+
+
+@cache
+def _digit_groups() -> np.ndarray:
+    """The ASCII text of 0000..9999, four bytes in one uint32 each."""
+    text = "".join(f"{i:04d}" for i in range(10000))
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint32)
+
+
+def _offset_blocks(offsets: np.ndarray) -> list:
+    """The body of the JSON list of an int64 array, as bytes-like blocks to
+    join: the text ``json.dumps`` gives each value, comma-separated.
+
+    The array is cut wherever it descends and wherever the length of the
+    values' text changes; a sorted array has at most one piece per length.
+    Each piece is written at once: its magnitudes split into groups of four
+    digits by integer division, each group's ASCII bytes gathered from
+    ``_digit_groups``, and one strided slice of the rows keeps each value's
+    text with a comma before it."""
+    n = len(offsets)
+    if not n:
+        return []
+    runs = [0, *(np.flatnonzero(offsets[1:] < offsets[:-1]) + 1).tolist(), n]
+    cuts = set(runs)
+    for lo, hi in zip(runs, runs[1:]):
+        cuts.update((lo + np.searchsorted(offsets[lo:hi], _TEXT_LENGTH_EDGES)).tolist())
+    cuts = sorted(cuts)
+    blocks = [_field_block(offsets[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    blocks[0] = memoryview(blocks[0])[1:]  # no comma before the first value
+    return blocks
+
+
+def _field_block(values: np.ndarray) -> bytes:
+    """Each value's text with a comma before it, for values whose text has
+    one length."""
+    field = str(int(values[0]))
+    groups = -(-len(field.lstrip("-")) // 4)
+    table = _digit_groups()
+    # a row is one spare uint32 for the comma and sign, then the groups;
+    # |int64 min| = 2^63 fits uint64
+    rows = np.empty((len(values), groups + 1), dtype=np.uint32)
+    mag = np.abs(values).view(np.uint64)
+    # every index is below 10000; "wrap" spares take its buffered bounds check
+    for j in range(groups, 1, -1):
+        high = mag // 10000
+        low = high * 10000
+        np.subtract(mag, low, out=low)
+        np.take(table, low.view(np.int64), out=rows[:, j], mode="wrap")
+        mag = high
+    np.take(table, mag.view(np.int64), out=rows[:, 1], mode="wrap")
+    row_bytes = rows.view(np.uint8)
+    block = row_bytes[:, row_bytes.shape[1] - len(field) - 1 :]
+    block[:, 0] = ord(",")
+    if field[0] == "-":
+        block[:, 1] = ord("-")
+    return block.tobytes()
 
 
 def build_deterministic(selections, params: ConstructionParams) -> CantorSet:

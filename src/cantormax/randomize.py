@@ -356,6 +356,7 @@ def construct(
             rng = stream.child(lev, attempt)
             parents = levels[-1].offsets if levels else None
             offsets = bernoulli_layer(parents, params.level_N(lev), params.p_float(lev), rng)
+            offsets.flags.writeable = False  # handed to the level as it is
             cand_level = CantorLevel(
                 k=lev,
                 N_k=params.level_N(lev),

@@ -17,7 +17,7 @@ import pytest
 
 import cantormax.stepfn as sf
 from cantormax import build_deterministic, construct, custom, fixed_dimension
-from cantormax.core import CantorSet
+from cantormax.core import SET_SCHEMA_VERSION, CantorSet
 from cantormax.errors import FormatError
 from cantormax.stepfn import StepFunction
 
@@ -87,6 +87,21 @@ def reference_load(text: str) -> CantorSet:
     except json.JSONDecodeError as exc:
         raise FormatError(f"set file is not valid JSON: {exc}") from exc
     return CantorSet.from_json_dict(d)
+
+
+def reference_dump(cset: CantorSet) -> str:
+    """A set file through plain ``json.dumps``: every offset a Python int,
+    keys sorted, no whitespace."""
+    d = {
+        "schema_version": SET_SCHEMA_VERSION,
+        "params": cset.params.to_json_dict(),
+        "accepted_retries": list(cset.accepted_retries) if cset.accepted_retries else None,
+        "levels": [
+            {"k": lv.k, "N_k": lv.N_k, "P_k": lv.P, "selected": lv.offsets.tolist()}
+            for lv in cset.levels
+        ],
+    }
+    return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
 def random_step(rnd: random.Random, max_cells: int = 6, span: int = 40) -> StepFunction:

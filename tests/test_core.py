@@ -23,7 +23,7 @@ from cantormax import (
     interval_of,
     one_dimensional,
 )
-from cantormax.core import CantorSet, index_of, offset_of
+from cantormax.core import CantorLevel, CantorSet, index_of, offset_of
 from cantormax.stepfn import StepFunction
 from cantormax.errors import (
     DegenerateMeasureError,
@@ -33,7 +33,7 @@ from cantormax.errors import (
     StructureError,
 )
 
-from conftest import FIXTURE_A_SELECTIONS, prefix_mass, reference_load
+from conftest import FIXTURE_A_SELECTIONS, prefix_mass, reference_dump, reference_load
 
 F = Fraction
 
@@ -327,7 +327,76 @@ class TestStructureProblems:
         assert {"sorted/distinct", "range", "parent"} <= seen
 
 
+def _int64_boundaries() -> list[int]:
+    """0, then each 10^j - 1 and 10^j (j = 1..18) with their neighbours,
+    the int64 ends, and the negatives of all of them."""
+    values = {0, 1, (1 << 63) - 1}
+    for j in range(1, 19):
+        values.update(10**j + d for d in (-2, -1, 0, 1))
+    values |= {-v for v in values} | {-(1 << 63)}
+    return sorted(values)
+
+
+def _unchecked_set(params, arrays) -> CantorSet:
+    """A set with the given offset arrays as its levels, never validated."""
+    levels = [
+        CantorLevel(k, params.level_N(k), params.M(k), np.array(a, dtype=np.int64))
+        for k, a in enumerate(arrays, start=1)
+    ]
+    return CantorSet(params, levels, accepted_retries=(0,) * len(levels), validate=False)
+
+
 class TestSerialization:
+    def test_to_json_matches_reference_dump(self, fixture_a, z8_set, z16_set, fixture_a_params):
+        """The writer's bytes are ``json.dumps`` of Python-int lists, and
+        every file it writes is read through the compact form."""
+        empty_level = build_deterministic([{(2,)}, set()], fixture_a_params)
+        for cset in (fixture_a, z8_set, z16_set, empty_level):
+            text = cset.to_json()
+            assert text == reference_dump(cset)
+            assert core._compact_set_dict(text) is not None
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_to_json_at_every_text_length(self, fixture_a_params, order):
+        """Offsets at each change of their text's length, and both int64
+        ends, in unchecked sets: signs, 19 digits and any order."""
+        values = _int64_boundaries()
+        if order == "descending":
+            values.reverse()
+        elif order == "shuffled":
+            random.Random(3).shuffle(values)
+        cset = _unchecked_set(fixture_a_params, [values, values[::2]])
+        assert cset.to_json() == reference_dump(cset)
+
+    def test_to_json_matches_reference_dump_on_any_int64(self, fixture_a_params):
+        """Random int64 offsets, sorted or not, in unchecked sets."""
+        boundary = st.sampled_from(_int64_boundaries())
+        value = st.one_of(boundary, st.integers(-(1 << 63), (1 << 63) - 1), st.integers(0, 10**6))
+        arrays = st.lists(value, max_size=40).map(lambda xs: np.array(xs, dtype=np.int64))
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.lists(arrays, min_size=2, max_size=2), st.booleans())
+        def check(levels, ascending):
+            if ascending:
+                levels = [np.sort(a) for a in levels]
+            cset = _unchecked_set(fixture_a_params, levels)
+            assert cset.to_json() == reference_dump(cset)
+
+        check()
+
+    def test_level_leaves_the_callers_array_writeable(self):
+        a = np.arange(5)
+        lv = CantorLevel(1, 4, 4, a)
+        assert a.flags.writeable and not lv.offsets.flags.writeable
+        a[0] = 3
+        assert lv.offsets.tolist() == [0, 1, 2, 3, 4]
+
+    def test_level_keeps_a_read_only_array(self):
+        """A read-only int64 array, as the reader hands over, is not copied."""
+        loaded = core._offset_list("1,2,3")
+        assert not loaded.flags.writeable
+        assert CantorLevel(1, 4, 4, loaded).offsets is loaded
+
     def test_roundtrip_identity(self, fixture_a, z8_set):
         for cset in (fixture_a, z8_set):
             text = cset.to_json()

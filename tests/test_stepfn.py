@@ -399,7 +399,7 @@ class TestMergeKernel:
         assert vectorised([(fn, 0, 1) for _, _, fn in prepared])
         # 32 factors of about 13 classes overflow one int64 mixed radix, so
         # their gap keys are built in chunks
-        radix = math.prod(len(fn._class_table()[0]) for _, _, fn in prepared)
+        radix = math.prod(len(fn.levels) for _, _, fn in prepared)
         assert (radix > sf._KEY_MAX) == (n_terms == 32)
         combined = linear_combination(terms)
         assert combined == swept(linear_combination, terms)
