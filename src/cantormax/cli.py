@@ -94,7 +94,7 @@ def cmd_construct(cfg: RunConfig, out: Path) -> int:
         _write_jsonl(out / "transcript.jsonl", exc.transcript)
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    (out / "set.json").write_text(cset.to_json())
+    (out / "set.json").write_bytes(cset.to_json_bytes())
     _write_jsonl(out / "transcript.jsonl", transcript)
     (out / "config.txt").write_text(serialize_config(cfg))
     print(f"accepted set with P = {[cset.P(k) for k in range(1, cset.depth + 1)]}")

@@ -351,15 +351,17 @@ class CantorSet:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> str:
-        """The set file: the same text as ``json.dumps`` with
-        ``sort_keys=True`` and ``separators=(",", ":")`` of the object
-        holding ``schema_version``, ``params``, ``accepted_retries`` (a list,
-        or null when there are none) and per level ``k``, ``N_k``, ``P_k``
-        and ``selected``, the list of its offsets.
+        """The set file's text: ``to_json_bytes`` decoded."""
+        return self.to_json_bytes().decode("ascii")
 
-        Only the small rest goes through ``json.dumps``, with an empty list
-        in each ``selected``; the offsets are written from the int64 arrays
-        by ``_offset_blocks``."""
+    def to_json_bytes(self) -> bytes:
+        """The set file: the bytes of ``json.dumps`` with ``sort_keys=True``
+        and ``separators=(",", ":")`` of the object holding
+        ``schema_version``, ``params``, ``accepted_retries`` (a list, or null
+        when there are none) and per level ``k``, ``N_k``, ``P_k`` and
+        ``selected``, the list of its offsets.  Only the small rest goes
+        through ``json.dumps``, with an empty list in each ``selected``; the
+        offsets are written from the int64 arrays by ``_offset_blocks``."""
         skeleton = {
             "schema_version": SET_SCHEMA_VERSION,
             "params": self.params.to_json_dict(),
@@ -375,7 +377,7 @@ class CantorSet:
         parts = [head.encode("ascii")]
         for lv, tail in zip(self.levels, tails, strict=True):
             parts += [b'"selected":[', *_offset_blocks(lv.offsets), b"]", tail.encode("ascii")]
-        return b"".join(parts).decode("ascii")
+        return b"".join(parts)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CantorSet":
@@ -536,8 +538,8 @@ def _offset_blocks(offsets: np.ndarray) -> list:
     """The body of the JSON list of an int64 array, as bytes-like blocks to
     join: the text ``json.dumps`` gives each value, comma-separated.
 
-    The array is cut wherever it descends and wherever the length of the
-    values' text changes; a sorted array has at most one piece per length.
+    The array is cut wherever it descends, wherever the length of the
+    values' text changes and every 65,536 values (small temporaries).
     Each piece is written at once: its magnitudes split into groups of four
     digits by integer division, each group's ASCII bytes gathered from
     ``_digit_groups``, and one strided slice of the rows keeps each value's
@@ -546,7 +548,7 @@ def _offset_blocks(offsets: np.ndarray) -> list:
     if not n:
         return []
     runs = [0, *(np.flatnonzero(offsets[1:] < offsets[:-1]) + 1).tolist(), n]
-    cuts = set(runs)
+    cuts = {*runs, *range(0, n, 1 << 16)}
     for lo, hi in zip(runs, runs[1:]):
         cuts.update((lo + np.searchsorted(offsets[lo:hi], _TEXT_LENGTH_EDGES)).tolist())
     cuts = sorted(cuts)

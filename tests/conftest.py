@@ -116,6 +116,20 @@ def random_step(rnd: random.Random, max_cells: int = 6, span: int = 40) -> StepF
     return StepFunction.from_breakpoints(bps, vals)
 
 
+def float_evaluator(f: StepFunction):
+    """x -> f(x) in floats, right-continuous at breakpoints: the Monte Carlo
+    oracles' evaluator, with the breakpoints converted once."""
+    bps = [u / f.den for u in f.units]
+
+    def value(x: float) -> float:
+        idx = bisect_right(bps, x) - 1
+        if 0 <= idx < f.n_cells:
+            return f.val_nums[idx] / f.val_den
+        return 0.0
+
+    return value
+
+
 def random_fraction(rnd: random.Random, lo: Fraction, hi: Fraction, den: int = 64) -> Fraction:
     lo, hi = Fraction(lo), Fraction(hi)
     t = Fraction(rnd.randint(0, den), den)

@@ -49,7 +49,7 @@ from cantormax.maxops import (
 )
 from cantormax.stepfn import PiecewiseLinear, StepFunction, inner_product
 
-from conftest import random_step
+from conftest import float_evaluator, random_step
 
 F = Fraction
 
@@ -239,9 +239,10 @@ def test_criterion_06_oracle_equivalence():
         lo, hi = min(s[0] for s in spans), max(s[1] for s in spans)
         m = 4000
         z = rng.uniform(lo, hi, m)
+        v1, v2 = float_evaluator(f1), float_evaluator(f2)
         vals = np.array(
-            [f1.value_at_float((zz - float(c1)) / float(r1)) for zz in z]
-        ) * np.array([f2.value_at_float((zz - float(c2)) / float(r2)) for zz in z])
+            [v1((zz - float(c1)) / float(r1)) for zz in z]
+        ) * np.array([v2((zz - float(c2)) / float(r2)) for zz in z])
         est = (hi - lo) * vals.mean()
         se = (hi - lo) * vals.std(ddof=1) / math.sqrt(m)
         if se == 0:

@@ -384,6 +384,20 @@ class TestSerialization:
 
         check()
 
+    def test_long_levels_are_written_in_pieces_of_at_most_65536(self, fixture_a_params, z16_set):
+        """Pieces are cut every 65,536 values, across a change of text length
+        and a descent, and the bytes stay those of ``json.dumps``."""
+        rising = np.arange(10**5 - 70_000, 10**5 + 80_000, dtype=np.int64)
+        values = np.concatenate((rising, rising[:100_000]))
+        blocks = core._offset_blocks(values)
+        # a comma before every value but the first
+        assert max(bytes(b).count(b",") + (i == 0) for i, b in enumerate(blocks)) == 65_536
+        assert b"".join(blocks) == ",".join(map(str, values.tolist())).encode("ascii")
+        for cset in (_unchecked_set(fixture_a_params, [values, rising]), z16_set):
+            data = cset.to_json_bytes()
+            assert data == reference_dump(cset).encode("ascii")
+            assert cset.to_json() == data.decode("ascii")
+
     def test_level_leaves_the_callers_array_writeable(self):
         a = np.arange(5)
         lv = CantorLevel(1, 4, 4, a)

@@ -22,7 +22,7 @@ from cantormax import (
 )
 from cantormax.correlation import evaluate_tuple
 from cantormax.errors import EmptySampleError
-from conftest import per_gap_oracle, random_step
+from conftest import float_evaluator, per_gap_oracle, random_step
 
 F = Fraction
 
@@ -91,8 +91,9 @@ class TestLambdaExact:
             lo, hi = min(los), max(his)
             m = 4000
             z = rng.uniform(lo, hi, m)
-            vals = np.array([f1.value_at_float((zz - float(c1)) / float(r1)) for zz in z])
-            vals *= np.array([f2.value_at_float((zz - float(c2)) / float(r2)) for zz in z])
+            v1, v2 = float_evaluator(f1), float_evaluator(f2)
+            vals = np.array([v1((zz - float(c1)) / float(r1)) for zz in z])
+            vals *= np.array([v2((zz - float(c2)) / float(r2)) for zz in z])
             est = (hi - lo) * vals.mean()
             se = (hi - lo) * vals.std(ddof=1) / math.sqrt(m)
             if se == 0:

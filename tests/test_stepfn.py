@@ -4,6 +4,7 @@ import contextlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -407,6 +408,63 @@ class TestMergeKernel:
             want = swept(power_integral, terms, p)
             assert power_integral(terms, p) == want
             assert combined.abs().lp_power(p) == want
+
+    def test_chunked_keys_decode_to_the_swept_class_tuples(self):
+        # 40 factors of 13 classes overflow one int64 mixed radix twice, so
+        # the gap keys are combined by rank over three chunks or more;
+        # integer offsets make breakpoints of different factors coincide,
+        # which leaves zero-width gaps with class tuples of their own
+        rnd = random.Random(18)
+        fns = [
+            StepFunction(
+                sorted(rnd.sample(range(30), 13)), 1,
+                [v * rnd.choice([-1, 1]) for v in rnd.sample(range(1, 50), 12)], 1,
+            )
+            for _ in range(40)
+        ]
+        entries = [(fn, rnd.randint(-5, 5), rnd.choice([1, 2])) for fn in fns]
+        _, prepared = sf._prepare_factors(entries)
+        sizes = [len(fn.levels) for _, _, fn in prepared]
+        assert sizes == [13] * 40 and math.prod(sizes) > sf._KEY_MAX**2
+        widths, classes, cells = sf._merge_numpy(prepared)
+        tuples = list(zip(*(c.tolist() for c in classes)))
+        assert len(set(tuples)) == len(tuples) == len(widths)
+        assert 0 in widths
+        radices = [math.prod(sizes[:i]) for i in range(len(sizes))]
+        gaps = [(a, b, tuple(key // r % n for r, n in zip(radices, sizes))) for a, b, key in sf._sweep(prepared, radices)]
+        swept: dict[tuple, int] = {}
+        for a, b, t in gaps:
+            swept[t] = swept.get(t, 0) + b - a
+        assert {t: w for t, w in zip(tuples, widths) if w} == swept
+        positions, group = cells()
+        assert positions.tolist() == [a for a, _, _ in gaps] + [gaps[-1][1]]
+        assert [tuples[g] for g in group.tolist()] == [t for _, _, t in gaps]
+
+    def test_merge_holds_few_arrays_of_the_merged_length(self):
+        # two factors of about 300k breakpoints: beyond its inputs the merge
+        # allocates at most 7 int64 arrays of the merged length, including
+        # what its cells() keeps
+        rng = np.random.default_rng(18)
+        fns = [
+            StepFunction.from_classes(
+                np.cumsum(rng.integers(1, 40, size=300_001)), 1, (0, -2, 1, 5),
+                np.cumsum(rng.integers(1, 4, size=300_000)) % 4, 1,
+            )
+            for _ in range(2)
+        ]
+        _, prepared = sf._prepare_factors([(fns[0], 0, 1), (fns[1], F(1, 3), F(3, 2))])
+        n = sum(len(fn._u) for _, _, fn in prepared)
+        assert n > 500_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            widths, _, _ = sf._merge_numpy(prepared)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 7 * 8 * n
+        ends = [C + G * int(u) for C, G, fn in prepared for u in (fn._u[0], fn._u[-1])]
+        assert sum(widths) == max(ends) - min(ends)
 
     def test_sweep_groups_by_class_tuple(self):
         # two factors of 2000 cells with four values each, zero among them:
