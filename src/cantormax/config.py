@@ -185,6 +185,8 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("maximal needs m_min <= m_max", field="maximal.m_min")
     if mc.points < 1:
         raise ConfigError("maximal.points must be >= 1", field="maximal.points")
+    if dc.function not in ("hat", "indicator"):
+        raise ConfigError(f"unknown test function {dc.function!r}", field="differentiate.function")
     if dc.point_count < 1:
         raise ConfigError("differentiate.point_count must be >= 1", field="differentiate.point_count")
     rs = dc.r_sequence

@@ -26,7 +26,7 @@ from .errors import (
     StructureError,
 )
 from .params import ConstructionParams, REGIME_FIXED_DIM, REGIME_ONE_DIM
-from .stepfn import StepFunction
+from .stepfn import StepFunction, run_coverage
 
 MultiIndex = tuple[int, ...]
 
@@ -236,9 +236,6 @@ class CantorSet:
             parents = arr
         return problems
 
-    def selection(self, k: int) -> set[MultiIndex]:
-        return {index_of(o, k, self.params) for o in self.level(k).offsets.tolist()}
-
     def run_moments(self, k: int) -> RunMoments:
         """Prefix moments of the runs of S_k, built on first use."""
         if k not in self._moments_cache:
@@ -280,38 +277,15 @@ class CantorSet:
         a_num = on_child.numerator * (vden // on_child.denominator)
         b_num = off_child.numerator * (vden // off_child.denominator)
 
-        # run endpoints on the child grid, each start +1 and each end -1: as
-        # S_{k+1} lies in S_k, the running sum in merged order is the class,
-        # 0 off S_k, 1 (b_num) on S_k minus S_{k+1} and 2 (a_num) on S_{k+1}
-        pos = np.concatenate([(parent.runs() * N_next).ravel(), child.runs().ravel()])
-        order = np.argsort(pos, kind="stable")
-        pos = pos[order]
-        first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
-        step = 1 - 2 * (order & 1)  # starts sit at even slots, ends at odd ones
-        classes = np.cumsum(step)[first[1:] - 1]
-        fn = StepFunction.from_classes(pos[first] + M_next, M_next, [0, b_num, a_num], classes, vden)
+        # run ends on the child grid: as S_{k+1} lies in S_k, the number of
+        # runs covering a stretch is its class, 0 off S_k, 1 (b_num) on S_k
+        # minus S_{k+1} and 2 (a_num) on S_{k+1}
+        ends, classes = run_coverage([(parent.runs() * N_next).ravel(), child.runs().ravel()])
+        fn = StepFunction.from_classes(ends + M_next, M_next, [0, b_num, a_num], classes, vden)
         self._sigma_cache[k] = fn
         return fn
 
     # -- measures ------------------------------------------------------------
-
-    def nu_interval(self, J: tuple) -> Fraction:
-        """Depth-K mass of an interval J ⊆ [1,2] under the level-K weights.
-
-        Interior basic intervals contribute P_K^{-1} each; boundary cells
-        contribute their fractional overlap, which makes this exactly the
-        phi_K mass of J.
-        """
-        a, b = Fraction(J[0]), Fraction(J[1])
-        if not (1 <= a <= b <= 2):
-            raise InvalidIndexError("nu_interval needs J = [a, b] inside [1, 2]")
-        lv = self.level(self.depth)
-        if lv.P == 0:
-            raise DegenerateMeasureError("depth-K level is empty")
-        moments = self.run_moments(self.depth)
-        lo, _ = moments.below((a - 1) * lv.M_k)
-        hi, _ = moments.below((b - 1) * lv.M_k)
-        return Fraction(hi - lo) / lv.P
 
     def descendant_counts(self, k: int, k2: int) -> np.ndarray:
         """Selected level-k2 offsets under each selected level-k offset, in

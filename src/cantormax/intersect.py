@@ -5,7 +5,7 @@ share a point is walked by one output-sensitive sweep (``_walk``): slots are
 scanned in order, and each partial tuple narrows the admissible window
 analytically, so only the (at most a handful of) indices whose intervals
 meet the current window are ever touched.  ``enumerate_F`` lists the walk's
-tuples with their tangency class; ``tangency_counts`` only counts them.
+tuples with their tangency class, and ``classify`` splits them by class.
 
 Classifying A compares the number of internal tuples with a threshold, so
 ``count_internal`` counts them without listing any.  For n = 2 it is one
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -222,14 +221,6 @@ def classify(
     f_int = [t for t in tuples if t.cls == INTERNAL]
     f_tr = [t for t in tuples if t.cls == TRANSVERSE]
     return f_int, f_tr
-
-
-def tangency_counts(cset: CantorSet, A: AffineTuple, n: int, k: int) -> tuple[int, int]:
-    """(L_int, L_tr): members of F_int / F_tr with every coordinate selected."""
-    walk = _walk(n, k, A, cset.params, cset)
-    N_k = cset.params.level_N(k)
-    counts = Counter(_classify_offsets(o, N_k)[0] for o in walk)
-    return counts[INTERNAL], counts[TRANSVERSE]
 
 
 @dataclass(frozen=True)

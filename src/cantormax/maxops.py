@@ -162,7 +162,7 @@ class MaximalSweep:
         ]
 
     def windowed(self) -> list[tuple[Fraction, float]]:
-        """max of r^a A_r[k]|f|(x) over the query's scale window."""
+        """max of r^a A_r[k]|f|(x) over the query's scale window; r^a is the only float."""
         a = self.query.a
         keys = [key for m in range(self.query.m_min, self.query.m_max + 1) for key in self._keys(m)]
         out = []
@@ -190,25 +190,6 @@ def maximal_sweep(f: StepFunction, cset: CantorSet, query: MaximalQuery, scales)
         for r0 in query.r_grid
     }
     return MaximalSweep(query, cset.depth, averages)
-
-
-def restricted_maximal(
-    f: StepFunction, cset: CantorSet, query: MaximalQuery
-) -> list[tuple[Fraction, Fraction]]:
-    """M f at each query point: max over the r grid and levels of averages of |f|."""
-    return maximal_sweep(f, cset, query, (0,)).restricted()
-
-
-def unrestricted_maximal(
-    f: StepFunction, cset: CantorSet, query: MaximalQuery
-) -> list[tuple[Fraction, float]]:
-    """Windowed multi-scale maximal values r^a * A_r[k]|f|(x).
-
-    The scale window m in [m_min, m_max] is part of the query and reported
-    with it; each average is exact, the r^a factor is the only float.
-    """
-    scales = range(query.m_min, query.m_max + 1)
-    return maximal_sweep(f, cset, query, scales).windowed()
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +510,7 @@ def differentiation_experiment(
     rows = []
     for x in points:
         x = Fraction(x)
-        fx = f.value_at(x, side="+")
+        fx = f.value_at(x)
         for r in rs:
             errs = tuple(
                 abs(average(f, cset, k, r, x) - fx)

@@ -43,12 +43,13 @@ and otherwise merges only the cells that meet the intersection: its cost
 is O(runs + cells in the common support).
 
 ``integral`` and ``lp_power`` sum per value class (level times the class's
-width), as a one-factor merge does; ``mass_between`` is the product with
-an indicator, and ``affine_image`` and ``scale`` are one-term
-``linear_combination``s, which hand their classes to the result.
-``PiecewiseLinear.lp_power`` sums all pieces at once in object-dtype
-integers, by Horner's rule.  The ``units`` and ``val_nums`` tuples are
-views for callers that want Python ints; no kernel reads them.
+width), as a one-factor merge does, and ``mass_between`` is the product
+with an indicator.  ``PiecewiseLinear.lp_power`` sums all pieces at once in
+object-dtype integers, by Horner's rule.  The ``units`` and ``val_nums``
+tuples are views in Python ints, built on first use for pointwise reads
+(``value_at``, ``cells``); no kernel reads them.  ``run_coverage`` counts
+the runs covering each stretch between run ends, for ``CantorSet.sigma``
+and for the common support of a product.
 """
 
 from __future__ import annotations
@@ -167,10 +168,6 @@ class StepFunction:
         return tuple(map(self.levels.__getitem__, self._cls.tolist()))
 
     @property
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(u, self.den) for u in self.units)
-
-    @property
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.val_den) for v in self.val_nums)
 
@@ -219,15 +216,11 @@ class StepFunction:
 
     # -- pointwise -------------------------------------------------------
 
-    def value_at(self, x, side: str = "+") -> Fraction:
-        """Value at x; at a breakpoint, `side` picks the right or left limit."""
+    def value_at(self, x) -> Fraction:
+        """Value at x, the right limit at a breakpoint."""
         if self.is_zero:
             return Fraction(0)
-        xs = Fraction(x) * self.den
-        if side == "+":
-            idx = bisect_right(self.units, xs) - 1
-        else:
-            idx = bisect_left(self.units, xs) - 1
+        idx = bisect_right(self.units, Fraction(x) * self.den) - 1
         if 0 <= idx < self.n_cells:
             return Fraction(self.val_nums[idx], self.val_den)
         return Fraction(0)
@@ -261,42 +254,6 @@ class StepFunction:
             raise DomainError("lp_power needs an integer p >= 1")
         total = sum(abs(v) ** p * w for v, w in zip(self.levels, self._class_widths()))
         return Fraction(total, self.den * self.val_den**p)
-
-    def lp_norm(self, p) -> float:
-        p = Fraction(p)
-        if p < 1:
-            raise DomainError("lp_norm needs p >= 1")
-        if p.denominator == 1:
-            return float(self.lp_power(int(p))) ** (1.0 / int(p))
-        total = 0.0
-        pf = float(p)
-        for l, r, v in self.cells():
-            total += abs(float(v)) ** pf * float(r - l)
-        return total ** (1.0 / pf)
-
-    # -- algebra -----------------------------------------------------------
-
-    def affine_image(self, c, r) -> "StepFunction":
-        """The function z -> f((z - c)/r) for r > 0."""
-        if Fraction(r) <= 0:
-            raise DomainError("affine_image needs r > 0")
-        return linear_combination([(1, self, c, r)])
-
-    def scale(self, s) -> "StepFunction":
-        return linear_combination([(s, self, 0, 1)])
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __add__(self, other):
-        if not isinstance(other, StepFunction):
-            return NotImplemented
-        return linear_combination([(1, self, 0, 1), (1, other, 0, 1)])
-
-    def __sub__(self, other):
-        if not isinstance(other, StepFunction):
-            return NotImplemented
-        return linear_combination([(1, self, 0, 1), (-1, other, 0, 1)])
 
     def abs(self) -> "StepFunction":
         levels = [abs(v) for v in self.levels]
@@ -611,22 +568,34 @@ def _class_values(prepared, classes, mults) -> list[np.ndarray]:
     ]
 
 
+def run_coverage(parts) -> tuple[np.ndarray, np.ndarray]:
+    """(ends, counts) for runs given as arrays of run starts and ends
+    alternating: the distinct run ends ascending, and on each stretch between
+    neighbouring ends the number of runs that cover it.
+
+    Each start adds +1 and each end -1, and a stretch's count is the running
+    sum in sorted order; the parts are joined here, so the caller holds no
+    copy of the joined array.
+    """
+    pos = np.concatenate(parts)
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    step = 1 - 2 * (order & 1)  # starts sit at even slots, ends at odd ones
+    first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
+    return pos[first], np.cumsum(step)[first[1:] - 1]
+
+
 def _common_support(prepared):
     """The windows [lo, hi) in which the factors' support runs all overlap,
     in the common units of ``prepared``: an object array of Python ints
     holding every lo, then every hi - 1.
 
-    Each run adds +1 at its start and -1 at its end; the windows are the
-    stretches between distinct endpoints where the running sum counts every
-    factor.  Only run endpoints are Python ints, so this costs O(runs).
+    The windows are the stretches of ``run_coverage`` that every factor
+    covers.  Only run endpoints are Python ints, so this costs O(runs).
     """
-    pos = np.concatenate([C + G * fn._run_bounds for C, G, fn in prepared])
-    order = np.argsort(pos, kind="stable")
-    pos = pos[order]
-    step = 1 - 2 * (order & 1)  # starts sit at even slots, ends at odd ones
-    first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
-    full = np.flatnonzero(np.cumsum(step)[first[1:] - 1] == len(prepared))
-    return np.concatenate((pos[first[full]], pos[first[full + 1]] - 1))
+    ends, counts = run_coverage([C + G * fn._run_bounds for C, G, fn in prepared])
+    full = np.flatnonzero(counts == len(prepared))
+    return np.concatenate((ends[full], ends[full + 1] - 1))
 
 
 def _clip(C: int, G: int, fn: StepFunction, windows: np.ndarray) -> StepFunction:
@@ -762,19 +731,15 @@ def linear_combination(terms: Sequence[tuple]) -> StepFunction:
     return StepFunction.from_classes(positions, D, value, group, VW)
 
 
-def inner_product(f: StepFunction, g: StepFunction) -> Fraction:
-    """Exact integral of f*g."""
-    return product_integral([(f, 0, 1), (g, 0, 1)])
-
-
 class PiecewiseLinear:
     """Continuous piecewise-linear function, constant beyond its end nodes.
 
     Held like a ``StepFunction`` but unnormalized: node numerators ``units``
     over ``den`` and value numerators ``val_nums`` over ``val_den``, tuples of
-    Python ints built on first use.  Interval masses are exact (the trapezoid
-    rule is exact on linear pieces), so the differentiation experiment checks
-    2*Lip*r exactly.
+    Python ints built on first use.  ``maxops.average`` integrates its linear
+    pieces exactly, so the differentiation experiment checks 2*Lip*r
+    exactly; ``mass_between`` is exact too (the trapezoid rule is exact on
+    linear pieces).
     """
 
     def __init__(self, units, den, val_nums, val_den):
@@ -810,7 +775,7 @@ class PiecewiseLinear:
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.val_den) for v in self.val_nums)
 
-    def value_at(self, x, side: str = "+") -> Fraction:
+    def value_at(self, x) -> Fraction:
         # clamped to the end pieces' ends: beyond the end nodes f is constant
         xs, us, hs = Fraction(x) * self.den, self.units, self.val_nums
         i = min(max(bisect_right(us, xs), 1), len(us) - 1)

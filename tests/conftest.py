@@ -19,7 +19,7 @@ import cantormax.stepfn as sf
 from cantormax import build_deterministic, construct, custom, fixed_dimension
 from cantormax.core import SET_SCHEMA_VERSION, CantorSet
 from cantormax.errors import FormatError
-from cantormax.stepfn import StepFunction
+from cantormax.stepfn import StepFunction, linear_combination
 
 # Deterministic two-level reference family: K=2, N=(4,4),
 # level-1 selection {(2),(4)}, level-2 {(2,1),(2,3),(4,2),(4,4)}.
@@ -114,6 +114,16 @@ def random_step(rnd: random.Random, max_cells: int = 6, span: int = 40) -> StepF
         bps.append(bps[-1] + 1)
     vals = [Fraction(rnd.randint(-5, 5), rnd.choice([1, 2, 3])) for _ in range(len(bps) - 1)]
     return StepFunction.from_breakpoints(bps, vals)
+
+
+def breakpoints(f: StepFunction) -> tuple[Fraction, ...]:
+    """f's breakpoints as Fractions: its ``units`` over ``den``."""
+    return tuple(Fraction(u, f.den) for u in f.units)
+
+
+def affine_image(f: StepFunction, c, r, w=1) -> StepFunction:
+    """z -> w f((z - c)/r): the one-term ``linear_combination``."""
+    return linear_combination([(w, f, c, r)])
 
 
 def float_evaluator(f: StepFunction):

@@ -47,7 +47,7 @@ from cantormax.maxops import (
     phi_star_apply,
     uniform_assignment,
 )
-from cantormax.stepfn import PiecewiseLinear, StepFunction, inner_product
+from cantormax.stepfn import PiecewiseLinear, StepFunction, product_integral
 
 from conftest import float_evaluator, random_step
 
@@ -350,8 +350,8 @@ def test_criterion_09_adjoint_identity(fixture_a, z8_set):
         if not cells:
             continue
         g = StepFunction.from_cells(cells)
-        lhs = inner_product(phi_forward(f, cset, k, assign), g)
-        rhs = inner_product(f, phi_star_apply(g, cset, k, assign))
+        lhs = product_integral([(phi_forward(f, cset, k, assign), 0, 1), (g, 0, 1)])
+        rhs = product_integral([(f, 0, 1), (phi_star_apply(g, cset, k, assign), 0, 1)])
         ok &= lhs == rhs
         checked += 1
     _report(9, ok, f"<Phi f, g> == <f, Phi* g> exactly on {checked} random fixtures",

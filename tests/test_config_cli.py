@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cantormax
-from cantormax.cli import main
+from cantormax.cli import _COMMANDS, main
 from cantormax.config import RunConfig, parse_config, serialize_config
 from cantormax.errors import ConfigError
 
@@ -333,6 +333,22 @@ class TestCli:
         assert err.count("\n") == 1 and override.split("=")[0] in err
         assert "Traceback" not in err
 
+    def test_unknown_test_function_is_usage_error_for_every_command(self, cli_workspace, tmp_path, capsys):
+        # the function name is validated with the rest of the config, so no
+        # command runs with it or writes a file, config.txt included
+        _, _, out = cli_workspace
+        for command, (_, _, reads_set) in _COMMANDS.items():
+            if command == "init-config":
+                continue
+            target = tmp_path / command
+            set_file = [str(out / "set.json")] if reads_set else []
+            capsys.readouterr()
+            code = main([command, *set_file, "--set", "differentiate.function=foo", "-o", str(target)])
+            err = capsys.readouterr().err
+            assert code == 2, command
+            assert err.count("\n") == 1 and "differentiate.function" in err
+            assert not target.exists()
+
     @pytest.mark.parametrize("where, canonical", _with_writers(["below", "above"]))
     def test_level_2_offset_out_of_range_is_a_structure_problem(
         self, cli_workspace, tmp_path, capsys, where, canonical
@@ -448,7 +464,7 @@ class TestCli:
 
     def test_maximal_csv_rows_match_library(self, cli_workspace, tmp_path):
         from cantormax.core import CantorSet
-        from cantormax.maxops import MaximalQuery, average, restricted_maximal, unrestricted_maximal
+        from cantormax.maxops import MaximalQuery, average
         from cantormax.stepfn import StepFunction
 
         _, _, out = cli_workspace
@@ -468,8 +484,19 @@ class TestCli:
             for x in points for k in (1, 2, 3) for r in query.r_grid
         ]
         assert rows[: len(grid)] == grid
-        restricted = [["max", "", str(float(x)), str(float(v))] for x, v in restricted_maximal(f, cset, query)]
-        windowed = [["max_windowed", "-1..1", str(float(x)), str(v)] for x, v in unrestricted_maximal(f, cset, query)]
+        # the maxima from direct averages, not from a second sweep; f >= 0
+        restricted, windowed = [], []
+        for x in points:
+            best = max(average(f, cset, k, r, x) for k in (1, 2, 3) for r in query.r_grid)
+            restricted.append(["max", "", str(float(x)), str(float(best))])
+            scaled = [r0 / F(2) ** m for m in (-1, 0, 1) for r0 in query.r_grid]
+            weighted = [
+                float(v) * float(r) ** float(query.a)
+                for k in (1, 2, 3)
+                for r in scaled
+                if (v := average(f, cset, k, r, x))
+            ]
+            windowed.append(["max_windowed", "-1..1", str(float(x)), str(max([0.0, *weighted]))])
         assert rows[len(grid):] == restricted + windowed
         assert any(float(row[3]) > 0 for row in rows)
 

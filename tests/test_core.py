@@ -24,6 +24,7 @@ from cantormax import (
     one_dimensional,
 )
 from cantormax.core import CantorLevel, CantorSet, index_of, offset_of
+from cantormax.maxops import average
 from cantormax.stepfn import StepFunction
 from cantormax.errors import (
     DegenerateMeasureError,
@@ -168,26 +169,31 @@ def test_sigma_matches_searchsorted_build(request, name):
         assert cset.sigma(k) == searchsorted_sigma(cset, k)
 
 
+def deepest_mass(cset, a, b):
+    """mu_K([a, b]): the average A_1[K] 1_[a, b](0), as the L^1 demo reads its ball masses."""
+    return average(StepFunction.indicator(a, b), cset, cset.depth, 1, 0)
+
+
 class TestMeasures:
     def test_unit_mass(self, fixture_a):
-        assert fixture_a.nu_interval((1, 2)) == 1
+        assert deepest_mass(fixture_a, 1, 2) == 1
 
     def test_single_selected_cell(self, fixture_a):
-        assert fixture_a.nu_interval((F(5, 4), F(21, 16))) == F(1, 4)
+        assert deepest_mass(fixture_a, F(5, 4), F(21, 16)) == F(1, 4)
 
     def test_disjoint_interval(self, fixture_a):
-        assert fixture_a.nu_interval((F(33, 32), F(17, 16))) == 0
+        assert deepest_mass(fixture_a, F(33, 32), F(17, 16)) == 0
 
     def test_fractional_boundary_overlap(self, fixture_a):
-        full = fixture_a.nu_interval((F(5, 4), F(21, 16)))
-        half = fixture_a.nu_interval((F(5, 4), F(41, 32)))
+        full = deepest_mass(fixture_a, F(5, 4), F(21, 16))
+        half = deepest_mass(fixture_a, F(5, 4), F(41, 32))
         assert half == full / 2
 
     def test_additive_and_monotone(self, fixture_a):
-        a = fixture_a.nu_interval((1, F(3, 2)))
-        b = fixture_a.nu_interval((F(3, 2), 2))
-        assert a + b == fixture_a.nu_interval((1, 2))
-        assert a <= fixture_a.nu_interval((1, F(7, 4)))
+        a = deepest_mass(fixture_a, 1, F(3, 2))
+        b = deepest_mass(fixture_a, F(3, 2), 2)
+        assert a + b == deepest_mass(fixture_a, 1, 2)
+        assert a <= deepest_mass(fixture_a, 1, F(7, 4))
 
     def test_matches_density_mass(self, z8_set):
         # the prefix-moment cut against the prefix-table phi_K mass
@@ -195,11 +201,7 @@ class TestMeasures:
         phi = z8_set.density(z8_set.depth)
         for _ in range(20):
             a, b = sorted(1 + F(rnd.randint(0, 10**6), 10**6) for _ in range(2))
-            assert z8_set.nu_interval((a, b)) == prefix_mass(phi, a, b)
-
-    def test_outside_domain_rejected(self, fixture_a):
-        with pytest.raises(InvalidIndexError):
-            fixture_a.nu_interval((0, 1))
+            assert deepest_mass(z8_set, a, b) == prefix_mass(phi, a, b)
 
 
 class TestWeakStarDefect:
@@ -429,8 +431,11 @@ class TestSerialization:
         assert again.level(2).offsets.dtype == np.int64
 
     def test_selection_decodes_indices(self, fixture_a):
-        assert fixture_a.selection(1) == {(2,), (4,)}
-        assert fixture_a.selection(2) == set(FIXTURE_A_SELECTIONS[1])
+        def selection(k):
+            return {index_of(o, k, fixture_a.params) for o in fixture_a.level(k).offsets.tolist()}
+
+        assert selection(1) == {(2,), (4,)}
+        assert selection(2) == set(FIXTURE_A_SELECTIONS[1])
 
 
 _MUTATIONS = (

@@ -18,7 +18,6 @@ from cantormax import (
     projection_multiplicity,
     proximity_check,
     symdiff_bound_check,
-    tangency_counts,
 )
 from cantormax.errors import CapacityError, DomainError
 from cantormax.grids import DiscretizationGrid
@@ -252,6 +251,12 @@ class TestCountInternal:
             idx.append((cj, rj))
         A = AffineTuple(tuple((grid.c_value(c), grid.r_value(r)) for c, r in idx), k)
         assert count_internal(n, k, A, params) == enumerated_internal(n, k, A, params)
+
+
+def tangency_counts(cset, A, n, k):
+    """(L_int, L_tr): the members of F_int and F_tr with every coordinate selected."""
+    f_int, f_tr = classify(enumerate_F(n, k, A, cset.params, restrict_to=cset))
+    return len(f_int), len(f_tr)
 
 
 class TestTangencyCounts:
