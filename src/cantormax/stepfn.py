@@ -21,16 +21,17 @@ one function object and equal c and r are one term of the summed weight,
 and a term whose weight sums to 0 is dropped, so the merge does not grow
 with the number of copies.  One factor needs no merge: its groups are its
 own value classes and its cells its own, moved to C + G*u.  The vectorised
-merge encodes each factor relative to its first unit into its slice of one
-pair of int64 limbs (hi, lo), and one stable argsort of the float64 keys
-hi*2^39 + lo merges the presorted factor runs: rounding never reverses the
-exact order, and runs of equal keys are reordered from the limbs.  Each gap
-is keyed by the running sum of its factors' mixed-radix class steps, its
-factors' classes are read back from the key, and widths are summed per key
-in int64 limbs.  Its traced peak is five int64 arrays of the merged length:
-27 MB and 18 ms (2-core x86-64 host) for a whole sigma_2 pair of the N=16
-set, 677,524 breakpoints.  A factor whose span, step G or offset leaves the
-limbs (span >= 2^25, G >= 2^61, G*span >= 2^87 or |offset| >= 2^91), or
+merge encodes each factor's positions, as offsets from one origin (the
+smallest first position), into its slice of one pair of int64 limbs
+(hi, lo), and one stable argsort of the float64 keys hi*2^39 + lo merges
+the presorted factor runs: rounding never reverses the exact order, and
+runs of equal keys are reordered from the limbs.  Each gap is keyed by the
+running sum of its factors' mixed-radix class steps, its factors' classes
+are read back from the key, and widths are summed per key in int64 limbs.
+Its traced peak is five int64 arrays of the merged length: 27 MB and 18 ms
+(2-core x86-64 host) for a whole sigma_2 pair of the N=16 set, 677,524
+breakpoints.  A factor whose span, step G or offset from the origin leaves
+the limbs (span >= 2^25, G >= 2^62, G*span >= 2^87 or offset >= 2^91), or
 more than 2^24 breakpoints in all, sends the merge to a pure-Python
 ``heapq`` sweep that sums the widths per class tuple, so its memory grows
 with the number of distinct tuples, not of gaps.
@@ -39,8 +40,13 @@ A product vanishes off the common support of its factors, so
 ``product_integral`` first intersects the factors' support runs (maximal
 runs of nonzero cells, kept per function as Python-int unit bounds) in
 exact integers, returns 0 without a merge when they meet in a null set,
-and otherwise merges only the cells that meet the intersection: its cost
-is O(runs + cells in the common support).
+and otherwise merges only the cells that meet the intersection, in
+consecutive batches of windows that keep about 2^16 factor cells each and
+span less than the limbs take.  Its cost is O(runs + cells in the common
+support), and its memory beyond the factors O(runs) plus one batch's
+merge, whatever the overlap: the largest near-diagonal sigma_2 product of
+the N=16 set (640,497 clipped breakpoints in 10 batches) has a traced peak
+of 5.6 MB, where one merge of its common support took 35.9 MB.
 
 ``integral`` and ``lp_power`` sum per value class (level times the class's
 width), as a one-factor merge does, and ``mass_between`` is the product
@@ -68,11 +74,12 @@ from .errors import DomainError
 _LIMB = 39
 _LIMB_BASE = 1 << _LIMB
 _SPAN_MAX = 1 << 25  # breakpoint span u[-1] - u[0] of one factor
-_G_MAX = 1 << 61
+_G_MAX = 1 << 62  # (u - u0) < 2^25 times G >> 25 < 2^37 stays below 2^62
 _GU_MAX = 1 << 87
-_C_MAX = 1 << 91  # keeps |hi| < 2^53, so each float key is one rounding
+_C_MAX = 1 << 91  # offset from the origin; keeps hi < 2^53, so each float key is one rounding
 _POS_MAX = 1 << 24  # merged breakpoints; keeps the low-limb sums in int64
 _KEY_MAX = 1 << 62
+_BATCH_CELLS = 1 << 16  # about the factor cells that product_integral merges at once
 
 
 def _clear_denominators(fracs) -> tuple[list[int], int]:
@@ -349,12 +356,12 @@ def _prepare_factors(entries):
 
 def _encode_positions(C: int, G: int, u: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
     """Write the exact encoding hi*2^39 + lo of C + G*(u - u[0]), for a span
-    u[-1] - u[0] below 2^25, into the int64 slices hi and lo, with
-    0 <= lo < 2^39; one temporary of u's length."""
+    u[-1] - u[0] below 2^25 and 0 < G < 2^62, into the int64 slices hi and
+    lo, with 0 <= lo < 2^39; one temporary of u's length."""
     Gq, Gr = divmod(G, 1 << 25)
     Chi, Clo = divmod(C, _LIMB_BASE)
     np.subtract(u, u[0], out=lo, casting="unsafe")  # below 2^25, from int64 or Python ints
-    np.multiply(lo, Gq, out=hi)  # below 2^61; G*u = hi*2^25 + Gr*u
+    np.multiply(lo, Gq, out=hi)  # below 2^25 * 2^37 = 2^62; G*u = hi*2^25 + Gr*u
     lo *= Gr
     lo += Clo
     carry = (hi & ((1 << 14) - 1)) << 25
@@ -441,6 +448,11 @@ def _merge_numpy(prepared):
     """The vectorised exact merge, with its gaps grouped by their tuple of
     value classes, or None when an input is out of the limb range.
 
+    Every factor is encoded relative to one origin, the smallest first
+    position, so the limbs hold offsets from it and far but close factors
+    stay in range; ``cells()`` adds the origin back, in int64 while the
+    positions fit and in Python ints past them.
+
     Returns (widths, classes, cells): ``widths[g]`` is the exact total width
     of group g and ``classes[i][g]`` factor i's class on it; ``cells()``
     gives the distinct merged positions (int64, or Python ints past it) and
@@ -451,14 +463,15 @@ def _merge_numpy(prepared):
     bounds = np.cumsum([0, *(len(fn._u) for _, _, fn in prepared)]).tolist()
     if bounds[-1] > _POS_MAX:
         return None
-    for C, G, fn in prepared:
+    firsts = [C + G * int(fn._u[0]) for C, G, fn in prepared]
+    origin = min(firsts)
+    for (C, G, fn), first in zip(prepared, firsts):
         span = fn._span()
-        C0 = C + G * int(fn._u[0])  # bias by the first unit
-        if not (span < _SPAN_MAX and 0 < G < _G_MAX and G * span < _GU_MAX and abs(C0) < _C_MAX):
+        if not (span < _SPAN_MAX and 0 < G < _G_MAX and G * span < _GU_MAX and first - origin < _C_MAX):
             return None
     hi, lo = np.empty(bounds[-1], dtype=np.int64), np.empty(bounds[-1], dtype=np.int64)
-    for (C, G, fn), a, b in zip(prepared, bounds, bounds[1:]):
-        _encode_positions(C + G * int(fn._u[0]), G, fn._u, hi[a:b], lo[a:b])
+    for (C, G, fn), first, a, b in zip(prepared, firsts, bounds, bounds[1:]):
+        _encode_positions(first - origin, G, fn._u, hi[a:b], lo[a:b])
     order = _merged_order(hi, lo)
     keys, read_classes = _gap_keys(prepared, bounds, order)
     hi = hi[order]
@@ -487,10 +500,14 @@ def _merge_numpy(prepared):
         live = np.flatnonzero((hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1]))
         ends = np.append(live, len(hi) - 1)
         pos_hi, pos_lo = hi[ends], lo[ends]
-        if np.abs(pos_hi).max() >= 1 << 23:
-            pos_hi, pos_lo = pos_hi.astype(object), pos_lo.astype(object)
-        group = np.cumsum(seen) - 1
-        return pos_hi * _LIMB_BASE + pos_lo, group[keys[live]]
+        group = (np.cumsum(seen) - 1)[keys[live]]
+        last = origin + (int(pos_hi[-1]) << _LIMB) + int(pos_lo[-1])
+        if -(1 << 62) <= origin and last < 1 << 62:  # last - origin < 2^63
+            pos_hi <<= _LIMB
+            pos_hi += pos_lo
+            pos_hi += origin
+            return pos_hi, group
+        return origin + pos_hi.astype(object) * _LIMB_BASE + pos_lo, group
 
     return widths, classes, cells
 
@@ -598,21 +615,30 @@ def _common_support(prepared):
     return np.concatenate((ends[full], ends[full + 1] - 1))
 
 
-def _clip(C: int, G: int, fn: StepFunction, windows: np.ndarray) -> StepFunction:
-    """fn restricted to its cells whose images C + G*[u_j, u_j+1] meet a
-    window of ``_common_support`` in positive length, zero elsewhere.
+def _window_cells(C: int, G: int, fn: StepFunction, windows: np.ndarray):
+    """Per window of ``_common_support``, the first of fn's cells whose image
+    C + G*[u_j, u_j+1] meets it in positive length, and one past the last.
 
     Cell j meets [lo, hi) exactly when u_j+1 > floor((lo - C)/G) and
     u_j <= floor((hi - 1 - C)/G), so one ``searchsorted`` of the floors
     finds each window's cells.  The windows lie inside fn's support, so the
-    floors fit fn's unit dtype.  Windows that share or abut a cell join one
-    cell range; one range is a view on fn's arrays, and one class-0 cell
-    parts neighbouring ranges.  The result keeps fn's ``levels``, ``den``
-    and ``val_den`` and is not normalized, which no kernel minds.
+    floors fit fn's unit dtype.
+    """
+    u = fn._u
+    ranks = np.searchsorted(u, ((windows - C) // G).astype(u.dtype), side="right")
+    return ranks[: len(ranks) // 2] - 1, ranks[len(ranks) // 2 :]
+
+
+def _clip(fn: StepFunction, first: np.ndarray, stop: np.ndarray) -> StepFunction:
+    """fn restricted to its cells first[w] .. stop[w] - 1 of each window w
+    (a slice of ``_window_cells``), zero elsewhere.
+
+    Windows that share or abut a cell join one cell range; one range is a
+    view on fn's arrays, and one class-0 cell parts neighbouring ranges, so
+    a copy holds only the kept cells.  The result keeps fn's ``levels``,
+    ``den`` and ``val_den`` and is not normalized, which no kernel minds.
     """
     u, cls = fn._u, fn._cls
-    ranks = np.searchsorted(u, ((windows - C) // G).astype(u.dtype), side="right")
-    first, stop = ranks[: len(ranks) // 2] - 1, ranks[len(ranks) // 2 :]
     split = np.flatnonzero(first[1:] > stop[:-1])
     first, stop = first[np.concatenate(([0], split + 1))], stop[np.concatenate((split, [-1]))]
     if len(first) == 1:
@@ -632,14 +658,48 @@ def _clip(C: int, G: int, fn: StepFunction, windows: np.ndarray) -> StepFunction
     return clipped
 
 
+def _batch_cuts(prepared, cells) -> list[int]:
+    """The window indices where ``product_integral``'s batches start, then
+    the number of windows, given the factors' ``_window_cells``.
+
+    A batch starts where the kept factor cells before a window pass a
+    multiple of ``_BATCH_CELLS``.  When every window's cells fit the limbs'
+    span on their own, a batch also starts where a factor's first cell
+    meeting a window starts a further ``_SPAN_MAX`` / 2 units from the first
+    window's; otherwise some batch takes the sweep whatever the cuts, and
+    more cuts would only add sweeps.  One window, or windows of which no
+    cut can happen before the last, make one batch, returned before any
+    cut array is built: most products fit one batch.
+    """
+    if len(cells[0][0]) == 1:
+        return [0, 1]
+    half = _SPAN_MAX // 2
+    kept = sum(stop - first for first, stop in cells)
+    starts = [fn._u[first] for (_, _, fn), (first, _) in zip(prepared, cells)]
+    if kept[:-1].sum() < _BATCH_CELLS and all(u[-1] - u[0] < half for u in starts):
+        return [0, len(kept)]
+    cut = np.diff((np.cumsum(kept) - kept) // _BATCH_CELLS) != 0
+    if all((fn._u[stop] - u).max() < half for (_, _, fn), (_, stop), u in zip(prepared, cells, starts)):
+        for u in starts:
+            cut |= np.diff((u - u[0]) // half) != 0
+    return [0, *(np.flatnonzero(cut) + 1).tolist(), len(kept)]
+
+
 def product_integral(entries: Sequence[tuple]) -> Fraction:
     """Exact integral of the product of f_i((z - c_i)/r_i) over all z.
 
     ``entries`` holds (StepFunction, c, r) triples with r > 0.  The product
-    vanishes off the common support of the factors, so each factor is
-    clipped to the cells that meet it, and one merge of the clipped factors'
-    transformed breakpoints is used (one factor takes ``_merge``'s no-merge
-    path); closed endpoint contacts have zero width and contribute nothing.
+    vanishes off the common support of the factors, so only the cells that
+    meet its windows are merged, in consecutive batches of windows
+    (``_batch_cuts``).  Each batch has a window, keeps fewer than
+    ``_BATCH_CELLS`` cells beyond those of its last window, and stays inside
+    the limbs' span unless that window is long, whatever the overlap.
+    Between windows some factor is zero, so the factors clipped to one
+    batch's windows have a product that vanishes outside them, also where a
+    cell straddles a batch cut: the integral is the sum of the batch
+    integrals, in Python ints over one denominator.  One batch holds every
+    window when they fit, and one factor takes ``_merge``'s no-merge path;
+    closed endpoint contacts have zero width and contribute nothing.
     """
     if not entries:
         raise DomainError("product_integral needs at least one factor")
@@ -650,13 +710,20 @@ def product_integral(entries: Sequence[tuple]) -> Fraction:
     windows = _common_support(prepared)
     if not len(windows):
         return Fraction(0)
-    prepared = [(C, G, _clip(C, G, fn, windows)) for C, G, fn in prepared]
-    vden = math.prod(fn.val_den for _, _, fn in prepared)
-    widths, classes, _ = _merge(prepared)
-    acc = np.array(widths, dtype=object)
-    for vals in _class_values(prepared, classes, [1] * len(prepared)):
-        acc = acc * vals
-    return Fraction(int(acc.sum()), D * vden)
+    cells = [_window_cells(C, G, fn, windows) for C, G, fn in prepared]
+    cuts = _batch_cuts(prepared, cells)
+    total = 0
+    for a, b in zip(cuts, cuts[1:]):
+        clipped = [
+            (C, G, _clip(fn, first[a:b], stop[a:b]))
+            for (C, G, fn), (first, stop) in zip(prepared, cells)
+        ]
+        widths, classes, _ = _merge(clipped)
+        acc = np.array(widths, dtype=object)
+        for vals in _class_values(clipped, classes, [1] * len(clipped)):
+            acc = acc * vals
+        total += int(acc.sum())
+    return Fraction(total, D * math.prod(fn.val_den for _, _, fn in prepared))
 
 
 def _prepare_weighted(terms):

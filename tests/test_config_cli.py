@@ -235,6 +235,24 @@ class TestCli:
         assert missing.returncode == 2
         assert missing.stderr.count("\n") == 1 and missing.stderr.startswith("error: cannot read set file")
 
+    def test_production_set_merges_never_take_the_sweep(self, z16_set, tmp_path):
+        # construct, verify and correlate (k=0 and k=1) on the N=16 seed-1
+        # set keep every merge on the vectorised path
+        from unittest import mock
+
+        import cantormax.stepfn as sf
+
+        argv = ["--set", "construction.gate_c_budget=6", "--set", "correlate.budget=8"]
+        set_file = str(tmp_path / "set.json")
+        with mock.patch.object(sf, "_sweep", wraps=sf._sweep) as spy:
+            assert main(["construct", *argv, "-o", str(tmp_path)]) == 0
+            assert (tmp_path / "set.json").read_bytes() == z16_set.to_json_bytes()
+            assert main(["verify", set_file, *argv, "-o", str(tmp_path / "verify")]) == 0
+            for k in (0, 1):
+                out = str(tmp_path / f"correlate{k}")
+                assert main(["correlate", set_file, *argv, "--set", f"correlate.k={k}", "-o", out]) == 0
+        assert spy.call_count == 0
+
     def test_verify_accepts_own_output(self, cli_workspace, tmp_path):
         _, cfg, out = cli_workspace
         code = main(

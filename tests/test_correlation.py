@@ -360,16 +360,23 @@ class TestSupportClipping:
         return [(A, cls) for scan in scans for A, cls in zip(scan.candidates, scan.classes)]
 
     def test_sigma_2_lambdas_match_unclipped_merge(self, z16_set):
-        # transverse, near-diagonal (internal) and disjoint tuples alike
+        # transverse, near-diagonal (internal) and disjoint tuples alike; the
+        # near-diagonal ones merge their common support in several batches
+        from unittest import mock
+
+        import cantormax.stepfn as sf
         from conftest import unclipped_product_integral
 
         sig = z16_set.sigma(2)
-        seen = set()
+        seen, batched = set(), set()
         for A, cls in self._sigma_2_candidates(z16_set):
             want = unclipped_product_integral([(sig, c, r) for c, r in A.pairs])
-            assert lambda_sigma(A, z16_set, 2) == want
+            with mock.patch.object(sf, "_merge", wraps=sf._merge) as spy:
+                assert lambda_sigma(A, z16_set, 2) == want
             seen.add((cls, want == 0))
+            batched.add(cls if spy.call_count > 1 else None)
         assert {("internal", False), ("transverse", False), ("transverse", True)} <= seen
+        assert "internal" in batched
 
     def test_transverse_lambdas_merge_a_small_share(self, z16_set):
         from unittest import mock
@@ -379,7 +386,7 @@ class TestSupportClipping:
         sig = z16_set.sigma(2)
         full = 2 * len(sig._u)
         assert full == 677524
-        merged = []
+        merged, met = [], []
         real_merge = sf._merge
 
         def counting_merge(prepared):
@@ -391,11 +398,14 @@ class TestSupportClipping:
                 if cls == "transverse":
                     _, prepared = sf._prepare_factors([(sig, c, r) for c, r in A.pairs])
                     meet = len(sf._common_support(prepared)) > 0
-                    before = len(merged)
+                    merged.clear()
                     lambda_sigma(A, z16_set, 2)
-                    # a tuple whose supports meet in a null set never merges
-                    assert len(merged) == before + meet
-        assert merged and max(merged) < 0.15 * full
+                    # no merge exactly when the supports meet in a null set,
+                    # and a small share of the breakpoints over all batches
+                    assert bool(merged) == meet
+                    assert sum(merged) < 0.15 * full
+                    met.append(meet)
+        assert any(met) and not all(met)
 
 
 class TestReports:

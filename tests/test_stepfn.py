@@ -363,7 +363,7 @@ class TestMergeKernel:
     def test_negative_offsets_and_steps_near_the_bound(self):
         f = StepFunction.from_breakpoints([0, 1, 3, 4], [1, -2, 3])
         G = sf._G_MAX - 1
-        r = F(G, 1 << 60)  # G = 2^61 - 1 over D = 2^60
+        r = F(G, 1 << 60)  # G = 2^62 - 1 over D = 2^60
         entries = [(f, -3, r), (f, F(-7, 2), F(G - 2, 1 << 60)), (f, F(-5, 2), F(3, 2))]
         _, prepared = sf._prepare_factors(entries)
         assert max(Gi for _, Gi, _ in prepared) == G
@@ -376,6 +376,27 @@ class TestMergeKernel:
         past = [(f, -3, F(sf._G_MAX, 1 << 60)), entries[1]]
         assert not vectorised(past)
         assert product_integral(past) == swept(product_integral, past)
+
+    def test_limits_at_their_bounds_and_far_close_offsets(self):
+        f = StepFunction.from_breakpoints([0, 1, 3, 4], [1, -2, 3])
+        g = StepFunction.from_breakpoints([0, 2, 3, 5], [7, 1, -1])
+        wide = StepFunction([0, 1, (1 << 24) + 3, (1 << 25) - 2, (1 << 25) - 1], 1, [2, -1, 3, 5], 1)
+        far = F(1 << 92)  # positions past 2^91, a few units apart
+        cases = [
+            # step G = 2^62 - 1 over D = 2^60, the largest the limbs take
+            [(f, -3, F((1 << 62) - 1, 1 << 60)), (g, F(-7, 2), F(3, 2))],
+            # span 2^25 - 1 grid units
+            [(wide, 0, 1), (wide, F(1, 3), 1), (g, 1 << 20, 1 << 22)],
+            # offsets past 2^91 that lie close together: no position fits
+            # int64, but their distances from the first position do
+            [(f, far, 1), (g, far + F(1, 3), F(1, 2)), (f, far - F(5, 2), 2)],
+        ]
+        for entries in cases:
+            assert vectorised(entries)
+            assert product_integral(entries) == swept(product_integral, entries)
+            terms = [(F(i + 1, 3), fn, c, r) for i, (fn, c, r) in enumerate(entries)]
+            assert power_integral(terms, 2) == swept(power_integral, terms, 2)
+            assert linear_combination(terms) == swept(linear_combination, terms)
 
     @pytest.mark.parametrize("n_terms", [16, 32])
     def test_power_integral_many_factors(self, n_terms):
@@ -531,8 +552,16 @@ def _runs(lo_hi_vals):
     return StepFunction.from_cells([(F(a), F(b), F(v)) for a, b, v in lo_hi_vals])
 
 
+def batched(entries, batch_cells):
+    """``product_integral(entries)`` merging batches of about batch_cells
+    factor cells."""
+    with mock.patch.object(sf, "_BATCH_CELLS", batch_cells):
+        return product_integral(entries)
+
+
 class TestSupportClipping:
-    """``product_integral`` clips its factors to their common support."""
+    """``product_integral`` clips its factors to their common support and
+    merges it in batches of windows."""
 
     @given(entries=st.lists(_sparse_factor(), min_size=2, max_size=4))
     @settings(max_examples=200, deadline=None)
@@ -540,6 +569,8 @@ class TestSupportClipping:
         want = per_gap_oracle(product_integral, entries)
         assert product_integral(entries) == want
         assert swept(product_integral, entries) == want
+        # a batch per window, and batches that cut between windows sharing a cell
+        assert batched(entries, 1) == batched(entries, 3) == want
 
     @pytest.mark.parametrize(
         "cells, merges",
@@ -558,6 +589,9 @@ class TestSupportClipping:
             ([[(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4)], [(F(1, 4), F(1, 2), 3), (F(13, 4), F(7, 2), 5)]], True),
             # equal supports: nothing is clipped
             ([[(0, 1, 2), (1, 3, -1)], [(0, 2, 1), (2, 3, 4)]], True),
+            # one long cell shared by three windows of 2, 2 and 3 cells:
+            # batches of 3 cells take the first two and cut before the third
+            ([[(0, 10, 7), (11, 12, 2)], [(1, 2, 1), (3, 4, -1), (F(9, 2), 6, 3), (6, 11, 2)]], True),
         ],
     )
     def test_support_layouts(self, cells, merges):
@@ -568,8 +602,48 @@ class TestSupportClipping:
         assert got == per_gap_oracle(product_integral, entries)
         assert got == swept(product_integral, entries)
         assert got == unclipped_product_integral(entries)
+        assert batched(entries, 1) == batched(entries, 3) == got
         if not merges:
             assert got == 0
+
+    def test_far_windows_merge_apart_on_the_vectorised_path(self):
+        # windows 2^26 grid units apart: one merge of both would span past
+        # the limbs and take the sweep, so each window is its own batch
+        far = 1 << 26
+        f = _runs([(0, 2, 3), (far, far + 2, -1), (2 * far, 2 * far + 1, 2)])
+        g = _runs([(1, 3, 5), (far + 1, far + 3, 7), (2 * far, 2 * far + 1, 1)])
+        entries = [(f, 0, 1), (g, F(1, 2), 1)]
+        with mock.patch.object(sf, "_sweep", wraps=sf._sweep) as sweep:
+            with mock.patch.object(sf, "_merge", wraps=sf._merge) as merge:
+                got = product_integral(entries)
+        assert (merge.call_count, sweep.call_count) == (3, 0)
+        assert got == per_gap_oracle(product_integral, entries) == F(3 * 5 - 1 * 7 + 2 * 1, 2)
+
+    def test_memory_does_not_grow_with_the_common_support(self):
+        # two factor pairs of 300k and 1.2M cells whose runs of 1000 cells
+        # overlap in a window each: the batches bound the traced peak, so it
+        # grows by at most a quarter from the small pair to the large one
+        def runs_of(n_cells, seed):
+            steps = np.random.default_rng(seed).integers(1, 3, size=n_cells)
+            cls = np.cumsum(steps) % 3 + 1  # no two neighbours equal
+            cls[1000::1000] = 0
+            return StepFunction.from_classes(np.arange(n_cells + 1), 1, (0, -2, 1, 5), cls, 1)
+
+        peaks = []
+        for n_cells in (150_000, 600_000):
+            f, g = runs_of(n_cells, 1), runs_of(n_cells, 2)
+            assert f.n_cells + g.n_cells == 2 * n_cells
+            f._run_bounds, g._run_bounds  # cached per function, as in production
+            entries = [(f, 0, 1), (g, F(1, 2), 1)]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                got = product_integral(entries)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert got == batched(entries, 1 << 40)  # one batch: the whole overlap
+        assert peaks[1] <= 1.25 * peaks[0]
 
     def test_clipped_factor_keeps_only_cells_meeting_windows(self):
         f = _runs([(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4)])
@@ -577,7 +651,7 @@ class TestSupportClipping:
         _, prepared = sf._prepare_factors([(f, 0, 1), (g, 0, 1)])
         windows = sf._common_support(prepared)
         C, G, fn = prepared[0]
-        clipped = sf._clip(C, G, fn, windows)
+        clipped = sf._clip(fn, *sf._window_cells(C, G, fn, windows))
         assert breakpoints(clipped) == (0, 1, 3, 4)
         assert clipped.values == (1, 0, 4)
         assert product_integral([(f, 0, 1), (g, 0, 1)]) == F(3, 4) + 5
