@@ -217,17 +217,24 @@ def cmd_dimension(cfg: RunConfig, out: Path, cset: core.CantorSet) -> int:
     return EXIT_OK
 
 
-def _test_function(name: str):
-    """The named test function; ``config.validate`` admits no other name."""
+def _test_function(name: str, r_first: Fraction):
+    """The named test function and the window its points are sampled in;
+    ``config.validate`` admits no other name.
+
+    The hat is sampled on [-3, -1].  The indicator of [0, 1] is sampled on
+    [-2 r_1, 0), r_1 the largest r: there x + r_1 [1, 2] meets its jump at 0,
+    and for theta in [1, 2] and r <= 1/2, A_r[k] 1_[0,1](-theta r) is
+    mu_k([theta, 2]).
+    """
     if name == "indicator":
-        return StepFunction.indicator(0, 1)
-    return PiecewiseLinear.from_nodes([-4, -2, 0], [0, 1, 0])
+        return StepFunction.indicator(0, 1), (-2 * r_first, Fraction(0))
+    return PiecewiseLinear.from_nodes([-4, -2, 0], [0, 1, 0]), (Fraction(-3), Fraction(-1))
 
 
 def cmd_differentiate(cfg: RunConfig, out: Path, cset: core.CantorSet) -> int:
     dc = cfg.differentiate
-    f = _test_function(dc.function)
-    points = _sample_points(dc.point_count, Fraction(-3), Fraction(-1))
+    f, window = _test_function(dc.function, dc.r_sequence[0])
+    points = _sample_points(dc.point_count, *window)
     rows = maxops.differentiation_experiment(f, cset, points, dc.r_sequence)
     _write_csv(
         out / "differentiate.csv",

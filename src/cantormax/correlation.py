@@ -1,8 +1,9 @@
 """The n-fold correlation functional and its transverse-class bookkeeping.
 
 Lambda(A; f_1..f_n) = integral of prod f_l((z - c_l)/r_l) dz, evaluated
-exactly by a single merged-breakpoint sweep; no quadrature tolerance exists
-anywhere in it.  The sampled sup over the transverse class never claims to
+exactly by one merge of the factors' breakpoints (``stepfn._merge``, in
+int64 limbs or in Python ints); no quadrature tolerance exists anywhere in
+it.  The sampled sup over the transverse class never claims to
 be a certified sup: reports carry their coverage mode.
 
 A tuple's class is a threshold on a count of internal tuples, so it is

@@ -20,21 +20,22 @@ per group in Python ints.  The sums first add up equal terms: terms with
 one function object and equal c and r are one term of the summed weight,
 and a term whose weight sums to 0 is dropped, so the merge does not grow
 with the number of copies.  One factor needs no merge: its groups are its
-own value classes and its cells its own, moved to C + G*u.  The vectorised
-merge encodes each factor's positions, as offsets from one origin (the
-smallest first position), into its slice of one pair of int64 limbs
-(hi, lo), and one stable argsort of the float64 keys hi*2^39 + lo merges
-the presorted factor runs: rounding never reverses the exact order, and
-runs of equal keys are reordered from the limbs.  Each gap is keyed by the
+own value classes and its cells its own, moved to C + G*u.  Every other
+merge encodes each factor's positions as offsets from one origin (the
+smallest first position) in one of two encodings.  While ``_fits_limbs``
+holds, each factor fills its slice of one pair of int64 limbs (hi, lo), and
+one stable argsort of the float64 keys hi*2^39 + lo merges the presorted
+factor runs: rounding never reverses the exact order, and runs of equal
+keys are reordered from the limbs.  A factor whose span, step G or offset
+leaves the limbs (span >= 2^25, G >= 2^62, G*span >= 2^87 or offset >=
+2^91), or more than 2^24 breakpoints in all, puts the merge in one limb of
+Python ints, stored as int64 while the offsets fit it and ordered by one
+stable argsort.  The rest is one code path: each gap is keyed by the
 running sum of its factors' mixed-radix class steps, its factors' classes
-are read back from the key, and widths are summed per key in int64 limbs.
-Its traced peak is five int64 arrays of the merged length: 27 MB and 18 ms
-(2-core x86-64 host) for a whole sigma_2 pair of the N=16 set, 677,524
-breakpoints.  A factor whose span, step G or offset from the origin leaves
-the limbs (span >= 2^25, G >= 2^62, G*span >= 2^87 or offset >= 2^91), or
-more than 2^24 breakpoints in all, sends the merge to a pure-Python
-``heapq`` sweep that sums the widths per class tuple, so its memory grows
-with the number of distinct tuples, not of gaps.
+are read back from the key, and widths are summed per key, limb by limb in
+the limb's own dtype.  The two-limb merge's traced peak is five int64 arrays of the merged length: 27 MB
+and 18 ms (2-core x86-64 host) for a whole sigma_2 pair of the N=16 set,
+677,524 breakpoints.
 
 A product vanishes off the common support of its factors, so
 ``product_integral`` first intersects the factors' support runs (maximal
@@ -60,7 +61,6 @@ and for the common support of a product.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -444,87 +444,17 @@ def _gap_keys(prepared, bounds, order: np.ndarray):
     return keys, classes
 
 
-def _merge_numpy(prepared):
-    """The vectorised exact merge, with its gaps grouped by their tuple of
-    value classes, or None when an input is out of the limb range.
-
-    Every factor is encoded relative to one origin, the smallest first
-    position, so the limbs hold offsets from it and far but close factors
-    stay in range; ``cells()`` adds the origin back, in int64 while the
-    positions fit and in Python ints past them.
-
-    Returns (widths, classes, cells): ``widths[g]`` is the exact total width
-    of group g and ``classes[i][g]`` factor i's class on it; ``cells()``
-    gives the distinct merged positions (int64, or Python ints past it) and
-    the group of each cell between neighbours.  Groups are numbered by
-    ascending gap key; the merged order, the key steps and each gap
-    difference are dropped as soon as they are used.
-    """
-    bounds = np.cumsum([0, *(len(fn._u) for _, _, fn in prepared)]).tolist()
-    if bounds[-1] > _POS_MAX:
-        return None
-    firsts = [C + G * int(fn._u[0]) for C, G, fn in prepared]
-    origin = min(firsts)
-    for (C, G, fn), first in zip(prepared, firsts):
-        span = fn._span()
-        if not (span < _SPAN_MAX and 0 < G < _G_MAX and G * span < _GU_MAX and first - origin < _C_MAX):
-            return None
-    hi, lo = np.empty(bounds[-1], dtype=np.int64), np.empty(bounds[-1], dtype=np.int64)
-    for (C, G, fn), first, a, b in zip(prepared, firsts, bounds, bounds[1:]):
-        _encode_positions(first - origin, G, fn._u, hi[a:b], lo[a:b])
-    order = _merged_order(hi, lo)
-    keys, read_classes = _gap_keys(prepared, bounds, order)
-    hi = hi[order]
-    lo = lo[order]
-    del order
-
-    values = None
-    if int(keys.max()) >= len(keys):  # sparse keys: number the present ones
-        values = np.unique(keys)
-        keys = np.searchsorted(values, keys)
-    n_keys = int(keys.max()) + 1
-    seen = np.zeros(n_keys, dtype=bool)
-    seen[keys] = True
-    present = np.flatnonzero(seen)
-    # a gap is dhi*2^39 + dlo with dhi >= 0 and |dlo| < 2^39, so it is 0
-    # exactly when both are, and its sums stay inside int64
-    sums = []
-    for limb in (hi, lo):
-        total = np.zeros(n_keys, dtype=np.int64)
-        np.add.at(total, keys, np.diff(limb))
-        sums.append(total[present].tolist())
-    widths = [(h << _LIMB) + l for h, l in zip(*sums)]
-    classes = read_classes(present if values is None else values)
-
-    def cells():
-        live = np.flatnonzero((hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1]))
-        ends = np.append(live, len(hi) - 1)
-        pos_hi, pos_lo = hi[ends], lo[ends]
-        group = (np.cumsum(seen) - 1)[keys[live]]
-        last = origin + (int(pos_hi[-1]) << _LIMB) + int(pos_lo[-1])
-        if -(1 << 62) <= origin and last < 1 << 62:  # last - origin < 2^63
-            pos_hi <<= _LIMB
-            pos_hi += pos_lo
-            pos_hi += origin
-            return pos_hi, group
-        return origin + pos_hi.astype(object) * _LIMB_BASE + pos_lo, group
-
-    return widths, classes, cells
-
-
-def _sweep(prepared, radices):
-    """Pure-Python exact merge: (start, end, key) per gap of positive width,
-    key being the gap's class tuple in mixed radix, sum of class_i * radix_i."""
-    streams = []
-    for (C, G, fn), radix in zip(prepared, radices):
-        steps = [d * radix for d in np.diff(fn._cls, prepend=0, append=0).tolist()]
-        streams.append(zip([C + G * u for u in fn._u.tolist()], steps))
-    key, prev = 0, min(C + G * int(fn._u[0]) for C, G, fn in prepared)
-    for pos, step in heapq.merge(*streams):
-        if pos != prev:
-            yield prev, pos, key
-        key += step
-        prev = pos
+def _fits_limbs(prepared, offsets) -> bool:
+    """True when the int64 limbs hold the factors' positions, given each
+    factor's first position as an offset from the origin: at most 2^24
+    breakpoints in all, and per factor a span below 2^25, 0 < G < 2^62,
+    G*span < 2^87 and an offset below 2^91."""
+    if sum(len(fn._u) for _, _, fn in prepared) > _POS_MAX:
+        return False
+    return all(
+        fn._span() < _SPAN_MAX and 0 < G < _G_MAX and G * fn._span() < _GU_MAX and offset < _C_MAX
+        for (_, G, fn), offset in zip(prepared, offsets)
+    )
 
 
 def _one_factor(C: int, G: int, fn: StepFunction):
@@ -543,38 +473,85 @@ def _one_factor(C: int, G: int, fn: StepFunction):
 
 
 def _merge(prepared):
-    """The exact merge of the factors' transformed breakpoints, grouped by
-    class tuple: the triple (widths, classes, cells) of ``_merge_numpy``.
+    """The exact merge of the factors' transformed breakpoints C + G*u,
+    with its gaps grouped by their tuple of value classes.
 
-    One factor needs no merge (``_one_factor``).  Inputs out of the limb
-    range take the ``heapq`` sweep, which sums each gap's width into its
-    class tuple's group; ``cells()`` replays it.
+    One factor needs no merge (``_one_factor``).  Otherwise each factor's
+    positions are encoded as offsets from one origin, the smallest first
+    position, so far but close factors stay small: in two int64 limbs
+    (hi, lo) ordered by ``_merged_order`` while ``_fits_limbs`` holds, else
+    in one limb of Python ints (int64 while they fit) ordered by a stable
+    argsort.  The rest is shared: the gap keys, the width sums per key in
+    each limb's dtype, combined as hi*2^39 + lo, and ``cells()``, which adds
+    the origin back, in int64 while the positions fit and in Python ints
+    past them.
+
+    Returns (widths, classes, cells): ``widths[g]`` is the exact total width
+    of group g and ``classes[i][g]`` factor i's class on it; ``cells()``
+    gives the distinct merged positions (int64, or Python ints past it) and
+    the group of each cell between neighbours.  Groups are numbered by
+    ascending gap key; the merged order, the key steps and each gap
+    difference are dropped as soon as they are used.
     """
     if len(prepared) == 1:
         return _one_factor(*prepared[0])
-    merged = _merge_numpy(prepared)
-    if merged is not None:
-        return merged
-    sizes = [len(fn.levels) for _, _, fn in prepared]
-    radices = [math.prod(sizes[:i]) for i in range(len(sizes))]
-    widths: dict[int, int] = {}
-    for start, end, key in _sweep(prepared, radices):
-        widths[key] = widths.get(key, 0) + (end - start)
-    classes = [
-        np.array([key // radix % size for key in widths], dtype=np.int64)
-        for radix, size in zip(radices, sizes)
-    ]
+    bounds = np.cumsum([0, *(len(fn._u) for _, _, fn in prepared)]).tolist()
+    firsts = [C + G * int(fn._u[0]) for C, G, fn in prepared]
+    origin = min(firsts)
+    offsets = [first - origin for first in firsts]
+    if _fits_limbs(prepared, offsets):
+        limbs = [np.empty(bounds[-1], dtype=np.int64), np.empty(bounds[-1], dtype=np.int64)]
+        for (_, G, fn), offset, a, b in zip(prepared, offsets, bounds, bounds[1:]):
+            _encode_positions(offset, G, fn._u, limbs[0][a:b], limbs[1][a:b])
+        order = _merged_order(*limbs)
+    else:
+        limbs = [
+            _int_array(np.concatenate([
+                offset + G * (fn._u.astype(object) - int(fn._u[0]))
+                for (_, G, fn), offset in zip(prepared, offsets)
+            ]))
+        ]
+        order = np.argsort(limbs[0], kind="stable")
+    keys, read_classes = _gap_keys(prepared, bounds, order)
+    for i in range(len(limbs)):
+        limbs[i] = limbs[i][order]
+    del order
+
+    values = None
+    if int(keys.max()) >= len(keys):  # sparse keys: number the present ones
+        values = np.unique(keys)
+        keys = np.searchsorted(values, keys)
+    n_keys = int(keys.max()) + 1
+    seen = np.zeros(n_keys, dtype=bool)
+    seen[keys] = True
+    present = np.flatnonzero(seen)
+    # a gap is dhi*2^39 + dlo with dhi >= 0 and |dlo| < 2^39, so it is 0
+    # exactly when both are, and its int64 sums stay inside int64; one int64
+    # limb sums to at most the largest offset
+    widths = [0] * len(present)
+    for limb in limbs:  # the high limb first
+        total = np.zeros(n_keys, dtype=limb.dtype)
+        np.add.at(total, keys, np.diff(limb))
+        widths = [(w << _LIMB) + t for w, t in zip(widths, total[present].tolist())]
+    classes = read_classes(present if values is None else values)
 
     def cells():
-        group = {key: g for g, key in enumerate(widths)}
-        positions, ids = [], []
-        for start, end, key in _sweep(prepared, radices):
-            positions.append(start)
-            ids.append(group[key])
-        positions.append(end)
-        return _int_array(positions), np.array(ids, dtype=np.int64)
+        change = limbs[0][1:] != limbs[0][:-1]
+        for limb in limbs[1:]:
+            change |= limb[1:] != limb[:-1]
+        live = np.flatnonzero(change)
+        ends = np.append(live, len(keys))
+        group = (np.cumsum(seen) - 1)[keys[live]]
+        last = max(C + G * int(fn._u[-1]) for C, G, fn in prepared)
+        fits = -(1 << 62) <= origin and last < 1 << 62  # last - origin < 2^63
+        pos = limbs[0][ends].astype(np.int64 if fits else object, copy=False)
+        for limb in limbs[1:]:
+            pos <<= _LIMB
+            pos += limb[ends]
+        pos += origin
+        return pos, group
 
-    return list(widths.values()), classes, cells
+    return widths, classes, cells
 
 
 def _class_values(prepared, classes, mults) -> list[np.ndarray]:
@@ -666,8 +643,8 @@ def _batch_cuts(prepared, cells) -> list[int]:
     multiple of ``_BATCH_CELLS``.  When every window's cells fit the limbs'
     span on their own, a batch also starts where a factor's first cell
     meeting a window starts a further ``_SPAN_MAX`` / 2 units from the first
-    window's; otherwise some batch takes the sweep whatever the cuts, and
-    more cuts would only add sweeps.  One window, or windows of which no
+    window's; otherwise some batch merges as Python ints whatever the cuts,
+    and more cuts would only add merges.  One window, or windows of which no
     cut can happen before the last, make one batch, returned before any
     cut array is built: most products fit one batch.
     """
@@ -699,7 +676,8 @@ def product_integral(entries: Sequence[tuple]) -> Fraction:
     cell straddles a batch cut: the integral is the sum of the batch
     integrals, in Python ints over one denominator.  One batch holds every
     window when they fit, and one factor takes ``_merge``'s no-merge path;
-    closed endpoint contacts have zero width and contribute nothing.
+    a batch past the limbs merges its positions as Python ints, in the same
+    pass.  Closed endpoint contacts have zero width and contribute nothing.
     """
     if not entries:
         raise DomainError("product_integral needs at least one factor")

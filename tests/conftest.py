@@ -247,10 +247,37 @@ def unclipped_product_integral(entries) -> Fraction:
     return Fraction(int(acc.sum()), D * vden)
 
 
+def fits_limbs(prepared) -> bool:
+    """True when ``_merge`` encodes these prepared factors in int64 limbs,
+    False when it takes Python ints."""
+    firsts = [C + G * int(fn._u[0]) for C, G, fn in prepared]
+    return sf._fits_limbs(prepared, [first - min(firsts) for first in firsts])
+
+
+@contextlib.contextmanager
+def python_ints():
+    """Every multi-factor merge on the Python-int encoding."""
+    with mock.patch.object(sf, "_fits_limbs", return_value=False):
+        yield
+
+
+@contextlib.contextmanager
+def python_int_merges():
+    """Yield a list that gets one entry per multi-factor merge: True where
+    it took the Python-int encoding, False where it took the limbs."""
+    taken = []
+    fits = sf._fits_limbs
+
+    def spy(prepared, offsets):
+        taken.append(not fits(prepared, offsets))
+        return not taken[-1]
+
+    with mock.patch.object(sf, "_fits_limbs", spy):
+        yield taken
+
+
 @contextlib.contextmanager
 def no_merge():
-    """Fail on any call of either merge path: the vectorised merge or the
-    ``heapq`` sweep."""
-    with mock.patch.object(sf, "_merge_numpy", side_effect=AssertionError("merged")):
-        with mock.patch.object(sf, "_sweep", side_effect=AssertionError("swept")):
-            yield
+    """Fail on any multi-factor merge: every one keys its gaps."""
+    with mock.patch.object(sf, "_gap_keys", side_effect=AssertionError("merged")):
+        yield

@@ -49,7 +49,7 @@ from cantormax.maxops import (
 )
 from cantormax.stepfn import PiecewiseLinear, StepFunction, product_integral
 
-from conftest import float_evaluator, random_step
+from conftest import float_evaluator, python_int_merges, random_step
 
 F = Fraction
 
@@ -325,7 +325,7 @@ def test_criterion_08_decay_trend(z16_set, z8_set):
 def test_criterion_09_adjoint_identity(fixture_a, z8_set):
     t0 = time.time()
     rnd = random.Random(9)
-    checked = 0
+    checked = past_limbs = 0
     ok = True
     cases = [(fixture_a, 1), (z8_set, 1), (z8_set, 2)]
     while checked < 50:
@@ -351,11 +351,17 @@ def test_criterion_09_adjoint_identity(fixture_a, z8_set):
             continue
         g = StepFunction.from_cells(cells)
         lhs = product_integral([(phi_forward(f, cset, k, assign), 0, 1), (g, 0, 1)])
-        rhs = product_integral([(f, 0, 1), (phi_star_apply(g, cset, k, assign), 0, 1)])
+        adjoint = phi_star_apply(g, cset, k, assign)
+        with python_int_merges() as taken:
+            rhs = product_integral([(f, 0, 1), (adjoint, 0, 1)])
+        past_limbs += sum(taken)
         ok &= lhs == rhs
         checked += 1
     _report(9, ok, f"<Phi f, g> == <f, Phi* g> exactly on {checked} random fixtures",
             time.time() - t0, 10.0)
+    # Phi* g's dilated breakpoints span past the limbs on the grid of f's
+    # product with it, which keeps the Python-int encoding exercised
+    assert past_limbs > 0
 
 
 def test_criterion_10_differentiation(toy88_set):

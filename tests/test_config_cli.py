@@ -18,6 +18,8 @@ from cantormax.cli import _COMMANDS, main
 from cantormax.config import RunConfig, parse_config, serialize_config
 from cantormax.errors import ConfigError
 
+from conftest import python_int_merges
+
 F = Fraction
 
 
@@ -199,7 +201,7 @@ class TestCli:
                 "differentiate",
                 ["differentiate.point_count=5", "differentiate.function=indicator"],
                 "differentiate.csv",
-                "63f7077d54060a757ff0b8b280de79f99c153739952bf1dd2098f8f6fb33b4a1",
+                "f89f739acf82289574285f2284558d6dffa7b9ea6a1af4a80bd77cbd4dd99677",
             ),
             (
                 "demo-l1",
@@ -237,21 +239,17 @@ class TestCli:
 
     def test_production_set_merges_never_take_the_sweep(self, z16_set, tmp_path):
         # construct, verify and correlate (k=0 and k=1) on the N=16 seed-1
-        # set keep every merge on the vectorised path
-        from unittest import mock
-
-        import cantormax.stepfn as sf
-
+        # set keep every multi-factor merge in the int64 limbs
         argv = ["--set", "construction.gate_c_budget=6", "--set", "correlate.budget=8"]
         set_file = str(tmp_path / "set.json")
-        with mock.patch.object(sf, "_sweep", wraps=sf._sweep) as spy:
+        with python_int_merges() as taken:
             assert main(["construct", *argv, "-o", str(tmp_path)]) == 0
             assert (tmp_path / "set.json").read_bytes() == z16_set.to_json_bytes()
             assert main(["verify", set_file, *argv, "-o", str(tmp_path / "verify")]) == 0
             for k in (0, 1):
                 out = str(tmp_path / f"correlate{k}")
                 assert main(["correlate", set_file, *argv, "--set", f"correlate.k={k}", "-o", out]) == 0
-        assert spy.call_count == 0
+        assert taken and not any(taken)
 
     def test_verify_accepts_own_output(self, cli_workspace, tmp_path):
         _, cfg, out = cli_workspace

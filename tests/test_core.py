@@ -174,6 +174,31 @@ def deepest_mass(cset, a, b):
     return average(StepFunction.indicator(a, b), cset, cset.depth, 1, 0)
 
 
+class TestRunMoments:
+    @pytest.mark.parametrize("log_m, dtype", [(30, np.int64), (31, object)])
+    def test_run_moments_at_the_dtype_boundary(self, log_m, dtype):
+        # c1 is bounded by M_k^2, so the tables stay int64 below M_k = 2^31
+        M = 1 << log_m
+        runs = np.array([[0, 3], [5, 1 << 20], [M // 2 - 7, M // 2 + 9], [M - 4, M]], dtype=np.int64)
+        moments = core.RunMoments(runs, M)
+        assert moments.c0.dtype == moments.c1.dtype == dtype
+
+        def brute(u):
+            length = square = F(0)
+            for s, e in runs.tolist():
+                top = min(F(e), u)
+                if top > s:
+                    length += top - s
+                    square += top * top - s * s
+            return length, square
+
+        cuts = [F(0), F(1, 3), F(3), F(4), F(5), F(11, 2), F((1 << 20) - 1, 7)]
+        cuts += [F(M // 2) + d for d in (F(-7), F(-13, 2), F(0), F(9), F(19, 2))]
+        cuts += [F(M) + d for d in (F(-5), F(-4), F(-1, 3), F(0))]
+        for u in cuts:
+            assert moments.below(u) == brute(u)
+
+
 class TestMeasures:
     def test_unit_mass(self, fixture_a):
         assert deepest_mass(fixture_a, 1, 2) == 1

@@ -22,7 +22,7 @@ from cantormax import (
 )
 from cantormax.correlation import evaluate_tuple
 from cantormax.errors import EmptySampleError
-from conftest import float_evaluator, per_gap_oracle, random_step
+from conftest import fits_limbs, float_evaluator, per_gap_oracle, python_ints, random_step
 
 F = Fraction
 
@@ -299,9 +299,9 @@ class TestC0Constant:
 
 
 class TestTwoLimbPath:
-    def test_production_scale_matches_python_fallback(self, z16_set, monkeypatch):
+    def test_production_scale_matches_python_fallback(self, z16_set):
         # at N=16, k=2 the scaled grid positions need two 64-bit limbs;
-        # compare the vectorized sweep against the pure-Python one
+        # compare the limb encoding against the Python-int one
         import cantormax.stepfn as sf
         from cantormax.grids import DiscretizationGrid
 
@@ -312,19 +312,17 @@ class TestTwoLimbPath:
             A = grid.sample_tuple(rng, 2, near_diagonal=True)
             cases.append((A, lambda_exact(A, [z16_set.sigma(2)] * 2)))
         assert any(v != 0 for _, v in cases)
-        monkeypatch.setattr(sf, "_merge_numpy", lambda prepared: None)
-        for A, want in cases:
-            assert lambda_exact(A, [z16_set.sigma(2)] * 2) == want
-            entries = [(z16_set.sigma(2), c, r) for c, r in A.pairs]
-            assert per_gap_oracle(sf.product_integral, entries) == want
+        with python_ints():
+            for A, want in cases:
+                assert lambda_exact(A, [z16_set.sigma(2)] * 2) == want
+                entries = [(z16_set.sigma(2), c, r) for c, r in A.pairs]
+                assert per_gap_oracle(sf.product_integral, entries) == want
 
 
 class TestMergeKernelOnSets:
     def test_linear_combination_matches_sweep_on_sigma_2(self, z8_set):
         # sixteen weighted, dilated and translated copies of sigma_2, as in
         # the free-translation adjoint; exact positions far beyond 2^53
-        from unittest import mock
-
         import cantormax.stepfn as sf
         from cantormax.grids import DiscretizationGrid
         from cantormax.stepfn import linear_combination, power_integral
@@ -335,10 +333,10 @@ class TestMergeKernelOnSets:
         pairs = [grid.sample_tuple(rng, 2, near_diagonal=True).pairs[0] for _ in range(16)]
         terms = [(F((-1) ** i * (i + 1), 17), sig, c, r) for i, (c, r) in enumerate(pairs)]
         D, _, prepared, _ = sf._prepare_weighted(terms)
-        assert D > 1 << 53 and sf._merge_numpy(prepared) is not None
+        assert D > 1 << 53 and fits_limbs(prepared)
         got = linear_combination(terms)
         powers = [power_integral(terms, p) for p in (1, 2)]
-        with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
+        with python_ints():
             assert got == linear_combination(terms)
             assert powers == [power_integral(terms, p) for p in (1, 2)]
         assert got == per_gap_oracle(linear_combination, terms)

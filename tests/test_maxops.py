@@ -4,7 +4,6 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import partial
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from cantormax import (
     phi_star,
     restricted_type_ratio,
 )
+from cantormax.config import DifferentiateConfig
 from cantormax.errors import DegenerateMeasureError, DomainError, GridError, InsufficientDepthError
 from cantormax.grids import DiscretizationGrid
 from cantormax.maxops import (
@@ -42,7 +42,7 @@ from cantormax.maxops import (
 import cantormax.stepfn as sf
 from cantormax.stepfn import PiecewiseLinear, StepFunction, linear_combination, product_integral
 
-from conftest import affine_image, breakpoints, no_merge, prefix_mass, random_fraction, random_step
+from conftest import affine_image, breakpoints, fits_limbs, no_merge, prefix_mass, python_ints, random_fraction, random_step
 
 F = Fraction
 
@@ -578,7 +578,7 @@ class TestMkAdjoint:
     def test_nodes_match_private_merge(self, fixture_a, z8_set):
         # criterion 8's own draws, then random cells on fixture_a with a
         # dilation whose 3^40 denominator leaves the limbs; the first draws
-        # and the 3^40 case also run on the forced sweep
+        # and the 3^40 case also run on the forced Python-int encoding
         cases = []
         for cset, k, count in ((z8_set, 1, 8), (z8_set, 2, 3)):
             draws = _ratio_draws(cset, k, count, RngStream(7).child(82, k), 32)
@@ -593,12 +593,12 @@ class TestMkAdjoint:
         cases.append((fixture_a, 1, cells, True))
         sig = fixture_a.sigma(1)
         prepared = sf._prepare_weighted([(1, sig, 0, 1), (1, sig, F(1, 2), wide)])[2]
-        assert sf._merge_numpy(prepared) is None
+        assert not fits_limbs(prepared)
         for cset, k, cells, force in cases:
             want = _node_lists(_private_merge_nodes(cells, cset, k))
             assert _int_form(mk_adjoint(cells, cset, k)) == want
             if force:
-                with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
+                with python_ints():
                     assert _int_form(mk_adjoint(cells, cset, k)) == want
         assert _private_merge_nodes([], fixture_a, 1) is None
         assert _int_form(mk_adjoint([], fixture_a, 1)) == ([0, 1], [0, 0], 1, 1)
@@ -731,6 +731,23 @@ class TestDifferentiation:
         # of f at 0, so errors stay away from 0 instead of shrinking
         rows = differentiation_experiment(f, fixture_a, [F(-1)], [F(3, 4), F(5, 8)])
         assert all(row.sup_error > 0 for row in rows)
+
+    def test_indicator_left_of_its_jump_reads_mu_k(self, z16_set):
+        # x = -theta r with theta in [1, 2]: x + r y lies in [0, 1] exactly
+        # when y >= theta, so A_r[k] 1_[0,1](x) is mu_k([theta, 2]); theta
+        # runs over fixed points and over breakpoints of every phi_k
+        f = StepFunction.indicator(0, 1)
+        thetas = {F(1), F(9, 8), F(4, 3), F(3, 2), F(7, 4), F(2)}
+        for k in range(1, z16_set.depth + 1):
+            units = breakpoints(z16_set.density(k))
+            thetas |= {units[i] for i in (0, 1, len(units) // 2, -2, -1)}
+        assert all(1 <= t <= 2 for t in thetas)
+        for k in range(1, z16_set.depth + 1):
+            for theta in sorted(thetas):
+                want = prefix_mass(z16_set.density(k), theta, 2)
+                for r in DifferentiateConfig().r_sequence:
+                    assert average(f, z16_set, k, r, -theta * r) == want
+        assert prefix_mass(z16_set.density(1), F(1), F(2)) == 1
 
     def test_requires_decreasing_r(self, fixture_a):
         with pytest.raises(DomainError):

@@ -24,12 +24,16 @@ from cantormax.stepfn import (
 )
 
 from conftest import (
+    _per_gap_sweep,
     affine_image,
     breakpoints,
+    fits_limbs,
     lp_power_oracle,
     no_merge,
     per_gap_oracle,
     prefix_mass,
+    python_int_merges,
+    python_ints,
     random_step,
     unclipped_product_integral,
 )
@@ -37,18 +41,19 @@ from conftest import (
 F = Fraction
 
 
-def swept(kernel, *args):
-    """``kernel(*args)`` on the grouped heapq sweep, checked with == against
-    the per-gap oracle, which shares no reduction code with the kernels."""
-    with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
+def on_python_ints(kernel, *args):
+    """``kernel(*args)`` with every multi-factor merge on the Python-int
+    encoding, checked with == against the per-gap oracle, which shares no
+    reduction code with the kernels."""
+    with python_ints():
         got = kernel(*args)
     assert got == per_gap_oracle(kernel, *args)
     return got
 
 
-def vectorised(entries) -> bool:
-    """True when the limb merge accepts these (fn, c, r) factors."""
-    return sf._merge_numpy(sf._prepare_factors(entries)[1]) is not None
+def in_limbs(entries) -> bool:
+    """True when the merge encodes these (fn, c, r) factors in int64 limbs."""
+    return fits_limbs(sf._prepare_factors(entries)[1])
 
 
 def loop_normalize(units, den, val_nums, val_den):
@@ -210,9 +215,7 @@ class TestKernels:
             got = product_integral([(f, c, r), (f, c, r)])
             assert got == r * f.lp_power(2)
 
-    def test_numpy_and_python_paths_agree(self, monkeypatch):
-        import cantormax.stepfn as sf
-
+    def test_numpy_and_python_paths_agree(self):
         rnd = random.Random(7)
         cases = []
         for _ in range(40):
@@ -222,13 +225,11 @@ class TestKernels:
                 for g in fns
             ]
             cases.append((items, product_integral(items)))
-        monkeypatch.setattr(sf, "_merge_numpy", lambda prepared: None)
-        for items, want in cases:
-            assert product_integral(items) == want == per_gap_oracle(product_integral, items)
+        with python_ints():
+            for items, want in cases:
+                assert product_integral(items) == want == per_gap_oracle(product_integral, items)
 
-    def test_power_paths_agree(self, monkeypatch):
-        import cantormax.stepfn as sf
-
+    def test_power_paths_agree(self):
         rnd = random.Random(8)
         cases = []
         for _ in range(25):
@@ -243,9 +244,9 @@ class TestKernels:
             ]
             p = rnd.choice([1, 2, 3])
             cases.append((terms, p, power_integral(terms, p)))
-        monkeypatch.setattr(sf, "_merge_numpy", lambda prepared: None)
-        for terms, p, want in cases:
-            assert power_integral(terms, p) == want == per_gap_oracle(power_integral, terms, p)
+        with python_ints():
+            for terms, p, want in cases:
+                assert power_integral(terms, p) == want == per_gap_oracle(power_integral, terms, p)
 
     def test_power_integral_matches_materialized(self):
         rnd = random.Random(9)
@@ -325,11 +326,11 @@ class TestMergeKernel:
         assert far.units[0] > 1 << 63
         cases.append([(far, -(1 << 40), 1), (f, F(1, 1 << 25), 1)])
         for entries in cases:
-            assert vectorised(entries)
-            assert product_integral(entries) == swept(product_integral, entries)
+            assert in_limbs(entries)
+            assert product_integral(entries) == on_python_ints(product_integral, entries)
             terms = [(1, fn, c, r) for fn, c, r in entries]
-            assert power_integral(terms, 2) == swept(power_integral, terms, 2)
-            assert linear_combination(terms) == swept(linear_combination, terms)
+            assert power_integral(terms, 2) == on_python_ints(power_integral, terms, 2)
+            assert linear_combination(terms) == on_python_ints(linear_combination, terms)
 
     def test_ties_of_distinct_positions_above_2_53(self):
         # the exact positions sit near 2^63 (2^61 over the denominator 4),
@@ -340,25 +341,25 @@ class TestMergeKernel:
         f = StepFunction.from_breakpoints([0, 1, 2, 3, 4], [1, -2, 3, 5])
         g = StepFunction.from_breakpoints([0, 2, 3, 5], [7, 1, -1])
         entries = [(f, base, 1), (g, base + F(1, 2), 1), (f, base + F(3, 4), 2)]
-        assert vectorised(entries)
-        assert product_integral(entries) == swept(product_integral, entries)
+        assert in_limbs(entries)
+        assert product_integral(entries) == on_python_ints(product_integral, entries)
         # by hand on [1/2, 4]: (7 - 28 + 21 + 3 + 5 - 5) / 2
         assert product_integral(entries[:2]) == F(3, 2)
         terms = [(F(1, 3), fn, c, r) for fn, c, r in entries]
-        assert power_integral(terms, 3) == swept(power_integral, terms, 3)
-        assert linear_combination(terms) == swept(linear_combination, terms)
+        assert power_integral(terms, 3) == on_python_ints(power_integral, terms, 3)
+        assert linear_combination(terms) == on_python_ints(linear_combination, terms)
 
     def test_equal_positions_from_different_factors(self):
         f = StepFunction.from_breakpoints([0, 1, 2, 4], [2, -1, 3])
         g = StepFunction.from_breakpoints([1, 2, 3, 4], [5, 5, -2])
         h = affine_image(f, 0, 1, F(1 << 70, 3))  # class values past int64
         entries = [(f, 0, 1), (g, 0, 1), (h, 1, 1), (g, -1, 1)]
-        assert vectorised(entries)
-        assert product_integral(entries) == swept(product_integral, entries)
+        assert in_limbs(entries)
+        assert product_integral(entries) == on_python_ints(product_integral, entries)
         terms = [(i - 1, fn, c, r) for i, (fn, c, r) in enumerate(entries)]
         for p in (1, 2):
-            assert power_integral(terms, p) == swept(power_integral, terms, p)
-        assert linear_combination(terms) == swept(linear_combination, terms)
+            assert power_integral(terms, p) == on_python_ints(power_integral, terms, p)
+        assert linear_combination(terms) == on_python_ints(linear_combination, terms)
 
     def test_negative_offsets_and_steps_near_the_bound(self):
         f = StepFunction.from_breakpoints([0, 1, 3, 4], [1, -2, 3])
@@ -368,14 +369,14 @@ class TestMergeKernel:
         _, prepared = sf._prepare_factors(entries)
         assert max(Gi for _, Gi, _ in prepared) == G
         assert all(C < 0 for C, _, _ in prepared)
-        assert vectorised(entries)
-        assert product_integral(entries) == swept(product_integral, entries)
+        assert in_limbs(entries)
+        assert product_integral(entries) == on_python_ints(product_integral, entries)
         terms = [(F(2, 3), fn, c, r) for fn, c, r in entries]
-        assert power_integral(terms, 2) == swept(power_integral, terms, 2)
-        # one step past the bound selects the sweep
+        assert power_integral(terms, 2) == on_python_ints(power_integral, terms, 2)
+        # one step past the bound selects the Python-int encoding
         past = [(f, -3, F(sf._G_MAX, 1 << 60)), entries[1]]
-        assert not vectorised(past)
-        assert product_integral(past) == swept(product_integral, past)
+        assert not in_limbs(past)
+        assert product_integral(past) == on_python_ints(product_integral, past)
 
     def test_limits_at_their_bounds_and_far_close_offsets(self):
         f = StepFunction.from_breakpoints([0, 1, 3, 4], [1, -2, 3])
@@ -392,11 +393,11 @@ class TestMergeKernel:
             [(f, far, 1), (g, far + F(1, 3), F(1, 2)), (f, far - F(5, 2), 2)],
         ]
         for entries in cases:
-            assert vectorised(entries)
-            assert product_integral(entries) == swept(product_integral, entries)
+            assert in_limbs(entries)
+            assert product_integral(entries) == on_python_ints(product_integral, entries)
             terms = [(F(i + 1, 3), fn, c, r) for i, (fn, c, r) in enumerate(entries)]
-            assert power_integral(terms, 2) == swept(power_integral, terms, 2)
-            assert linear_combination(terms) == swept(linear_combination, terms)
+            assert power_integral(terms, 2) == on_python_ints(power_integral, terms, 2)
+            assert linear_combination(terms) == on_python_ints(linear_combination, terms)
 
     @pytest.mark.parametrize("n_terms", [16, 32])
     def test_power_integral_many_factors(self, n_terms):
@@ -418,15 +419,15 @@ class TestMergeKernel:
             for _ in range(n_terms)
         ]
         prepared = sf._prepare_weighted(terms)[2]
-        assert vectorised([(fn, 0, 1) for _, _, fn in prepared])
+        assert in_limbs([(fn, 0, 1) for _, _, fn in prepared])
         # 32 factors of about 13 classes overflow one int64 mixed radix, so
         # their gap keys are built in chunks
         radix = math.prod(len(fn.levels) for _, _, fn in prepared)
         assert (radix > sf._KEY_MAX) == (n_terms == 32)
         combined = linear_combination(terms)
-        assert combined == swept(linear_combination, terms)
+        assert combined == on_python_ints(linear_combination, terms)
         for p in (1, 2, 3):
-            want = swept(power_integral, terms, p)
+            want = on_python_ints(power_integral, terms, p)
             assert power_integral(terms, p) == want
             assert combined.abs().lp_power(p) == want
 
@@ -447,19 +448,92 @@ class TestMergeKernel:
         _, prepared = sf._prepare_factors(entries)
         sizes = [len(fn.levels) for _, _, fn in prepared]
         assert sizes == [13] * 40 and math.prod(sizes) > sf._KEY_MAX**2
-        widths, classes, cells = sf._merge_numpy(prepared)
-        tuples = list(zip(*(c.tolist() for c in classes)))
-        assert len(set(tuples)) == len(tuples) == len(widths)
-        assert 0 in widths
-        radices = [math.prod(sizes[:i]) for i in range(len(sizes))]
-        gaps = [(a, b, tuple(key // r % n for r, n in zip(radices, sizes))) for a, b, key in sf._sweep(prepared, radices)]
-        swept: dict[tuple, int] = {}
-        for a, b, t in gaps:
-            swept[t] = swept.get(t, 0) + b - a
-        assert {t: w for t, w in zip(tuples, widths) if w} == swept
-        positions, group = cells()
-        assert positions.tolist() == [a for a, _, _ in gaps] + [gaps[-1][1]]
-        assert [tuples[g] for g in group.tolist()] == [t for _, _, t in gaps]
+        assert fits_limbs(prepared)
+        # the oracle's gaps, with each factor's value standing for its class:
+        # the levels of a canonical function are distinct
+        gaps = list(_per_gap_sweep(prepared, [1] * len(prepared)))
+        by_values: dict[tuple, int] = {}
+        for a, b, vals in gaps:
+            by_values[tuple(vals)] = by_values.get(tuple(vals), 0) + b - a
+        for encoding in (contextlib.nullcontext(), python_ints()):
+            with encoding:
+                widths, classes, cells = sf._merge(prepared)
+            tuples = list(zip(*(c.tolist() for c in classes)))
+            assert len(set(tuples)) == len(tuples) == len(widths)
+            assert 0 in widths
+            values = [tuple(fn.levels[c] for (_, _, fn), c in zip(prepared, t)) for t in tuples]
+            assert {t: w for t, w in zip(values, widths) if w} == by_values
+            positions, group = cells()
+            assert positions.tolist() == [a for a, _, _ in gaps] + [gaps[-1][1]]
+            assert [values[g] for g in group.tolist()] == [tuple(vals) for _, _, vals in gaps]
+
+    def test_spans_past_2_30_merge_as_python_ints(self):
+        # spans of 2^31 grid units and a step past 2^62 leave the limbs;
+        # positions of different factors coincide, and near 2^80, where
+        # floats are 2^28 apart, distinct positions are equal as float64
+        S, far = 1 << 31, 1 << 80
+        assert float(far) == float(far + 1)
+        f = StepFunction([0, 1, S // 2, S - 1, S], 1, [2, -1, 3, 5], 1)
+        g = StepFunction([1, 3, S // 2, S // 2 + 1, S + 7], 1, [7, 1, -2, 4], 1)
+        cases = [
+            [(f, 0, 1), (g, 0, 1), (f, 1, 1), (g, -2, 1)],
+            [(f, far, 1), (g, far + 1, 1), (f, far + F(1, 2), F(3, 2)), (g, far - 3, 1)],
+            [(f, 0, 1 << 63), (g, 1 << 63, 1 << 63), (f, F(1, 3), (1 << 63) + 1)],
+        ]
+        for entries in cases:
+            assert not in_limbs(entries)
+            terms = [(F(i - 2, 3), fn, c, r) for i, (fn, c, r) in enumerate(entries)]
+            with python_int_merges() as taken:
+                got = [product_integral(entries), linear_combination(terms)]
+                got += [power_integral(terms, p) for p in (1, 2, 3)]
+            assert taken and all(taken)
+            assert got == [
+                per_gap_oracle(product_integral, entries),
+                per_gap_oracle(linear_combination, terms),
+                *(per_gap_oracle(power_integral, terms, p) for p in (1, 2, 3)),
+            ]
+            assert got[0] != 0 and got[1].n_cells > 8
+
+    def test_breakpoint_count_alone_leaves_the_limbs(self):
+        # with the merged-breakpoint bound at 64, two factors of about 50
+        # breakpoints each take the Python-int encoding on their count alone
+        rnd = random.Random(64)
+        fns = [
+            StepFunction(sorted(rnd.sample(range(200), 51)), 1, [rnd.choice([-2, 1, 3]) for _ in range(50)], 1)
+            for _ in range(2)
+        ]
+        entries = [(fns[0], 0, 1), (fns[1], F(1, 3), 1)]
+        terms = [(F(1, 2), fns[0], 0, 1), (-1, fns[1], F(1, 3), 1)]
+        assert in_limbs(entries) and sum(len(fn._u) for fn in fns) > 64
+        with mock.patch.object(sf, "_POS_MAX", 64):
+            assert not in_limbs(entries)
+            with python_int_merges() as taken:
+                got = [product_integral(entries), linear_combination(terms)]
+                got += [power_integral(terms, p) for p in (1, 2)]
+        assert taken and all(taken)
+        assert got == [
+            per_gap_oracle(product_integral, entries),
+            per_gap_oracle(linear_combination, terms),
+            *(per_gap_oracle(power_integral, terms, p) for p in (1, 2)),
+        ]
+
+    def test_both_encodings_return_one_grouping(self):
+        # many positions coincide across factors, whose values are distinct,
+        # so the class tuples of zero-width gaps are their own groups; both
+        # encodings take ties in factor order, so even these groups agree
+        rnd = random.Random(22)
+        fns = [
+            StepFunction(sorted(rnd.sample(range(300), 120)), 1, rnd.sample(range(1, 500), 119), 1)
+            for _ in range(3)
+        ]
+        _, prepared = sf._prepare_factors([(fn, rnd.randint(-3, 3), 1) for fn in fns])
+        assert fits_limbs(prepared)
+        widths, classes, cells = sf._merge(prepared)
+        with python_ints():
+            int_widths, int_classes, int_cells = sf._merge(prepared)
+        assert widths == int_widths and 0 in widths
+        assert all(np.array_equal(a, b) for a, b in zip(classes, int_classes))
+        assert all(np.array_equal(a, b) for a, b in zip(cells(), int_cells()))
 
     def test_merge_holds_few_arrays_of_the_merged_length(self):
         # two factors of about 300k breakpoints: beyond its inputs the merge
@@ -475,11 +549,11 @@ class TestMergeKernel:
         ]
         _, prepared = sf._prepare_factors([(fns[0], 0, 1), (fns[1], F(1, 3), F(3, 2))])
         n = sum(len(fn._u) for _, _, fn in prepared)
-        assert n > 500_000
+        assert n > 500_000 and fits_limbs(prepared)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            widths, _, _ = sf._merge_numpy(prepared)
+            widths, _, _ = sf._merge(prepared)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -489,7 +563,7 @@ class TestMergeKernel:
 
     def test_sweep_groups_by_class_tuple(self):
         # two factors of 2000 cells with four values each, zero among them:
-        # the grouped sweep keeps one width per class tuple, not one per gap
+        # the Python-int encoding keeps one width per class tuple, not one per gap
         rnd = random.Random(5)
         fns = [
             StepFunction(list(range(0, 4002, 2)), 3, [rnd.choice([-1, 0, 2, 5]) for _ in range(2000)], 1)
@@ -497,7 +571,7 @@ class TestMergeKernel:
         ]
         entries = [(fns[0], 0, 1), (fns[1], F(1, 3), F(3, 2))]
         _, prepared = sf._prepare_factors(entries)
-        with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
+        with python_ints():
             widths, classes, cells = sf._merge(prepared)
             positions, group = cells()
         assert len(widths) <= 16 < len(group)
@@ -507,9 +581,9 @@ class TestMergeKernel:
         for g, w in zip(group.tolist(), np.diff(positions).tolist()):
             gap_widths[g] += w
         assert gap_widths == widths
-        assert product_integral(entries) == swept(product_integral, entries)
+        assert product_integral(entries) == on_python_ints(product_integral, entries)
         terms = [(F(1, 2), fn, c, r) for fn, c, r in entries]
-        assert linear_combination(terms) == swept(linear_combination, terms)
+        assert linear_combination(terms) == on_python_ints(linear_combination, terms)
 
     @given(
         fns=st.lists(step_strategy(), min_size=1, max_size=4),
@@ -526,9 +600,9 @@ class TestMergeKernel:
         entries = [(fn, c, r) for fn, c, r, _ in placed]
         terms = [(w, fn, c, r) for fn, c, r, w in placed]
         p = data.draw(st.integers(1, 3))
-        assert product_integral(entries) == swept(product_integral, entries)
-        assert power_integral(terms, p) == swept(power_integral, terms, p)
-        assert linear_combination(terms) == swept(linear_combination, terms)
+        assert product_integral(entries) == on_python_ints(product_integral, entries)
+        assert power_integral(terms, p) == on_python_ints(power_integral, terms, p)
+        assert linear_combination(terms) == on_python_ints(linear_combination, terms)
 
 
 @st.composite
@@ -568,7 +642,7 @@ class TestSupportClipping:
     def test_matches_per_gap_oracle(self, entries):
         want = per_gap_oracle(product_integral, entries)
         assert product_integral(entries) == want
-        assert swept(product_integral, entries) == want
+        assert on_python_ints(product_integral, entries) == want
         # a batch per window, and batches that cut between windows sharing a cell
         assert batched(entries, 1) == batched(entries, 3) == want
 
@@ -600,7 +674,7 @@ class TestSupportClipping:
             got = product_integral(entries)
         assert spy.called == merges
         assert got == per_gap_oracle(product_integral, entries)
-        assert got == swept(product_integral, entries)
+        assert got == on_python_ints(product_integral, entries)
         assert got == unclipped_product_integral(entries)
         assert batched(entries, 1) == batched(entries, 3) == got
         if not merges:
@@ -608,15 +682,15 @@ class TestSupportClipping:
 
     def test_far_windows_merge_apart_on_the_vectorised_path(self):
         # windows 2^26 grid units apart: one merge of both would span past
-        # the limbs and take the sweep, so each window is its own batch
+        # the limbs and take Python ints, so each window is its own batch
         far = 1 << 26
         f = _runs([(0, 2, 3), (far, far + 2, -1), (2 * far, 2 * far + 1, 2)])
         g = _runs([(1, 3, 5), (far + 1, far + 3, 7), (2 * far, 2 * far + 1, 1)])
         entries = [(f, 0, 1), (g, F(1, 2), 1)]
-        with mock.patch.object(sf, "_sweep", wraps=sf._sweep) as sweep:
+        with python_int_merges() as taken:
             with mock.patch.object(sf, "_merge", wraps=sf._merge) as merge:
                 got = product_integral(entries)
-        assert (merge.call_count, sweep.call_count) == (3, 0)
+        assert merge.call_count == len(taken) == 3 and not any(taken)
         assert got == per_gap_oracle(product_integral, entries) == F(3 * 5 - 1 * 7 + 2 * 1, 2)
 
     def test_memory_does_not_grow_with_the_common_support(self):
@@ -694,12 +768,12 @@ class TestEqualTerms:
         for p in (1, 2, 3, 4):
             want = per_gap_oracle(power_integral, terms, p)
             assert power_integral(terms, p) == want
-            assert swept(power_integral, terms, p) == want
+            assert on_python_ints(power_integral, terms, p) == want
         want = per_gap_oracle(linear_combination, terms)
         assert linear_combination(terms) == want
-        assert swept(linear_combination, terms) == want
+        assert on_python_ints(linear_combination, terms) == want
         for forced in (False, True):
-            with mock.patch.object(sf, "_merge_numpy", lambda prepared: None) if forced else contextlib.nullcontext():
+            with python_ints() if forced else contextlib.nullcontext():
                 got = antiderivative(anti_terms)
             for p in (1, 2, 3, 4):
                 assert got.lp_power(p) == anti_want.lp_power(p)
@@ -738,7 +812,7 @@ class TestEqualTerms:
             c, r = F(1, 2), F(3, 2)
             terms = [(F(2, 3), f, c, r), (F(-1, 2), second, c, r)]
             assert len(sf._prepare_weighted(terms)[2]) == 2
-            assert vectorised([(f, c, r), (second, c, r)])
+            assert in_limbs([(f, c, r), (second, c, r)])
             anti_terms = _zero_mean(terms, F(5, 2))
             anti_want = per_gap_oracle(antiderivative, anti_terms)
             with mock.patch.object(sf, "_merged_order", wraps=sf._merged_order) as spy:
@@ -748,10 +822,10 @@ class TestEqualTerms:
                 assert linear_combination(terms) == per_gap_oracle(linear_combination, terms)
             assert spy.called
             for p in (1, 2, 3):
-                swept(power_integral, terms, p)
-            swept(linear_combination, terms)
-            swept(product_integral, [(f, c, r), (second, c, r)])
-            with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
+                on_python_ints(power_integral, terms, p)
+            on_python_ints(linear_combination, terms)
+            on_python_ints(product_integral, [(f, c, r), (second, c, r)])
+            with python_ints():
                 got = antiderivative(anti_terms)
             for p in (1, 2, 3):
                 assert got.lp_power(p) == anti_want.lp_power(p)
@@ -770,13 +844,14 @@ class TestEqualTerms:
                 widths, classes, cells = sf._merge(prepared)
                 positions, group = cells()
             assert classes[0].tolist() == list(range(len(fn.levels)))
-            gaps = list(sf._sweep(prepared, [1]))
+            gaps = list(_per_gap_sweep(prepared, [1]))
+            gap_classes = [fn.levels.index(vals[0]) for _, _, vals in gaps]
             swept_widths = [0] * len(fn.levels)
-            for start, end, key in gaps:
-                swept_widths[key] += end - start
+            for (start, end, _), cls in zip(gaps, gap_classes):
+                swept_widths[cls] += end - start
             assert swept_widths == widths == [prepared[0][1] * w for w in fn._class_widths()]
             assert positions.tolist() == [start for start, _, _ in gaps] + [gaps[-1][1]]
-            assert group.tolist() == [key for _, _, key in gaps] == fn._cls.tolist()
+            assert group.tolist() == gap_classes == fn._cls.tolist()
             term = [(1, fn, c, r)]
             assert linear_combination(term) == per_gap_oracle(linear_combination, term)
             assert product_integral([(fn, c, r)]) == F(r) * fn.integral()
@@ -875,8 +950,8 @@ class TestDictionaryEncoding:
         if data.draw(st.booleans()):
             terms.append((data.draw(small_fraction()), f.abs(), F(1, 2), F(3, 2)))
         assert linear_combination(terms) == _expanded(terms)
-        # forced sweep
-        with mock.patch.object(sf, "_merge_numpy", lambda prepared: None):
+        # forced Python-int encoding
+        with python_ints():
             got = linear_combination(terms)
             assert got == _expanded(terms) == per_gap_oracle(linear_combination, terms)
 
