@@ -8,12 +8,14 @@ meet the current window are ever touched.  ``enumerate_F`` lists the walk's
 tuples with their tangency class, and ``classify`` splits them by class.
 
 Classifying A compares the number of internal tuples with a threshold, so
-``count_internal`` counts them without listing any.  For n = 2 it is one
-numpy pass over the first slot's offsets: the second slot's admissible
-offsets form an interval, and the internal ones are its intersection with
-the same-parent window |d1 - d2| <= 4.  For larger n it counts the walk's
-internal tuples.  Brute force over the full index power set is available in
-the test suite as the oracle.
+``count_internal`` counts them without listing any.  For n = 2 an internal
+pair is (o1, o1 + delta) with |delta| <= 4 in one parent, and it is counted
+in closed form: for each delta, meeting is two linear inequalities in o1,
+so the meeting o1 form one interval, and the same-parent o1 are a window
+of last digits; the count is a difference of two prefix counts.  Its cost
+does not depend on the grid size M_k.  For larger n it counts the walk's
+internal tuples.  Brute force over the full index power set, and a pass
+over every first-slot offset for n = 2, are in the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .core import CantorSet
 from .errors import CapacityError, DomainError, InvalidIndexError
@@ -186,13 +186,29 @@ def enumerate_F(
     return out
 
 
+def _digit_prefix(x: int, N_k: int, d_lo: int, d_hi: int) -> int:
+    """#{0 <= o < x : d_lo <= o mod N_k <= d_hi}."""
+    q, d = divmod(x, N_k)
+    return q * (d_hi - d_lo + 1) + min(max(d - d_lo, 0), d_hi - d_lo + 1)
+
+
 def count_internal(n: int, k: int, A: AffineTuple, params: ConstructionParams) -> int:
     """The number of internal tuples of F[n, k; A] over the full index grid.
 
-    No tuple is listed.  For n = 2, slot 1 offset o1 = p*N_k + d1 meets the
-    slot-2 offsets [ceil((s1 - C2 - G2)/G2) - M_k, floor((s1 + G1 - C2)/G2) - M_k],
-    and its internal partners are those inside p*N_k + [d1 - 4, d1 + 4]
-    clipped to the parent's digits [0, N_k).
+    No tuple is listed.  For n = 2 the pair (o1, o1 + delta), delta in
+    [-4, 4], meets iff (slot l's interval in units of 1/D as in
+    ``_slot_geometry``)
+
+        (G2 - G1)*o1 <= C1 - C2 + G1*(M_k + 1) - G2*(M_k + delta)
+        (G1 - G2)*o1 <= C2 - C1 + G2*(M_k + delta + 1) - G1*M_k,
+
+    an interval [lo, hi] of o1 found with one floor division per bound
+    (for G1 = G2 each holds for every o1 or none).  Both offsets share a
+    parent iff o1 mod N_k lies in [max(0, -delta), min(N_k - 1, N_k - 1 - delta)],
+    so the pair count is a difference of two prefix counts of that digit
+    window.  The work does not grow with M_k, but ``_check_grid`` still
+    applies the grid cap, so n = 2 and n >= 4 reject the same levels with
+    the same ``CapacityError`` (message and exit code).
     """
     if n != 2:
         walk = _walk(n, k, A, params, None)
@@ -201,17 +217,25 @@ def count_internal(n: int, k: int, A: AffineTuple, params: ConstructionParams) -
     M_k, (C1, C2), (G1, G2) = _slot_geometry(n, k, A, params)
     _check_grid(k, M_k)
     N_k = params.level_N(k)
-    o1 = np.arange(M_k, dtype=np.int64)
-    # starts and bounds pass 2^63 on the N=16 level-2 grid: divide on Python
-    # ints; the quotients are offsets within a few M_k (c in [-4, 0], r in [1, 2])
-    s1 = (C1 + G1 * M_k) + G1 * o1.astype(object)
-    o_min = (-((C2 + G2 - s1) // G2)).astype(np.int64) - M_k
-    o_max = ((s1 + G1 - C2) // G2).astype(np.int64) - M_k
-    d1 = o1 % N_k
-    parent = o1 - d1
-    lo = np.maximum(o_min, parent + np.maximum(d1 - 4, 0))
-    hi = np.minimum(o_max, parent + np.minimum(d1 + 4, N_k - 1))
-    return int(np.maximum(hi - lo + 1, 0).sum())
+    total = 0
+    for delta in range(-4, 5):
+        d_lo, d_hi = max(0, -delta), min(N_k - 1, N_k - 1 - delta)
+        if d_lo > d_hi:
+            continue
+        R1 = C1 - C2 + G1 * (M_k + 1) - G2 * (M_k + delta)
+        R2 = C2 - C1 + G2 * (M_k + delta + 1) - G1 * M_k
+        # a*o1 <= R_hi bounds o1 above, -a*o1 <= R_lo below, with a > 0
+        a, R_hi, R_lo = G2 - G1, R1, R2
+        if a < 0:
+            a, R_hi, R_lo = -a, R2, R1
+        lo, hi = 0, M_k - 1
+        if a:
+            lo, hi = max(lo, -(R_lo // a)), min(hi, R_hi // a)
+        elif R1 < 0 or R2 < 0:
+            continue
+        if lo <= hi:
+            total += _digit_prefix(hi + 1, N_k, d_lo, d_hi) - _digit_prefix(lo, N_k, d_lo, d_hi)
+    return total
 
 
 def classify(

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,8 @@ from cantormax import (
 )
 from cantormax.errors import CapacityError, DomainError
 from cantormax.grids import DiscretizationGrid
-from cantormax.intersect import _slot_geometry
+from cantormax.correlation import classify_A
+from cantormax.intersect import DEFAULT_GRID_CAP, _slot_geometry
 
 F = Fraction
 
@@ -65,6 +67,29 @@ def internal_oracle(offsets, N_k):
 
 def enumerated_internal(n, k, A, params):
     return sum(t.cls == "internal" for t in enumerate_F(n, k, A, params))
+
+
+def count_internal_by_offsets(k, A, params):
+    """Internal pairs (n = 2) by one pass over every first-slot offset.
+
+    Slot 1 offset o1 = p*N_k + d1 meets the slot-2 offsets
+    [ceil((s1 - C2 - G2)/G2) - M_k, floor((s1 + G1 - C2)/G2) - M_k], and its
+    internal partners are those inside p*N_k + [d1 - 4, d1 + 4] clipped to
+    the parent's digits [0, N_k).
+    """
+    M_k, (C1, C2), (G1, G2) = _slot_geometry(2, k, A, params)
+    N_k = params.level_N(k)
+    o1 = np.arange(M_k, dtype=np.int64)
+    # starts and bounds pass 2^63 on the N=16 level-2 grid: divide on Python
+    # ints; the quotients are offsets within a few M_k (c in [-4, 0], r in [1, 2])
+    s1 = (C1 + G1 * M_k) + G1 * o1.astype(object)
+    o_min = (-((C2 + G2 - s1) // G2)).astype(np.int64) - M_k
+    o_max = ((s1 + G1 - C2) // G2).astype(np.int64) - M_k
+    d1 = o1 % N_k
+    parent = o1 - d1
+    lo = np.maximum(o_min, parent + np.maximum(d1 - 4, 0))
+    hi = np.minimum(o_max, parent + np.minimum(d1 + 4, N_k - 1))
+    return int(np.maximum(hi - lo + 1, 0).sum())
 
 
 def random_tuple(rnd, n, level):
@@ -174,6 +199,8 @@ class TestCountInternal:
             ref = internal_oracle(brute_force_F(n, k, A, P88), P88.level_N(k))
             assert count_internal(n, k, A, P88) == ref
             assert enumerated_internal(n, k, A, P88) == ref
+            if n == 2:
+                assert count_internal_by_offsets(k, A, P88) == ref
 
     def test_identity_pair_counts_every_near_pair(self):
         A = AffineTuple(((F(0), F(1)), (F(0), F(1))), 1)
@@ -193,7 +220,8 @@ class TestCountInternal:
             M, (C1, C2), (G1, G2) = _slot_geometry(2, 2, A, P16)
             s_last = C1 + G1 * (2 * M - 1)
             widest = max(widest, abs(s_last + G1 - C2), abs(C2 + G2 - s_last))
-            assert count_internal(2, 2, A, P16) == enumerated_internal(2, 2, A, P16)
+            got = count_internal(2, 2, A, P16)
+            assert got == count_internal_by_offsets(2, A, P16) == enumerated_internal(2, 2, A, P16)
         assert widest >= 1 << 63
 
     def test_denominators_far_past_int64(self):
@@ -205,9 +233,98 @@ class TestCountInternal:
         for params, k in ((P88, 1), (P88, 2), (P16, 2)):
             A_k = AffineTuple(A.pairs, k)
             got = count_internal(2, k, A_k, params)
+            assert got == count_internal_by_offsets(k, A_k, params)
             assert got == enumerated_internal(2, k, A_k, params) > 0
             if params.M(k) <= 64:
                 assert got == internal_oracle(brute_force_F(2, k, A_k, params), params.level_N(k))
+
+    @pytest.mark.parametrize(
+        "params, k",
+        [(P4, 1), (custom([3, 5], [F(1, 4)] * 2), 2), (P44, 2), (P88, 1), (P88, 2), (P16, 2)],
+    )
+    def test_equal_dilations_shifted_by_whole_cells(self, params, k):
+        # G1 = G2: slot 2 shifted j cells down meets (o1, o1 + delta) iff
+        # |delta - j| <= 1, so each contact inequality holds for every o1 or
+        # for none.  j = 0 is the identical pair, j = +-4 and +-5 keep only
+        # delta = +-4 (last digits 0..N_k-5 or 4..N_k-1), |j| >= 6 meets only
+        # across parents, and N_k < 9 clips the delta = +-4 window to nothing.
+        M, N = params.M(k), params.level_N(k)
+        for r in (F(1), F(5, 4)):
+            for j in range(-6, 7):
+                c = F(-2)
+                A = AffineTuple(((c, r), (c - j * r / M, r)), k)
+                expected = sum(
+                    M // N * max(N - abs(d), 0) for d in range(-4, 5) if abs(d - j) <= 1
+                )
+                got = count_internal(2, k, A, params)
+                assert got == expected
+                if M <= 256:
+                    assert got == count_internal_by_offsets(k, A, params)
+
+    def test_identical_pairs_count_the_diagonal_and_its_neighbours(self):
+        for params, k in ((P4, 1), (P88, 2), (P16, 2)):
+            M, parents = params.M(k), params.M(k) // params.level_N(k)
+            for c, r in ((F(0), F(1)), (F(-2), F(3, 2)), (F(-4), F(2)), (F(-7, 3), F(9, 7))):
+                A = AffineTuple(((c, r), (c, r)), k)
+                assert count_internal(2, k, A, params) == M + 2 * (M - parents)
+
+    def test_single_point_contacts_at_either_end(self):
+        # slot 1 is 1 + [o1, o1 + 1]/M and slot 2 is 1 + [2*o2, 2*o2 + 2]/M:
+        # o1 + 1 = 2*o2 touches at slot 1's right end, o1 = 2*o2 + 2 at its
+        # left end, and each bound of o1 is an exact division there
+        slow, fast = (F(0), F(1)), (F(-1), F(2))
+        for params, k in ((P4, 1), (P88, 1), (P44, 2)):
+            for pairs in ((slow, fast), (fast, slow)):
+                A = AffineTuple(pairs, k)
+                family = brute_force_F(2, k, A, params)
+                ref = internal_oracle(family, params.level_N(k))
+                assert count_internal(2, k, A, params) == ref
+                assert count_internal_by_offsets(k, A, params) == ref
+                M, N = params.M(k), params.level_N(k)
+                internal = [o for o in family if o[0] // N == o[1] // N and abs(o[0] - o[1]) <= 4]
+                o_slow = [o[pairs.index(slow)] for o in internal]
+                o_fast = [o[pairs.index(fast)] for o in internal]
+                ends = {
+                    "right" if a + 1 == 2 * b else "left"
+                    for a, b in zip(o_slow, o_fast)
+                    if a + 1 == 2 * b or a == 2 * b + 2
+                }
+                assert ends == {"left", "right"}
+
+    def test_empty_band(self):
+        # the images [1, 2] and [-3, -2] never meet; a pair that meets only
+        # far from the diagonal has no internal member
+        for params, k in ((P4, 1), (P88, 2), (P16, 2)):
+            apart = AffineTuple(((F(0), F(1)), (F(-4), F(1))), k)
+            assert count_internal(2, k, apart, params) == 0
+            assert enumerated_internal(2, k, apart, params) == 0
+        crossing_late = AffineTuple(((F(0), F(1)), (F(-3), F(2))), 2)
+        assert count_internal(2, 2, crossing_late, P88) == 0
+        assert count_internal_by_offsets(2, crossing_late, P88) == 0
+
+    def test_work_does_not_grow_with_the_grid(self):
+        # the identity pair at M_2 = 2^21, exactly the grid cap: the offset
+        # pass takes seconds and hundreds of MB here; the closed form a few
+        # Python ints per delta
+        params = custom([2048, 1024], [F(1, 4), F(1, 4)])
+        A = AffineTuple(((F(0), F(1)), (F(0), F(1))), 2)
+        assert params.M(2) == DEFAULT_GRID_CAP == 2**21
+        tracemalloc.start()
+        try:
+            got = count_internal(2, 2, A, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 2**21 + 2 * (2**21 - 2**11)
+        assert peak < 64 * 1024
+
+    def test_transverse_production_tuple(self, z16_set):
+        # slot 2 crosses slot 1 at o1 = 0, so only the first parent's
+        # diagonal end holds internal pairs: fewer than sqrt(P_2)
+        A = AffineTuple(((F(0), F(1)), (F(-1), F(2))), 2)
+        got = count_internal(2, 2, A, P16)
+        assert got == count_internal_by_offsets(2, A, P16) == 17
+        assert classify_A(A, z16_set, 2, 2) == "transverse"
 
     def test_threshold_boundary_tuples(self):
         # the tuples of TestClassifyA::test_threshold_boundary_strict: four
@@ -250,7 +367,10 @@ class TestCountInternal:
             rj = min(max(ri + data.draw(st.integers(-w, w)), 1), grid.n_r)
             idx.append((cj, rj))
         A = AffineTuple(tuple((grid.c_value(c), grid.r_value(r)) for c, r in idx), k)
-        assert count_internal(n, k, A, params) == enumerated_internal(n, k, A, params)
+        got = count_internal(n, k, A, params)
+        assert got == enumerated_internal(n, k, A, params)
+        if n == 2:
+            assert got == count_internal_by_offsets(k, A, params)
 
 
 def tangency_counts(cset, A, n, k):
