@@ -9,7 +9,8 @@ as cleared-denominator integers, unnormalized.  Every integral here is
 computed in integer arithmetic, so results are exact Fractions with no
 quadrature tolerance anywhere.  One array routine normalizes every step
 function on its classes (equal neighbours merged, zero end cells stripped,
-gcds divided out, classes renumbered).
+gcds divided out, classes renumbered), skipping each pass that would change
+nothing: normalizing sigma_k or phi_k allocates no int64 array of its length.
 
 The kernels ``product_integral``, ``power_integral``, ``linear_combination``
 and ``antiderivative`` (which builds ``maxops.mk_adjoint``) get their
@@ -55,8 +56,8 @@ with an indicator.  ``PiecewiseLinear.lp_power`` sums all pieces at once in
 object-dtype integers, by Horner's rule.  The ``units`` and ``val_nums``
 tuples are views in Python ints, built on first use for pointwise reads
 (``value_at``, ``cells``); no kernel reads them.  ``run_coverage`` counts
-the runs covering each stretch between run ends, for ``CantorSet.sigma``
-and for the common support of a product.
+the runs covering each stretch between run ends, in its argsort's buffer,
+for ``CantorSet.sigma`` and for the common support of a product.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ _C_MAX = 1 << 91  # offset from the origin; keeps hi < 2^53, so each float key i
 _POS_MAX = 1 << 24  # merged breakpoints; keeps the low-limb sums in int64
 _KEY_MAX = 1 << 62
 _BATCH_CELLS = 1 << 16  # about the factor cells that product_integral merges at once
+_GCD_PREFIX = 16  # units whose gcd with den _normalize takes before a full pass
 
 
 def _clear_denominators(fracs) -> tuple[list[int], int]:
@@ -112,7 +114,8 @@ class StepFunction:
     @classmethod
     def from_classes(cls, units, den, levels, classes, val_den) -> "StepFunction":
         """Build from one index per cell into ``levels``, value numerators in
-        any order; repeats and zero are allowed."""
+        any order; repeats and zero are allowed.  An ndarray argument
+        that it keeps is made read-only (``_held``)."""
         fn = cls.__new__(cls)
         fn._store(units, den, levels, classes, val_den)
         return fn
@@ -296,34 +299,51 @@ def _normalize(units, den, levels, classes, val_den):
     """Canonical form of a dictionary-encoded step function: equal
     neighbours merged, zero end cells stripped, unused classes dropped, the
     classes renumbered to 0 first and the nonzero levels ascending, both gcds
-    divided out.
+    divided out.  A pass that changes nothing is skipped: the trim unless an
+    end cell is zero, the merge unless two neighbours are equal, the
+    renumbering gather where it is the identity on the used classes, and the
+    gcd pass over all units unless the first ``_GCD_PREFIX`` leave a gcd > 1.
 
     Returns (units, den, levels, classes, val_den): units int64 whenever
-    they fit, levels a tuple of Python ints, classes int64.
+    they fit, levels a tuple of Python ints, classes int64; both arrays
+    read-only and, through ``_held``, not writable by the caller.
     """
     u = _int_array(units)
     if len(u) > 1 and not (u[1:] > u[:-1]).all():
         raise DomainError("breakpoints must be strictly increasing")
+    cls = np.asarray(classes, dtype=np.int64)
     uniq, inv = np.unique(_int_array(levels), return_inverse=True)
-    nonzero = uniq != 0
-    c = inv[np.asarray(classes, dtype=np.int64)]  # equal classes hold equal values
-    live = np.flatnonzero(nonzero[c])
-    if not len(live):
-        return np.empty(0, dtype=np.int64), 1, (0,), np.empty(0, dtype=np.int64), 1
-    first, last = live[0], live[-1] + 1
-    c = c[first:last]
-    keep = np.concatenate(([True], c[1:] != c[:-1]))
-    u = np.concatenate((u[first:last][keep], u[last : last + 1]))
-    c = c[keep]
-    used = np.zeros(len(uniq), dtype=bool)
-    used[c] = True
-    used &= nonzero
-    c = (np.cumsum(used) * used)[c]
+    seen = np.bincount(cls, minlength=len(inv)) > 0
+    used = (np.bincount(inv[seen], minlength=len(uniq)) > 0) & (uniq != 0)
     nums = uniq[used].tolist()
-    g = math.gcd(den, int(np.gcd.reduce(u)))
+    if not nums:
+        return np.empty(0, dtype=np.int64), 1, (0,), np.empty(0, dtype=np.int64), 1
+    new = (np.cumsum(used) * used)[inv]  # each given class's canonical class
+    if not new[cls[0]] or not new[cls[-1]]:
+        live = (new != 0)[cls]
+        first, last = int(live.argmax()), len(live) - int(live[::-1].argmax())
+        u, cls = u[first : last + 1], cls[first:last]
+    c = cls if (new[seen] == np.flatnonzero(seen)).all() else new[cls]
+    keep = np.concatenate(([True], c[1:] != c[:-1], [True]))
+    if not keep.all():
+        u, c = u[keep], c[keep[:-1]]
+    g = math.gcd(den, *u[:_GCD_PREFIX].tolist())
+    g = math.gcd(g, int(np.gcd.reduce(u))) if g > 1 else g
     h = math.gcd(val_den, *nums)
     u = _int_array(u // g if g > 1 else u)  # int64 again once it fits
-    return u, den // g, (0, *(v // h for v in nums)), c, val_den // h
+    return _held(u, units), den // g, (0, *(v // h for v in nums)), _held(c, classes), val_den // h
+
+
+def _held(a: np.ndarray, given) -> np.ndarray:
+    """``a`` read-only; where it is the caller's writable ``given`` or a view
+    of it, ``given`` is frozen if it owns its data, and ``a`` copied if not."""
+    if isinstance(given, np.ndarray) and given.flags.writeable and np.may_share_memory(a, given):
+        if given.flags.owndata:
+            given.flags.writeable = False
+        else:
+            a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -568,15 +588,19 @@ def run_coverage(parts) -> tuple[np.ndarray, np.ndarray]:
     neighbouring ends the number of runs that cover it.
 
     Each start adds +1 and each end -1, and a stretch's count is the running
-    sum in sorted order; the parts are joined here, so the caller holds no
-    copy of the joined array.
+    sum in sorted order at the last slot of its left end, made in place in
+    the argsort's buffer.  Runs need not nest; object arrays are taken too.
     """
     pos = np.concatenate(parts)
     order = np.argsort(pos, kind="stable")
     pos = pos[order]
-    step = 1 - 2 * (order & 1)  # starts sit at even slots, ends at odd ones
-    first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
-    return pos[first], np.cumsum(step)[first[1:] - 1]
+    order &= 1  # starts sit at even slots, ends at odd ones
+    order *= -2
+    order += 1
+    last = np.append(pos[1:] != pos[:-1], True)  # the last slot of each position
+    ends = pos[last]
+    del pos
+    return ends, np.cumsum(order, out=order)[last][:-1]
 
 
 def _common_support(prepared):

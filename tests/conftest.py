@@ -17,7 +17,7 @@ import pytest
 
 import cantormax.stepfn as sf
 from cantormax import build_deterministic, construct, custom, fixed_dimension
-from cantormax.core import SET_SCHEMA_VERSION, CantorSet
+from cantormax.core import SET_SCHEMA_VERSION, CantorLevel, CantorSet
 from cantormax.errors import FormatError
 from cantormax.stepfn import StepFunction, linear_combination
 
@@ -77,6 +77,22 @@ def z16_set():
         fixed_dimension(16, Fraction(1, 4), 3, seed=1, max_retries=50), gate_c_budget=6
     )
     return cset
+
+
+@pytest.fixture(scope="session")
+def broken_nesting_set(z8_set):
+    """z8_set with one orphan at level 2: the first child of an unselected
+    level-1 offset, so one child run lies outside every parent run."""
+    levels = list(z8_set.levels)
+    unselected_parent = min(set(range(levels[0].M_k)) - set(levels[0].offsets.tolist()))
+    orphan = unselected_parent * levels[1].N_k
+    levels[1] = CantorLevel(
+        k=2,
+        N_k=levels[1].N_k,
+        M_k=levels[1].M_k,
+        offsets=tuple(sorted(set(levels[1].offsets.tolist()) | {orphan})),
+    )
+    return CantorSet(z8_set.params, levels, validate=False)
 
 
 def reference_load(text: str) -> CantorSet:
@@ -174,6 +190,17 @@ def lp_power_oracle(f: StepFunction, p: int) -> Fraction:
     for i, v in enumerate(f.val_nums):
         total += abs(v) ** p * (f.units[i + 1] - f.units[i])
     return Fraction(total, f.den * f.val_den**p)
+
+
+def reference_run_coverage(parts) -> tuple[np.ndarray, np.ndarray]:
+    """``stepfn.run_coverage`` as first written: +1 and -1 steps in their own
+    array, and each position's count read before its first slot."""
+    pos = np.concatenate(parts)
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    step = 1 - 2 * (order & 1)  # starts sit at even slots, ends at odd ones
+    first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
+    return pos[first], np.cumsum(step)[first[1:] - 1]
 
 
 def _per_gap_sweep(prepared, mults):

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -137,7 +138,10 @@ class TestDensities:
 
 def searchsorted_sigma(cset, k):
     """sigma_k with each cell classed by four searchsorted passes over the
-    run endpoints: the build that the one-pass running sum replaced."""
+    run endpoints: the build that the one-pass running sum replaced.  The
+    class is the number of runs covering the cell, as in ``CantorSet.sigma``:
+    where S_{k+1} lies in S_k that is 2 on S_{k+1}, and a child run outside
+    every parent run gets 1."""
     parent, child = cset.level(k), cset.level(k + 1)
     on_child = F(child.M_k, child.P) - F(parent.M_k, parent.P)
     off_child = -F(parent.M_k, parent.P)
@@ -156,17 +160,56 @@ def searchsorted_sigma(cset, k):
         np.searchsorted(child_runs[:, 0], starts, side="right")
         - np.searchsorted(child_runs[:, 1], starts, side="right")
     ) == 1
-    classes = np.where(in_child, 2, in_parent.astype(np.int64))
+    classes = in_parent.astype(np.int64) + in_child
     return StepFunction.from_classes(
         bps + child.M_k, child.M_k, [0, b_num, a_num], classes, vden
     )
 
 
-@pytest.mark.parametrize("name", ["fixture_a", "z8_set", "z16_set"])
+@pytest.mark.parametrize("name", ["fixture_a", "z8_set", "z16_set", "broken_nesting_set"])
 def test_sigma_matches_searchsorted_build(request, name):
     cset = request.getfixturevalue(name)
     for k in range(1, cset.depth):
         assert cset.sigma(k) == searchsorted_sigma(cset, k)
+
+
+def test_verify_of_broken_nesting_builds_sigma_and_reports_structure(broken_nesting_set):
+    """A child run outside its parents reaches the sigma build, which must
+    not assume nesting: verify returns through its structure report."""
+    from cantormax import verify_set
+
+    cset = CantorSet(broken_nesting_set.params, broken_nesting_set.levels, validate=False)
+    ok, reports = verify_set(cset, gate_c_budget=2)
+    assert not ok and set(cset._sigma_cache) == {1, 2}
+    (structure,) = [r for r in reports if r.gate == "structure"]
+    assert not structure.passed and "unselected parent" in structure.detail
+
+
+class TestBuildMemory:
+    """Traced peaks of the sigma and density builds, in int64 arrays of the
+    built function's cell count, as ``verify`` meets them: each level's runs
+    are cached by then."""
+
+    @staticmethod
+    def traced_arrays(z16_set, build):
+        cset = CantorSet.from_json(z16_set.to_json())
+        for lv in cset.levels:
+            lv.runs()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn = build(cset)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert fn.n_cells > 300_000
+        return peak / (8 * fn.n_cells)
+
+    def test_sigma_build_holds_few_arrays_of_its_cells(self, z16_set):
+        assert self.traced_arrays(z16_set, lambda cset: cset.sigma(2)) <= 5.5
+
+    def test_density_build_holds_few_arrays_of_its_cells(self, z16_set):
+        assert self.traced_arrays(z16_set, lambda cset: cset.density(3)) <= 2.5
 
 
 def deepest_mass(cset, a, b):

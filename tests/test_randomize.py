@@ -185,21 +185,8 @@ class TestConstruct:
         ok, reports = verify_set(cset, gate_c_budget=4)
         assert ok and reports[0].detail == "nesting/tiling/counts ok"
 
-    def test_verify_catches_broken_nesting(self, z8_set):
-        from cantormax.core import CantorLevel, CantorSet
-
-        levels = list(z8_set.levels)
-        unselected_parent = min(set(range(levels[0].M_k)) - set(levels[0].offsets))
-        orphan = unselected_parent * levels[1].N_k
-        bad = CantorLevel(
-            k=2,
-            N_k=levels[1].N_k,
-            M_k=levels[1].M_k,
-            offsets=tuple(sorted(set(levels[1].offsets) | {orphan})),
-        )
-        levels[1] = bad
-        broken = CantorSet(z8_set.params, levels, validate=False)
-        ok, reports = verify_set(broken, gate_c_budget=2)
+    def test_verify_catches_broken_nesting(self, broken_nesting_set):
+        ok, reports = verify_set(broken_nesting_set, gate_c_budget=2)
         assert not ok
         assert any(r.gate == "structure" and not r.passed for r in reports)
 

@@ -35,6 +35,7 @@ from conftest import (
     python_int_merges,
     python_ints,
     random_step,
+    reference_run_coverage,
     unclipped_product_integral,
 )
 
@@ -891,6 +892,113 @@ class TestArrayNormalizer:
     def test_rejects_unsorted_units(self):
         with pytest.raises(DomainError):
             StepFunction(np.array([0, 2, 2]), 1, np.array([1, 2]), 1)
+
+    @staticmethod
+    def matches_loop(units, den, levels, classes, vden):
+        """``_normalize`` on lists and on int64 arrays == ``loop_normalize``
+        on the per-cell values; the levels are 0, then the used nonzero ones
+        ascending."""
+        want = loop_normalize(units, den, [levels[c] for c in classes], vden)
+        for u_in, c_in in ((units, classes), (np.array(units), np.array(classes))):
+            u, d, lv, c, vd = sf._normalize(u_in, den, levels, c_in, vden)
+            assert (u.tolist(), d, [lv[i] for i in c.tolist()], vd) == tuple(want)
+            assert list(lv) == [0, *sorted(set(want[2]) - {0})]
+
+    @pytest.mark.parametrize(
+        "units, den, levels, classes, vden",
+        [
+            # unsorted and repeated levels; two zero classes side by side
+            ([0, 1, 2, 3, 4, 5, 6], 1, (5, 0, -3, 5, 0), [0, 2, 3, 1, 4, 2], 1),
+            ([0, 1, 2, 3], 1, (0, 5, 0, 5), [1, 3, 1], 5),
+            # a zero cell at only one end: the first, then the last
+            ([0, 2, 4, 6], 2, (0, 3, -1), [0, 1, 2], 1),
+            ([0, 2, 4, 6], 2, (0, 3, -1), [1, 2, 0], 1),
+            ([0, 2, 4, 6, 9], 4, (0, 3, -1), [1, 2, 1, 0], 1),
+            # no equal neighbours, without and with trimming
+            ([1, 2, 4, 7, 8], 1, (0, 6, -4), [1, 2, 1, 2], 2),
+            ([1, 2, 4, 7, 8], 1, (0, 6, -4), [0, 1, 2, 0], 2),
+            # the renumbering is the identity on the used classes only; and
+            # levels in np.unique's order, which puts a negative before 0
+            ([1, 2, 4, 7], 1, (0, -4, 6, 9), [1, 2, 1], 2),
+            ([0, 1, 2, 3], 1, (-4, 0, 6), [0, 2, 0], 1),
+            # a zero level that only the trimmed end cells use, and a level
+            # that no cell uses
+            ([0, 1, 3, 4, 6, 7], 1, (0, 3, 9, 0), [3, 1, 0, 1, 3], 3),
+            # one cell, and zero everywhere
+            ([5, 8], 3, (0, -7), [1], 7),
+            ([0, 1, 2], 1, (0, 0), [1, 0], 1),
+        ],
+    )
+    def test_skipped_passes_match_loop(self, units, den, levels, classes, vden):
+        self.matches_loop(units, den, levels, classes, vden)
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_units_gcd_past_the_prefix(self, broken):
+        # every unit a multiple of 4, so the prefix's gcd with den is 4: a
+        # unit past the prefix breaks it, or none does
+        units = [4 * i for i in range(sf._GCD_PREFIX + 4)]
+        if broken:
+            units[sf._GCD_PREFIX + 2] += 1
+        classes = [1 + i % 2 for i in range(len(units) - 1)]
+        self.matches_loop(units, 8, (0, 3, -6), classes, 3)
+        assert StepFunction.from_classes(units, 8, (0, 3, -6), classes, 3).den == (8 if broken else 2)
+
+
+class TestNoAliasing:
+    """A normalized function shares no writable array with its caller: the
+    skip paths keep the caller's own array frozen, and copy a view."""
+
+    @pytest.mark.parametrize(
+        "units, classes",
+        [
+            # canonical as given: every pass is skipped
+            (np.array([0, 1, 3, 4]), np.array([1, 2, 1])),
+            # zero end cells: the kept arrays are views of the given ones
+            (np.array([0, 1, 3, 4, 6]), np.array([0, 1, 2, 0])),
+            # views of larger writable arrays
+            (np.arange(-2, 10)[2:6], np.array([7, 1, 2, 1, 7])[1:4]),
+        ],
+    )
+    def test_changing_the_inputs_leaves_the_function(self, units, classes):
+        levels = (0, -2, 5)
+        fresh = StepFunction.from_classes(units.tolist(), 1, levels, classes.tolist(), 1)
+        fn = StepFunction.from_classes(units, 1, levels, classes, 1)
+        assert fn == fresh
+        assert not fn._u.flags.writeable and not fn._cls.flags.writeable
+        for given in (units, classes, units.base, classes.base):
+            if given is None:
+                continue
+            if given.flags.writeable:
+                given[:] = 1 - given
+            else:
+                with pytest.raises(ValueError):
+                    given[:] = 1 - given
+        assert fn == fresh and fn.abs() == fresh.abs()
+
+
+@st.composite
+def _run_parts(draw):
+    """1-4 parts of runs [start, end), starts and ends alternating, on a grid
+    of 13 points, so that positions repeat across parts and a start can
+    equal another part's end; moved past 2^63 as object arrays or not."""
+    shift = draw(st.sampled_from([0, 0, 1 << 64, -(1 << 70)]))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_runs = draw(st.integers(1, 3))
+        bounds = sorted(draw(st.lists(st.integers(0, 12), min_size=2 * n_runs, max_size=2 * n_runs, unique=True)))
+        parts.append(np.array([b + shift for b in bounds], dtype=object if shift else np.int64))
+    return parts
+
+
+@given(parts=_run_parts())
+@settings(max_examples=300, deadline=None)
+def test_run_coverage_matches_reference(parts):
+    given_parts = [p.copy() for p in parts]
+    ends, counts = sf.run_coverage(parts)
+    want_ends, want_counts = reference_run_coverage(parts)
+    assert ends.dtype == want_ends.dtype and ends.tolist() == want_ends.tolist()
+    assert counts.tolist() == want_counts.tolist()
+    assert all(np.array_equal(a, b) for a, b in zip(parts, given_parts))
 
 
 _BIG = 1 << 70
