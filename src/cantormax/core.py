@@ -115,10 +115,14 @@ class CantorLevel:
         arr = self.offsets
         if not len(arr):
             return np.empty((0, 2), dtype=np.int64)
-        breaks = np.flatnonzero(np.diff(arr) > 1)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [len(arr) - 1]))
-        runs = np.stack([arr[starts], arr[ends] + 1], axis=1)
+        last = np.flatnonzero(np.diff(arr) > 1)  # the last offset of every run but the last
+        runs = np.empty((len(last) + 1, 2), dtype=np.int64)
+        runs[0, 0], runs[-1, 1] = arr[0], arr[-1]
+        # every index is below len(arr); "wrap" spares take its buffered bounds check
+        np.take(arr, last, out=runs[:-1, 1], mode="wrap")
+        last += 1
+        np.take(arr, last, out=runs[1:, 0], mode="wrap")
+        runs[:, 1] += 1
         runs.flags.writeable = False
         return runs
 
@@ -261,7 +265,11 @@ class CantorSet:
         return self._density_cache[k]
 
     def sigma(self, k: int) -> StepFunction:
-        """sigma_k = phi_{k+1} - phi_k, exact; support inside S_k."""
+        """sigma_k = phi_{k+1} - phi_k, exact; support inside S_k.
+
+        Assumes that level k+1 nests in level k, which ``structure_problems``
+        checks: a child run outside every parent run gets the class of S_k
+        minus S_{k+1} (-M_k/P_k) there, not phi_(k+1) - phi_k."""
         if k + 1 > self.depth:
             raise InsufficientDepthError(f"sigma_{k} needs level {k + 1}")
         parent, child = self.level(k), self.level(k + 1)

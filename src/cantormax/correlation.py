@@ -125,14 +125,6 @@ def grid_tuples(grid: DiscretizationGrid, n: int) -> list[AffineTuple] | None:
     return [AffineTuple(combo, grid.k) for combo in itertools.product(pairs, repeat=n)]
 
 
-def evaluate_tuple(
-    A: AffineTuple, cset: CantorSet, n: int, k: int, c0: float
-) -> CorrelationReport:
-    lam = lambda_sigma(A, cset, k)
-    cls = classify_A(A, cset, n, k)
-    return CorrelationReport(A, n, k, lam, cls, trivial_bound(cset, n, k), c0)
-
-
 @dataclass(frozen=True)
 class TransverseScan:
     """Every candidate's class, and Lambda(A; sigma_k) of the transverse ones."""

@@ -414,7 +414,10 @@ def verify_set(
         if cset.density(k).integral() != 1:
             norm_ok = False
             detail.append(f"integral phi_{k} != 1")
-    for k in range(1, cset.depth):
+    # sigma_k = phi_(k+1) - phi_k holds only for nested levels, so a nesting
+    # fault is left to the structure report
+    sigma_levels = range(1, cset.depth) if not problems else ()
+    for k in sigma_levels:
         if cset.P(k) and cset.P(k + 1) and cset.sigma(k).integral() != 0:
             norm_ok = False
             detail.append(f"integral sigma_{k} != 0")

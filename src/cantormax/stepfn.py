@@ -32,11 +32,13 @@ leaves the limbs (span >= 2^25, G >= 2^62, G*span >= 2^87 or offset >=
 2^91), or more than 2^24 breakpoints in all, puts the merge in one limb of
 Python ints, stored as int64 while the offsets fit it and ordered by one
 stable argsort.  The rest is one code path: each gap is keyed by the
-running sum of its factors' mixed-radix class steps, its factors' classes
-are read back from the key, and widths are summed per key, limb by limb in
-the limb's own dtype.  The two-limb merge's traced peak is five int64 arrays of the merged length: 27 MB
-and 18 ms (2-core x86-64 host) for a whole sigma_2 pair of the N=16 set,
-677,524 breakpoints.
+running sum of its factors' mixed-radix class steps, in one array of int64
+keys while the product of the factors' class counts is at most 2^62 and of
+Python ints past it, its factors' classes are read back from the key, and
+widths are summed per key, limb by limb in the limb's own dtype.  The
+two-limb merge's traced peak is five int64 arrays of the merged length:
+27 MB and 18 ms (2-core x86-64 host) for a whole sigma_2 pair of the N=16
+set, 677,524 breakpoints.
 
 A product vanishes off the common support of its factors, so
 ``product_integral`` first intersects the factors' support runs (maximal
@@ -63,9 +65,11 @@ for ``CantorSet.sigma`` and for the common support of a product.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -416,50 +420,33 @@ def _merged_order(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def _gap_keys(prepared, bounds, order: np.ndarray):
-    """Per merged gap, an int64 key injective on its class tuple, and a
-    function that reads each factor's classes back from keys.
+    """Per merged gap, a key injective on its class tuple, and a function
+    that reads each factor's classes back from keys.
 
     Crossing a breakpoint changes one factor's class, so a mixed-radix key is
     the running sum of per-breakpoint steps in merged order, built in one
-    array, gathered once and summed in place.  Factors are keyed in chunks
-    whose radix product fits; chunk keys are combined by rank, and read back
-    through the rank tables.
+    array, gathered once and summed in place.  The keys are int64 while the
+    product of the factors' class counts is at most 2^62, and Python ints
+    (object dtype) past it; each factor's classes are cast to the key dtype
+    before they meet its radix, so no int64 step overflows.
     """
-    chunks, radix = [], _KEY_MAX
-    for i, (_, _, fn) in enumerate(prepared):
-        if radix * len(fn.levels) > _KEY_MAX:
-            chunks.append({})
-            radix = 1
-        chunks[-1][i] = radix
-        radix *= len(fn.levels)
-    keys, tables = None, []
-    for chunk in chunks:
-        steps = np.zeros(len(order), dtype=np.int64)
-        for i, radix in chunk.items():
-            cls = prepared[i][2]._cls
-            s = steps[bounds[i] : bounds[i + 1]]  # factor i's class steps at its breakpoints
-            s[0], s[-1] = cls[0], -cls[-1]
-            np.subtract(cls[1:], cls[:-1], out=s[1:-1], dtype=np.int64)
-            s *= radix
-        steps = steps[order]
-        part = np.cumsum(steps, out=steps)[:-1]
-        if keys is not None:
-            prev, a = np.unique(keys, return_inverse=True)
-            now, b = np.unique(part, return_inverse=True)
-            tables.append((prev, now))
-            part = a * len(now) + b
-        keys = part
+    radices = list(accumulate((len(fn.levels) for _, _, fn in prepared), operator.mul, initial=1))
+    dtype = np.int64 if radices[-1] <= _KEY_MAX else object
+    steps = np.zeros(len(order), dtype=dtype)
+    for (_, _, fn), radix, a, b in zip(prepared, radices, bounds, bounds[1:]):
+        cls = fn._cls.astype(dtype, copy=False)
+        s = steps[a:b]  # the factor's class steps at its breakpoints
+        s[0], s[-1] = cls[0], -cls[-1]
+        np.subtract(cls[1:], cls[:-1], out=s[1:-1])
+        s *= radix
+    steps = steps[order]
+    keys = np.cumsum(steps, out=steps)[:-1]
 
     def classes(values: np.ndarray) -> list[np.ndarray]:
-        out = [None] * len(prepared)
-        for chunk, table in zip(chunks[::-1], [*tables[::-1], None]):
-            part = values
-            if table is not None:
-                prev, now = table
-                part, values = now[values % len(now)], prev[values // len(now)]
-            for i, radix in chunk.items():
-                out[i] = part // radix % len(prepared[i][2].levels)
-        return out
+        return [
+            (values // radix % len(fn.levels)).astype(np.int64, copy=False)
+            for (_, _, fn), radix in zip(prepared, radices)
+        ]
 
     return keys, classes
 
@@ -501,10 +488,11 @@ def _merge(prepared):
     position, so far but close factors stay small: in two int64 limbs
     (hi, lo) ordered by ``_merged_order`` while ``_fits_limbs`` holds, else
     in one limb of Python ints (int64 while they fit) ordered by a stable
-    argsort.  The rest is shared: the gap keys, the width sums per key in
-    each limb's dtype, combined as hi*2^39 + lo, and ``cells()``, which adds
-    the origin back, in int64 while the positions fit and in Python ints
-    past them.
+    argsort.  The rest is shared: the gap keys (int64, or Python ints past
+    a class-count product of 2^62), numbered densely when sparse, the width
+    sums per key in each limb's dtype, combined as hi*2^39 + lo, and
+    ``cells()``, which adds the origin back, in int64 while the positions
+    fit and in Python ints past them.
 
     Returns (widths, classes, cells): ``widths[g]`` is the exact total width
     of group g and ``classes[i][g]`` factor i's class on it; ``cells()``

@@ -192,6 +192,18 @@ def lp_power_oracle(f: StepFunction, p: int) -> Fraction:
     return Fraction(total, f.den * f.val_den**p)
 
 
+def reference_runs(offsets: np.ndarray) -> np.ndarray:
+    """``CantorLevel.runs`` as first written: run starts and ends gathered
+    from the breaks of ``np.diff`` and stacked."""
+    arr = np.asarray(offsets, dtype=np.int64)
+    if not len(arr):
+        return np.empty((0, 2), dtype=np.int64)
+    breaks = np.flatnonzero(np.diff(arr) > 1)
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [len(arr) - 1]))
+    return np.stack([arr[starts], arr[ends] + 1], axis=1)
+
+
 def reference_run_coverage(parts) -> tuple[np.ndarray, np.ndarray]:
     """``stepfn.run_coverage`` as first written: +1 and -1 steps in their own
     array, and each position's count read before its first slot."""
@@ -308,3 +320,18 @@ def no_merge():
     """Fail on any multi-factor merge: every one keys its gaps."""
     with mock.patch.object(sf, "_gap_keys", side_effect=AssertionError("merged")):
         yield
+
+
+@contextlib.contextmanager
+def key_dtypes():
+    """Yield a list that gets the dtype of each merge's gap keys."""
+    dtypes = []
+    gap_keys = sf._gap_keys
+
+    def spy(*args):
+        keys, classes = gap_keys(*args)
+        dtypes.append(keys.dtype)
+        return keys, classes
+
+    with mock.patch.object(sf, "_gap_keys", spy):
+        yield dtypes

@@ -1,0 +1,107 @@
+"""Record the CLI matrix: SHA-256 digests of every output of 22 CLI runs.
+
+The matrix runs ``construct``, ``verify``, ``correlate`` (k=0, k=1, and
+n=4 at k=1), ``maximal`` (the defaults, and m in [-1, 1]), ``differentiate``
+(the hat and the indicator), ``dimension`` and ``demo-l1`` on two sets: the
+fixed-dimension N=16 seed-1 set (gate (c) budget 6) and the N=8 seed-11 set
+(budget 4), with ``correlate.budget = 8`` on both.  Each run calls
+``cantormax.cli.main`` in-process and writes into its own directory; every
+command after ``construct`` reads the set file that ``construct`` wrote.
+
+A run's manifest entry holds the SHA-256 hex digests of its exit code (the
+decimal text), its stdout and its stderr (with the run's output directory
+replaced by ``<out>``) and of every file it wrote, by path relative to its
+output directory.  This module defines that serialization; the manifest is
+``cli_matrix.json`` beside it, and ``test_cli_matrix.py`` re-runs the matrix
+and compares every entry.
+
+Run from the repository root to rewrite the manifest:
+
+    PYTHONPATH=src python3 tests/record_cli_matrix.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from cantormax import cli
+
+MANIFEST = Path(__file__).with_name("cli_matrix.json")
+
+SETS = {
+    "n16": ["construction.N=16", "construction.seed=1", "construction.gate_c_budget=6", "correlate.budget=8"],
+    "n8": ["construction.N=8", "construction.seed=11", "construction.gate_c_budget=4", "correlate.budget=8"],
+}
+
+# run name -> (command, config overrides on top of its set's)
+RUNS = {
+    "construct": ("construct", []),
+    "verify": ("verify", []),
+    "corr_k0": ("correlate", ["correlate.k=0"]),
+    "corr_k1": ("correlate", ["correlate.k=1"]),
+    "corr_n4": ("correlate", ["correlate.k=1", "correlate.n=4"]),
+    "maximal": ("maximal", []),
+    "maximal_m": ("maximal", ["maximal.m_min=-1", "maximal.m_max=1"]),
+    "diff_hat": ("differentiate", ["differentiate.function=hat"]),
+    "diff_ind": ("differentiate", ["differentiate.function=indicator"]),
+    "dimension": ("dimension", []),
+    "demo": ("demo-l1", []),
+}
+
+ENTRIES = [f"{name}/{run}" for name in SETS for run in RUNS]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_entry(entry: str, workdir: Path) -> dict:
+    """Run one matrix entry with its outputs under ``workdir/<set>/<run>``,
+    constructing the set first if ``workdir`` holds no set file for it, and
+    return the entry's digests."""
+    name, run = entry.split("/")
+    command, overrides = RUNS[run]
+    set_file = workdir / name / "construct" / "set.json"
+    if run != "construct" and not set_file.exists():
+        run_entry(f"{name}/construct", workdir)
+    out = workdir / name / run
+    argv = [command]
+    if run != "construct":
+        argv.append(str(set_file))
+    for item in SETS[name] + overrides:
+        argv += ["--set", item]
+    argv += ["-o", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.main(argv)
+    return {
+        "exit": _sha(str(code).encode()),
+        "stdout": _sha(stdout.getvalue().replace(str(out), "<out>").encode()),
+        "stderr": _sha(stderr.getvalue().replace(str(out), "<out>").encode()),
+        "files": {
+            path.relative_to(out).as_posix(): _sha(path.read_bytes())
+            for path in sorted(out.rglob("*"))
+            if path.is_file()
+        },
+    }
+
+
+def record() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        return {entry: run_entry(entry, Path(tmp)) for entry in ENTRIES}
+
+
+def main() -> int:
+    MANIFEST.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(ENTRIES)} entries to {MANIFEST}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

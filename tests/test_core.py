@@ -35,7 +35,7 @@ from cantormax.errors import (
     StructureError,
 )
 
-from conftest import FIXTURE_A_SELECTIONS, prefix_mass, reference_dump, reference_load
+from conftest import FIXTURE_A_SELECTIONS, prefix_mass, reference_dump, reference_load, reference_runs
 
 F = Fraction
 
@@ -167,6 +167,23 @@ def searchsorted_sigma(cset, k):
 
 
 @pytest.mark.parametrize("name", ["fixture_a", "z8_set", "z16_set", "broken_nesting_set"])
+def test_runs_match_reference_build(request, name):
+    for lv in request.getfixturevalue(name).levels:
+        runs = lv.runs()
+        assert runs.dtype == np.int64 and np.array_equal(runs, reference_runs(lv.offsets))
+
+
+@pytest.mark.parametrize(
+    "offsets, want",
+    [([], np.empty((0, 2))), ([5], [[5, 6]]), ([0, 1, 2], [[0, 3]]), ([0, 2, 3, 7], [[0, 1], [2, 4], [7, 8]])],
+)
+def test_runs_of_small_levels(offsets, want):
+    runs = CantorLevel(k=1, N_k=8, M_k=8, offsets=offsets).runs()
+    assert runs.dtype == np.int64 and np.array_equal(runs, want)
+    assert np.array_equal(runs, reference_runs(offsets))
+
+
+@pytest.mark.parametrize("name", ["fixture_a", "z8_set", "z16_set", "broken_nesting_set"])
 def test_sigma_matches_searchsorted_build(request, name):
     cset = request.getfixturevalue(name)
     for k in range(1, cset.depth):
@@ -174,15 +191,20 @@ def test_sigma_matches_searchsorted_build(request, name):
 
 
 def test_verify_of_broken_nesting_builds_sigma_and_reports_structure(broken_nesting_set):
-    """A child run outside its parents reaches the sigma build, which must
-    not assume nesting: verify returns through its structure report."""
+    """A child run outside its parents: verify returns through its
+    structure report.  Gate (c) builds sigma_2; sigma_1, whose child level
+    holds the orphan, is not checked, as it is phi_2 - phi_1 only for nested
+    levels (its build on this set: ``test_sigma_matches_searchsorted_build``)."""
     from cantormax import verify_set
 
     cset = CantorSet(broken_nesting_set.params, broken_nesting_set.levels, validate=False)
     ok, reports = verify_set(cset, gate_c_budget=2)
-    assert not ok and set(cset._sigma_cache) == {1, 2}
+    assert not ok and set(cset._sigma_cache) == {2}
     (structure,) = [r for r in reports if r.gate == "structure"]
     assert not structure.passed and "unselected parent" in structure.detail
+    # the nesting fault is named once, by the structure report
+    (normalization,) = [r for r in reports if r.gate == "normalization"]
+    assert normalization.passed and "sigma" not in normalization.detail
 
 
 class TestBuildMemory:
@@ -210,6 +232,19 @@ class TestBuildMemory:
 
     def test_density_build_holds_few_arrays_of_its_cells(self, z16_set):
         assert self.traced_arrays(z16_set, lambda cset: cset.density(3)) <= 2.5
+
+    def test_runs_build_holds_few_arrays_of_its_offsets(self, z16_set):
+        # the (n, 2) runs hold 1.75 arrays of the level's offsets here
+        lv = z16_set.level(3)
+        level = CantorLevel(k=lv.k, N_k=lv.N_k, M_k=lv.M_k, offsets=lv.offsets)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            level.runs()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert level.P > 150_000 and peak <= 4.0 * 8 * level.P
 
 
 def deepest_mass(cset, a, b):

@@ -20,11 +20,19 @@ from cantormax import (
     sup_lambda_tr,
     trivial_bound,
 )
-from cantormax.correlation import evaluate_tuple
+from cantormax.correlation import CorrelationReport
 from cantormax.errors import EmptySampleError
 from conftest import fits_limbs, float_evaluator, per_gap_oracle, python_ints, random_step
 
 F = Fraction
+
+
+def evaluate_tuple(A, cset, n, k, c0):
+    """One tuple's report from ``lambda_sigma`` and ``classify_A`` called
+    directly: the reference for the reports that ``sup_lambda_tr`` builds."""
+    lam = lambda_sigma(A, cset, k)
+    cls = classify_A(A, cset, n, k)
+    return CorrelationReport(A, n, k, lam, cls, trivial_bound(cset, n, k), c0)
 
 
 def pair(c, r):

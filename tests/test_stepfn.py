@@ -28,6 +28,7 @@ from conftest import (
     affine_image,
     breakpoints,
     fits_limbs,
+    key_dtypes,
     lp_power_oracle,
     no_merge,
     per_gap_oracle,
@@ -422,7 +423,7 @@ class TestMergeKernel:
         prepared = sf._prepare_weighted(terms)[2]
         assert in_limbs([(fn, 0, 1) for _, _, fn in prepared])
         # 32 factors of about 13 classes overflow one int64 mixed radix, so
-        # their gap keys are built in chunks
+        # their gap keys are Python ints
         radix = math.prod(len(fn.levels) for _, _, fn in prepared)
         assert (radix > sf._KEY_MAX) == (n_terms == 32)
         combined = linear_combination(terms)
@@ -432,11 +433,11 @@ class TestMergeKernel:
             assert power_integral(terms, p) == want
             assert combined.abs().lp_power(p) == want
 
-    def test_chunked_keys_decode_to_the_swept_class_tuples(self):
+    def test_python_int_keys_decode_to_the_swept_class_tuples(self):
         # 40 factors of 13 classes overflow one int64 mixed radix twice, so
-        # the gap keys are combined by rank over three chunks or more;
-        # integer offsets make breakpoints of different factors coincide,
-        # which leaves zero-width gaps with class tuples of their own
+        # the gap keys are Python ints; integer offsets make breakpoints of
+        # different factors coincide, which leaves zero-width gaps with
+        # class tuples of their own
         rnd = random.Random(18)
         fns = [
             StepFunction(
@@ -457,8 +458,9 @@ class TestMergeKernel:
         for a, b, vals in gaps:
             by_values[tuple(vals)] = by_values.get(tuple(vals), 0) + b - a
         for encoding in (contextlib.nullcontext(), python_ints()):
-            with encoding:
+            with encoding, key_dtypes() as dtypes:
                 widths, classes, cells = sf._merge(prepared)
+            assert dtypes == [object]
             tuples = list(zip(*(c.tolist() for c in classes)))
             assert len(set(tuples)) == len(tuples) == len(widths)
             assert 0 in widths
@@ -467,6 +469,15 @@ class TestMergeKernel:
             positions, group = cells()
             assert positions.tolist() == [a for a, _, _ in gaps] + [gaps[-1][1]]
             assert [values[g] for g in group.tolist()] == [tuple(vals) for _, _, vals in gaps]
+
+    def test_sigma_product_keys_in_int64(self, z8_set):
+        # two sigma factors of 3 classes: the gap keys fit int64
+        sigma = z8_set.sigma(2)
+        entries = [(sigma, 0, 1), (sigma, F(1, 7), 1)]
+        with key_dtypes() as dtypes:
+            got = unclipped_product_integral(entries)
+        assert dtypes == [np.int64]
+        assert got == product_integral(entries) == per_gap_oracle(product_integral, entries)
 
     def test_spans_past_2_30_merge_as_python_ints(self):
         # spans of 2^31 grid units and a step past 2^62 leave the limbs;

@@ -31,7 +31,6 @@ ALLOWED = {
     "mk_restricted_type_ratio": "criterion 8's sampler of the linearized maximal operator's adjoint",
     "restricted_type_ratio": "the free-translation sampler that the adjoint benchmark workload runs",
     "phi_star": "the materialised free-translation sum that the adjoint benchmark workload checks",
-    "evaluate_tuple": "the benchmark's layer table names it; it leaves with the in-package trace layer",
     "build_deterministic": "builds the hand-written reference sets of the tests and the library sketch",
     "alpha": "the left endpoint of a multi-index's interval, the paper's alpha(i); for building fixtures",
     "interval_of": "the basic interval of a multi-index; for building fixtures",
