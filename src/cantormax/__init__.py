@@ -6,11 +6,8 @@ from .core import (
     CantorSet,
     DimensionReport,
     MultiIndex,
-    alpha,
-    build_deterministic,
     dim_bounds,
     dimension_limit_symbolic,
-    interval_of,
 )
 from .correlation import (
     CorrelationReport,
@@ -22,16 +19,7 @@ from .correlation import (
     trivial_bound,
 )
 from .grids import DiscretizationGrid
-from .intersect import (
-    AffineTuple,
-    IntersectionTuple,
-    classify,
-    count_internal,
-    enumerate_F,
-    projection_multiplicity,
-    proximity_check,
-    symdiff_bound_check,
-)
+from .intersect import AffineTuple, count_internal
 from .maxops import (
     AdjointAssignment,
     MaximalQuery,
@@ -39,7 +27,6 @@ from .maxops import (
     differentiation_experiment,
     l1_divergence_demo,
     mk_adjoint,
-    mk_operator,
     mk_restricted_type_ratio,
     phi_star,
     restricted_type_ratio,
@@ -48,9 +35,7 @@ from .params import ConstructionParams, custom, fixed_dimension, one_dimensional
 from .randomize import (
     GateReport,
     RngStream,
-    azuma_bound,
     bernoulli_layer,
-    bernstein_bound,
     boundedness_check,
     construct,
     gate_correlation,
@@ -72,21 +57,15 @@ __all__ = [
     "DimensionReport",
     "DiscretizationGrid",
     "GateReport",
-    "IntersectionTuple",
     "MaximalQuery",
     "MultiIndex",
     "PiecewiseLinear",
     "RngStream",
     "StepFunction",
-    "alpha",
     "average",
-    "azuma_bound",
     "bernoulli_layer",
-    "bernstein_bound",
     "boundedness_check",
-    "build_deterministic",
     "c0_constant",
-    "classify",
     "classify_A",
     "construct",
     "count_internal",
@@ -94,26 +73,20 @@ __all__ = [
     "differentiation_experiment",
     "dim_bounds",
     "dimension_limit_symbolic",
-    "enumerate_F",
     "fixed_dimension",
     "gate_correlation",
     "gate_counts",
     "gate_deviation",
-    "interval_of",
     "l1_divergence_demo",
     "lambda_exact",
     "lambda_sigma",
     "mk_adjoint",
-    "mk_operator",
     "mk_restricted_type_ratio",
     "one_dimensional",
     "phi_star",
     "product_integral",
-    "projection_multiplicity",
-    "proximity_check",
     "restricted_type_ratio",
     "sup_lambda_tr",
-    "symdiff_bound_check",
     "trivial_bound",
     "verify_set",
 ]

@@ -33,14 +33,14 @@ class ConstructionConfig:
     gate_c_budget: int = 8
 
     def to_params(self) -> ConstructionParams:
-        custom = self.regime == REGIME_CUSTOM
+        is_custom = self.regime == REGIME_CUSTOM
         try:
             return ConstructionParams(
                 regime=self.regime,
-                N=None if custom else self.N,
+                N=None if is_custom else self.N,
                 epsilon=self.epsilon if self.regime == REGIME_FIXED_DIM else None,
-                level_counts=self.level_counts if custom else (),
-                epsilon_schedule=self.epsilon_schedule if custom else (),
+                level_counts=self.level_counts if is_custom else (),
+                epsilon_schedule=self.epsilon_schedule if is_custom else (),
                 depth=self.K,
                 B=self.B,
                 L=self.L,

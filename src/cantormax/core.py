@@ -4,7 +4,7 @@ Level-k selections are stored as sorted integer offsets o in [0, M_k): the
 selected interval is [1 + o*delta_k, 1 + (o+1)*delta_k], and a multi-index
 (i_1, ..., i_k) with 1-based digits corresponds to
 o = sum_j (i_j - 1) * M_k/M_j.  Offsets keep deep levels compact while every
-derived quantity (densities, masses, defects) stays an exact rational.
+derived quantity (densities, masses) stays an exact rational.
 """
 
 from __future__ import annotations
@@ -33,23 +33,6 @@ MultiIndex = tuple[int, ...]
 SET_SCHEMA_VERSION = 1
 
 
-def check_index(i: MultiIndex, params: ConstructionParams) -> None:
-    if not i:
-        raise InvalidIndexError("multi-index must be nonempty")
-    for j, digit in enumerate(i, start=1):
-        N_j = params.level_N(j)
-        if not (1 <= digit <= N_j):
-            raise InvalidIndexError(f"entry i_{j}={digit} out of range 1..{N_j}")
-
-
-def offset_of(i: MultiIndex, params: ConstructionParams) -> int:
-    check_index(i, params)
-    o = 0
-    for j, digit in enumerate(i, start=1):
-        o = o * params.level_N(j) + (digit - 1)
-    return o
-
-
 def index_of(offset: int, k: int, params: ConstructionParams) -> MultiIndex:
     digits = []
     for j in range(k, 0, -1):
@@ -59,17 +42,6 @@ def index_of(offset: int, k: int, params: ConstructionParams) -> MultiIndex:
     if offset:
         raise InvalidIndexError("offset out of range for level")
     return tuple(reversed(digits))
-
-
-def alpha(i: MultiIndex, params: ConstructionParams) -> Fraction:
-    """Left endpoint of the basic interval of i: 1 + sum (i_j - 1)/M_j."""
-    o = offset_of(i, params)
-    return 1 + Fraction(o, params.M(len(i)))
-
-
-def interval_of(i: MultiIndex, params: ConstructionParams) -> tuple[Fraction, Fraction]:
-    a = alpha(i, params)
-    return a, a + params.delta(len(i))
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,17 +274,6 @@ class CantorSet:
         parents = self.level(k).offsets * ratio
         children = self.level(k2).offsets
         return np.searchsorted(children, parents + ratio) - np.searchsorted(children, parents)
-
-    def weak_star_defect(self, k: int, k2: int) -> Fraction:
-        """Sum over selected level-k intervals of |∫ (phi_k2 - phi_k)|, exact."""
-        if not (1 <= k <= k2 <= self.depth):
-            raise InsufficientDepthError(f"need 1 <= k <= k' <= {self.depth}")
-        P, P2 = self.P(k), self.P(k2)
-        if P == 0 or P2 == 0:
-            raise DegenerateMeasureError("defect needs nonempty levels")
-        # summed in Python ints, so the total is exact at any level size
-        total = np.abs(self.descendant_counts(k, k2).astype(object) * P - P2).sum()
-        return Fraction(int(total), P * P2)
 
     # -- covering counts -------------------------------------------------------
 
@@ -563,31 +524,6 @@ def _field_block(values: np.ndarray) -> bytes:
     if field[0] == "-":
         block[:, 1] = ord("-")
     return block.tobytes()
-
-
-def build_deterministic(selections, params: ConstructionParams) -> CantorSet:
-    """Assemble a CantorSet from explicit per-level multi-index collections.
-
-    ``selections`` is one collection of multi-indices (or raw offsets) per
-    level, outermost level first.  Nesting is validated and P_k recomputed.
-    """
-    levels = []
-    for k, sel in enumerate(selections, start=1):
-        offsets = set()
-        for item in sel:
-            if isinstance(item, tuple):
-                if len(item) != k:
-                    raise InvalidIndexError(f"index {item} has length {len(item)}, expected {k}")
-                offsets.add(offset_of(item, params))
-            else:
-                o = int(item)
-                if not (0 <= o < params.M(k)):
-                    raise InvalidIndexError(f"offset {o} out of range at level {k}")
-                offsets.add(o)
-        levels.append(
-            CantorLevel(k=k, N_k=params.level_N(k), M_k=params.M(k), offsets=sorted(offsets))
-        )
-    return CantorSet(params, levels)
 
 
 # ---------------------------------------------------------------------------

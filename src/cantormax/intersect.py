@@ -1,11 +1,10 @@
-"""Enumeration, counting and classification of n-fold affine interval intersections.
+"""Counting and classification of n-fold affine interval intersections.
 
 The family F[n, k; A] of index tuples whose transformed closed intervals
 share a point is walked by one output-sensitive sweep (``_walk``): slots are
 scanned in order, and each partial tuple narrows the admissible window
 analytically, so only the (at most a handful of) indices whose intervals
-meet the current window are ever touched.  ``enumerate_F`` lists the walk's
-tuples with their tangency class, and ``classify`` splits them by class.
+meet the current window are ever touched.
 
 Classifying A compares the number of internal tuples with a threshold, so
 ``count_internal`` counts them without listing any.  For n = 2 an internal
@@ -33,7 +32,6 @@ from .params import ConstructionParams
 INTERNAL = "internal"
 TRANSVERSE = "transverse"
 
-DEFAULT_TUPLE_CAP = 10**7
 DEFAULT_GRID_CAP = 1 << 21
 
 
@@ -60,27 +58,6 @@ class AffineTuple:
     @property
     def n(self) -> int:
         return len(self.pairs)
-
-    def min_translation_gap(self) -> Fraction:
-        gaps = [
-            abs(self.pairs[i][0] - self.pairs[j][0])
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        ]
-        return min(gaps)
-
-
-@dataclass(frozen=True)
-class IntersectionTuple:
-    """A member of F with its tangency class.
-
-    ``offsets`` encode the level-k multi-indices; ``witness`` names the
-    slot pair that certifies an internal tangency.
-    """
-
-    offsets: tuple[int, ...]
-    cls: str
-    witness: tuple[int, int] | None
 
 
 def _classify_offsets(offsets: Sequence[int], N_k: int):
@@ -161,31 +138,6 @@ def _walk(
     return walk()
 
 
-def enumerate_F(
-    n: int,
-    k: int,
-    A: AffineTuple,
-    params: ConstructionParams,
-    restrict_to: CantorSet | None = None,
-    cap: int = DEFAULT_TUPLE_CAP,
-) -> list[IntersectionTuple]:
-    """All n-tuples of level-k indices whose affine images share a point.
-
-    Closed intervals: single-point contacts count as members.  With
-    ``restrict_to`` the slots range over that set's selected indices only,
-    otherwise over the full index grid (which must stay under
-    ``DEFAULT_GRID_CAP``).
-    """
-    walk = _walk(n, k, A, params, restrict_to)
-    N_k = params.level_N(k)
-    out: list[IntersectionTuple] = []
-    for offsets in walk:
-        if len(out) == cap:
-            raise CapacityError(f"enumeration exceeded cap of {cap} tuples")
-        out.append(IntersectionTuple(offsets, *_classify_offsets(offsets, N_k)))
-    return out
-
-
 def _digit_prefix(x: int, N_k: int, d_lo: int, d_hi: int) -> int:
     """#{0 <= o < x : d_lo <= o mod N_k <= d_hi}."""
     q, d = divmod(x, N_k)
@@ -236,89 +188,3 @@ def count_internal(n: int, k: int, A: AffineTuple, params: ConstructionParams) -
         if lo <= hi:
             total += _digit_prefix(hi + 1, N_k, d_lo, d_hi) - _digit_prefix(lo, N_k, d_lo, d_hi)
     return total
-
-
-def classify(
-    tuples: Sequence[IntersectionTuple],
-) -> tuple[list[IntersectionTuple], list[IntersectionTuple]]:
-    """Partition an enumerated family into (F_int, F_tr)."""
-    f_int = [t for t in tuples if t.cls == INTERNAL]
-    f_tr = [t for t in tuples if t.cls == TRANSVERSE]
-    return f_int, f_tr
-
-
-@dataclass(frozen=True)
-class ProjectionReport:
-    multiplicity: int
-    max_alpha_spread: Fraction  # spread audit over fixed complements, absolute units
-
-
-def projection_multiplicity(
-    tuples: Sequence[IntersectionTuple], ell: int, k: int, params: ConstructionParams
-) -> ProjectionReport:
-    """Max number of distinct slot-ell completions over fixed complements.
-
-    Also audits the alpha spread of those completions (never above 4*delta_k).
-    """
-    if not tuples:
-        return ProjectionReport(0, Fraction(0))
-    n = len(tuples[0].offsets)
-    if not (1 <= ell <= n):
-        raise DomainError(f"slot {ell} outside 1..{n}")
-    groups: dict[tuple[int, ...], set[int]] = {}
-    for t in tuples:
-        key = t.offsets[: ell - 1] + t.offsets[ell:]
-        groups.setdefault(key, set()).add(t.offsets[ell - 1])
-    best = max(len(v) for v in groups.values())
-    spread = max(max(v) - min(v) for v in groups.values())
-    return ProjectionReport(best, Fraction(spread, params.M(k)))
-
-
-@dataclass(frozen=True)
-class ProximityResult:
-    bound: Fraction
-    min_gap: Fraction
-    satisfied: bool
-
-
-def proximity_check(A: AffineTuple, n: int, L_int: int) -> ProximityResult:
-    """Internal tangencies force nearby translations: min gap <= min(4, 80n(n-1)/L)."""
-    if n != A.n:
-        raise DomainError(f"A has {A.n} pairs but n={n}")
-    if L_int > 0:
-        bound = min(Fraction(4), Fraction(80 * n * (n - 1), L_int))
-    else:
-        bound = Fraction(4)  # vacuous: translations live in a width-4 range
-    gap = A.min_translation_gap()
-    return ProximityResult(bound, gap, gap <= bound)
-
-
-@dataclass(frozen=True)
-class SymdiffResult:
-    measure: Fraction
-    bound: Fraction
-    satisfied: bool
-
-
-def symdiff_bound_check(x, y, r, s, t, eta) -> SymdiffResult:
-    """Exact |[x, x+rt] symdiff [y, y+st]| against the 3*eta bound.
-
-    Preconditions: 0 < t < 1, 1/2 < r, s < 2, eta < t/2, |x-y| < eta,
-    |r-s| < eta.
-    """
-    x, y, r, s, t, eta = (Fraction(v) for v in (x, y, r, s, t, eta))
-    if not (0 < t < 1):
-        raise DomainError("need 0 < t < 1")
-    if not (Fraction(1, 2) < r < 2 and Fraction(1, 2) < s < 2):
-        raise DomainError("need 1/2 < r, s < 2")
-    if not (eta < t / 2):
-        raise DomainError("need eta < t/2")
-    if not (abs(x - y) < eta and abs(r - s) < eta):
-        raise DomainError("need |x-y| < eta and |r-s| < eta")
-    a1, b1 = x, x + r * t
-    a2, b2 = y, y + s * t
-    overlap = max(Fraction(0), min(b1, b2) - max(a1, a2))
-    measure = (b1 - a1) + (b2 - a2) - 2 * overlap
-    bound = 3 * eta
-    return SymdiffResult(measure, bound, measure <= bound)
-

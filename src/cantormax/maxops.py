@@ -8,6 +8,13 @@ which two bisects into the level's prefix-moment tables give
 never a pass over the runs.  Maximal values are exact maxima of exact
 rationals over the query grid.  The sup over continuous dilations is
 replaced by a grid max; refinement of the grid never decreases any value.
+
+The single-scale operator is f -> sup over r of |integral f(x + r y)
+sigma_k(y) dy|: the dilation r is its only free parameter, and the
+translation is the point x itself.  This module computes the adjoint of
+its linearization (``mk_adjoint``) and samples that adjoint's
+restricted-type ratio; the operator itself, as a max over an r grid, is
+``mk_operator`` in ``tests/lemmas.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .errors import (
     DomainError,
     EmptySampleError,
     GridError,
-    InsufficientDepthError,
 )
 from .stepfn import (
     PiecewiseLinear,
@@ -34,7 +40,6 @@ from .stepfn import (
     antiderivative,
     linear_combination,
     power_integral,
-    product_integral,
 )
 
 # ---------------------------------------------------------------------------
@@ -74,24 +79,6 @@ def average(f, cset: CantorSet, k: int, r, x) -> Fraction:
         # m0/M + m1/(2 M^2); the 1/M cancels against |S_k| = P/M
         total += (alpha + beta * (x + r)) * (b0 - a0) + beta * r * (b1 - a1) / (2 * M)
     return total / lv.P
-
-
-def sigma_average(f, cset: CantorSet, k: int, r, x) -> Fraction:
-    """integral of f(x + r y) sigma_k(y) dy = A_r[k+1] f(x) - A_r[k] f(x), exact."""
-    if Fraction(r) <= 0:
-        raise DomainError("dilation r must be positive")
-    if k + 1 > cset.depth:
-        raise InsufficientDepthError(f"sigma_{k} needs level {k + 1}")
-    lower = average(f, cset, k, r, x)
-    return average(f, cset, k + 1, r, x) - lower
-
-
-def mk_operator(f: StepFunction, cset: CantorSet, k: int, x, r_grid) -> Fraction:
-    """Discretized single-scale operator: max over the r grid of
-    |integral f(x + r y) sigma_k(y) dy|."""
-    if not r_grid:
-        raise DomainError("r_grid must be nonempty")
-    return max(abs(sigma_average(f, cset, k, r, x)) for r in r_grid)
 
 
 @dataclass(frozen=True)
@@ -204,9 +191,9 @@ class AdjointAssignment:
     Cells must be unions of delta_{k+1}^L grid cells; values live on the
     discretization grids.  The translation c of a cell is free: it is drawn
     from the [-4, 0] grid and need not be the point x of the cell.  The maps
-    therefore linearize a family with free translations, not ``mk_operator``,
-    whose only free parameter is the dilation; ``mk_adjoint`` is the adjoint
-    of that operator's linearization.
+    therefore linearize a family with free translations, not the
+    single-scale operator, whose only free parameter is the dilation;
+    ``mk_adjoint`` is the adjoint of that operator's linearization.
     """
 
     cells: tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]  # (lo, hi, c, r)
@@ -263,38 +250,6 @@ def phi_star(
     return linear_combination(terms)
 
 
-def phi_star_apply(
-    g: StepFunction, cset: CantorSet, k: int, assign: AdjointAssignment
-) -> StepFunction:
-    """Adjoint applied to any step function g supported in [0, 1]."""
-    sig = cset.sigma(k)
-    terms = []
-    for lo, hi, c, r in assign.cells:
-        w = g.mass_between(lo, hi)
-        if w:
-            terms.append((w, sig, c, r))
-    return linear_combination(terms)
-
-
-def phi_forward(
-    f: StepFunction, cset: CantorSet, k: int, assign: AdjointAssignment
-) -> StepFunction:
-    """Free-translation operator: x -> integral f(z) sigma_k((z - c(x))/r(x)) dz,
-    constant on assignment cells.
-
-    Translation c(x) and dilation r(x) are both free, so this is not the
-    linearization of ``mk_operator`` (there the translation is x itself and
-    the kernel carries a 1/r factor); ``phi_star_apply`` is its adjoint.
-    """
-    sig = cset.sigma(k)
-    cells = []
-    for lo, hi, c, r in assign.cells:
-        v = product_integral([(f, 0, 1), (sig, c, r)])
-        if v:
-            cells.append((lo, hi, v))
-    return StepFunction.from_cells(cells) if cells else StepFunction.zero()
-
-
 def phi_star_norm_power(
     omega: Sequence[int], cset: CantorSet, k: int, assign: AdjointAssignment, n: int
 ) -> Fraction:
@@ -322,7 +277,7 @@ def _dilation_cells(cells) -> list[tuple[Fraction, Fraction, Fraction]]:
 
 
 def mk_adjoint(cells, cset: CantorSet, k: int) -> PiecewiseLinear:
-    """Adjoint of the linearized ``mk_operator`` applied to 1_omega, exact.
+    """Adjoint of the linearized single-scale operator applied to 1_omega, exact.
 
     ``cells`` holds disjoint (lo, hi, r) triples: omega is their union and
     r(x) = r on [lo, hi].  The linearization f -> integral f(x + r(x) y)
@@ -428,13 +383,14 @@ def restricted_type_ratio(
 
     Omegas are random unions of grid cells at density 1/8, 1/4 or 1/2;
     assignments alternate between constant and cellwise-random translation
-    and dilation draws.  This is not the adjoint of ``mk_operator``: a
-    constant draw makes Phi* 1_omega = |omega| sigma_k((z - c)/r), the
-    cancellation-free value |omega|^(1/n) r^(1/n) ||sigma_k||_n of the ratio,
-    which grows with k as ||sigma_k||_n does.  ``mk_restricted_type_ratio``
-    samples the adjoint of ``mk_operator`` on the same draws.  The reported
-    target is the restricted strong-type right side with its unquantified
-    absolute constant treated as 1 (labeled as such in reports).
+    and dilation draws.  This is not the adjoint of the single-scale
+    operator: a constant draw makes Phi* 1_omega = |omega| sigma_k((z - c)/r),
+    the cancellation-free value |omega|^(1/n) r^(1/n) ||sigma_k||_n of the
+    ratio, which grows with k as ||sigma_k||_n does.
+    ``mk_restricted_type_ratio`` samples that operator's adjoint on the same
+    draws.  The reported target is the restricted strong-type right side
+    with its unquantified absolute constant treated as 1 (labeled as such in
+    reports).
     """
 
     def norm_power(omega, assign):
@@ -452,12 +408,13 @@ def mk_restricted_type_ratio(
     n_cells: int = 32,
 ) -> RatioResult:
     """Max over sampled (omega, dilations) of ||Phi_k* 1_omega||_n / |omega|^((n-1)/n)
-    for ``mk_adjoint``, the adjoint of the linearized ``mk_operator``.
+    for ``mk_adjoint``, the adjoint of the linearized single-scale operator.
 
     Consumes the same draws as ``restricted_type_ratio``, translations
-    included, and discards each cell's translation: in ``mk_operator`` the
-    translation is the point x itself.  ``max_power`` holds the exact max of
-    ||Phi_k* 1_omega||_n^n / |omega|^(n-1), the quantity to compare across k.
+    included, and discards each cell's translation: in the single-scale
+    operator the translation is the point x itself.  ``max_power`` holds
+    the exact max of ||Phi_k* 1_omega||_n^n / |omega|^(n-1), the quantity to
+    compare across k.
     """
 
     def norm_power(omega, assign):

@@ -279,45 +279,6 @@ def boundedness_check(params: ConstructionParams) -> GateReport:
 
 
 # ---------------------------------------------------------------------------
-# large-deviation utility bounds
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BernsteinBound:
-    value: float
-    applicable: bool  # sigma^2 >= 6 m lambda hypothesis
-
-
-def bernstein_bound(m: int, sigma2, lam) -> BernsteinBound:
-    """P(|Z_1 + ... + Z_m| >= m*lambda) <= 4 exp(-m^2 lambda^2 / (8 sigma^2)),
-    valid for |Z_j| <= 1 centered with total variance <= sigma^2 >= 6 m lambda."""
-    if m <= 0:
-        raise DomainError("need m >= 1")
-    sigma2 = float(sigma2)
-    lam = float(lam)
-    if sigma2 <= 0:
-        raise DomainError("need sigma^2 > 0")
-    if lam < 0:
-        raise DomainError("need lambda >= 0")
-    applicable = sigma2 >= 6.0 * m * lam
-    value = 4.0 * math.exp(-(m * m * lam * lam) / (8.0 * sigma2))
-    return BernsteinBound(min(1.0, value), applicable)
-
-
-def azuma_bound(cs, lam) -> float:
-    """P(|U_m - U_0| >= lambda) <= 2 exp(-lambda^2 / (2 sum c_k^2))."""
-    cs = [float(c) for c in cs]
-    if not cs:
-        raise DomainError("need at least one increment bound")
-    if any(c <= 0 for c in cs):
-        raise DomainError("increment bounds must be positive")
-    lam = float(lam)
-    total = sum(c * c for c in cs)
-    return min(1.0, 2.0 * math.exp(-(lam * lam) / (2.0 * total)))
-
-
-# ---------------------------------------------------------------------------
 # construction loop
 # ---------------------------------------------------------------------------
 

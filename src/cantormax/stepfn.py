@@ -53,20 +53,20 @@ the N=16 set (640,497 clipped breakpoints in 10 batches) has a traced peak
 of 5.6 MB, where one merge of its common support took 35.9 MB.
 
 ``integral`` and ``lp_power`` sum per value class (level times the class's
-width), as a one-factor merge does, and ``mass_between`` is the product
-with an indicator.  ``PiecewiseLinear.lp_power`` sums all pieces at once in
-object-dtype integers, by Horner's rule.  The ``units`` and ``val_nums``
-tuples are views in Python ints, built on first use for pointwise reads
-(``value_at``, ``cells``); no kernel reads them.  ``run_coverage`` counts
-the runs covering each stretch between run ends, in its argsort's buffer,
-for ``CantorSet.sigma`` and for the common support of a product.
+width), as a one-factor merge does.  ``PiecewiseLinear.lp_power`` sums all
+pieces at once in object-dtype integers, by Horner's rule.  The ``units``
+and ``val_nums`` tuples are views in Python ints, built on first use for
+pointwise reads (``value_at``, ``cells``); no kernel reads them.
+``run_coverage`` counts the runs covering each stretch between run ends, in
+its argsort's buffer, for ``CantorSet.sigma`` and for the common support of
+a product.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -142,30 +142,6 @@ class StepFunction:
     @classmethod
     def from_breakpoints(cls, breakpoints, values) -> "StepFunction":
         return cls(*_clear_denominators(breakpoints), *_clear_denominators(values))
-
-    @classmethod
-    def from_cells(cls, cells) -> "StepFunction":
-        """Build from (left, right, value) triples; gaps are filled with zero."""
-        cells = sorted(
-            ((Fraction(l), Fraction(r), Fraction(v)) for l, r, v in cells),
-            key=lambda c: c[0],
-        )
-        bps: list[Fraction] = []
-        vals: list[Fraction] = []
-        for l, r, v in cells:
-            if r <= l:
-                raise DomainError(f"empty or inverted cell [{l}, {r}]")
-            if bps:
-                if l < bps[-1]:
-                    raise DomainError("cells overlap")
-                if l > bps[-1]:
-                    vals.append(Fraction(0))
-                    bps.append(l)
-            else:
-                bps.append(l)
-            vals.append(v)
-            bps.append(r)
-        return cls.from_breakpoints(bps, vals)
 
     @classmethod
     def indicator(cls, a, b) -> "StepFunction":
@@ -245,15 +221,6 @@ class StepFunction:
         """Exact integral: per value class, level times the class's width."""
         total = sum(v * w for v, w in zip(self.levels, self._class_widths()))
         return Fraction(total, self.den * self.val_den)
-
-    def mass_between(self, a, b) -> Fraction:
-        """Exact integral over [a, b]."""
-        a, b = Fraction(a), Fraction(b)
-        if b < a:
-            raise DomainError("mass_between needs a <= b")
-        if a == b:
-            return Fraction(0)
-        return product_integral([(self, 0, 1), (StepFunction.indicator(a, b), 0, 1)])
 
     def linear_pieces(self):
         """(left, right, alpha, beta) per cell, with f(z) = alpha + beta z on
@@ -795,8 +762,7 @@ class PiecewiseLinear:
     over ``den`` and value numerators ``val_nums`` over ``val_den``, tuples of
     Python ints built on first use.  ``maxops.average`` integrates its linear
     pieces exactly, so the differentiation experiment checks 2*Lip*r
-    exactly; ``mass_between`` is exact too (the trapezoid rule is exact on
-    linear pieces).
+    exactly.
     """
 
     def __init__(self, units, den, val_nums, val_den):
@@ -852,17 +818,6 @@ class PiecewiseLinear:
     def lipschitz_constant(self) -> Fraction:
         xs, ys = self.nodes, self.values
         return max(abs(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
-
-    def mass_between(self, a, b) -> Fraction:
-        """Exact integral over [a, b]."""
-        a, b = Fraction(a), Fraction(b)
-        if b < a:
-            raise DomainError("mass_between needs a <= b")
-        i0, i1 = bisect_right(self.units, a * self.den), bisect_left(self.units, b * self.den)
-        cuts = [a * self.den, *self.units[i0:i1], b * self.den]
-        hs = [self.value_at(a) * self.val_den, *self.val_nums[i0:i1], self.value_at(b) * self.val_den]
-        total = sum((h0 + h1) * (u1 - u0) for u0, u1, h0, h1 in zip(cuts, cuts[1:], hs, hs[1:]))
-        return total / (2 * self.den * self.val_den)
 
     def lp_power(self, p: int) -> Fraction:
         """Exact integral of |f|^p for integer p >= 1; both end values must be 0.

@@ -8,7 +8,7 @@ import heapq
 import json
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from unittest import mock
 
@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 import cantormax.stepfn as sf
-from cantormax import build_deterministic, construct, custom, fixed_dimension
+from cantormax import construct, custom, fixed_dimension
 from cantormax.core import SET_SCHEMA_VERSION, CantorLevel, CantorSet
-from cantormax.errors import FormatError
-from cantormax.stepfn import StepFunction, linear_combination
+from cantormax.errors import DomainError, FormatError
+from cantormax.stepfn import PiecewiseLinear, StepFunction, linear_combination, product_integral
 
 # Deterministic two-level reference family: K=2, N=(4,4),
 # level-1 selection {(2),(4)}, level-2 {(2,1),(2,3),(4,2),(4,4)}.
@@ -36,6 +36,8 @@ def fixture_a_params():
 
 @pytest.fixture(scope="session")
 def fixture_a(fixture_a_params):
+    from lemmas import build_deterministic  # lemmas imports this module
+
     return build_deterministic(FIXTURE_A_SELECTIONS, fixture_a_params)
 
 
@@ -140,6 +142,54 @@ def breakpoints(f: StepFunction) -> tuple[Fraction, ...]:
 def affine_image(f: StepFunction, c, r, w=1) -> StepFunction:
     """z -> w f((z - c)/r): the one-term ``linear_combination``."""
     return linear_combination([(w, f, c, r)])
+
+
+def from_cells(cells) -> StepFunction:
+    """The step function of (left, right, value) triples; gaps are filled
+    with zero."""
+    cells = sorted(
+        ((Fraction(l), Fraction(r), Fraction(v)) for l, r, v in cells),
+        key=lambda c: c[0],
+    )
+    bps: list[Fraction] = []
+    vals: list[Fraction] = []
+    for l, r, v in cells:
+        if r <= l:
+            raise DomainError(f"empty or inverted cell [{l}, {r}]")
+        if bps:
+            if l < bps[-1]:
+                raise DomainError("cells overlap")
+            if l > bps[-1]:
+                vals.append(Fraction(0))
+                bps.append(l)
+        else:
+            bps.append(l)
+        vals.append(v)
+        bps.append(r)
+    return StepFunction.from_breakpoints(bps, vals)
+
+
+def mass_between(f: StepFunction, a, b) -> Fraction:
+    """Exact integral of f over [a, b]: its product with the indicator."""
+    a, b = Fraction(a), Fraction(b)
+    if b < a:
+        raise DomainError("mass_between needs a <= b")
+    if a == b:
+        return Fraction(0)
+    return product_integral([(f, 0, 1), (StepFunction.indicator(a, b), 0, 1)])
+
+
+def linear_mass_between(h: PiecewiseLinear, a, b) -> Fraction:
+    """Exact integral of h over [a, b]: the trapezoid rule, exact on linear
+    pieces, over the nodes inside (a, b) and the two ends."""
+    a, b = Fraction(a), Fraction(b)
+    if b < a:
+        raise DomainError("mass_between needs a <= b")
+    i0, i1 = bisect_right(h.units, a * h.den), bisect_left(h.units, b * h.den)
+    cuts = [a * h.den, *h.units[i0:i1], b * h.den]
+    hs = [h.value_at(a) * h.val_den, *h.val_nums[i0:i1], h.value_at(b) * h.val_den]
+    total = sum((h0 + h1) * (u1 - u0) for u0, u1, h0, h1 in zip(cuts, cuts[1:], hs, hs[1:]))
+    return total / (2 * h.den * h.val_den)
 
 
 def float_evaluator(f: StepFunction):

@@ -1,10 +1,11 @@
-"""Record the CLI matrix: SHA-256 digests of every output of 22 CLI runs.
+"""Record the CLI matrix: SHA-256 digests of every output of 33 CLI runs.
 
 The matrix runs ``construct``, ``verify``, ``correlate`` (k=0, k=1, and
 n=4 at k=1), ``maximal`` (the defaults, and m in [-1, 1]), ``differentiate``
-(the hat and the indicator), ``dimension`` and ``demo-l1`` on two sets: the
-fixed-dimension N=16 seed-1 set (gate (c) budget 6) and the N=8 seed-11 set
-(budget 4), with ``correlate.budget = 8`` on both.  Each run calls
+(the hat and the indicator), ``dimension`` and ``demo-l1`` on three sets:
+the fixed-dimension N=16 seed-1 set (gate (c) budget 6), the N=8 seed-11
+set (budget 4) and the one-dimensional N=4, K=3 seed-1 set (budget 8), with
+``correlate.budget = 8`` on all three.  Each run calls
 ``cantormax.cli.main`` in-process and writes into its own directory; every
 command after ``construct`` reads the set file that ``construct`` wrote.
 
@@ -37,6 +38,14 @@ MANIFEST = Path(__file__).with_name("cli_matrix.json")
 SETS = {
     "n16": ["construction.N=16", "construction.seed=1", "construction.gate_c_budget=6", "correlate.budget=8"],
     "n8": ["construction.N=8", "construction.seed=11", "construction.gate_c_budget=4", "correlate.budget=8"],
+    "od4": [
+        "construction.regime=one-dimensional",
+        "construction.N=4",
+        "construction.K=3",
+        "construction.seed=1",
+        "construction.gate_c_budget=8",
+        "correlate.budget=8",
+    ],
 }
 
 # run name -> (command, config overrides on top of its set's)

@@ -23,33 +23,32 @@ import pytest
 from cantormax import (
     AffineTuple,
     RngStream,
-    classify,
     custom,
     dim_bounds,
     dimension_limit_symbolic,
-    enumerate_F,
     fixed_dimension,
     lambda_exact,
     lambda_sigma,
     mk_restricted_type_ratio,
     one_dimensional,
-    projection_multiplicity,
-    proximity_check,
     sup_lambda_tr,
-    symdiff_bound_check,
     trivial_bound,
 )
 from cantormax.cli import main as cli_main
 from cantormax.grids import DiscretizationGrid
-from cantormax.maxops import (
-    differentiation_experiment,
-    phi_forward,
-    phi_star_apply,
-    uniform_assignment,
-)
+from cantormax.maxops import differentiation_experiment, uniform_assignment
 from cantormax.stepfn import PiecewiseLinear, StepFunction, product_integral
 
-from conftest import float_evaluator, python_int_merges, random_step
+from conftest import float_evaluator, from_cells, python_int_merges, random_step
+from lemmas import (
+    classify,
+    enumerate_F,
+    phi_forward,
+    phi_star_apply,
+    projection_multiplicity,
+    proximity_check,
+    symdiff_bound_check,
+)
 
 F = Fraction
 
@@ -349,7 +348,7 @@ def test_criterion_09_adjoint_identity(fixture_a, z8_set):
         cells = [(a, b, v) for a, b, v in cells if v]
         if not cells:
             continue
-        g = StepFunction.from_cells(cells)
+        g = from_cells(cells)
         lhs = product_integral([(phi_forward(f, cset, k, assign), 0, 1), (g, 0, 1)])
         adjoint = phi_star_apply(g, cset, k, assign)
         with python_int_merges() as taken:

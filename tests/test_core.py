@@ -15,16 +15,13 @@ from hypothesis import given, settings, strategies as st
 import cantormax.core as core
 
 from cantormax import (
-    alpha,
-    build_deterministic,
     custom,
     dim_bounds,
     dimension_limit_symbolic,
     fixed_dimension,
-    interval_of,
     one_dimensional,
 )
-from cantormax.core import CantorLevel, CantorSet, index_of, offset_of
+from cantormax.core import CantorLevel, CantorSet, index_of
 from cantormax.maxops import average
 from cantormax.stepfn import StepFunction
 from cantormax.errors import (
@@ -36,6 +33,7 @@ from cantormax.errors import (
 )
 
 from conftest import FIXTURE_A_SELECTIONS, prefix_mass, reference_dump, reference_load, reference_runs
+from lemmas import alpha, build_deterministic, interval_of, offset_of, weak_star_defect
 
 F = Fraction
 
@@ -309,21 +307,21 @@ class TestMeasures:
 
 class TestWeakStarDefect:
     def test_same_level_zero(self, fixture_a, z8_set):
-        assert fixture_a.weak_star_defect(1, 1) == 0
-        assert z8_set.weak_star_defect(2, 2) == 0
+        assert weak_star_defect(fixture_a, 1, 1) == 0
+        assert weak_star_defect(z8_set, 2, 2) == 0
 
     def test_fixture_balanced_split(self, fixture_a):
         # each parent holds exactly half the level-2 mass
-        assert fixture_a.weak_star_defect(1, 2) == 0
+        assert weak_star_defect(fixture_a, 1, 2) == 0
 
     def test_nonnegative(self, z8_set):
         for k in range(1, z8_set.depth + 1):
             for k2 in range(k, z8_set.depth + 1):
-                assert z8_set.weak_star_defect(k, k2) >= 0
+                assert weak_star_defect(z8_set, k, k2) >= 0
 
     @pytest.mark.parametrize("name", ["z8_set", "z16_set"])
     def test_matches_loop_oracle(self, request, name):
-        # the per-parent dict loop this method once ran, as an == oracle
+        # the per-parent dict loop this check once ran, as an == oracle
         cset = request.getfixturevalue(name)
         for k in range(1, cset.depth + 1):
             for k2 in range(k, cset.depth + 1):
@@ -332,7 +330,7 @@ class TestWeakStarDefect:
                 desc = Counter(o // ratio for o in lv2.offsets)
                 assert cset.descendant_counts(k, k2).tolist() == [desc[o] for o in lv.offsets]
                 total = sum(abs(desc[o] * lv.P - lv2.P) for o in lv.offsets)
-                assert cset.weak_star_defect(k, k2) == Fraction(total, lv.P * lv2.P)
+                assert weak_star_defect(cset, k, k2) == Fraction(total, lv.P * lv2.P)
 
     def test_accepted_set_defect_under_formula_bound(self, z8_set):
         # 2B 2^(-k gamma/2) / (1 - 2^(-gamma/2)); wide at this depth but honest
@@ -340,7 +338,7 @@ class TestWeakStarDefect:
         for k in range(1, z8_set.depth + 1):
             bound = 2 * B * 2 ** (-k * gamma / 2) / (1 - 2 ** (-gamma / 2))
             for k2 in range(k, z8_set.depth + 1):
-                assert float(z8_set.weak_star_defect(k, k2)) <= bound
+                assert float(weak_star_defect(z8_set, k, k2)) <= bound
 
 
 class TestBoxCountsAndDimension:

@@ -146,7 +146,7 @@ class TestTrivialBound:
 
     def test_unit_mass_case(self):
         params = custom([2, 2], [F(1, 4), F(1, 4)])
-        from cantormax import build_deterministic
+        from lemmas import build_deterministic
 
         full = build_deterministic([{(1,), (2,)}, {(i, j) for i in (1, 2) for j in (1, 2)}], params)
         assert trivial_bound(full, 2, 1) == 8
@@ -171,7 +171,7 @@ class TestClassifyA:
         # threshold is 8^(2/3) = 4; a 9/16 shift yields digit gaps {4, 5},
         # exactly four of which are internal.
         params = custom([8], [F(1, 4)], epsilon0=F(1, 3))
-        from cantormax import build_deterministic, enumerate_F
+        from lemmas import build_deterministic, enumerate_F
 
         cset = build_deterministic([{(i,) for i in range(1, 9)}], params)
         A2 = AffineTuple((pair(0, 1), pair(F(-9, 16), 1)), 1)
@@ -189,7 +189,7 @@ class TestSupLambda:
     def test_exhaustive_small_pool(self):
         # N=(2,2) with L=1: the level-1 grid's 64 pairs give a pool of 4096
         # tuples, small enough that every one is a candidate
-        from cantormax import build_deterministic
+        from lemmas import build_deterministic
         from cantormax.correlation import grid_tuples
         from cantormax.grids import DiscretizationGrid
 
@@ -427,7 +427,8 @@ class TestReports:
 class TestExhaustiveGridCoverage:
     def test_tiny_grid_enumerated(self):
         # N=(2,2) with L=1: 16*4 = 64 grid pairs, 4096 pair-tuples at n=2
-        from cantormax import build_deterministic, gate_correlation, RngStream
+        from cantormax import gate_correlation, RngStream
+        from lemmas import build_deterministic
         from cantormax.correlation import grid_tuples
         from cantormax.grids import DiscretizationGrid
 

@@ -9,21 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantormax import (
-    AffineTuple,
-    classify,
-    count_internal,
-    custom,
-    enumerate_F,
-    fixed_dimension,
-    projection_multiplicity,
-    proximity_check,
-    symdiff_bound_check,
-)
+from cantormax import AffineTuple, count_internal, custom, fixed_dimension
 from cantormax.errors import CapacityError, DomainError
 from cantormax.grids import DiscretizationGrid
 from cantormax.correlation import classify_A
 from cantormax.intersect import DEFAULT_GRID_CAP, _slot_geometry
+
+from lemmas import classify, enumerate_F, projection_multiplicity, proximity_check, symdiff_bound_check
 
 F = Fraction
 

@@ -17,7 +17,6 @@ from cantormax import (
     differentiation_experiment,
     l1_divergence_demo,
     mk_adjoint,
-    mk_operator,
     mk_restricted_type_ratio,
     phi_star,
     restricted_type_ratio,
@@ -33,16 +32,25 @@ from cantormax.maxops import (
     restricted_type_target,
     dyadic_r_grid,
     maximal_sweep,
-    phi_forward,
-    phi_star_apply,
     phi_star_norm_power,
-    sigma_average,
     uniform_assignment,
 )
 import cantormax.stepfn as sf
 from cantormax.stepfn import PiecewiseLinear, StepFunction, linear_combination, product_integral
 
-from conftest import affine_image, breakpoints, fits_limbs, no_merge, prefix_mass, python_ints, random_fraction, random_step
+from conftest import (
+    affine_image,
+    breakpoints,
+    fits_limbs,
+    from_cells,
+    linear_mass_between,
+    no_merge,
+    prefix_mass,
+    python_ints,
+    random_fraction,
+    random_step,
+)
+from lemmas import build_deterministic, mk_operator, phi_forward, phi_star_apply, sigma_average
 
 F = Fraction
 
@@ -73,7 +81,7 @@ def _run_loop_average(f, cset, k, r, x):
     r, x = F(r), F(x)
     lv = cset.level(k)
     M = lv.M_k
-    mass = partial(prefix_mass, f) if isinstance(f, StepFunction) else f.mass_between
+    mass = partial(prefix_mass if isinstance(f, StepFunction) else linear_mass_between, f)
     total = F(0)
     for s, e in lv.runs():
         total += mass(x + r * (1 + F(int(s), M)), x + r * (1 + F(int(e), M)))
@@ -82,7 +90,7 @@ def _run_loop_average(f, cset, k, r, x):
 
 class TestAverage:
     def test_constant_function(self, fixture_a):
-        f = StepFunction.from_cells([(-10, 10, F(7, 3))])
+        f = from_cells([(-10, 10, F(7, 3))])
         assert average(f, fixture_a, 1, F(5, 4), F(-2)) == F(7, 3)
 
     def test_covering_indicator(self, fixture_a):
@@ -94,8 +102,6 @@ class TestAverage:
         assert average(f, fixture_a, 1, 1, 0) == F(1, 2)
 
     def test_degenerate_level_refused(self, fixture_a_params):
-        from cantormax import build_deterministic
-
         empty = build_deterministic([set(), set()], fixture_a_params)
         with pytest.raises(DegenerateMeasureError):
             average(StepFunction.indicator(0, 1), empty, 1, 1, 0)
@@ -226,7 +232,6 @@ class TestPrefixMomentAverage:
             sigma_average(StepFunction.indicator(0, 1), fixture_a, 2, 0, 0)
 
     def test_tables_built_lazily(self, fixture_a_params):
-        from cantormax import build_deterministic
         from conftest import FIXTURE_A_SELECTIONS
 
         cset = build_deterministic(FIXTURE_A_SELECTIONS, fixture_a_params)
@@ -264,7 +269,7 @@ def test_average_property_matches_oracles(fixture_a, z8_set, data, which, k):
 
 class TestMkOperator:
     def test_constant_cancels(self, fixture_a):
-        f = StepFunction.from_cells([(-10, 10, 5)])
+        f = from_cells([(-10, 10, 5)])
         assert mk_operator(f, fixture_a, 1, 0, dyadic_r_grid(5)) == 0
 
     def test_matched_bump_positive(self, fixture_a):
@@ -337,7 +342,7 @@ class TestRestrictedMaximal:
 
 class TestUnrestrictedMaximal:
     def test_constant_with_zero_exponent(self, fixture_a):
-        f = StepFunction.from_cells([(-100, 100, 1)])
+        f = from_cells([(-100, 100, 1)])
         q = MaximalQuery(points=[F(-2)], r_grid=dyadic_r_grid(3), m_min=-2, m_max=2)
         [(_, val)] = windowed_maximal(f, fixture_a, q)
         assert val == pytest.approx(1.0)
@@ -394,7 +399,7 @@ class TestAdjoint:
                         g_cells.append((F(i, 4), F(2 * i + 1, 8), v))
                 if not g_cells:
                     continue
-                g = StepFunction.from_cells(g_cells)
+                g = from_cells(g_cells)
                 lhs = product_integral([(phi_forward(f, cset, k, assign), 0, 1), (g, 0, 1)])
                 rhs = product_integral([(f, 0, 1), (phi_star_apply(g, cset, k, assign), 0, 1)])
                 assert lhs == rhs
@@ -494,7 +499,7 @@ def _adjoint_oracle(f, cset, k, cells):
 
 
 def _pairing(f, h):
-    return sum((v * h.mass_between(lo, hi) for lo, hi, v in f.cells()), F(0))
+    return sum((v * linear_mass_between(h, lo, hi) for lo, hi, v in f.cells()), F(0))
 
 
 def _power_oracle(h, n):
@@ -616,7 +621,7 @@ class TestMkAdjoint:
         cells = _random_dilation_cells(random.Random(44), z8_set, 1, 32, 3)
         h = mk_adjoint(cells, z8_set, 1)
         assert h.values[0] == h.values[-1] == 0
-        assert h.mass_between(h.nodes[0], h.nodes[-1]) == 0
+        assert linear_mass_between(h, h.nodes[0], h.nodes[-1]) == 0
 
     def test_split_equal_dilation_cells_match_merged(self, fixture_a, z8_set):
         # neighbours with one dilation are no longer merged by hand: the
@@ -639,14 +644,14 @@ class TestMkAdjoint:
 
     def test_empty_and_invalid_cells(self, fixture_a):
         assert mk_adjoint([], fixture_a, 1).lp_power(2) == 0
-        assert mk_adjoint([], fixture_a, 1).mass_between(0, 5) == 0
+        assert linear_mass_between(mk_adjoint([], fixture_a, 1), 0, 5) == 0
         with pytest.raises(DomainError):
             mk_adjoint([(F(0), F(1, 2), F(3, 2)), (F(1, 4), F(1), F(3, 2))], fixture_a, 1)
         with pytest.raises(DomainError):
             mk_adjoint([(F(0), F(1, 2), F(3, 2))], fixture_a, 1).lp_power(0)
 
     def test_mass_between_matches_full_scan(self, z8_set):
-        # mass_between bisects to the nodes inside (a, b); the oracle is the
+        # linear_mass_between bisects to the nodes inside (a, b); the oracle is the
         # full scan over every node
         def full_scan(h, a, b):
             cuts = [a] + [x for x in h.nodes if a < x < b] + [b]
@@ -663,7 +668,7 @@ class TestMkAdjoint:
         intervals = [sorted(rnd.sample(ends, 2)) for _ in range(40)]
         intervals += [(lo, hi), (h.nodes[0], h.nodes[-1]), (h.nodes[5], h.nodes[5]), (lo - 1, lo)]
         for a, b in intervals:
-            assert h.mass_between(a, b) == full_scan(h, a, b)
+            assert linear_mass_between(h, a, b) == full_scan(h, a, b)
 
     def test_samplers_share_draws(self, fixture_a):
         rng_a, rng_b = RngStream(5).child(3), RngStream(5).child(3)

@@ -8,11 +8,8 @@ import pytest
 
 from cantormax import (
     RngStream,
-    azuma_bound,
     bernoulli_layer,
-    bernstein_bound,
     boundedness_check,
-    build_deterministic,
     construct,
     custom,
     fixed_dimension,
@@ -25,6 +22,8 @@ from cantormax import (
 )
 import cantormax.randomize as randomize
 from cantormax.errors import ConstructionFailure, DomainError
+
+from lemmas import azuma_bound, bernstein_bound, build_deterministic
 
 F = Fraction
 

@@ -28,8 +28,11 @@ from conftest import (
     affine_image,
     breakpoints,
     fits_limbs,
+    from_cells,
     key_dtypes,
+    linear_mass_between,
     lp_power_oracle,
+    mass_between,
     no_merge,
     per_gap_oracle,
     prefix_mass,
@@ -131,13 +134,13 @@ class TestConstruction:
         assert f.values == (F(5), F(0), F(7))
 
     def test_from_cells_fills_gaps(self):
-        f = StepFunction.from_cells([(0, 1, 2), (3, 4, 5)])
+        f = from_cells([(0, 1, 2), (3, 4, 5)])
         assert f.value_at(F(2)) == 0
         assert f.integral() == 7
 
     def test_rejects_overlap_and_disorder(self):
         with pytest.raises(DomainError):
-            StepFunction.from_cells([(0, 2, 1), (1, 3, 1)])
+            from_cells([(0, 2, 1), (1, 3, 1)])
         with pytest.raises(DomainError):
             StepFunction.from_breakpoints([0, 0, 1], [1, 2])
 
@@ -178,10 +181,10 @@ def test_integral_and_mass_match_prefix_oracle(data):
         if not f.is_zero:
             with pytest.raises(DomainError):
                 product_integral([(f, 0, 0)])
-    assert f.mass_between(a, b) == prefix_mass(f, a, b)
+    assert mass_between(f, a, b) == prefix_mass(f, a, b)
     if a < b:
         with pytest.raises(DomainError):
-            f.mass_between(b, a)
+            mass_between(f, b, a)
 
 
 class TestPointwiseAndMass:
@@ -192,7 +195,7 @@ class TestPointwiseAndMass:
 
     def test_mass_below_piecewise(self):
         f = StepFunction.from_breakpoints([0, 1, 2], [2, -1])
-        assert f.mass_between(F(1, 2), F(3, 2)) == F(1, 2)
+        assert mass_between(f, F(1, 2), F(3, 2)) == F(1, 2)
 
     def test_lp_power_and_norm(self):
         f = StepFunction.indicator(0, 1)
@@ -635,7 +638,7 @@ def _sparse_factor(draw):
 
 def _runs(lo_hi_vals):
     """A step function from (left, right, value) cells."""
-    return StepFunction.from_cells([(F(a), F(b), F(v)) for a, b, v in lo_hi_vals])
+    return from_cells([(F(a), F(b), F(v)) for a, b, v in lo_hi_vals])
 
 
 def batched(entries, batch_cells):
@@ -1131,9 +1134,9 @@ class TestPiecewiseLinear:
 
     def test_mass_exact_trapezoid(self):
         h = PiecewiseLinear.from_nodes([0, 2], [0, 4])
-        assert h.mass_between(0, 2) == 4
-        assert h.mass_between(0, 1) == 1
-        assert h.mass_between(-1, 0) == 0
+        assert linear_mass_between(h, 0, 2) == 4
+        assert linear_mass_between(h, 0, 1) == 1
+        assert linear_mass_between(h, -1, 0) == 0
 
     def test_lipschitz_constant(self):
         h = PiecewiseLinear.from_nodes([-4, -2, 0], [0, 1, 0])
@@ -1203,7 +1206,7 @@ def test_piecewise_linear_lp_power_matches_fraction_oracle(nodes, inner):
     for p in (1, 2, 3, 4):
         assert h.lp_power(p) == _lp_power_oracle(nodes, values, p)
     trapezoid = sum(((y0 + y1) / 2 * (x1 - x0) for x0, x1, y0, y1 in zip(nodes, nodes[1:], values, values[1:])), F(0))
-    assert h.mass_between(nodes[0] - 1, nodes[-1] + 1) == trapezoid
+    assert linear_mass_between(h, nodes[0] - 1, nodes[-1] + 1) == trapezoid
     assert [h.value_at(x) for x in nodes] == values
 
 

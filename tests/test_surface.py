@@ -1,39 +1,26 @@
-"""Every public function of the package has a caller inside the package.
+"""Every public function of the package has a caller inside the package,
+and the package exports exactly what ``__init__`` imports.
 
 A public module-level function, method or property of ``src/cantormax`` is
 in use when its name is read somewhere in the package's modules (``__init__``
 excepted) outside its own ``def``.  Names are matched by name, not by class:
 a method counts as used when any attribute of that name is read.  Only the
-names in ``ALLOWED`` may have no such caller.
+names in ``ALLOWED`` may have no such caller, and each of them must have
+none: a name that gained a caller leaves the list.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import cantormax
 
 SRC = Path(cantormax.__file__).resolve().parent
 
-LEMMA_API = "library API that the acceptance criteria use to check one of the paper's lemmas"
-
 ALLOWED = {
-    "projection_multiplicity": LEMMA_API,
-    "proximity_check": LEMMA_API,
-    "symdiff_bound_check": LEMMA_API,
-    "bernstein_bound": LEMMA_API,
-    "azuma_bound": LEMMA_API,
-    "weak_star_defect": LEMMA_API,
-    "phi_forward": LEMMA_API,
-    "phi_star_apply": LEMMA_API,
-    "classify": LEMMA_API,
-    "enumerate_F": LEMMA_API,
-    "mk_operator": LEMMA_API,
     "mk_restricted_type_ratio": "criterion 8's sampler of the linearized maximal operator's adjoint",
     "restricted_type_ratio": "the free-translation sampler that the adjoint benchmark workload runs",
     "phi_star": "the materialised free-translation sum that the adjoint benchmark workload checks",
-    "build_deterministic": "builds the hand-written reference sets of the tests and the library sketch",
-    "alpha": "the left endpoint of a multi-index's interval, the paper's alpha(i); for building fixtures",
-    "interval_of": "the basic interval of a multi-index; for building fixtures",
     "one_dimensional": "the one-dimensional regime's parameter constructor; for building fixtures",
     "custom": "the custom-schedule parameter constructor; for building fixtures",
     "fixed_dimension": "the fixed-dimension parameter constructor of the library sketch and the benchmark",
@@ -88,3 +75,69 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 def test_allowlist_names_only_defined_functions():
     assert set(ALLOWED) <= {fn.name for _, fn in _public_defs()}
+
+
+def test_allowlist_holds_only_uncalled_names():
+    uncalled = {name.rsplit(".", 1)[1] for name in _unused()}
+    assert sorted(set(ALLOWED) - uncalled) == []
+
+
+# Names that only the tests read, kept in tests/lemmas.py and tests/conftest.py.
+MOVED = [
+    "core.CantorSet.weak_star_defect",
+    "core.alpha",
+    "core.build_deterministic",
+    "core.check_index",
+    "core.interval_of",
+    "core.offset_of",
+    "intersect.AffineTuple.min_translation_gap",
+    "intersect.DEFAULT_TUPLE_CAP",
+    "intersect.IntersectionTuple",
+    "intersect.ProjectionReport",
+    "intersect.ProximityResult",
+    "intersect.SymdiffResult",
+    "intersect.classify",
+    "intersect.enumerate_F",
+    "intersect.projection_multiplicity",
+    "intersect.proximity_check",
+    "intersect.symdiff_bound_check",
+    "maxops.mk_operator",
+    "maxops.phi_forward",
+    "maxops.phi_star_apply",
+    "maxops.sigma_average",
+    "randomize.BernsteinBound",
+    "randomize.azuma_bound",
+    "randomize.bernstein_bound",
+    "stepfn.PiecewiseLinear.mass_between",
+    "stepfn.StepFunction.from_cells",
+    "stepfn.StepFunction.mass_between",
+]
+
+
+def _init_imports() -> set[str]:
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_exports_are_sorted_unique_and_imported():
+    exported = cantormax.__all__
+    assert exported == sorted(set(exported))
+    assert set(exported) == _init_imports()
+    assert [name for name in exported if not hasattr(cantormax, name)] == []
+
+
+def _defined(path: str) -> bool:
+    module, *attrs = path.split(".")
+    owner = importlib.import_module(f"cantormax.{module}")
+    for attr in attrs[:-1]:
+        owner = getattr(owner, attr)
+    return hasattr(owner, attrs[-1]) or hasattr(cantormax, attrs[-1])
+
+
+def test_moved_names_left_the_package():
+    assert [path for path in MOVED if _defined(path)] == []
