@@ -125,6 +125,8 @@ def cmd_verify(cfg: RunConfig, out: Path, cset: core.CantorSet) -> int:
 
 def cmd_correlate(cfg: RunConfig, out: Path, cset: core.CantorSet) -> int:
     cc = cfg.correlate
+    if cset.depth < 2:  # sigma_k needs level k + 1
+        raise ConfigError(f"correlate needs 2 or more levels; the set has {cset.depth}", field="correlate.k")
     if cc.k >= cset.depth:
         raise ConfigError(f"correlate.k must lie in 0..{cset.depth - 1} for this set", field="correlate.k")
     # k = 0 sweeps every level with a difference function (the decay curve)

@@ -1,33 +1,31 @@
 """Counting and classification of n-fold affine interval intersections.
 
-The family F[n, k; A] of index tuples whose transformed closed intervals
-share a point is walked by one output-sensitive sweep (``_walk``): slots are
-scanned in order, and each partial tuple narrows the admissible window
-analytically, so only the (at most a handful of) indices whose intervals
-meet the current window are ever touched.
-
-Classifying A compares the number of internal tuples with a threshold, so
-``count_internal`` counts them without listing any.  For n = 2 an internal
-pair is (o1, o1 + delta) with |delta| <= 4 in one parent, and it is counted
-in closed form: for each delta, meeting is two linear inequalities in o1,
-so the meeting o1 form one interval, and the same-parent o1 are a window
-of last digits; the count is a difference of two prefix counts.  Its cost
-does not depend on the grid size M_k.  For larger n it counts the walk's
-internal tuples.  Brute force over the full index power set, and a pass
-over every first-slot offset for n = 2, are in the test suite as oracles.
+The family F[n, k; A] holds the index tuples whose transformed closed
+intervals share a point.  Classifying A compares the number of its internal
+tuples (two slots in one parent, last digits within 4) with a threshold, so
+``count_internal`` counts them without listing any.  For n = 2 the count is
+a closed form whose cost does not depend on the grid size M_k.  For n >= 4
+it is one array pass over the slots' breakpoints in the common range of
+their segments, merged by the step-function kernels' seam
+(``stepfn._merged_positions``): every tuple is the tuple of one cell of
+their common refinement or a contact at one breakpoint, and no Python runs
+per tuple.  A walk that lists F tuple by tuple, brute force over the index
+power set, and a pass over every first-slot offset for n = 2 are in the
+test suite as ``==`` oracles.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations
 
-from .core import CantorSet
+import numpy as np
+
 from .errors import CapacityError, DomainError, InvalidIndexError
 from .params import ConstructionParams
+from .stepfn import _merged_positions
 
 INTERNAL = "internal"
 TRANSVERSE = "transverse"
@@ -60,18 +58,6 @@ class AffineTuple:
         return len(self.pairs)
 
 
-def _classify_offsets(offsets: Sequence[int], N_k: int):
-    """Internal iff two slots share a parent and differ by <= 4 in the last digit."""
-    n = len(offsets)
-    for a in range(n):
-        pa, da = divmod(offsets[a], N_k)
-        for b in range(a + 1, n):
-            pb, db = divmod(offsets[b], N_k)
-            if pa == pb and abs(da - db) <= 4:
-                return INTERNAL, (a + 1, b + 1)
-    return TRANSVERSE, None
-
-
 def _slot_geometry(n: int, k: int, A: AffineTuple, params: ConstructionParams):
     """(M_k, Cs, Gs): slot l covers [C_l + G_l*(M_k+o), C_l + G_l*(M_k+o+1)] in units of 1/D."""
     if n < 2 or n % 2:
@@ -96,52 +82,67 @@ def _check_grid(k: int, M_k: int) -> None:
         )
 
 
-def _walk(
-    n: int, k: int, A: AffineTuple, params: ConstructionParams, restrict_to: CantorSet | None
-) -> Iterator[tuple[int, ...]]:
-    """The offset tuples of F[n, k; A] in lexicographic order.
-
-    The slots range over ``restrict_to``'s selected level-k offsets, or over
-    the full index grid when it is None.  Arguments are checked on the call,
-    before the first tuple is asked for.
-    """
-    M_k, Cs, Gs = _slot_geometry(n, k, A, params)
-    if restrict_to is None:
-        _check_grid(k, M_k)
-        slot_offsets: Sequence[int] | None = None
-    else:
-        slot_offsets = restrict_to.level(k).offsets.tolist()
-
-    def candidates(slot: int, lo: int, hi: int) -> Iterable[int]:
-        # offsets o with interval [start, start + G] meeting [lo, hi]
-        C, G = Cs[slot], Gs[slot]
-        o_min = -(-(lo - C - G) // G) - M_k  # ceil((lo - C)/G) - 1 - M
-        o_max = (hi - C) // G - M_k
-        if slot_offsets is None:
-            return range(max(o_min, 0), min(o_max, M_k - 1) + 1)
-        return slot_offsets[bisect_left(slot_offsets, o_min) : bisect_right(slot_offsets, o_max)]
-
-    def extend(slot: int, lo: int, hi: int, prefix: tuple[int, ...]):
-        last = slot == n - 1
-        for o in candidates(slot, lo, hi):
-            s = Cs[slot] + Gs[slot] * (M_k + o)
-            if last:
-                yield prefix + (o,)
-            else:
-                yield from extend(slot + 1, max(lo, s), min(hi, s + Gs[slot]), prefix + (o,))
-
-    def walk():
-        for o in range(M_k) if slot_offsets is None else slot_offsets:
-            s = Cs[0] + Gs[0] * (M_k + o)
-            yield from extend(1, s, s + Gs[0], (o,))
-
-    return walk()
-
-
 def _digit_prefix(x: int, N_k: int, d_lo: int, d_hi: int) -> int:
     """#{0 <= o < x : d_lo <= o mod N_k <= d_hi}."""
     q, d = divmod(x, N_k)
     return q * (d_hi - d_lo + 1) + min(max(d - d_lo, 0), d_hi - d_lo + 1)
+
+
+def _near_siblings(offsets: list[np.ndarray], N_k: int) -> int:
+    """The internal rows: some two slots in one parent, at most 4 apart."""
+    parents = [o // N_k for o in offsets]
+    near = np.zeros(len(offsets[0]), dtype=bool)
+    for a, b in combinations(range(len(offsets)), 2):
+        near |= (parents[a] == parents[b]) & (np.abs(offsets[a] - offsets[b]) <= 4)
+    return int(np.count_nonzero(near))
+
+
+def _count_merged(M_k: int, Cs: list[int], Gs: list[int], N_k: int) -> int:
+    """The internal tuples of F, read from the slots' merged breakpoints.
+
+    Slot l breaks at C_l + G_l*(M_k + j), j = 0..M_k, and tuples lie in the
+    common range [lo, hi] of the segments.  At each breakpoint x there, j_l
+    is the index of slot l's last breakpoint at or before x (at most
+    M_k - 1), and a slot that breaks at x with 0 < j_l < M_k is free to take
+    interval j_l - 1.  Each subset c of the free slots taking it is one
+    tuple, except c = all free slots at x > lo: the cell before x, counted
+    with c empty at the position that opens it.
+    """
+    lo = max(C + G * M_k for C, G in zip(Cs, Gs))
+    hi = min(C + G * 2 * M_k for C, G in zip(Cs, Gs))
+    if lo > hi:
+        return 0
+    firsts = [-((C - lo) // G) - M_k for C, G in zip(Cs, Gs)]
+    sizes = [max((hi - C) // G - M_k - j0 + 1, 0) for C, G, j0 in zip(Cs, Gs, firsts)]
+    runs = zip(Cs, Gs, firsts, sizes)
+    parts = [(C + G * (M_k + j0) - lo, G, np.arange(j0, j0 + size)) for C, G, j0, size in runs if size]
+    limbs, order = _merged_positions(parts)
+    last = np.append(np.zeros(len(order) - 1, dtype=bool), True)  # the last breakpoint at each x
+    for limb in limbs:
+        pos = limb[order]
+        last[:-1] |= pos[1:] != pos[:-1]
+    owner = np.repeat(np.arange(len(Cs), dtype=np.int32), sizes)[order]
+    del limbs, pos, order
+    idx, free = [], []
+    for l, j0 in enumerate(firsts):
+        j = np.cumsum(owner == l, dtype=np.int32)[last]
+        breaks = np.diff(j, prepend=0) > 0
+        j += j0 - 1
+        free.append(breaks & (j > 0) & (j < M_k))
+        idx.append(np.minimum(j, M_k - 1, out=j))
+    del owner, last
+    # group the positions by their free slots, as rows of bits (one byte up to n = 8)
+    bits = np.packbits(np.stack(free, axis=1), axis=1)
+    patterns, which = np.unique(bits.view(f"V{bits.shape[1]}") if len(Cs) > 8 else bits, return_inverse=True)
+    total = 0
+    for i, row in enumerate(np.unpackbits(patterns.view(np.uint8).reshape(len(patterns), -1), axis=1)):
+        at = np.flatnonzero(which == i)
+        slots = np.flatnonzero(row[: len(Cs)]).tolist()
+        for size in range(len(slots) + 1):
+            keep = at if size < len(slots) else at[at == 0]
+            for c in combinations(slots, size):
+                total += _near_siblings([j[keep] - (l in c) for l, j in enumerate(idx)], N_k)
+    return total
 
 
 def count_internal(n: int, k: int, A: AffineTuple, params: ConstructionParams) -> int:
@@ -158,17 +159,16 @@ def count_internal(n: int, k: int, A: AffineTuple, params: ConstructionParams) -
     (for G1 = G2 each holds for every o1 or none).  Both offsets share a
     parent iff o1 mod N_k lies in [max(0, -delta), min(N_k - 1, N_k - 1 - delta)],
     so the pair count is a difference of two prefix counts of that digit
-    window.  The work does not grow with M_k, but ``_check_grid`` still
-    applies the grid cap, so n = 2 and n >= 4 reject the same levels with
-    the same ``CapacityError`` (message and exit code).
+    window.  For n >= 4 see ``_count_merged``.  Every n applies
+    ``_check_grid``'s cap, so all reject the same levels with the same
+    ``CapacityError`` (message and exit code).
     """
-    if n != 2:
-        walk = _walk(n, k, A, params, None)
-        N_k = params.level_N(k)
-        return sum(_classify_offsets(o, N_k)[0] == INTERNAL for o in walk)
-    M_k, (C1, C2), (G1, G2) = _slot_geometry(n, k, A, params)
+    M_k, Cs, Gs = _slot_geometry(n, k, A, params)
     _check_grid(k, M_k)
     N_k = params.level_N(k)
+    if n != 2:
+        return _count_merged(M_k, Cs, Gs, N_k)
+    (C1, C2), (G1, G2) = Cs, Gs
     total = 0
     for delta in range(-4, 5):
         d_lo, d_hi = max(0, -delta), min(N_k - 1, N_k - 1 - delta)

@@ -23,15 +23,12 @@ and a term whose weight sums to 0 is dropped, so the merge does not grow
 with the number of copies.  One factor needs no merge: its groups are its
 own value classes and its cells its own, moved to C + G*u.  Every other
 merge encodes each factor's positions as offsets from one origin (the
-smallest first position) in one of two encodings.  While ``_fits_limbs``
-holds, each factor fills its slice of one pair of int64 limbs (hi, lo), and
-one stable argsort of the float64 keys hi*2^39 + lo merges the presorted
-factor runs: rounding never reverses the exact order, and runs of equal
-keys are reordered from the limbs.  A factor whose span, step G or offset
-leaves the limbs (span >= 2^25, G >= 2^62, G*span >= 2^87 or offset >=
-2^91), or more than 2^24 breakpoints in all, puts the merge in one limb of
-Python ints, stored as int64 while the offsets fit it and ordered by one
-stable argsort.  The rest is one code path: each gap is keyed by the
+smallest first position) and orders them in ``_merged_positions``, which
+``intersect.count_internal`` shares for n >= 4: while ``_fits_limbs``
+holds, in two int64 limbs (hi, lo) merged by one stable argsort of the
+float64 keys hi*2^39 + lo, whose rounding never reverses the exact order
+(runs of equal keys are reordered from the limbs), and else in one limb of
+Python ints.  The rest is one code path: each gap is keyed by the
 running sum of its factors' mixed-radix class steps, in one array of int64
 keys while the product of the factors' class counts is at most 2^62 and of
 Python ints past it, its factors' classes are read back from the key, and
@@ -418,17 +415,31 @@ def _gap_keys(prepared, bounds, order: np.ndarray):
     return keys, classes
 
 
-def _fits_limbs(prepared, offsets) -> bool:
-    """True when the int64 limbs hold the factors' positions, given each
-    factor's first position as an offset from the origin: at most 2^24
-    breakpoints in all, and per factor a span below 2^25, 0 < G < 2^62,
-    G*span < 2^87 and an offset below 2^91."""
-    if sum(len(fn._u) for _, _, fn in prepared) > _POS_MAX:
+def _fits_limbs(parts) -> bool:
+    """True when the int64 limbs hold the positions offset + G*(u - u[0]) of
+    the parts (offset, G, u): at most 2^24 breakpoints in all, and per part
+    a span below 2^25, 0 < G < 2^62, G*span < 2^87 and an offset below 2^91."""
+    if sum(len(u) for _, _, u in parts) > _POS_MAX:
         return False
     return all(
-        fn._span() < _SPAN_MAX and 0 < G < _G_MAX and G * fn._span() < _GU_MAX and offset < _C_MAX
-        for (_, G, fn), offset in zip(prepared, offsets)
+        span < _SPAN_MAX and 0 < G < _G_MAX and G * span < _GU_MAX and offset < _C_MAX
+        for offset, G, span in ((offset, G, int(u[-1]) - int(u[0])) for offset, G, u in parts)
     )
+
+
+def _merged_positions(parts):
+    """(limbs, order): the positions offset + G*(u - u[0]) of the parts
+    (offset >= 0, G, u ascending and nonempty) in two int64 limbs (hi, lo)
+    while ``_fits_limbs`` holds, else in one of Python ints (int64 while
+    they fit), and their exact ascending order, equal positions adjacent."""
+    if _fits_limbs(parts):
+        bounds = np.cumsum([0, *(len(u) for _, _, u in parts)]).tolist()
+        limbs = [np.empty(bounds[-1], dtype=np.int64), np.empty(bounds[-1], dtype=np.int64)]
+        for (offset, G, u), a, b in zip(parts, bounds, bounds[1:]):
+            _encode_positions(offset, G, u, limbs[0][a:b], limbs[1][a:b])
+        return limbs, _merged_order(*limbs)
+    pos = _int_array(np.concatenate([offset + G * (u.astype(object) - int(u[0])) for offset, G, u in parts]))
+    return [pos], np.argsort(pos, kind="stable")
 
 
 def _one_factor(C: int, G: int, fn: StepFunction):
@@ -452,10 +463,8 @@ def _merge(prepared):
 
     One factor needs no merge (``_one_factor``).  Otherwise each factor's
     positions are encoded as offsets from one origin, the smallest first
-    position, so far but close factors stay small: in two int64 limbs
-    (hi, lo) ordered by ``_merged_order`` while ``_fits_limbs`` holds, else
-    in one limb of Python ints (int64 while they fit) ordered by a stable
-    argsort.  The rest is shared: the gap keys (int64, or Python ints past
+    position, so far but close factors stay small, and ordered by
+    ``_merged_positions``.  The rest is shared: the gap keys (int64, or Python ints past
     a class-count product of 2^62), numbered densely when sparse, the width
     sums per key in each limb's dtype, combined as hi*2^39 + lo, and
     ``cells()``, which adds the origin back, in int64 while the positions
@@ -473,20 +482,8 @@ def _merge(prepared):
     bounds = np.cumsum([0, *(len(fn._u) for _, _, fn in prepared)]).tolist()
     firsts = [C + G * int(fn._u[0]) for C, G, fn in prepared]
     origin = min(firsts)
-    offsets = [first - origin for first in firsts]
-    if _fits_limbs(prepared, offsets):
-        limbs = [np.empty(bounds[-1], dtype=np.int64), np.empty(bounds[-1], dtype=np.int64)]
-        for (_, G, fn), offset, a, b in zip(prepared, offsets, bounds, bounds[1:]):
-            _encode_positions(offset, G, fn._u, limbs[0][a:b], limbs[1][a:b])
-        order = _merged_order(*limbs)
-    else:
-        limbs = [
-            _int_array(np.concatenate([
-                offset + G * (fn._u.astype(object) - int(fn._u[0]))
-                for (_, G, fn), offset in zip(prepared, offsets)
-            ]))
-        ]
-        order = np.argsort(limbs[0], kind="stable")
+    parts = [(first - origin, G, fn._u) for (_, G, fn), first in zip(prepared, firsts)]
+    limbs, order = _merged_positions(parts)
     keys, read_classes = _gap_keys(prepared, bounds, order)
     for i in range(len(limbs)):
         limbs[i] = limbs[i][order]

@@ -340,7 +340,7 @@ def fits_limbs(prepared) -> bool:
     """True when ``_merge`` encodes these prepared factors in int64 limbs,
     False when it takes Python ints."""
     firsts = [C + G * int(fn._u[0]) for C, G, fn in prepared]
-    return sf._fits_limbs(prepared, [first - min(firsts) for first in firsts])
+    return sf._fits_limbs([(first - min(firsts), G, fn._u) for (_, G, fn), first in zip(prepared, firsts)])
 
 
 @contextlib.contextmanager
@@ -357,8 +357,8 @@ def python_int_merges():
     taken = []
     fits = sf._fits_limbs
 
-    def spy(prepared, offsets):
-        taken.append(not fits(prepared, offsets))
+    def spy(parts):
+        taken.append(not fits(parts))
         return not taken[-1]
 
     with mock.patch.object(sf, "_fits_limbs", spy):

@@ -12,9 +12,10 @@ not collect this module; tests import it the way they import ``conftest``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from cantormax.errors import (
     InsufficientDepthError,
     InvalidIndexError,
 )
-from cantormax.intersect import INTERNAL, TRANSVERSE, AffineTuple, _classify_offsets, _walk
+from cantormax.intersect import INTERNAL, TRANSVERSE, AffineTuple, _check_grid, _slot_geometry
 from cantormax.maxops import AdjointAssignment, average
 from cantormax.params import ConstructionParams
 from cantormax.stepfn import StepFunction, linear_combination, product_integral
@@ -108,6 +109,64 @@ def weak_star_defect(cset: CantorSet, k: int, k2: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 DEFAULT_TUPLE_CAP = 10**7
+
+
+def _classify_offsets(offsets: Sequence[int], N_k: int):
+    """Internal iff two slots share a parent and differ by <= 4 in the last digit."""
+    n = len(offsets)
+    for a in range(n):
+        pa, da = divmod(offsets[a], N_k)
+        for b in range(a + 1, n):
+            pb, db = divmod(offsets[b], N_k)
+            if pa == pb and abs(da - db) <= 4:
+                return INTERNAL, (a + 1, b + 1)
+    return TRANSVERSE, None
+
+
+def _walk(
+    n: int, k: int, A: AffineTuple, params: ConstructionParams, restrict_to: CantorSet | None
+) -> Iterator[tuple[int, ...]]:
+    """The offset tuples of F[n, k; A] in lexicographic order, by one
+    output-sensitive sweep: slots are scanned in order, and each partial
+    tuple narrows the admissible window analytically, so only the indices
+    whose intervals meet it are touched.  It lists every tuple, so it is
+    the ``==`` oracle of ``intersect.count_internal``.
+
+    The slots range over ``restrict_to``'s selected level-k offsets, or over
+    the full index grid when it is None.  Arguments are checked on the call,
+    before the first tuple is asked for.
+    """
+    M_k, Cs, Gs = _slot_geometry(n, k, A, params)
+    if restrict_to is None:
+        _check_grid(k, M_k)
+        slot_offsets: Sequence[int] | None = None
+    else:
+        slot_offsets = restrict_to.level(k).offsets.tolist()
+
+    def candidates(slot: int, lo: int, hi: int) -> Iterable[int]:
+        # offsets o with interval [start, start + G] meeting [lo, hi]
+        C, G = Cs[slot], Gs[slot]
+        o_min = -(-(lo - C - G) // G) - M_k  # ceil((lo - C)/G) - 1 - M
+        o_max = (hi - C) // G - M_k
+        if slot_offsets is None:
+            return range(max(o_min, 0), min(o_max, M_k - 1) + 1)
+        return slot_offsets[bisect_left(slot_offsets, o_min) : bisect_right(slot_offsets, o_max)]
+
+    def extend(slot: int, lo: int, hi: int, prefix: tuple[int, ...]):
+        last = slot == n - 1
+        for o in candidates(slot, lo, hi):
+            s = Cs[slot] + Gs[slot] * (M_k + o)
+            if last:
+                yield prefix + (o,)
+            else:
+                yield from extend(slot + 1, max(lo, s), min(hi, s + Gs[slot]), prefix + (o,))
+
+    def walk():
+        for o in range(M_k) if slot_offsets is None else slot_offsets:
+            s = Cs[0] + Gs[0] * (M_k + o)
+            yield from extend(1, s, s + Gs[0], (o,))
+
+    return walk()
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Record the CLI matrix: SHA-256 digests of every output of 33 CLI runs.
+"""Record the CLI matrix: SHA-256 digests of every output of 39 CLI runs.
 
-The matrix runs ``construct``, ``verify``, ``correlate`` (k=0, k=1, and
-n=4 at k=1), ``maximal`` (the defaults, and m in [-1, 1]), ``differentiate``
-(the hat and the indicator), ``dimension`` and ``demo-l1`` on three sets:
+The matrix runs ``construct``, ``verify`` (gate (c) at n=2, and at n=4),
+``correlate`` (k=0, k=1, and n=4 at k=1 and at k=2), ``maximal`` (the
+defaults, and m in [-1, 1]), ``differentiate`` (the hat and the
+indicator), ``dimension`` and ``demo-l1`` on three sets:
 the fixed-dimension N=16 seed-1 set (gate (c) budget 6), the N=8 seed-11
 set (budget 4) and the one-dimensional N=4, K=3 seed-1 set (budget 8), with
 ``correlate.budget = 8`` on all three.  Each run calls
@@ -52,9 +53,11 @@ SETS = {
 RUNS = {
     "construct": ("construct", []),
     "verify": ("verify", []),
+    "verify_n4": ("verify", ["construction.gate_c_n=4"]),
     "corr_k0": ("correlate", ["correlate.k=0"]),
     "corr_k1": ("correlate", ["correlate.k=1"]),
     "corr_n4": ("correlate", ["correlate.k=1", "correlate.n=4"]),
+    "corr_n4_k2": ("correlate", ["correlate.k=2", "correlate.n=4"]),
     "maximal": ("maximal", []),
     "maximal_m": ("maximal", ["maximal.m_min=-1", "maximal.m_max=1"]),
     "diff_hat": ("differentiate", ["differentiate.function=hat"]),

@@ -541,6 +541,22 @@ class TestCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_correlate_on_a_one_level_set_is_usage_error(self, tmp_path, capsys, k):
+        # sigma_1 needs level 2, so no k has a correlation to sample; k = 0
+        # used to write an empty report and exit 0
+        custom = ["construction.regime=custom", "construction.level_counts=4"]
+        custom += ["construction.epsilon_schedule=1/4", "construction.K=1"]
+        argv = [arg for item in custom for arg in ("--set", item)]
+        assert main(["construct", *argv, "-o", str(tmp_path / "set")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "correlate"
+        code = main(["correlate", str(tmp_path / "set" / "set.json"), "--set", f"correlate.k={k}", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "correlate.k" in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_correlate_and_dimension_outputs(self, cli_workspace, tmp_path):
         _, cfg, out = cli_workspace
         assert (

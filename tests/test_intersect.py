@@ -13,8 +13,9 @@ from cantormax import AffineTuple, count_internal, custom, fixed_dimension
 from cantormax.errors import CapacityError, DomainError
 from cantormax.grids import DiscretizationGrid
 from cantormax.correlation import classify_A
-from cantormax.intersect import DEFAULT_GRID_CAP, _slot_geometry
+from cantormax.intersect import DEFAULT_GRID_CAP, TRANSVERSE, _slot_geometry
 
+from conftest import python_ints
 from lemmas import classify, enumerate_F, projection_multiplicity, proximity_check, symdiff_bound_check
 
 F = Fraction
@@ -363,6 +364,168 @@ class TestCountInternal:
         assert got == enumerated_internal(n, k, A, params)
         if n == 2:
             assert got == count_internal_by_offsets(k, A, params)
+
+
+def _clamp(x, lo, hi):
+    return min(max(x, lo), hi)
+
+
+@st.composite
+def slot_tuples(draw):
+    """(n, k, A, params) with n in {4, 6} on a custom grid of N_k in 4..12:
+    slots near one base pair (up to six cells apart), repeats of earlier slots,
+    and free draws."""
+    n = draw(st.sampled_from([4, 6]))
+    counts = draw(st.lists(st.integers(4, 12), min_size=1, max_size=2))
+    params = custom(counts, [F(1, 4)] * len(counts))
+    k = draw(st.integers(1, len(counts)))
+    M = params.M(k)
+    den = draw(st.sampled_from([1, 4, 8, 12]))
+    base = (F(draw(st.integers(-4 * den, 0)), den), F(draw(st.integers(den, 2 * den)), den))
+    pairs = [base]
+    for _ in range(n - 1):
+        kind = draw(st.sampled_from(["near", "near", "repeat", "free"]))
+        if kind == "repeat":
+            pairs.append(draw(st.sampled_from(pairs)))
+        elif kind == "near":
+            q = draw(st.sampled_from([1, 2, 3]))
+            c = _clamp(base[0] + F(draw(st.integers(-6, 6)), q * M), -4, 0)
+            r = _clamp(base[1] + F(draw(st.integers(-2, 2)), q * M), 1, 2)
+            pairs.append((c, r))
+        else:
+            pairs.append((F(draw(st.integers(-4 * den, 0)), den), F(draw(st.integers(den, 2 * den)), den)))
+    order = draw(st.permutations(range(n)))
+    return n, k, AffineTuple(tuple(pairs[i] for i in order), k), params
+
+
+def walk_and_brute_force(n, k, A, params):
+    """The walk's internal count, checked against brute force where M_k^n is small."""
+    ref = enumerated_internal(n, k, A, params)
+    if params.M(k) ** n <= 4096:
+        assert ref == internal_oracle(brute_force_F(n, k, A, params), params.level_N(k))
+    return ref
+
+
+class TestCountInternalMerged:
+    """``count_internal`` for n >= 4 against the walk (``lemmas._walk``)."""
+
+    @given(case=slot_tuples())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_walk(self, case):
+        n, k, A, params = case
+        assert count_internal(n, k, A, params) == walk_and_brute_force(n, k, A, params)
+
+    @given(case=slot_tuples())
+    @settings(max_examples=25, deadline=None)
+    def test_python_int_positions_equal_the_walk(self, case):
+        n, k, A, params = case
+        with python_ints():
+            got = count_internal(n, k, A, params)
+        assert got == enumerated_internal(n, k, A, params)
+
+    @pytest.mark.parametrize("params, k", [(P4, 1), (custom([4, 5], [F(1, 4)] * 2), 2), (P88, 2)])
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    def test_repeated_slots(self, params, k, n):
+        # every breakpoint is shared by all or half the slots: the contacts
+        # choose left or right in up to n slots at once (past 8 slots, the
+        # free slots of a position take more than one byte)
+        for pairs in (((F(0), F(1)),) * n, ((F(-2), F(3, 2)), (F(-2, 3), F(5, 4))) * (n // 2)):
+            A = AffineTuple(pairs, k)
+            assert count_internal(n, k, A, params) == walk_and_brute_force(n, k, A, params)
+
+    @pytest.mark.parametrize("params", [custom([8], [F(1, 4)]), custom([4, 2], [F(1, 4)] * 2)])
+    def test_single_point_common_range(self, params):
+        # segments [1, 2], [-1, 1], [1/2, 2] and [1/3, 5/3] meet only at 1,
+        # where slot 1 starts, slot 2 ends, slot 4 breaks inside (free) and
+        # slot 3 has no breakpoint (3j/16 = 1/2 has no integer j at M = 8)
+        k = len(params.level_counts)
+        pairs = ((F(0), F(1)), (F(-3), F(2)), (F(-1), F(3, 2)), (F(-1), F(4, 3)))
+        two_free = pairs[:2] + (pairs[3], pairs[3])  # every left/right choice is a member
+        for members, slots in ((2, pairs), (2, pairs[::-1]), (2, pairs[1:] + pairs[:1]), (4, two_free)):
+            A = AffineTuple(slots, k)
+            family = brute_force_F(4, k, A, params)
+            assert len(family) == members
+            ref = internal_oracle(family, params.level_N(k))
+            assert count_internal(4, k, A, params) == enumerated_internal(4, k, A, params) == ref
+
+    @pytest.mark.parametrize("params", [custom([12], [F(1, 4)]), custom([4, 3], [F(1, 4)] * 2)])
+    def test_contacts_at_both_ends_of_the_common_range(self, params):
+        # common range [1, 5/3]: at 1 slots 1, 2 and 3 start and slot 4
+        # breaks inside; at 5/3 slot 4 ends and slots 1, 2 and 3 break inside
+        k = len(params.level_counts)
+        A = AffineTuple(((F(0), F(1)), (F(0), F(1)), (F(-1), F(2)), (F(-1), F(4, 3))), k)
+        family = brute_force_F(4, k, A, params)
+        M = params.M(k)
+        meets = set()
+        for o in family:
+            lo = max(c + r * (1 + F(j, M)) for (c, r), j in zip(A.pairs, o))
+            hi = min(c + r * (1 + F(j + 1, M)) for (c, r), j in zip(A.pairs, o))
+            if lo == hi:
+                meets.add(lo)
+        assert {F(1), F(5, 3)} <= meets
+        assert count_internal(4, k, A, params) == walk_and_brute_force(4, k, A, params)
+
+    def test_last_digits_four_apart_are_internal_and_five_apart_are_not(self):
+        # the four members: (0, 4, 9, 15) and (0, 6, 10, 15) are internal only
+        # through one pair of last digits 4 apart, (0, 5, 9, 15) through 5 and
+        # 9, and every pair of (0, 5, 10, 15) is 5 or more apart
+        params = custom([16], [F(1, 4)])
+        A = AffineTuple(((F(-2), F(2)), (F(-21, 16), F(1)), (F(-2), F(5, 4)), (F(-63, 16), F(2))), 1)
+        family = enumerate_F(4, 1, A, params)
+        assert {t.offsets: t.cls for t in family} == {
+            (0, 4, 9, 15): "internal",
+            (0, 5, 9, 15): "internal",
+            (0, 5, 10, 15): "transverse",
+            (0, 6, 10, 15): "internal",
+        }
+        assert count_internal(4, 1, A, params) == 3
+
+    def test_empty_common_range_makes_no_pass(self):
+        # slots 1 and 2 are [1, 2] and [-3, -2]: no tuple at M_2 = 2^21, and
+        # nothing of the grid's size is allocated
+        params = custom([2048, 1024], [F(1, 4), F(1, 4)])
+        A = AffineTuple(((F(0), F(1)), (F(-4), F(1)), (F(0), F(1)), (F(-1), F(2))), 2)
+        tracemalloc.start()
+        try:
+            got = count_internal(4, 2, A, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 0 and peak < 64 * 1024
+        A = AffineTuple(((F(0), F(1)), (F(0), F(1)), (F(-4), F(1)), (F(-4), F(1))), 1)
+        assert count_internal(4, 1, A, P88) == enumerated_internal(4, 1, A, P88) == 0
+
+    @pytest.mark.parametrize("counts", [[4, 8], [5, 7]])
+    def test_digit_window_at_both_ends_of_a_parent(self, counts):
+        # slot i shifted by s_i whole cells, s = (0, j, 11, 22): only slots 1
+        # and 2 can be near, and for j = +-1 some of their pairs straddle two
+        # parents (last digits N_k - 1 and 0), which makes the tuple transverse
+        params = custom(counts, [F(1, 4)] * 2)
+        M, N = params.M(2), params.level_N(2)
+        c, r = F(-1), F(5, 4)
+        for j in range(-5, 6):
+            A = AffineTuple(tuple((c - s * r / M, r) for s in (0, j, 11, 22)), 2)
+            family = enumerate_F(4, 2, A, params)
+            internal = sum(t.cls == "internal" for t in family)
+            assert count_internal(4, 2, A, params) == internal
+            straddling = [t for t in family if abs(t.offsets[0] - t.offsets[1]) == 1 and t.cls == TRANSVERSE]
+            assert bool(straddling) == (abs(j) <= 2) and 0 < internal < len(family)
+
+    def test_near_diagonal_memory_at_the_third_level(self):
+        # the N=8, K=4 params at k = 3 (M_3 = 2^18): one near-diagonal draw
+        # walks 1,048,561 tuples (the walk's count, about 7 s); the merged
+        # count holds about 7.5 int64 arrays of the 4(M_3 + 1) breakpoints
+        params = fixed_dimension(8, F(1, 4), 4, seed=1)
+        grid = DiscretizationGrid.for_level(params, 3)
+        A = grid.sample_tuple(np.random.default_rng(0), 4, near_diagonal=True)
+        tracemalloc.start()
+        try:
+            got = count_internal(4, 3, A, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 1048561
+        assert peak < 10 * 8 * 4 * (params.M(3) + 1)
 
 
 def tangency_counts(cset, A, n, k):

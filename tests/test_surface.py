@@ -96,6 +96,8 @@ MOVED = [
     "intersect.ProjectionReport",
     "intersect.ProximityResult",
     "intersect.SymdiffResult",
+    "intersect._classify_offsets",
+    "intersect._walk",
     "intersect.classify",
     "intersect.enumerate_F",
     "intersect.projection_multiplicity",
