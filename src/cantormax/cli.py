@@ -28,6 +28,7 @@ from .errors import (
     FormatError,
     ParameterError,
 )
+from .params import _frac_str
 from .randomize import RngStream, boundedness_check, construct, verify_set
 from .stepfn import PiecewiseLinear, StepFunction
 
@@ -58,20 +59,26 @@ def _load_set(path) -> core.CantorSet:
     return core.CantorSet.from_json(text)
 
 
+def _new_file(path: Path) -> Path:
+    """``path``, its directory made first: a run that stops before it writes leaves none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _write_json(path: Path, payload: dict) -> None:
     payload = {"schema_version": REPORT_SCHEMA_VERSION, **payload}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _new_file(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_jsonl(path: Path, reports) -> None:
     """One sorted-key JSON object per line, from each report's ``to_json_dict``."""
-    with open(path, "w") as fh:
+    with open(_new_file(path), "w") as fh:
         for rep in reports:
             fh.write(json.dumps(rep.to_json_dict(), sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(_new_file(path), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
@@ -94,7 +101,7 @@ def cmd_construct(cfg: RunConfig, out: Path) -> int:
         _write_jsonl(out / "transcript.jsonl", exc.transcript)
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    (out / "set.json").write_bytes(cset.to_json_bytes())
+    _new_file(out / "set.json").write_bytes(cset.to_json_bytes())
     _write_jsonl(out / "transcript.jsonl", transcript)
     (out / "config.txt").write_text(serialize_config(cfg))
     print(f"accepted set with P = {[cset.P(k) for k in range(1, cset.depth + 1)]}")
@@ -113,7 +120,7 @@ def cmd_verify(cfg: RunConfig, out: Path, cset: core.CantorSet) -> int:
     payload = {
         "passed": ok,
         "boundedness": bc.to_json_dict(),
-        "q_epsilon": f"{q_eps.numerator}/{q_eps.denominator}" if q_eps else None,
+        "q_epsilon": _frac_str(q_eps) if q_eps else None,
         "checks": [rep.to_json_dict() for rep in reports],
     }
     _write_json(out / "verify.json", payload)
@@ -142,13 +149,11 @@ def cmd_correlate(cfg: RunConfig, out: Path, cset: core.CantorSet) -> int:
                 "k": k,
                 "n": cc.n,
                 "sup_abs_lambda": float(result.max_abs),
-                "sup_abs_lambda_exact": (
-                    f"{result.max_abs.numerator}/{result.max_abs.denominator}"
-                ),
+                "sup_abs_lambda_exact": _frac_str(result.max_abs),
                 "trivial_bound": float(trivial_bound(cset, cc.n, k)),
                 "coverage": result.coverage,
                 "transverse_seen": result.transverse_seen,
-                "witness": [[str(c), str(r)] for c, r in result.witness.pairs],
+                "witness": result.witness.to_json_list(),
             }
         )
         print(
@@ -159,7 +164,7 @@ def cmd_correlate(cfg: RunConfig, out: Path, cset: core.CantorSet) -> int:
     _write_csv(
         out / "correlation.csv",
         ["k", "n", "class", "lambda", "trivial_bound", "c0"],
-        ([r.k, r.n, r.cls, float(r.lam), float(r.trivial), r.c0] for r in all_reports),
+        ([r.k, r.A.n, r.cls, float(r.lam), float(r.trivial), r.c0] for r in all_reports),
     )
     _write_json(out / "correlate.json", {"levels": summaries})
     return EXIT_OK
@@ -346,7 +351,6 @@ def main(argv=None) -> int:
             return handler(args.output)
         cfg = _load_run_config(args)
         out = Path(args.outdir or cfg.report.outdir)
-        out.mkdir(parents=True, exist_ok=True)
         if reads_set:
             return handler(cfg, out, _load_set(args.set_file))
         return handler(cfg, out)

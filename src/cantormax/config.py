@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .errors import ConfigError
-from .params import ConstructionParams, REGIME_CUSTOM, REGIME_FIXED_DIM
+from .params import ConstructionParams, REGIME_CUSTOM, REGIME_FIXED_DIM, _frac_str
 
 
 @dataclass
@@ -205,7 +205,7 @@ def validate(cfg: RunConfig) -> None:
 
 def _format_value(value) -> str:
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return _frac_str(value)
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
     if value is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,7 +27,7 @@ from .core import CantorSet
 from .errors import DegenerateMeasureError, DomainError, EmptySampleError
 from .grids import DiscretizationGrid
 from .intersect import AffineTuple, INTERNAL, TRANSVERSE, count_internal
-from .params import ConstructionParams, nudge
+from .params import ConstructionParams, _frac_str, nudge
 from .stepfn import StepFunction, product_integral
 
 EXHAUSTIVE_CAP = 4096
@@ -54,15 +54,15 @@ def trivial_bound(cset: CantorSet, n: int, k: int) -> Fraction:
     return Fraction(2 ** (n + 1)) / lv.measure ** (n - 1)
 
 
-def classify_A(A: AffineTuple, cset: CantorSet, n: int, k: int) -> str:
-    """Transverse iff #F_int < P_k^(1 - eps0), compared exactly.
+def classify_A(A: AffineTuple, cset: CantorSet, k: int) -> str:
+    """Transverse iff #F_int[n, k; A] < P_k^(1 - eps0), compared exactly, n = A.n.
 
     The internal tuples are counted over the full index grid (the family
     does not depend on which intervals were selected) without listing them;
     the threshold uses the set's P_k and epsilon0.
     """
     eps0 = Fraction(cset.params.epsilon0)
-    count = count_internal(n, k, A, cset.params)
+    count = count_internal(k, A, cset.params)
     P = cset.P(k)
     # count < P^((b-a)/b)  <=>  count^b < P^(b-a), both sides integers
     a, b = eps0.numerator, eps0.denominator
@@ -72,7 +72,6 @@ def classify_A(A: AffineTuple, cset: CantorSet, n: int, k: int) -> str:
 @dataclass(frozen=True)
 class CorrelationReport:
     A: AffineTuple
-    n: int
     k: int
     lam: Fraction
     cls: str
@@ -91,25 +90,16 @@ class CorrelationReport:
         return {
             "schema_version": 1,
             "k": self.k,
-            "n": self.n,
-            "pairs": [[str(c), str(r)] for c, r in self.A.pairs],
+            "n": self.A.n,
+            "pairs": self.A.to_json_list(),
             "class": self.cls,
-            "lambda": f"{self.lam.numerator}/{self.lam.denominator}",
+            "lambda": _frac_str(self.lam),
             "lambda_float": float(self.lam),
             "trivial_bound": float(self.trivial),
             "c0": self.c0,
             "within_trivial": self.within_trivial,
             "within_c0": self.within_c0,
         }
-
-
-@dataclass(frozen=True)
-class SupLambdaResult:
-    max_abs: Fraction
-    witness: AffineTuple | None
-    coverage: dict
-    transverse_seen: int
-    reports: tuple[CorrelationReport, ...]
 
 
 def grid_tuples(grid: DiscretizationGrid, n: int) -> list[AffineTuple] | None:
@@ -122,12 +112,13 @@ def grid_tuples(grid: DiscretizationGrid, n: int) -> list[AffineTuple] | None:
         for ci in range(1, grid.n_c + 1)
         for ri in range(1, grid.n_r + 1)
     ]
-    return [AffineTuple(combo, grid.k) for combo in itertools.product(pairs, repeat=n)]
+    return [AffineTuple(combo) for combo in itertools.product(pairs, repeat=n)]
 
 
 @dataclass(frozen=True)
 class TransverseScan:
-    """Every candidate's class, and Lambda(A; sigma_k) of the transverse ones."""
+    """Every candidate's class, and Lambda(A; sigma_k) of the transverse ones;
+    ``sup_lambda_tr`` fills ``reports`` with one per candidate."""
 
     candidates: tuple[AffineTuple, ...]
     classes: tuple[str, ...]
@@ -135,6 +126,7 @@ class TransverseScan:
     coverage: dict
     max_abs: Fraction
     witness: AffineTuple | None
+    reports: tuple[CorrelationReport, ...] = ()
 
     @property
     def transverse_seen(self) -> int:
@@ -165,7 +157,7 @@ def _transverse_scan(
         ]
         coverage = {"mode": "sampled", "tuples": budget, "grid_pairs": grid.total_pairs()}
 
-    classes = tuple(classify_A(A, cset, n, k) for A in candidates)
+    classes = tuple(classify_A(A, cset, k) for A in candidates)
     lams = {
         i: lambda_sigma(A, cset, k)
         for i, (A, cls) in enumerate(zip(candidates, classes))
@@ -181,13 +173,14 @@ def _transverse_scan(
 
 def sup_lambda_tr(
     cset: CantorSet, n: int, k: int, budget: int, rng: np.random.Generator
-) -> SupLambdaResult:
+) -> TransverseScan:
     """Sampled stand-in for sup over transverse tuples of |Lambda(A; sigma_k)|.
 
     The candidates are the level-k discretization grid's tuples: all of
     them when the grid is small enough, else ``budget`` draws, half of them
-    in the near-diagonal stratum.  The reports cover every candidate, so the
-    internal ones' lambdas, which the scan skips, are computed here.
+    in the near-diagonal stratum.  Returns the transverse scan with its
+    reports, one per candidate; the internal ones' lambdas, which the scan
+    skips, are computed here.  A sampled scan's coverage records the stratum.
     """
     if budget < 1:
         raise EmptySampleError("sup_lambda_tr needs budget >= 1")
@@ -203,10 +196,8 @@ def sup_lambda_tr(
     reports = []
     for i, (A, cls) in enumerate(zip(scan.candidates, scan.classes)):
         lam = scan.transverse_lams[i] if cls == TRANSVERSE else lambda_sigma(A, cset, k)
-        reports.append(CorrelationReport(A, n, k, lam, cls, triv, c0))
-    return SupLambdaResult(
-        scan.max_abs, scan.witness, scan.coverage, scan.transverse_seen, tuple(reports)
-    )
+        reports.append(CorrelationReport(A, k, lam, cls, triv, c0))
+    return replace(scan, reports=tuple(reports))
 
 
 def c0_constant(

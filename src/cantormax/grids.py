@@ -22,8 +22,8 @@ from .params import ConstructionParams
 
 @dataclass(frozen=True)
 class DiscretizationGrid:
-    k: int
-    L: int
+    """The level-k grid of pairs (c, r), as ``for_level`` builds it from k and L."""
+
     spacing: Fraction  # delta_{k+1}^L
     n_c: int  # 4 / spacing
     n_r: int  # 1 / spacing
@@ -37,8 +37,6 @@ class DiscretizationGrid:
         spacing = Fraction(1, M_next**params.L)
         window = M_next**params.L // params.M(k)
         return cls(
-            k=k,
-            L=params.L,
             spacing=spacing,
             n_c=4 * M_next**params.L,
             n_r=M_next**params.L,
@@ -89,4 +87,4 @@ class DiscretizationGrid:
             c_idx.append(cj)
             r_idx.append(rj)
         pairs = tuple((self.c_value(ci_), self.r_value(ri_)) for ci_, ri_ in zip(c_idx, r_idx))
-        return AffineTuple(pairs, self.k)
+        return AffineTuple(pairs)

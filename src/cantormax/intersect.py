@@ -16,7 +16,6 @@ test suite as ``==`` oracles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, InvalidIndexError
 from .params import ConstructionParams
-from .stepfn import _merged_positions
+from .stepfn import _merged_positions, _scale
 
 INTERNAL = "internal"
 TRANSVERSE = "transverse"
@@ -35,10 +34,10 @@ DEFAULT_GRID_CAP = 1 << 21
 
 @dataclass(frozen=True)
 class AffineTuple:
-    """n translation-dilation pairs (c, r) with c in [-4, 0], r in [1, 2]."""
+    """n = len(pairs) translation-dilation pairs (c, r), n even and >= 2, with
+    c in [-4, 0], r in [1, 2]; a level k is an argument of whatever reads it."""
 
     pairs: tuple[tuple[Fraction, Fraction], ...]
-    level: int
 
     def __post_init__(self):
         if len(self.pairs) < 2 or len(self.pairs) % 2:
@@ -50,28 +49,24 @@ class AffineTuple:
                 raise DomainError(f"translation {c} outside [-4, 0]")
             if not (1 <= r <= 2):
                 raise DomainError(f"dilation {r} outside [1, 2]")
-        if self.level < 1:
-            raise DomainError("level must be >= 1")
 
     @property
     def n(self) -> int:
         return len(self.pairs)
 
+    def to_json_list(self) -> list[list[str]]:
+        """The pairs as reports write them: [[str(c), str(r)], ...]."""
+        return [[str(c), str(r)] for c, r in self.pairs]
 
-def _slot_geometry(n: int, k: int, A: AffineTuple, params: ConstructionParams):
-    """(M_k, Cs, Gs): slot l covers [C_l + G_l*(M_k+o), C_l + G_l*(M_k+o+1)] in units of 1/D."""
-    if n < 2 or n % 2:
-        raise DomainError("n must be an even integer >= 2")
-    if n != A.n:
-        raise DomainError(f"A has {A.n} pairs but n={n}")
+
+def _slot_geometry(k: int, A: AffineTuple, params: ConstructionParams):
+    """(M_k, Cs, Gs): slot l covers [C_l + G_l*(M_k+o), C_l + G_l*(M_k+o+1)] in units of 1/D,
+    with (D, C_l, G_l) scaled from (c_l, r_l) over the grid 1/M_k by ``stepfn._scale``."""
     if k < 1:
         raise InvalidIndexError("k must be >= 1")
     M_k = params.M(k)
-    D = 1
-    for c, r in A.pairs:
-        D = math.lcm(D, c.denominator, r.denominator * M_k)
-    Cs = [c.numerator * (D // c.denominator) for c, _ in A.pairs]
-    Gs = [r.numerator * (D // (r.denominator * M_k)) for _, r in A.pairs]
+    _, scaled = _scale([(c, r, M_k) for c, r in A.pairs])
+    Cs, Gs = zip(*scaled)
     return M_k, Cs, Gs
 
 
@@ -145,8 +140,9 @@ def _count_merged(M_k: int, Cs: list[int], Gs: list[int], N_k: int) -> int:
     return total
 
 
-def count_internal(n: int, k: int, A: AffineTuple, params: ConstructionParams) -> int:
-    """The number of internal tuples of F[n, k; A] over the full index grid.
+def count_internal(k: int, A: AffineTuple, params: ConstructionParams) -> int:
+    """The number of internal tuples of F[n, k; A] over the full index grid,
+    n = A.n.
 
     No tuple is listed.  For n = 2 the pair (o1, o1 + delta), delta in
     [-4, 4], meets iff (slot l's interval in units of 1/D as in
@@ -163,10 +159,10 @@ def count_internal(n: int, k: int, A: AffineTuple, params: ConstructionParams) -
     ``_check_grid``'s cap, so all reject the same levels with the same
     ``CapacityError`` (message and exit code).
     """
-    M_k, Cs, Gs = _slot_geometry(n, k, A, params)
+    M_k, Cs, Gs = _slot_geometry(k, A, params)
     _check_grid(k, M_k)
     N_k = params.level_N(k)
-    if n != 2:
+    if A.n != 2:
         return _count_merged(M_k, Cs, Gs, N_k)
     (C1, C2), (G1, G2) = Cs, Gs
     total = 0

@@ -34,6 +34,7 @@ from .errors import (
     EmptySampleError,
     GridError,
 )
+from .params import _frac_str
 from .stepfn import (
     PiecewiseLinear,
     StepFunction,
@@ -571,7 +572,7 @@ def l1_divergence_demo(
                 masses.append(float(average(StepFunction.indicator(lo, hi), cset, k, 1, 0)))
             else:
                 masses.append(float("nan"))
-        key = f"{rho.numerator}/{rho.denominator}"
+        key = _frac_str(rho)
         ball_masses[key] = masses
         eta[key] = masses[-1] / (2.0 * float(rho))
     return DemoResult(x0, r, rho0, tuple(rows), growth, ball_masses, eta)

@@ -22,7 +22,7 @@ import numpy as np
 from .core import CantorLevel, CantorSet
 from .correlation import _transverse_scan, c0_constant
 from .errors import CapacityError, ConstructionFailure, DomainError, EmptySampleError
-from .params import ConstructionParams, nudge
+from .params import ConstructionParams, _frac_str, nudge
 
 GATE_C_STREAM_TAG = 7
 TRANSCRIPT_SCHEMA_VERSION = 1
@@ -158,7 +158,7 @@ def gate_counts(cset: CantorSet, k: int) -> tuple[GateReport, GateReport]:
             threshold=float(Bc) * math.sqrt(float(Q_exact)),
             passed=passed,
             detail="exact comparison of squared deviation",
-            measured_exact=f"{dev.numerator}/{dev.denominator}",
+            measured_exact=_frac_str(dev),
         )
     else:
         Q = cset.Q(k)
@@ -188,7 +188,7 @@ def gate_deviation(cset: CantorSet, k_child: int) -> GateReport:
     if growth is not None:
         dev = max(abs(cmax - growth), abs(cmin - growth))
         measured = float(dev)
-        measured_exact = f"{dev.numerator}/{dev.denominator}"
+        measured_exact = _frac_str(dev)
     else:
         g = params.expected_growth_float(k_child)
         dev = max(abs(c - nudge(g, up)) for c in (cmax, cmin) for up in (False, True))
@@ -233,7 +233,7 @@ def gate_correlation(
     detail = f"{seen}/{total} tuples transverse; {scan.coverage['mode']} coverage"
     extras = {"n": n, "coverage": scan.coverage, "transverse_seen": seen}
     if scan.witness is not None and not passed:
-        extras["witness"] = [[str(c), str(r)] for c, r in scan.witness.pairs]
+        extras["witness"] = scan.witness.to_json_list()
     if seen == 0:
         detail = f"no transverse tuples among {total}; gate passes vacuously"
     return GateReport(
@@ -243,7 +243,7 @@ def gate_correlation(
         threshold=c0_gate,
         passed=passed,
         detail=detail,
-        measured_exact=f"{best.numerator}/{best.denominator}",
+        measured_exact=_frac_str(best),
         extras=extras,
     )
 

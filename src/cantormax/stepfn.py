@@ -319,27 +319,33 @@ def _held(a: np.ndarray, given) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _scale(terms) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(C, G), ...]) for terms (c, r, den) of Fractions c, r and an int
+    den: c = C/D and r/den = G/D, with D the least common denominator of
+    every c and r/den.  A factor f((z - c)/r) whose breakpoints are u/den
+    then breaks at (C + G*u)/D."""
+    D, steps = 1, []
+    for c, r, den in terms:
+        c_num, c_den, r_num = c.numerator, c.denominator, r.numerator
+        g = math.gcd(r_num, den)  # r/den in lowest terms: (r_num/g) / (r.den*den/g)
+        s_den = r.denominator * (den // g)
+        D = math.lcm(D, c_den, s_den)
+        steps.append((c_num, c_den, r_num // g, s_den))
+    return D, [(c_num * (D // c_den), s_num * (D // s_den)) for c_num, c_den, s_num, s_den in steps]
+
+
 def _prepare_factors(entries):
     """Clear denominators for entries (fn, c, r) with r > 0.
 
     Returns (D, prepared) where prepared holds per factor the integer offset
     C, the integer step G, and the original function, so that the transformed
-    breakpoints are exactly (C + G*u)/D over the fn's own units u.
+    breakpoints are exactly (C + G*u)/D over the fn's own units u (``_scale``).
     """
-    cleaned = []
-    D = 1
-    for fn, c, r in entries:
-        c, r = Fraction(c), Fraction(r)
-        if r <= 0:
-            raise DomainError("affine factors need r > 0")
-        cleaned.append((fn, c, r))
-        D = math.lcm(D, c.denominator, r.denominator * fn.den)
-    prepared = []
-    for fn, c, r in cleaned:
-        C = c.numerator * (D // c.denominator)
-        G = r.numerator * (D // (r.denominator * fn.den))
-        prepared.append((C, G, fn))
-    return D, prepared
+    entries = [(fn, Fraction(c), Fraction(r)) for fn, c, r in entries]
+    if any(r <= 0 for _, _, r in entries):
+        raise DomainError("affine factors need r > 0")
+    D, scaled = _scale([(c, r, fn.den) for fn, c, r in entries])
+    return D, [(C, G, fn) for (C, G), (fn, _, _) in zip(scaled, entries)]
 
 
 def _encode_positions(C: int, G: int, u: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:

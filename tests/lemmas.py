@@ -124,9 +124,9 @@ def _classify_offsets(offsets: Sequence[int], N_k: int):
 
 
 def _walk(
-    n: int, k: int, A: AffineTuple, params: ConstructionParams, restrict_to: CantorSet | None
+    k: int, A: AffineTuple, params: ConstructionParams, restrict_to: CantorSet | None
 ) -> Iterator[tuple[int, ...]]:
-    """The offset tuples of F[n, k; A] in lexicographic order, by one
+    """The offset tuples of F[n, k; A], n = A.n, in lexicographic order, by one
     output-sensitive sweep: slots are scanned in order, and each partial
     tuple narrows the admissible window analytically, so only the indices
     whose intervals meet it are touched.  It lists every tuple, so it is
@@ -136,7 +136,7 @@ def _walk(
     the full index grid when it is None.  Arguments are checked on the call,
     before the first tuple is asked for.
     """
-    M_k, Cs, Gs = _slot_geometry(n, k, A, params)
+    M_k, Cs, Gs = _slot_geometry(k, A, params)
     if restrict_to is None:
         _check_grid(k, M_k)
         slot_offsets: Sequence[int] | None = None
@@ -153,7 +153,7 @@ def _walk(
         return slot_offsets[bisect_left(slot_offsets, o_min) : bisect_right(slot_offsets, o_max)]
 
     def extend(slot: int, lo: int, hi: int, prefix: tuple[int, ...]):
-        last = slot == n - 1
+        last = slot == A.n - 1
         for o in candidates(slot, lo, hi):
             s = Cs[slot] + Gs[slot] * (M_k + o)
             if last:
@@ -183,7 +183,6 @@ class IntersectionTuple:
 
 
 def enumerate_F(
-    n: int,
     k: int,
     A: AffineTuple,
     params: ConstructionParams,
@@ -197,7 +196,7 @@ def enumerate_F(
     otherwise over the full index grid (which must stay under
     ``intersect.DEFAULT_GRID_CAP``).
     """
-    walk = _walk(n, k, A, params, restrict_to)
+    walk = _walk(k, A, params, restrict_to)
     N_k = params.level_N(k)
     out: list[IntersectionTuple] = []
     for offsets in walk:

@@ -1,9 +1,10 @@
-"""Record the CLI matrix: SHA-256 digests of every output of 39 CLI runs.
+"""Record the CLI matrix: SHA-256 digests of every output of 48 CLI runs.
 
 The matrix runs ``construct``, ``verify`` (gate (c) at n=2, and at n=4),
 ``correlate`` (k=0, k=1, and n=4 at k=1 and at k=2), ``maximal`` (the
 defaults, and m in [-1, 1]), ``differentiate`` (the hat and the
-indicator), ``dimension`` and ``demo-l1`` on three sets:
+indicator), ``dimension``, ``demo-l1`` and three usage errors
+(``correlate.k=5``, ``correlate.n=3`` and ``demo.depth=0``) on three sets:
 the fixed-dimension N=16 seed-1 set (gate (c) budget 6), the N=8 seed-11
 set (budget 4) and the one-dimensional N=4, K=3 seed-1 set (budget 8), with
 ``correlate.budget = 8`` on all three.  Each run calls
@@ -64,6 +65,10 @@ RUNS = {
     "diff_ind": ("differentiate", ["differentiate.function=indicator"]),
     "dimension": ("dimension", []),
     "demo": ("demo-l1", []),
+    # usage errors: each exits 2 with one stderr line and writes nothing
+    "corr_k5": ("correlate", ["correlate.k=5"]),
+    "corr_n3": ("correlate", ["correlate.n=3"]),
+    "demo_depth0": ("demo-l1", ["demo.depth=0"]),
 }
 
 ENTRIES = [f"{name}/{run}" for name in SETS for run in RUNS]

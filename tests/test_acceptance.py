@@ -83,7 +83,7 @@ def _random_sweep_tuples(seed: int):
             pairs = tuple(
                 (F(rnd.randint(-64, 0), 16), F(rnd.randint(16, 32), 16)) for _ in range(n)
             )
-            cases.append((k, n, AffineTuple(pairs, k)))
+            cases.append((k, n, AffineTuple(pairs)))
     return cases
 
 
@@ -91,7 +91,7 @@ def test_criterion_02_projection_multiplicity():
     t0 = time.time()
     violations = 0
     for k, n, A in _random_sweep_tuples(1001):
-        tuples = enumerate_F(n, k, A, P88)
+        tuples = enumerate_F(k, A, P88)
         for ell in range(1, n + 1):
             rep = projection_multiplicity(tuples, ell, k, P88)
             if rep.multiplicity > 4 or rep.max_alpha_spread > 4 * P88.delta(k):
@@ -105,7 +105,7 @@ def test_criterion_03_proximity_bound():
     t0 = time.time()
     violations = 0
     for k, n, A in _random_sweep_tuples(1002):
-        f_int, _ = classify(enumerate_F(n, k, A, P88))
+        f_int, _ = classify(enumerate_F(k, A, P88))
         if not proximity_check(A, n, len(f_int)).satisfied:
             violations += 1
     _report(3, violations == 0,
@@ -145,7 +145,7 @@ def test_criterion_05_trivial_correlation_bound(toy88_set):
                 (F(rnd.randint(-256, 0), 64), F(rnd.randint(64, 128), 64))
                 for _ in range(n)
             )
-            A = AffineTuple(pairs, k)
+            A = AffineTuple(pairs)
             if abs(lambda_sigma(A, toy88_set, k)) > bound:
                 violations += 1
             total += 1
@@ -211,8 +211,8 @@ def test_criterion_06_oracle_equivalence():
                     (F(rnd.randint(-64, 0), 16), F(rnd.randint(16, 32), 16))
                     for _ in range(n)
                 )
-                A = AffineTuple(pairs, k)
-                mine = {t.offsets for t in enumerate_F(n, k, A, params)}
+                A = AffineTuple(pairs)
+                mine = {t.offsets for t in enumerate_F(k, A, params)}
                 if mine != _np_brute_F(n, k, A, params):
                     mismatches += 1
                 compared += 1
@@ -229,7 +229,7 @@ def test_criterion_06_oracle_equivalence():
             f2 = random_step(rnd, max_cells=4, span=10)
         c1, c2 = F(rnd.randint(-8, 0), 2), F(rnd.randint(-8, 0), 2)
         r1, r2 = F(rnd.randint(2, 4), 2), F(rnd.randint(2, 4), 2)
-        A = AffineTuple(((c1, r1), (c2, r2)), 1)
+        A = AffineTuple(((c1, r1), (c2, r2)))
         exact = float(lambda_exact(A, [f1, f2]))
         spans = [
             (float(c + r * f.support()[0]), float(c + r * f.support()[1]))

@@ -522,10 +522,35 @@ class TestCli:
         assert main(["verify", str(bad), "-o", str(tmp_path)]) == 2
 
     def test_construct_failure_exit_code(self, tmp_path):
+        # the failure transcript is written, its directory made for it
+        out = tmp_path / "failed"
         code = main(
-            ["construct", "--set", "construction.max_retries=0", "-o", str(tmp_path)]
+            ["construct", "--set", "construction.max_retries=0", "-o", str(out)]
         )
         assert code == 1
+        assert [p.name for p in out.iterdir()] == ["transcript.jsonl"]
+
+    @pytest.mark.parametrize("case", ["correlate_k5", "missing_set"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_dir", "existing_dir"])
+    def test_usage_error_writes_no_output_directory(self, cli_workspace, tmp_path, capsys, case, existing):
+        # the directory is made by the first write, so a usage error makes
+        # none; one that exists already is left as it was
+        _, _, out = cli_workspace
+        target = tmp_path / "d"
+        if existing:
+            target.mkdir()
+            (target / "keep.txt").write_text("keep")
+        argv = {
+            "correlate_k5": ["correlate", str(out / "set.json"), "--set", "correlate.k=5"],
+            "missing_set": ["verify", str(tmp_path / "missing.json")],
+        }[case]
+        capsys.readouterr()
+        assert main([*argv, "-o", str(target)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        if existing:
+            assert [(p.name, p.read_text()) for p in target.iterdir()] == [("keep.txt", "keep")]
+        else:
+            assert not target.exists()
 
     def test_correlate_budget_zero_usage_error(self, cli_workspace, tmp_path):
         _, cfg, out = cli_workspace
@@ -555,7 +580,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and "correlate.k" in err and "Traceback" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_correlate_and_dimension_outputs(self, cli_workspace, tmp_path):
         _, cfg, out = cli_workspace

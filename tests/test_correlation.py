@@ -31,8 +31,8 @@ def evaluate_tuple(A, cset, n, k, c0):
     """One tuple's report from ``lambda_sigma`` and ``classify_A`` called
     directly: the reference for the reports that ``sup_lambda_tr`` builds."""
     lam = lambda_sigma(A, cset, k)
-    cls = classify_A(A, cset, n, k)
-    return CorrelationReport(A, n, k, lam, cls, trivial_bound(cset, n, k), c0)
+    cls = classify_A(A, cset, k)
+    return CorrelationReport(A, k, lam, cls, trivial_bound(cset, n, k), c0)
 
 
 def pair(c, r):
@@ -42,12 +42,12 @@ def pair(c, r):
 class TestLambdaExact:
     def test_disjoint_supports_zero(self, fixture_a):
         phi1 = fixture_a.density(1)
-        A = AffineTuple((pair(0, 1), pair(-4, 1)), 1)
+        A = AffineTuple((pair(0, 1), pair(-4, 1)))
         assert lambda_exact(A, [phi1, phi1]) == 0
 
     def test_identical_copies_fixture(self, fixture_a):
         phi1 = fixture_a.density(1)
-        A = AffineTuple((pair(0, 1), pair(0, 1)), 1)
+        A = AffineTuple((pair(0, 1), pair(0, 1)))
         assert lambda_exact(A, [phi1, phi1]) == 2
 
     def test_translation_invariance(self, fixture_a):
@@ -57,7 +57,7 @@ class TestLambdaExact:
             c1, c2 = F(rnd.randint(-12, 0), 4), F(rnd.randint(-12, 0), 4)
             r1, r2 = F(rnd.randint(4, 8), 4), F(rnd.randint(4, 8), 4)
             t = F(rnd.randint(-7, 7), 3)
-            A = AffineTuple(((c1, r1), (c2, r2)), 1)
+            A = AffineTuple(((c1, r1), (c2, r2)))
             v1 = lambda_exact(A, [sig, sig])
             shifted = [(sig, c1 + t, r1), (sig, c2 + t, r2)]
             from cantormax.stepfn import product_integral
@@ -76,8 +76,8 @@ class TestLambdaExact:
 
     def test_slot_symmetry(self, fixture_a):
         phi1, phi2 = fixture_a.density(1), fixture_a.density(2)
-        A = AffineTuple((pair(F(-1, 2), F(3, 2)), pair(F(-1, 4), F(5, 4))), 1)
-        B = AffineTuple(A.pairs[::-1], A.level)
+        A = AffineTuple((pair(F(-1, 2), F(3, 2)), pair(F(-1, 4), F(5, 4))))
+        B = AffineTuple(A.pairs[::-1])
         assert lambda_exact(A, [phi1, phi2]) == lambda_exact(B, [phi2, phi1])
 
     def test_monte_carlo_oracle(self, fixture_a):
@@ -89,7 +89,7 @@ class TestLambdaExact:
             f1, f2 = random_step(rnd, max_cells=4, span=10), random_step(rnd, max_cells=4, span=10)
             c1, c2 = F(rnd.randint(-8, 0), 2), F(rnd.randint(-8, 0), 2)
             r1, r2 = F(rnd.randint(2, 4), 2), F(rnd.randint(2, 4), 2)
-            A = AffineTuple(((c1, r1), (c2, r2)), 1)
+            A = AffineTuple(((c1, r1), (c2, r2)))
             exact = float(lambda_exact(A, [f1, f2]))
             los, his = [], []
             for f, (c, r) in zip((f1, f2), A.pairs):
@@ -113,17 +113,17 @@ class TestLambdaExact:
 
 class TestLambdaSigma:
     def test_identical_copies_squared_mass(self, fixture_a):
-        A = AffineTuple((pair(0, 1), pair(0, 1)), 1)
+        A = AffineTuple((pair(0, 1), pair(0, 1)))
         assert lambda_sigma(A, fixture_a, 1) == 2
 
     def test_disjoint_zero(self, fixture_a):
-        A = AffineTuple((pair(0, 1), pair(-4, 1)), 1)
+        A = AffineTuple((pair(0, 1), pair(-4, 1)))
         assert lambda_sigma(A, fixture_a, 1) == 0
 
     def test_exact_sigma_l2_identity(self, z8_set):
         # int sigma_k^2 = 1/|S_{k+1}| - 1/|S_k| exactly
         for k in (1, 2):
-            A = AffineTuple((pair(0, 1), pair(0, 1)), k)
+            A = AffineTuple((pair(0, 1), pair(0, 1)))
             got = lambda_sigma(A, z8_set, k)
             want = 1 / z8_set.level(k + 1).measure - 1 / z8_set.level(k).measure
             assert got == want
@@ -136,7 +136,7 @@ class TestLambdaSigma:
             pairs = tuple(
                 (F(rnd.randint(-64, 0), 16), F(rnd.randint(16, 32), 16)) for _ in range(n)
             )
-            A = AffineTuple(pairs, k)
+            A = AffineTuple(pairs)
             assert abs(lambda_sigma(A, toy88_set, k)) <= trivial_bound(toy88_set, n, k)
 
 
@@ -158,12 +158,12 @@ class TestTrivialBound:
 
 class TestClassifyA:
     def test_disjoint_copies_transverse(self, fixture_a):
-        A = AffineTuple((pair(0, 1), pair(-4, 1)), 2)
-        assert classify_A(A, fixture_a, 2, 2) == "transverse"
+        A = AffineTuple((pair(0, 1), pair(-4, 1)))
+        assert classify_A(A, fixture_a, 2) == "transverse"
 
     def test_identical_copies_internal(self, fixture_a):
-        A = AffineTuple((pair(0, 1), pair(0, 1)), 2)
-        assert classify_A(A, fixture_a, 2, 2) == "internal"
+        A = AffineTuple((pair(0, 1), pair(0, 1)))
+        assert classify_A(A, fixture_a, 2) == "internal"
 
     def test_threshold_boundary_strict(self):
         # engineered so #F_int equals P_k^(1-eps0) exactly: strict "<" makes
@@ -174,15 +174,15 @@ class TestClassifyA:
         from lemmas import build_deterministic, enumerate_F
 
         cset = build_deterministic([{(i,) for i in range(1, 9)}], params)
-        A2 = AffineTuple((pair(0, 1), pair(F(-9, 16), 1)), 1)
-        f_int = [t for t in enumerate_F(2, 1, A2, params) if t.cls == "internal"]
+        A2 = AffineTuple((pair(0, 1), pair(F(-9, 16), 1)))
+        f_int = [t for t in enumerate_F(1, A2, params) if t.cls == "internal"]
         assert len(f_int) == 4
-        assert classify_A(A2, cset, 2, 1) == "internal"
+        assert classify_A(A2, cset, 1) == "internal"
         # one fewer internal member crosses to transverse
-        A3 = AffineTuple((pair(0, 1), pair(F(-11, 16), 1)), 1)
-        f_int3 = [t for t in enumerate_F(2, 1, A3, params) if t.cls == "internal"]
+        A3 = AffineTuple((pair(0, 1), pair(F(-11, 16), 1)))
+        f_int3 = [t for t in enumerate_F(1, A3, params) if t.cls == "internal"]
         assert len(f_int3) < 4
-        assert classify_A(A3, cset, 2, 1) == "transverse"
+        assert classify_A(A3, cset, 1) == "transverse"
 
 
 class TestSupLambda:
@@ -201,7 +201,7 @@ class TestSupLambda:
         # oracle: brute max over the pool, transverse only
         best, seen = F(0), 0
         for A in pool:
-            if classify_A(A, cset, 2, 1) == "transverse":
+            if classify_A(A, cset, 1) == "transverse":
                 seen += 1
                 best = max(best, abs(lambda_sigma(A, cset, 1)))
         assert res.max_abs == best
@@ -416,7 +416,7 @@ class TestSupportClipping:
 
 class TestReports:
     def test_report_flags(self, fixture_a):
-        A = AffineTuple((pair(0, 1), pair(0, 1)), 1)
+        A = AffineTuple((pair(0, 1), pair(0, 1)))
         rep = evaluate_tuple(A, fixture_a, 2, 1, c0=1e6)
         assert rep.within_trivial and rep.within_c0
         assert rep.cls == "internal"
@@ -444,7 +444,7 @@ class TestExhaustiveGridCoverage:
         # oracle: brute max over every grid tuple, transverse only
         best = F(0)
         for A in tuples:
-            if classify_A(A, cset, 2, 1) == "transverse":
+            if classify_A(A, cset, 1) == "transverse":
                 best = max(best, abs(lambda_sigma(A, cset, 1)))
         assert res.max_abs == best
         rep = gate_correlation(cset, 1, 2, 1, RngStream(0).child(2))
@@ -460,5 +460,5 @@ class TestGridSample:
         rng = np.random.default_rng(5)
         for near_diagonal in (False, True):
             A = grid.sample_tuple(rng, 2, near_diagonal=near_diagonal)
-            B = AffineTuple(A.pairs, 2)
+            B = AffineTuple(A.pairs)
             assert A == B and hash(A) == hash(B)

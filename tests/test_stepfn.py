@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cantormax.stepfn as sf
 from cantormax.errors import DomainError
@@ -315,6 +315,25 @@ class TestKernels:
                     prod *= f.value_at((mid - c) / r)
                 want += prod
             assert product_integral(items) == want
+
+
+_fractions = st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+
+
+@given(
+    st.lists(
+        st.tuples(_fractions, _fractions.map(lambda x: abs(x) + F(1, 7)), st.integers(1, 10**6)),
+        min_size=1,
+        max_size=5,
+    )
+)
+@example([(F(0), F(3, 2), 3)])  # r/den = 1/2: D = 2, not r's denominator times den
+def test_scale_is_the_least_common_denominator(terms):
+    # the one (c, r) -> (C, G) rule of the merge kernels and intersect's slots
+    D, scaled = sf._scale(terms)
+    assert [(F(C, D), F(G, D)) for C, G in scaled] == [(c, r / den) for c, r, den in terms]
+    # no smaller D: D = D' m with C and G divisible by m would leave gcd m
+    assert math.gcd(D, *(x for pair in scaled for x in pair)) == 1
 
 
 class TestMergeKernel:

@@ -10,10 +10,15 @@ none: a name that gained a caller leaves the list.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import cantormax
+from cantormax.correlation import CorrelationReport, classify_A
+from cantormax.grids import DiscretizationGrid
+from cantormax.intersect import AffineTuple, count_internal
 
 SRC = Path(cantormax.__file__).resolve().parent
 
@@ -82,7 +87,8 @@ def test_allowlist_holds_only_uncalled_names():
     assert sorted(set(ALLOWED) - uncalled) == []
 
 
-# Names that only the tests read, kept in tests/lemmas.py and tests/conftest.py.
+# Names that left the package: those only the tests read, kept in
+# tests/lemmas.py and tests/conftest.py, and those nothing reads.
 MOVED = [
     "core.CantorSet.weak_star_defect",
     "core.alpha",
@@ -90,6 +96,7 @@ MOVED = [
     "core.check_index",
     "core.interval_of",
     "core.offset_of",
+    "correlation.SupLambdaResult",
     "intersect.AffineTuple.min_translation_gap",
     "intersect.DEFAULT_TUPLE_CAP",
     "intersect.IntersectionTuple",
@@ -143,3 +150,16 @@ def _defined(path: str) -> bool:
 
 def test_moved_names_left_the_package():
     assert [path for path in MOVED if _defined(path)] == []
+
+
+def test_correlation_path_stores_each_fact_once():
+    # a tuple is its pairs: n is their number, and the level k is an
+    # argument of whatever reads the tuple at a level
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(AffineTuple) == ["pairs"]
+    assert {"k", "L"}.isdisjoint(names(DiscretizationGrid))
+    assert "n" not in names(CorrelationReport)
+    assert list(inspect.signature(count_internal).parameters) == ["k", "A", "params"]
+    assert list(inspect.signature(classify_A).parameters) == ["A", "cset", "k"]
