@@ -15,9 +15,11 @@ nothing: normalizing sigma_k or phi_k allocates no int64 array of its length.
 The kernels ``product_integral``, ``power_integral``, ``linear_combination``
 and ``antiderivative`` (which builds ``maxops.mk_adjoint``) get their
 factors' transformed breakpoints C + G*u from one seam, ``_merge``, which
-returns the gaps grouped by the tuple of their factors' stored value
-classes.  Each kernel multiplies, or weights and sums, the class values once
-per group in Python ints.  The sums first add up equal terms: terms with
+returns the gaps grouped by their key digits: the stored value class of
+each lone factor, and how many members of each group of identical terms
+(one function object with one multiplier) sit in each class.  Each kernel
+multiplies, or weights and sums, the levels once per class of a class
+digit and once per distinct value of a count digit, in Python ints.  The sums first add up equal terms: terms with
 one function object and equal c and r are one term of the summed weight,
 and a term whose weight sums to 0 is dropped, so the merge does not grow
 with the number of copies.  One factor needs no merge: its groups are its
@@ -29,13 +31,16 @@ holds, in two int64 limbs (hi, lo) merged by one stable argsort of the
 float64 keys hi*2^39 + lo, whose rounding never reverses the exact order
 (runs of equal keys are reordered from the limbs), and else in one limb of
 Python ints.  The rest is one code path: each gap is keyed by the
-running sum of its factors' mixed-radix class steps, in one array of int64
-keys while the product of the factors' class counts is at most 2^62 and of
-Python ints past it, its factors' classes are read back from the key, and
-widths are summed per key, limb by limb in the limb's own dtype.  The
-two-limb merge's traced peak is five int64 arrays of the merged length:
-27 MB and 18 ms (2-core x86-64 host) for a whole sigma_2 pair of the N=16
-set, 677,524 breakpoints.
+running sum of its digits' mixed-radix steps (``_key_digits``: a count
+digit of radix s(s+1)^(L-2) + 1 for s members over L classes while that is
+below L^s, else a class digit of radix L per member), in one array of int64
+keys while the product of the radices is at most 2^62 and of Python ints
+past it, the digits are read back from the key, and widths are summed per
+key, limb by limb in the limb's own dtype.  The 16 equal-weight copies of
+sigma_2 in a cellwise ``restricted_type_ratio`` draw on the N=8 set key in
+radix 273, not 3^16, so densely.  The two-limb merge's traced peak is five
+int64 arrays of the merged length: 27 MB and 18 ms (2-core x86-64 host) for
+a whole sigma_2 pair of the N=16 set, 677,524 breakpoints.
 
 A product vanishes off the common support of its factors, so
 ``product_integral`` first intersects the factors' support runs (maximal
@@ -389,36 +394,69 @@ def _merged_order(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return order
 
 
-def _gap_keys(prepared, bounds, order: np.ndarray):
-    """Per merged gap, a key injective on its class tuple, and a function
-    that reads each factor's classes back from keys.
+def _key_digits(prepared, mults) -> list[tuple]:
+    """The digits of a merge's gap keys, as (fn, mult, members, base, radix).
 
-    Crossing a breakpoint changes one factor's class, so a mixed-radix key is
-    the running sum of per-breakpoint steps in merged order, built in one
-    array, gathered once and summed in place.  The keys are int64 while the
-    product of the factors' class counts is at most 2^62, and Python ints
-    (object dtype) past it; each factor's classes are cast to the key dtype
-    before they meet its radix, so no int64 step overflows.
+    The factors that are one function object with one multiplier form a
+    group.  A group of s members over L classes takes one count digit while
+    s(s+1)^(L-2) + 1 < L^s: base s + 1 and the digit sum_c n_c (s+1)^(c-1),
+    with n_c the members in class c >= 1, below its radix s(s+1)^(L-2) + 1.
+    Otherwise each member takes a class digit of its own: base 0, the digit
+    its class, radix L.  So no merge's radix passes the product of its
+    factors' class counts, and a lone factor keys as its class.  Digits are
+    ordered by their first member.
     """
-    radices = list(accumulate((len(fn.levels) for _, _, fn in prepared), operator.mul, initial=1))
+    groups: dict[tuple, list[int]] = {}
+    for i, ((_, _, fn), m) in enumerate(zip(prepared, mults)):
+        groups.setdefault((id(fn), m), []).append(i)
+    digits = []
+    for members in groups.values():
+        fn, m, s = prepared[members[0]][2], mults[members[0]], len(members)
+        L = len(fn.levels)
+        radix = s * (s + 1) ** (L - 2) + 1
+        if radix < L**s:
+            digits.append((fn, m, members, s + 1, radix))
+        else:
+            digits += [(fn, m, [i], 0, L) for i in members]
+    return sorted(digits, key=lambda digit: digit[2][0])
+
+
+def _gap_keys(digits, bounds, order: np.ndarray):
+    """Per merged gap, a key injective on its digits (``_key_digits``), and
+    a function that reads each digit back from keys.
+
+    Crossing a breakpoint changes one member's class, so its digit by the
+    difference of the class weights: class c weighs c in a class digit, and
+    (s+1)^(c-1) for c >= 1 (0 for c = 0) in a count digit.  The mixed-radix key is
+    the running sum of these per-breakpoint steps in merged order, built in
+    one array, gathered once and summed in place; a group's weighted classes
+    are gathered once for all its members.  The keys are int64 while the
+    product of the digits' radices is at most 2^62, and Python ints (object
+    dtype) past it; each weight is cast to the key dtype before it meets its
+    radix, so no int64 step overflows.
+    """
+    radices = list(accumulate((radix for *_, radix in digits), operator.mul, initial=1))
     dtype = np.int64 if radices[-1] <= _KEY_MAX else object
     steps = np.zeros(len(order), dtype=dtype)
-    for (_, _, fn), radix, a, b in zip(prepared, radices, bounds, bounds[1:]):
-        cls = fn._cls.astype(dtype, copy=False)
-        s = steps[a:b]  # the factor's class steps at its breakpoints
-        s[0], s[-1] = cls[0], -cls[-1]
-        np.subtract(cls[1:], cls[:-1], out=s[1:-1])
-        s *= radix
+    for (fn, _, members, base, _), radix in zip(digits, radices):
+        w = fn._cls.astype(dtype, copy=False)
+        if base:
+            w = np.array([0, *(base**c for c in range(len(fn.levels) - 1))], dtype=dtype)[fn._cls]
+        for i in members:
+            s = steps[bounds[i] : bounds[i + 1]]  # the member's weighted class steps at its breakpoints
+            s[0], s[-1] = w[0], -w[-1]
+            np.subtract(w[1:], w[:-1], out=s[1:-1])
+            s *= radix
     steps = steps[order]
     keys = np.cumsum(steps, out=steps)[:-1]
 
-    def classes(values: np.ndarray) -> list[np.ndarray]:
+    def read(values: np.ndarray) -> list[tuple]:
         return [
-            (values // radix % len(fn.levels)).astype(np.int64, copy=False)
-            for (_, _, fn), radix in zip(prepared, radices)
+            (fn, m, base, values // radix % digit_radix)
+            for (fn, m, _, base, digit_radix), radix in zip(digits, radices)
         ]
 
-    return keys, classes
+    return keys, read
 
 
 def _fits_limbs(parts) -> bool:
@@ -448,10 +486,10 @@ def _merged_positions(parts):
     return [pos], np.argsort(pos, kind="stable")
 
 
-def _one_factor(C: int, G: int, fn: StepFunction):
+def _one_factor(C: int, G: int, fn: StepFunction, m: int):
     """The grouped triple of one factor, with no merge: its groups are its
-    own value classes, of widths G times the class widths, and its cells are
-    C + G*u with its own class indices."""
+    own value classes, of widths G times the class widths, keyed by one class
+    digit, and its cells are C + G*u with its own class indices."""
 
     def cells():
         first, last = C + G * int(fn._u[0]), C + G * int(fn._u[-1])
@@ -460,37 +498,45 @@ def _one_factor(C: int, G: int, fn: StepFunction):
         return C + G * fn._u.astype(object), fn._cls
 
     widths = [G * w for w in fn._class_widths()]
-    return widths, [np.arange(len(fn.levels))], cells
+    return widths, [(fn, m, 0, np.arange(len(fn.levels)))], cells
 
 
-def _merge(prepared):
+def _merge(prepared, mults):
     """The exact merge of the factors' transformed breakpoints C + G*u,
-    with its gaps grouped by their tuple of value classes.
+    with its gaps grouped by their key digits (``_key_digits``): the class
+    of each lone factor, and how many members of each group of identical
+    terms (one function object, one multiplier ``mults[i]``) sit in each
+    class.
 
     One factor needs no merge (``_one_factor``).  Otherwise each factor's
     positions are encoded as offsets from one origin, the smallest first
     position, so far but close factors stay small, and ordered by
-    ``_merged_positions``.  The rest is shared: the gap keys (int64, or Python ints past
-    a class-count product of 2^62), numbered densely when sparse, the width
-    sums per key in each limb's dtype, combined as hi*2^39 + lo, and
+    ``_merged_positions``.  The rest is shared: the gap keys (int64, or
+    Python ints past a radix of 2^62), numbered densely when sparse, the
+    width sums per key in each limb's dtype, combined as hi*2^39 + lo, and
     ``cells()``, which adds the origin back, in int64 while the positions
-    fit and in Python ints past them.
+    fit and in Python ints past them.  The 16 equal-weight copies of sigma_2
+    in a cellwise ``restricted_type_ratio`` draw on the N=8 set key below
+    273, 15-21 distinct keys among 190,319 gaps, so densely; one class digit
+    per copy took a radix of 3^16 and 344-606 distinct keys, numbered by a
+    sort.
 
-    Returns (widths, classes, cells): ``widths[g]`` is the exact total width
-    of group g and ``classes[i][g]`` factor i's class on it; ``cells()``
+    Returns (widths, digits, cells): ``widths[g]`` is the exact total width
+    of group g; ``digits`` holds per key digit (fn, mult, base, d), with
+    ``d[g]`` the digit on group g, read by ``_digit_values``; ``cells()``
     gives the distinct merged positions (int64, or Python ints past it) and
     the group of each cell between neighbours.  Groups are numbered by
     ascending gap key; the merged order, the key steps and each gap
     difference are dropped as soon as they are used.
     """
     if len(prepared) == 1:
-        return _one_factor(*prepared[0])
+        return _one_factor(*prepared[0], mults[0])
     bounds = np.cumsum([0, *(len(fn._u) for _, _, fn in prepared)]).tolist()
     firsts = [C + G * int(fn._u[0]) for C, G, fn in prepared]
     origin = min(firsts)
     parts = [(first - origin, G, fn._u) for (_, G, fn), first in zip(prepared, firsts)]
     limbs, order = _merged_positions(parts)
-    keys, read_classes = _gap_keys(prepared, bounds, order)
+    keys, read_digits = _gap_keys(_key_digits(prepared, mults), bounds, order)
     for i in range(len(limbs)):
         limbs[i] = limbs[i][order]
     del order
@@ -511,7 +557,7 @@ def _merge(prepared):
         total = np.zeros(n_keys, dtype=limb.dtype)
         np.add.at(total, keys, np.diff(limb))
         widths = [(w << _LIMB) + t for w, t in zip(widths, total[present].tolist())]
-    classes = read_classes(present if values is None else values)
+    digits = read_digits(present if values is None else values)
 
     def cells():
         change = limbs[0][1:] != limbs[0][:-1]
@@ -529,15 +575,38 @@ def _merge(prepared):
         pos += origin
         return pos, group
 
-    return widths, classes, cells
+    return widths, digits, cells
 
 
-def _class_values(prepared, classes, mults) -> list[np.ndarray]:
-    """Per factor, its weighted class value on each group, as Python ints."""
-    return [
-        np.array([m * v for v in fn.levels], dtype=object)[cls]
-        for (_, _, fn), m, cls in zip(prepared, mults, classes)
-    ]
+def _class_counts(base: int, digit: int) -> list[tuple[int, int]]:
+    """(class, members) pairs of one count digit's value, class 0 first."""
+    counts = []
+    while digit:
+        digit, n = divmod(digit, base)
+        counts.append(n)
+    return [(0, base - 1 - sum(counts)), *enumerate(counts, 1)]
+
+
+def _digit_values(digits, product: bool) -> list[np.ndarray]:
+    """Per key digit (fn, mult, base, d) of ``_merge``, its members' product
+    of levels, or else mult times their sum, on each group as Python ints.
+    A class digit gathers its class's value; a count digit's is computed
+    once per distinct digit from its class counts n_c, as
+    prod_c level_c^n_c or sum_c n_c mult level_c."""
+    out = []
+    for fn, m, base, d in digits:
+        levels = fn.levels if product else [m * v for v in fn.levels]
+        if base:
+            present, d = np.unique(d, return_inverse=True)
+            counts = [_class_counts(base, x) for x in present.tolist()]
+            if product:
+                table = [math.prod(levels[c] ** n for c, n in cn) for cn in counts]
+            else:
+                table = [sum(n * levels[c] for c, n in cn) for cn in counts]
+        else:
+            table, d = levels, d.astype(np.int64, copy=False)
+        out.append(np.array(table, dtype=object)[d])
+    return out
 
 
 def run_coverage(parts) -> tuple[np.ndarray, np.ndarray]:
@@ -678,9 +747,9 @@ def product_integral(entries: Sequence[tuple]) -> Fraction:
             (C, G, _clip(fn, first[a:b], stop[a:b]))
             for (C, G, fn), (first, stop) in zip(prepared, cells)
         ]
-        widths, classes, _ = _merge(clipped)
+        widths, digits, _ = _merge(clipped, [1] * len(clipped))
         acc = np.array(widths, dtype=object)
-        for vals in _class_values(clipped, classes, [1] * len(clipped)):
+        for vals in _digit_values(digits, product=True):
             acc = acc * vals
         total += int(acc.sum())
     return Fraction(total, D * math.prod(fn.val_den for _, _, fn in prepared))
@@ -725,8 +794,8 @@ def power_integral(terms: Sequence[tuple], p: int) -> Fraction:
     if prep is None:
         return Fraction(0)
     D, VW, prepared, mults = prep
-    widths, classes, _ = _merge(prepared)
-    value = sum(_class_values(prepared, classes, mults))
+    widths, digits, _ = _merge(prepared, mults)
+    value = sum(_digit_values(digits, product=False))
     acc = abs(value) ** p * np.array(widths, dtype=object)
     return Fraction(int(acc.sum()), D * VW**p)
 
@@ -744,9 +813,9 @@ def _combination_cells(terms: Sequence[tuple]):
     if prep is None:
         return None
     D, VW, prepared, mults = prep
-    _, classes, cells = _merge(prepared)
+    _, digits, cells = _merge(prepared, mults)
     positions, group = cells()
-    return positions, group, sum(_class_values(prepared, classes, mults)), D, VW
+    return positions, group, sum(_digit_values(digits, product=False)), D, VW
 
 
 def linear_combination(terms: Sequence[tuple]) -> StepFunction:

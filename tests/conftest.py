@@ -10,6 +10,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -324,14 +325,14 @@ def per_gap_oracle(kernel, *args):
 
 def unclipped_product_integral(entries) -> Fraction:
     """``product_integral`` without clipping to the common support: one
-    merge of every breakpoint of every factor, reduced per class tuple."""
+    merge of every breakpoint of every factor, reduced per gap key."""
     if any(fn.is_zero for fn, _, _ in entries):
         return Fraction(0)
     D, prepared = sf._prepare_factors(entries)
     vden = math.prod(fn.val_den for _, _, fn in prepared)
-    widths, classes, _ = sf._merge(prepared)
+    widths, digits, _ = sf._merge(prepared, [1] * len(prepared))
     acc = np.array(widths, dtype=object)
-    for vals in sf._class_values(prepared, classes, [1] * len(prepared)):
+    for vals in sf._digit_values(digits, product=True):
         acc = acc * vals
     return Fraction(int(acc.sum()), D * vden)
 
@@ -372,16 +373,36 @@ def no_merge():
         yield
 
 
+class KeyRecord(NamedTuple):
+    """One merge's gap keys: their dtype, largest key and count, the radix
+    of its digits, the product of its factors' class counts (the radix of
+    one class digit per factor) and each digit's base (0 for a class digit)."""
+
+    dtype: np.dtype
+    max_key: int
+    gaps: int
+    radix: int
+    class_product: int
+    bases: list[int]
+
+
 @contextlib.contextmanager
-def key_dtypes():
-    """Yield a list that gets the dtype of each merge's gap keys."""
-    dtypes = []
+def gap_key_records():
+    """Yield a list that gets one ``KeyRecord`` per merge that keys its gaps."""
+    records = []
     gap_keys = sf._gap_keys
 
-    def spy(*args):
-        keys, classes = gap_keys(*args)
-        dtypes.append(keys.dtype)
-        return keys, classes
+    def spy(digits, bounds, order):
+        keys, read = gap_keys(digits, bounds, order)
+        records.append(KeyRecord(
+            keys.dtype,
+            int(keys.max()),
+            len(keys),
+            math.prod(radix for *_, radix in digits),
+            math.prod(len(fn.levels) ** len(members) for fn, _, members, _, _ in digits),
+            [base for _, _, _, base, _ in digits],
+        ))
+        return keys, read
 
     with mock.patch.object(sf, "_gap_keys", spy):
-        yield dtypes
+        yield records

@@ -395,9 +395,9 @@ class TestSupportClipping:
         merged, met = [], []
         real_merge = sf._merge
 
-        def counting_merge(prepared):
+        def counting_merge(prepared, mults):
             merged.append(sum(len(fn._u) for _, _, fn in prepared))
-            return real_merge(prepared)
+            return real_merge(prepared, mults)
 
         with mock.patch.object(sf, "_merge", counting_merge):
             for A, cls in self._sigma_2_candidates(z16_set):

@@ -43,6 +43,7 @@ from conftest import (
     breakpoints,
     fits_limbs,
     from_cells,
+    gap_key_records,
     linear_mass_between,
     no_merge,
     prefix_mass,
@@ -464,6 +465,23 @@ class TestRestrictedTypeRatio:
                 assert [s.ratio for s in res.samples] == [
                     float(power) ** (1.0 / n) / float(measure) ** ((n - 1) / n)
                 ]
+
+    def test_cellwise_draws_key_densely(self, z8_set):
+        # a cellwise draw sums |omega| equal-weight copies of sigma_2 at
+        # distinct (c, r): one count digit, so int64 keys below the number
+        # of gaps and no sparse numbering; 16 copies key in 16*17 + 1 values
+        k, budget, n_cells = 2, 8, 32
+        sig = z8_set.sigma(k)
+        draws = list(_ratio_draws(z8_set, k, budget, RngStream(0).child(82, k), n_cells))
+        cellwise = [len(omega) for const, _, omega in draws if not const]
+        with gap_key_records() as records:
+            restricted_type_ratio(z8_set, k, 2, budget, RngStream(0).child(82, k), n_cells)
+        assert len(records) == len(cellwise) and 16 in cellwise
+        for copies, r in zip(cellwise, records):
+            assert r.class_product == len(sig.levels) ** copies
+            assert r.radix == copies * (copies + 1) + 1 <= r.class_product
+            assert r.dtype == np.int64 and r.max_key < r.gaps
+        assert {r.radix for r, copies in zip(records, cellwise) if copies == 16} == {273}
 
 
 def _step_near_adjoint(rnd):

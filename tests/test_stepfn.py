@@ -29,7 +29,7 @@ from conftest import (
     breakpoints,
     fits_limbs,
     from_cells,
-    key_dtypes,
+    gap_key_records,
     linear_mass_between,
     lp_power_oracle,
     mass_between,
@@ -444,11 +444,18 @@ class TestMergeKernel:
         ]
         prepared = sf._prepare_weighted(terms)[2]
         assert in_limbs([(fn, 0, 1) for _, _, fn in prepared])
-        # 32 factors of about 13 classes overflow one int64 mixed radix, so
-        # their gap keys are Python ints
+        # terms of one function and one weight come a few at a time here, and
+        # a count digit of s members over about 13 classes takes a radix
+        # s(s+1)^11 + 1 above 13^s, so every factor keys by its own class:
+        # 32 factors overflow one int64 mixed radix, and their gap keys are
+        # Python ints
         radix = math.prod(len(fn.levels) for _, _, fn in prepared)
         assert (radix > sf._KEY_MAX) == (n_terms == 32)
-        combined = linear_combination(terms)
+        with gap_key_records() as records:
+            combined = linear_combination(terms)
+        assert [(r.radix, r.dtype, set(r.bases)) for r in records] == [
+            (radix, object if n_terms == 32 else np.int64, {0})
+        ]
         assert combined == on_python_ints(linear_combination, terms)
         for p in (1, 2, 3):
             want = on_python_ints(power_integral, terms, p)
@@ -480,10 +487,12 @@ class TestMergeKernel:
         for a, b, vals in gaps:
             by_values[tuple(vals)] = by_values.get(tuple(vals), 0) + b - a
         for encoding in (contextlib.nullcontext(), python_ints()):
-            with encoding, key_dtypes() as dtypes:
-                widths, classes, cells = sf._merge(prepared)
-            assert dtypes == [object]
-            tuples = list(zip(*(c.tolist() for c in classes)))
+            with encoding, gap_key_records() as records:
+                widths, digits, cells = sf._merge(prepared, [1] * len(prepared))
+            assert [r.dtype for r in records] == [object]
+            # distinct function objects: each factor keys as its own class
+            assert [base for _, _, base, _ in digits] == [0] * 40
+            tuples = list(zip(*(d.tolist() for _, _, _, d in digits)))
             assert len(set(tuples)) == len(tuples) == len(widths)
             assert 0 in widths
             values = [tuple(fn.levels[c] for (_, _, fn), c in zip(prepared, t)) for t in tuples]
@@ -496,9 +505,10 @@ class TestMergeKernel:
         # two sigma factors of 3 classes: the gap keys fit int64
         sigma = z8_set.sigma(2)
         entries = [(sigma, 0, 1), (sigma, F(1, 7), 1)]
-        with key_dtypes() as dtypes:
+        with gap_key_records() as records:
             got = unclipped_product_integral(entries)
-        assert dtypes == [np.int64]
+        # one function object twice: one count digit of radix 2*3 + 1 = 7
+        assert [(r.dtype, r.radix, r.bases) for r in records] == [(np.int64, 7, [3])]
         assert got == product_integral(entries) == per_gap_oracle(product_integral, entries)
 
     def test_spans_past_2_30_merge_as_python_ints(self):
@@ -562,11 +572,11 @@ class TestMergeKernel:
         ]
         _, prepared = sf._prepare_factors([(fn, rnd.randint(-3, 3), 1) for fn in fns])
         assert fits_limbs(prepared)
-        widths, classes, cells = sf._merge(prepared)
+        widths, digits, cells = sf._merge(prepared, [1] * 3)
         with python_ints():
-            int_widths, int_classes, int_cells = sf._merge(prepared)
+            int_widths, int_digits, int_cells = sf._merge(prepared, [1] * 3)
         assert widths == int_widths and 0 in widths
-        assert all(np.array_equal(a, b) for a, b in zip(classes, int_classes))
+        assert all(np.array_equal(a[3], b[3]) for a, b in zip(digits, int_digits))
         assert all(np.array_equal(a, b) for a, b in zip(cells(), int_cells()))
 
     def test_merge_holds_few_arrays_of_the_merged_length(self):
@@ -587,7 +597,7 @@ class TestMergeKernel:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            widths, _, _ = sf._merge(prepared)
+            widths, _, _ = sf._merge(prepared, [1, 1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -606,11 +616,11 @@ class TestMergeKernel:
         entries = [(fns[0], 0, 1), (fns[1], F(1, 3), F(3, 2))]
         _, prepared = sf._prepare_factors(entries)
         with python_ints():
-            widths, classes, cells = sf._merge(prepared)
+            widths, digits, cells = sf._merge(prepared, [1, 1])
             positions, group = cells()
         assert len(widths) <= 16 < len(group)
         assert sum(widths) == positions[-1] - positions[0]
-        assert all(len(c) == len(widths) for c in classes)
+        assert all(len(d) == len(widths) for _, _, _, d in digits)
         gap_widths = [0] * len(widths)
         for g, w in zip(group.tolist(), np.diff(positions).tolist()):
             gap_widths[g] += w
@@ -875,9 +885,10 @@ class TestEqualTerms:
         for fn, c, r in cases:
             _, prepared = sf._prepare_factors([(fn, c, r)])
             with no_merge():
-                widths, classes, cells = sf._merge(prepared)
+                widths, digits, cells = sf._merge(prepared, [1])
                 positions, group = cells()
-            assert classes[0].tolist() == list(range(len(fn.levels)))
+            assert [(f, m, base) for f, m, base, _ in digits] == [(fn, 1, 0)]
+            assert digits[0][3].tolist() == list(range(len(fn.levels)))
             gaps = list(_per_gap_sweep(prepared, [1]))
             gap_classes = [fn.levels.index(vals[0]) for _, _, vals in gaps]
             swept_widths = [0] * len(fn.levels)
@@ -889,6 +900,106 @@ class TestEqualTerms:
             term = [(1, fn, c, r)]
             assert linear_combination(term) == per_gap_oracle(linear_combination, term)
             assert product_integral([(fn, c, r)]) == F(r) * fn.integral()
+
+
+def _grouped_case(name, z8_set):
+    """(weight, fn, c, r) terms for one case of ``TestGroupedDigits``."""
+    sig, dens = z8_set.sigma(1), z8_set.density(1)
+    rnd = random.Random(name)
+
+    def place(n, r_dens=(1, 2, 3)):
+        # distinct (c, r) pairs, so no two terms are summed into one
+        pairs = {(F(rnd.randint(-40, 40), 64), F(rnd.randint(2, 6), rnd.choice(r_dens))) for _ in range(3 * n)}
+        return sorted(pairs)[:n]
+
+    def many_levels(n_levels):
+        values = [v * rnd.choice([-1, 1]) for v in rnd.sample(range(1, 60), n_levels - 1)]
+        return StepFunction(sorted(rnd.sample(range(40), 2 * n_levels)), 3, [values[i % len(values)] for i in range(2 * n_levels - 1)], 1)
+
+    if name in ("sigma x16", "sigma x40"):
+        return [(F(1, 32), sig, c, r) for c, r in place(int(name[-2:]))]
+    if name == "two functions x two weights":
+        return [
+            (w, fn, c, r)
+            for fn, n in ((sig, 6), (dens, 5))
+            for w in (F(1, 3), F(-5, 2))
+            for c, r in place(n)
+        ]
+    if name == "pair of four classes":
+        f = many_levels(4)
+        return [(F(1, 30), f, c, r) for c, r in place(2)] + [(1, sig, c, r) for c, r in place(3)]
+    if name == "density x10":
+        return [(F(-3, 4), dens, c, r) for c, r in place(10)]
+    if name == "coinciding breakpoints":
+        # sigma_1 breaks on multiples of 1/512, so shifts by j/512 at r = 1
+        # put most breakpoints of one copy on another's
+        return [(F(1, 8), sig, F(j, 512), 1) for j in range(8)] + [(F(1, 8), sig, F(3, 512), 2)]
+    assert name == "radix past 2^62"
+    f = many_levels(13)
+    return [(F(1, 5), f, c, r) for c, r in place(40, (1, 2))]
+
+
+class TestGroupedDigits:
+    """Terms that are one function object with one multiplier key their
+    gaps by the members per class; every kernel stays == the per-gap
+    oracle on both encodings."""
+
+    # (case, digit bases of the sums' merge, key dtype, whether the sum
+    # changes sign); one weight on one nonnegative density cannot
+    CASES = [
+        ("sigma x16", [17], np.int64, True),
+        ("sigma x40", [41], np.int64, True),
+        ("two functions x two weights", [7, 7, 6, 6], np.int64, True),
+        ("pair of four classes", [0, 0, 4], np.int64, True),
+        ("density x10", [11], np.int64, False),
+        ("coinciding breakpoints", [10], np.int64, True),
+        ("radix past 2^62", [41], object, True),
+    ]
+
+    @pytest.mark.parametrize("name, bases, dtype, signs", CASES, ids=[c[0] for c in CASES])
+    def test_kernels_match_oracle(self, z8_set, name, bases, dtype, signs):
+        terms = _grouped_case(name, z8_set)
+        with gap_key_records() as records:
+            combined = linear_combination(terms)
+        [record] = records
+        assert (record.bases, record.dtype) == (bases, dtype)
+        assert record.radix <= record.class_product
+        if name == "sigma x40":
+            # one class digit per copy would take 3^40 > 2^62: Python ints
+            assert record.radix == 40 * 41 + 1 and record.class_product > sf._KEY_MAX
+        if name == "radix past 2^62":
+            assert sf._KEY_MAX < record.radix == 40 * 41**11 + 1 < record.class_product
+        assert combined == on_python_ints(linear_combination, terms)
+        for p in (1, 2, 3):
+            want = on_python_ints(power_integral, terms, p)
+            assert power_integral(terms, p) == want
+        assert (min(combined.levels) < 0 < max(combined.levels)) == signs
+        anti_terms = _zero_mean(terms, F(1, 3))
+        want = per_gap_oracle(antiderivative, anti_terms)
+        for encoding in (contextlib.nullcontext(), python_ints()):
+            with encoding:
+                got = antiderivative(anti_terms)
+            assert (got.nodes, got.values) == (want.nodes, want.values)
+        # products pass multiplier 1, so the copies of one function group
+        entries = [(fn, c, r) for _, fn, c, r in terms]
+        want = per_gap_oracle(product_integral, entries)
+        assert product_integral(entries) == on_python_ints(product_integral, entries) == want
+        with gap_key_records() as records:
+            assert unclipped_product_integral(entries) == want
+        assert all(r.radix <= r.class_product for r in records)
+        with python_ints():
+            assert unclipped_product_integral(entries) == want
+
+    def test_products_of_overlapping_copies(self):
+        # copies whose supports overlap: nonzero products, read from counts
+        f = StepFunction.from_breakpoints([0, 1, 2, 3, 5], [2, -3, 1, 4])
+        entries = [(f, F(j, 4), 1) for j in range(6)] + [(f, F(1, 8), F(5, 4))]
+        want = per_gap_oracle(product_integral, entries)
+        with gap_key_records() as records:
+            got = unclipped_product_integral(entries)
+        assert got == want != 0
+        assert [r.bases for r in records] == [[8]]
+        assert product_integral(entries) == on_python_ints(product_integral, entries) == want
 
 
 class TestArrayNormalizer:
