@@ -53,10 +53,10 @@ def _load_run_config(args) -> RunConfig:
 
 def _load_set(path) -> core.CantorSet:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read set file: {exc}") from exc
-    return core.CantorSet.from_json(text)
+    return core.CantorSet.from_json(data)
 
 
 def _new_file(path: Path) -> Path:

@@ -227,7 +227,10 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
-            return parse_config(fh.read())
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: {exc}") from exc
+    return parse_config(text)

@@ -385,12 +385,18 @@ class CantorSet:
             raise FormatError(f"malformed set file: {exc}") from exc
 
     @classmethod
-    def from_json(cls, text: str) -> "CantorSet":
-        """Parse and check the text of a set file.  Offset lists in the
-        writer's compact form are read straight into int64 arrays; any other
-        input goes through ``json.loads`` whole, with the same checks."""
-        d = _compact_set_dict(text)
+    def from_json(cls, data: bytes | str) -> "CantorSet":
+        """Parse and check a set file, given as its bytes or its text.
+        Offset lists in the writer's compact form are read straight into
+        int64 arrays (``_compact_set_dict``); any other input is decoded as
+        UTF-8 and goes through ``json.loads`` whole, with the same checks."""
+        raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+        d = _compact_set_dict(raw)
         if d is None:
+            try:
+                text = data if isinstance(data, str) else data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"set file is not UTF-8: {exc}") from exc
             try:
                 d = json.loads(text)
             except json.JSONDecodeError as exc:
@@ -398,26 +404,28 @@ class CantorSet:
         return cls.from_json_dict(d)
 
 
-def _compact_set_dict(text: str) -> dict | None:
-    """``json.loads(text)`` with each level's ``selected`` as an int64 array,
-    or None unless every ``"selected":[...]`` list in the text is plain
-    (see ``_offset_list``) and is the ``selected`` of its own level.
+def _compact_set_dict(data: bytes) -> dict | None:
+    """``json.loads`` of a set file's bytes with each level's ``selected``
+    as an int64 array, or None unless every ``"selected":[...]`` list in
+    the bytes is plain (see ``_offset_list``) and is the ``selected`` of
+    its own level.
 
-    The lists are cut out and the small rest is parsed with a ``NaN`` in
-    place of each; ``parse_constant`` turns every ``NaN`` into a fresh
-    marker, so a list is used only where its own marker comes back."""
+    The lists are cut out of the bytes, and the small rest is decoded as
+    UTF-8 and parsed with a ``NaN`` in place of each; ``parse_constant``
+    turns every ``NaN`` into a fresh marker, so a list is used only where
+    its own marker comes back."""
     pieces, arrays = [], []
     at = 0
-    while (start := text.find('"selected":[', at)) >= 0:
-        start += len('"selected":')
-        end = text.find("]", start)
-        offsets = _offset_list(text[start + 1 : end]) if end >= 0 else None
+    while (start := data.find(b'"selected":[', at)) >= 0:
+        start += len(b'"selected":')
+        end = data.find(b"]", start)
+        offsets = _offset_list(data, start + 1, end) if end >= 0 else None
         if offsets is None:
             return None
-        pieces += [text[at:start], "NaN"]
+        pieces += [data[at:start], b"NaN"]
         arrays.append(offsets)
         at = end + 1
-    pieces.append(text[at:])
+    pieces.append(data[at:])
     markers = []
 
     def marker(_):
@@ -425,7 +433,8 @@ def _compact_set_dict(text: str) -> dict | None:
         return markers[-1]
 
     try:
-        d = json.loads("".join(pieces), parse_constant=marker)
+        # a decoding error is a ValueError too
+        d = json.loads(b"".join(pieces).decode("utf-8"), parse_constant=marker)
     except ValueError:
         return None
     entries = d.get("levels") if isinstance(d, dict) else None
@@ -440,25 +449,56 @@ def _compact_set_dict(text: str) -> dict | None:
     return d
 
 
-def _offset_list(body: str) -> np.ndarray | None:
-    """The int64 array of a JSON list body, or None unless it is
-    comma-separated fields of 1-18 ASCII digits without a leading zero:
-    plain ints that fit int64."""
-    if not body:
+# 10, 10^2, ..., 10^17: the least values of 2, ..., 18 digits
+_DIGIT_EDGES = 10 ** np.arange(1, 18, dtype=np.int64)
+_PIECE = 1 << 16
+
+
+def _offset_list(data: bytes, start: int, end: int) -> np.ndarray | None:
+    """The int64 array of the JSON list body ``data[start:end]``, or None
+    unless it is ascending fields of 1-18 ASCII digits without a leading
+    zero, comma-separated: plain ints below 10^18.
+
+    ``np.fromstring`` parses the body, and one length identity accepts it:
+    no byte is above ``9``, there are n values for the n - 1 bytes below
+    ``0``, they ascend from >= 0 to < 10^18, and the values' digit counts
+    plus n - 1 make up the body.  Each value after the first needs a comma
+    before it, so the n - 1 bytes below ``0`` are all commas and the rest
+    are digits.  A field is at least as long as its value's digits, and as
+    long only without a leading zero, so the identity holds exactly when
+    every field is its value's text.  The digit count stops at 18, so it is
+    exact only below 10^18, which the bound states; a field that
+    ``np.fromstring`` saturates to 2^63 - 1 is outside the bound.  The
+    bytes are counted and parsed about 65,536 at a time, cut at commas, so
+    the array is the one full-size allocation."""
+    if start == end:
         return np.empty(0, dtype=np.int64)
-    if not body.isascii():
+    b = np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start)
+    if b.max() > ord("9"):
         return None
-    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    cuts = np.flatnonzero(b == ord(","))
-    if np.count_nonzero((b - ord("0")) <= 9) != len(b) - len(cuts):
+    commas = sum(np.count_nonzero(b[at : at + _PIECE] < ord("0")) for at in range(0, len(b), _PIECE))
+    n = commas + 1
+    offsets = np.empty(n, dtype=np.int64)
+    filled = 0
+    while start < end:
+        cut = data.find(b",", start + _PIECE, end)
+        cut = end if cut < 0 else cut
+        try:
+            part = np.fromstring(data[start:cut], dtype=np.int64, sep=",")
+        except ValueError:
+            return None
+        # every value after the first follows a comma: never more than n
+        offsets[filled : filled + len(part)] = part
+        filled += len(part)
+        start = cut + 1
+    if filled != n or offsets[0] < 0 or offsets[-1] >= 10**18:
         return None
-    starts = np.concatenate(([0], cuts + 1))
-    lengths = np.concatenate((cuts, [len(b)])) - starts
-    if lengths.min() < 1 or lengths.max() > 18:
+    if not (offsets[1:] > offsets[:-1]).all():
         return None
-    if ((b[starts] == ord("0")) & (lengths > 1)).any():
+    # a value's digit count is 1 + the edges at or below it
+    digits = 18 * n - int(np.searchsorted(offsets, _DIGIT_EDGES).sum())
+    if digits + commas != len(b):
         return None
-    offsets = np.fromstring(body, dtype=np.int64, sep=",")
     offsets.flags.writeable = False  # handed to its level as it is
     return offsets
 

@@ -46,12 +46,16 @@ class DiscretizationGrid:
     def c_value(self, i: int) -> Fraction:
         if not (1 <= i <= self.n_c):
             raise GridError(f"translation index {i} outside 1..{self.n_c}")
-        return -4 + (2 * i - 1) * self.spacing / 2
+        # -4 + (2i - 1) spacing / 2, as one Fraction
+        p, q = self.spacing.numerator, self.spacing.denominator
+        return Fraction((2 * i - 1) * p - 8 * q, 2 * q)
 
     def r_value(self, i: int) -> Fraction:
         if not (1 <= i <= self.n_r):
             raise GridError(f"dilation index {i} outside 1..{self.n_r}")
-        return 1 + (2 * i - 1) * self.spacing / 2
+        # 1 + (2i - 1) spacing / 2, as one Fraction
+        p, q = self.spacing.numerator, self.spacing.denominator
+        return Fraction((2 * i - 1) * p + 2 * q, 2 * q)
 
     def total_pairs(self) -> int:
         return self.n_c * self.n_r

@@ -202,10 +202,12 @@ class AdjointAssignment:
 
     def __post_init__(self):
         prev = Fraction(0)
+        p, q = self.spacing.numerator, self.spacing.denominator
         for lo, hi, c, r in self.cells:
             if lo != prev:
                 raise GridError(f"assignment cells must tile [0,1]; gap at {lo}")
-            if (lo / self.spacing).denominator != 1 or (hi / self.spacing).denominator != 1:
+            # x / spacing = x q / p is an integer: p x.denominator divides x.numerator q
+            if lo.numerator * q % (p * lo.denominator) or hi.numerator * q % (p * hi.denominator):
                 raise GridError("assignment cell not aligned with the discretization grid")
             prev = hi
         if prev != 1:

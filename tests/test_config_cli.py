@@ -631,3 +631,28 @@ class TestCli:
         cfg = tmp_path / "bad.txt"
         cfg.write_text("construction.K = not_an_int\n")
         assert main(["construct", "-c", str(cfg), "-o", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "maximal"])
+    def test_non_utf8_set_file_is_usage_error(self, cli_workspace, tmp_path, capsys, command):
+        """A set file holding a byte that is not UTF-8 is a usage error with
+        one line, whatever the locale, and writes nothing."""
+        _, cfg, out = cli_workspace
+        data = (out / "set.json").read_bytes()
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data.replace(b'"params":{', b'"params":{"\xff":1,', 1))
+        capsys.readouterr()
+        code = main([command, str(bad), "-c", str(cfg), "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: set file is not UTF-8: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_bytes(b"# caf\xe9\nconstruction.K = 2\n")
+        capsys.readouterr()
+        code = main(["construct", "-c", str(cfg), "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: config is not UTF-8: ")
+        assert not (tmp_path / "out").exists()

@@ -1,5 +1,6 @@
 """Cantor iteration: indices, intervals, densities, measures, dimension."""
 
+import json
 import math
 import random
 import re
@@ -245,6 +246,33 @@ class TestBuildMemory:
         assert level.P > 150_000 and peak <= 4.0 * 8 * level.P
 
 
+class TestLoadMemory:
+    """Traced peaks of loading ``z16_set``'s bytes, in int64 arrays of its
+    level-3 offsets.  The offset lists are parsed piece by piece into their
+    arrays, so the compact read holds little beyond them; the structure
+    checks make the rest of ``from_json``'s peak."""
+
+    @staticmethod
+    def traced_arrays(z16_set, load):
+        data = z16_set.to_json_bytes()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            load(data)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert z16_set.P(3) > 150_000
+        return peak / (8 * z16_set.P(3))
+
+    def test_compact_read_holds_little_beyond_its_arrays(self, z16_set):
+        # the three levels' arrays alone are 1.0 + P_1/P_3 + P_2/P_3
+        assert self.traced_arrays(z16_set, core._compact_set_dict) <= 1.5
+
+    def test_from_json_holds_few_arrays_of_its_offsets(self, z16_set):
+        assert self.traced_arrays(z16_set, CantorSet.from_json) <= 5.0
+
+
 def deepest_mass(cset, a, b):
     """mu_K([a, b]): the average A_1[K] 1_[a, b](0), as the L^1 demo reads its ball masses."""
     return average(StepFunction.indicator(a, b), cset, cset.depth, 1, 0)
@@ -457,7 +485,7 @@ class TestSerialization:
         for cset in (fixture_a, z8_set, z16_set, empty_level):
             text = cset.to_json()
             assert text == reference_dump(cset)
-            assert core._compact_set_dict(text) is not None
+            assert core._compact_set_dict(text.encode()) is not None
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_to_json_at_every_text_length(self, fixture_a_params, order):
@@ -510,7 +538,7 @@ class TestSerialization:
 
     def test_level_keeps_a_read_only_array(self):
         """A read-only int64 array, as the reader hands over, is not copied."""
-        loaded = core._offset_list("1,2,3")
+        loaded = core._offset_list(b"1,2,3", 0, 5)
         assert not loaded.flags.writeable
         assert CantorLevel(1, 4, 4, loaded).offsets is loaded
 
@@ -525,7 +553,7 @@ class TestSerialization:
         cset = build_deterministic([{(2,)}, set()], fixture_a_params)
         text = cset.to_json()
         assert '"selected":[]' in text
-        assert core._compact_set_dict(text) is not None
+        assert core._compact_set_dict(text.encode()) is not None
         again = CantorSet.from_json(text)
         assert again.to_json() == text
         assert again.levels == cset.levels
@@ -542,7 +570,7 @@ class TestSerialization:
 _MUTATIONS = (
     "edit", "delete", "leading_zero", "minus", "half", "exponent",
     "digits_18", "digits_19", "digits_25", "space", "duplicate_key",
-    "escaped_key", "non_ascii", "truncate", "digit_anywhere", "nan",
+    "escaped_key", "non_ascii", "truncate", "digit_anywhere", "nan", "swap",
 )
 
 
@@ -577,6 +605,12 @@ def _mutate(text: str, kind: str, draw) -> str:
     start = text.rfind(",", lo, pos) + 1 or lo
     stop = text.find(",", pos, end)
     stop = end if stop < 0 else stop
+    if kind == "swap":  # the field at pos and the next one trade places
+        if stop == end:
+            return text
+        after = text.find(",", stop + 1, end)
+        after = end if after < 0 else after
+        return text[:start] + text[stop + 1 : after] + "," + text[start:stop] + text[after:]
     if kind == "edit":
         return text[:pos] + draw(st.sampled_from("0123456789,")) + text[pos + 1 :]
     if kind == "delete":
@@ -620,11 +654,69 @@ class TestCompactLoad:
             text = texts[data.draw(st.integers(0, len(texts) - 1))]
             for kind in data.draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3)):
                 text = _mutate(text, kind, data.draw)
-            assert _outcome(CantorSet.from_json, text) == _outcome(reference_load, text)
+            want = _outcome(reference_load, text)
+            assert _outcome(CantorSet.from_json, text) == want
+            assert _outcome(CantorSet.from_json, text.encode()) == want
 
         with mock.patch.object(core, "_compact_set_dict", spy):
             check()
         assert paths["compact"] and paths["fallback"]
+
+    @pytest.mark.parametrize(
+        "body, path",
+        [
+            pytest.param("4,6,13,9223372036854775807", "fallback", id="int64_max"),
+            pytest.param("4,6,13,9999999999999999999", "fallback", id="19_digits_above_int64_max"),
+            pytest.param("4,6,13,999999999999999999", "compact", id="10^18-1"),
+            pytest.param("4,6,13,1000000000000000000", "fallback", id="10^18"),
+            pytest.param("0", "compact", id="lone_0"),
+            pytest.param("00", "fallback", id="lone_00"),
+            pytest.param("4,6,13,15,", "fallback", id="trailing_comma"),
+            pytest.param("4,6,,13,15", "fallback", id="double_comma"),
+            pytest.param(",4,6,13,15", "fallback", id="leading_comma"),
+            pytest.param("4,13,6,15", "fallback", id="swapped_pair"),
+            pytest.param("4,6,6,15", "fallback", id="repeated"),
+            pytest.param("4,6,13,15", "compact", id="unchanged"),
+        ],
+    )
+    def test_edge_lists_match_reference_load(self, fixture_a, body, path):
+        """Level 2's list of ``fixture_a`` (4,6,13,15) replaced by ``body``:
+        the text and its bytes load as ``reference_load`` loads the text,
+        and only plain ascending lists below 10^18 take the compact path."""
+        text = fixture_a.to_json()
+        assert text.count('"selected":[4,6,13,15]') == 1
+        text = text.replace('"selected":[4,6,13,15]', f'"selected":[{body}]')
+        want = _outcome(reference_load, text)
+        assert _outcome(CantorSet.from_json, text) == want
+        assert _outcome(CantorSet.from_json, text.encode()) == want
+        d = core._compact_set_dict(text.encode())
+        assert ("fallback" if d is None else "compact") == path
+        if path == "compact":
+            assert d["levels"][1]["selected"].tolist() == json.loads(f"[{body}]")
+
+    def test_saturated_fields_are_refused(self):
+        """``np.fromstring`` saturates a field above int64 max to 2^63 - 1
+        without an error; such a list is refused, not read as 2^63 - 1."""
+        body = b"1,9999999999999999999"
+        assert np.fromstring(body, dtype=np.int64, sep=",").tolist() == [1, 2**63 - 1]
+        assert core._offset_list(body, 0, len(body)) is None
+
+    def test_lists_are_parsed_in_pieces_cut_at_commas(self):
+        """A list longer than one piece, read from inside a larger buffer,
+        and the same list with one field broken in its second piece."""
+        values = np.arange(10**6, 10**6 + 3 * 65_536 // 8 * 2, 2, dtype=np.int64)
+        body = ",".join(map(str, values.tolist())).encode()
+        data = b"[" + body + b"]"
+        assert core._offset_list(data, 1, len(data) - 1).tolist() == values.tolist()
+        cut = data.index(b",", 65_536 + 100)
+        for edit in (b",,", b"0", b" "):
+            broken = data[:cut] + edit + data[cut + 1 :]
+            assert core._offset_list(broken, 1, len(broken) - 1) is None
+
+    def test_non_utf8_bytes_are_a_format_error(self, fixture_a):
+        data = fixture_a.to_json_bytes().replace(b'"params":{', b'"params":{"\xff":1,', 1)
+        with pytest.raises(FormatError, match="^set file is not UTF-8: "):
+            CantorSet.from_json(data)
 
     @pytest.mark.parametrize("case", ["nan_and_moved_list", "spaced_list_and_escaped_key"])
     def test_each_list_must_be_its_own_levels_selection(self, z8_set, case):
@@ -639,7 +731,7 @@ class TestCompactLoad:
         else:
             key = text.index('"selected":[')
             text = text[:key] + '"x\\"selected":[0,2],"selected": ' + text[key + len('"selected":') :]
-        assert core._compact_set_dict(text) is None
+        assert core._compact_set_dict(text.encode()) is None
         assert _outcome(CantorSet.from_json, text) == _outcome(reference_load, text)
         if case == "nan_and_moved_list":
             with pytest.raises(FormatError, match="level 3 selected offsets must be a list of integers"):
