@@ -26,7 +26,7 @@ from .errors import (
     StructureError,
 )
 from .params import ConstructionParams, REGIME_FIXED_DIM, REGIME_ONE_DIM
-from .stepfn import StepFunction, run_coverage
+from .stepfn import StepFunction, _clear_denominators
 
 MultiIndex = tuple[int, ...]
 
@@ -99,6 +99,12 @@ class CantorLevel:
         return runs
 
 
+def _run_length(lv: CantorLevel) -> int:
+    """The total length of a level's runs, in grid cells."""
+    runs = lv.runs()
+    return int((runs[:, 1] - runs[:, 0]).sum())
+
+
 class RunMoments:
     """Exact prefix moments of one level's runs [s_i, e_i), in grid units
     u = M_k (y - 1).
@@ -149,7 +155,6 @@ class CantorSet:
         self.levels = tuple(levels)
         self.accepted_retries = accepted_retries
         self._sigma_cache: dict[int, StepFunction] = {}
-        self._density_cache: dict[int, StepFunction] = {}
         self._moments_cache: dict[int, RunMoments] = {}
         if validate:
             problems = self.structure_problems()
@@ -190,7 +195,7 @@ class CantorSet:
     @cached_property
     def _problems(self) -> list[str]:
         problems = []
-        parents = None
+        parents, parents_clean = None, False
         for idx, lv in enumerate(self.levels):
             k = idx + 1
             if lv.k != k:
@@ -198,18 +203,26 @@ class CantorSet:
             if lv.N_k != self.params.level_N(k) or lv.M_k != self.params.M(k):
                 problems.append(f"level {k} subdivision disagrees with params")
             arr = lv.offsets
-            if (np.diff(arr) <= 0).any():
+            ordered = bool((arr[1:] > arr[:-1]).all())
+            if not ordered:
                 problems.append(f"level {k} offsets not sorted/distinct")
-            in_range = (arr >= 0) & (arr < lv.M_k)
-            if not in_range.all():
+            in_range = not len(arr) or bool(arr.min() >= 0 and arr.max() < lv.M_k)
+            if not in_range:
                 problems.append(f"level {k} offset out of range")
             if parents is not None:
-                # only an offset in range can be decoded into an index
-                orphan = in_range & np.isin(arr // lv.N_k, parents, invert=True)
-                if orphan.any():
-                    bad = index_of(int(arr[np.argmax(orphan)]), k, self.params)
-                    problems.append(f"index {bad} at level {k} has unselected parent")
-            parents = arr
+                # with the children ascending and the parents ascending and in
+                # range (so that p * N_k cannot wrap), no child is an orphan
+                # when the parents' windows [p N_k, (p + 1) N_k) hold them all
+                starts = parents * lv.N_k
+                if not (ordered and parents_clean) or len(arr) != int(
+                    (np.searchsorted(arr, starts + lv.N_k) - np.searchsorted(arr, starts)).sum()
+                ):
+                    # only an offset in range can be decoded into an index
+                    orphan = (arr >= 0) & (arr < lv.M_k) & np.isin(arr // lv.N_k, parents, invert=True)
+                    if orphan.any():
+                        bad = index_of(int(arr[np.argmax(orphan)]), k, self.params)
+                        problems.append(f"index {bad} at level {k} has unselected parent")
+            parents, parents_clean = arr, ordered and in_range
         return problems
 
     def run_moments(self, k: int) -> RunMoments:
@@ -221,49 +234,75 @@ class CantorSet:
 
     # -- densities -----------------------------------------------------------
 
-    def density(self, k: int) -> StepFunction:
-        """phi_k = 1_{S_k}/|S_k|, exact."""
+    def density_integral(self, k: int) -> Fraction:
+        """The integral of phi_k = 1_{S_k}/|S_k|, exact: the total length of
+        the runs of S_k over P_k, read without building phi_k."""
         lv = self.level(k)
         if lv.P == 0:
             raise DegenerateMeasureError(f"level {k} is empty; phi_{k} undefined")
-        if k not in self._density_cache:
-            # (P_k delta_k)^{-1} on each run of S_k, 0 on the gaps between runs
-            runs = lv.runs()
-            value = Fraction(lv.M_k, lv.P)
-            classes = 1 - np.arange(2 * len(runs) - 1) % 2
-            self._density_cache[k] = StepFunction.from_classes(
-                runs.ravel() + lv.M_k, lv.M_k, [0, value.numerator], classes, value.denominator
-            )
-        return self._density_cache[k]
+        return Fraction(_run_length(lv), lv.P)
 
-    def sigma(self, k: int) -> StepFunction:
-        """sigma_k = phi_{k+1} - phi_k, exact; support inside S_k.
-
-        Assumes that level k+1 nests in level k, which ``structure_problems``
-        checks: a child run outside every parent run gets the class of S_k
-        minus S_{k+1} (-M_k/P_k) there, not phi_(k+1) - phi_k."""
+    def _sigma_levels(self, k: int) -> tuple[list[int], int]:
+        """([0, b, a], vden): sigma_k's value numerators off S_k, on S_k minus
+        S_{k+1} (-M_k/P_k) and on S_{k+1} (M_{k+1}/P_{k+1} - M_k/P_k), over
+        their common denominator."""
         if k + 1 > self.depth:
             raise InsufficientDepthError(f"sigma_{k} needs level {k + 1}")
         parent, child = self.level(k), self.level(k + 1)
         if parent.P == 0 or child.P == 0:
             raise DegenerateMeasureError(f"sigma_{k} needs nonempty levels {k} and {k + 1}")
+        off_child = -Fraction(parent.M_k, parent.P)
+        return _clear_denominators([0, off_child, Fraction(child.M_k, child.P) + off_child])
+
+    def sigma(self, k: int) -> StepFunction:
+        """sigma_k = phi_{k+1} - phi_k, exact; support inside S_k.
+
+        A stretch between run bounds on the child grid has the class of the
+        number of runs covering it: 0 off S_k, 1 (b) on S_k minus S_{k+1}
+        and 2 (a) on S_{k+1}.  Both levels' run bounds ascend, so one
+        ``searchsorted`` places the parent bounds among the child bounds,
+        and the count is the running sum of +1 at starts and -1 at ends.
+        Assumes that level k+1 nests in level k, which ``structure_problems``
+        checks: a child run outside every parent run is covered once, so it
+        gets the class b there, not phi_(k+1) - phi_k."""
+        levels, vden = self._sigma_levels(k)
         if k in self._sigma_cache:
             return self._sigma_cache[k]
-        N_next = child.N_k
-        M_next = child.M_k
-        on_child = Fraction(M_next, child.P) - Fraction(parent.M_k, parent.P)
-        off_child = -Fraction(parent.M_k, parent.P)
-        vden = math.lcm(on_child.denominator, off_child.denominator)
-        a_num = on_child.numerator * (vden // on_child.denominator)
-        b_num = off_child.numerator * (vden // off_child.denominator)
-
-        # run ends on the child grid: as S_{k+1} lies in S_k, the number of
-        # runs covering a stretch is its class, 0 off S_k, 1 (b_num) on S_k
-        # minus S_{k+1} and 2 (a_num) on S_{k+1}
-        ends, classes = run_coverage([(parent.runs() * N_next).ravel(), child.runs().ravel()])
-        fn = StepFunction.from_classes(ends + M_next, M_next, [0, b_num, a_num], classes, vden)
+        child = self.level(k + 1)
+        bounds = child.runs().ravel()
+        parent_bounds = (self.level(k).runs() * child.N_k).ravel()
+        at = np.searchsorted(bounds, parent_bounds)
+        # a parent bound that equals a child bound shares its slot; any other
+        # takes a slot of its own, after the parent bounds before it
+        new = bounds[np.minimum(at, len(bounds) - 1)] != parent_bounds
+        slots = at + np.cumsum(new) - new
+        of_child = np.ones(len(bounds) + int(new.sum()), dtype=bool)
+        of_child[slots[new]] = False
+        ends = np.empty(len(of_child), dtype=np.int64)
+        ends[of_child] = bounds
+        ends[slots] = parent_bounds
+        ends += child.M_k
+        # a start steps the covering count by +1, an end by -1; the count
+        # reaches 2 at most, as neither level's runs overlap
+        start_end = np.array([1, -1], dtype=np.int8)
+        steps = np.zeros(len(of_child), dtype=np.int8)
+        steps[of_child] = np.tile(start_end, len(bounds) // 2)
+        steps[slots] += np.tile(start_end, len(parent_bounds) // 2)
+        classes = np.cumsum(steps[:-1], dtype=np.int8)
+        fn = StepFunction.from_classes(ends, child.M_k, levels, classes, vden)
         self._sigma_cache[k] = fn
         return fn
+
+    def sigma_integral(self, k: int) -> Fraction:
+        """The integral of ``sigma(k)``, exact, read from the run lengths and
+        the children under each parent without building sigma_k: (a times
+        the child cells inside S_k, plus b times the cells covered once)
+        over vden M_{k+1}.  On nested levels that is 0."""
+        (_, b_num, a_num), vden = self._sigma_levels(k)
+        parent, child = self.level(k), self.level(k + 1)
+        inside = int(self.descendant_counts(k, k + 1).sum())
+        once = _run_length(parent) * child.N_k + _run_length(child) - 2 * inside
+        return Fraction(a_num * inside + b_num * once, vden * child.M_k)
 
     # -- measures ------------------------------------------------------------
 

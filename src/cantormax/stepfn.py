@@ -54,14 +54,14 @@ merge, whatever the overlap: the largest near-diagonal sigma_2 product of
 the N=16 set (640,497 clipped breakpoints in 10 batches) has a traced peak
 of 5.6 MB, where one merge of its common support took 35.9 MB.
 
-``integral`` and ``lp_power`` sum per value class (level times the class's
-width), as a one-factor merge does.  ``PiecewiseLinear.lp_power`` sums all
+``lp_power`` sums per value class (|level|^p times the class's width), as
+a one-factor merge does.  ``PiecewiseLinear.lp_power`` sums all
 pieces at once in object-dtype integers, by Horner's rule.  The ``units``
 and ``val_nums`` tuples are views in Python ints, built on first use for
 pointwise reads (``value_at``, ``cells``); no kernel reads them.
 ``run_coverage`` counts the runs covering each stretch between run ends, in
-its argsort's buffer, for ``CantorSet.sigma`` and for the common support of
-a product.
+its argsort's buffer, for the common support of a product; ``CantorSet.sigma``
+makes the same count over two presorted lists of run bounds without a sort.
 """
 
 from __future__ import annotations
@@ -218,11 +218,6 @@ class StepFunction:
         return Fraction(0)
 
     # -- exact integrals ---------------------------------------------------
-
-    def integral(self) -> Fraction:
-        """Exact integral: per value class, level times the class's width."""
-        total = sum(v * w for v, w in zip(self.levels, self._class_widths()))
-        return Fraction(total, self.den * self.val_den)
 
     def linear_pieces(self):
         """(left, right, alpha, beta) per cell, with f(z) = alpha + beta z on

@@ -19,8 +19,8 @@ import pytest
 import cantormax.stepfn as sf
 from cantormax import construct, custom, fixed_dimension
 from cantormax.core import SET_SCHEMA_VERSION, CantorLevel, CantorSet
-from cantormax.errors import DomainError, FormatError
-from cantormax.stepfn import PiecewiseLinear, StepFunction, linear_combination, product_integral
+from cantormax.errors import DegenerateMeasureError, DomainError, FormatError
+from cantormax.stepfn import PiecewiseLinear, StepFunction, linear_combination, product_integral, run_coverage
 
 # Deterministic two-level reference family: K=2, N=(4,4),
 # level-1 selection {(2),(4)}, level-2 {(2,1),(2,3),(4,2),(4,4)}.
@@ -96,6 +96,29 @@ def broken_nesting_set(z8_set):
         offsets=tuple(sorted(set(levels[1].offsets.tolist()) | {orphan})),
     )
     return CantorSet(z8_set.params, levels, validate=False)
+
+
+def density(cset: CantorSet, k: int) -> StepFunction:
+    """phi_k = 1_{S_k}/|S_k|, built in full: M_k/P_k on each run of S_k and
+    0 on the gaps between runs.  The oracle for ``density_integral``, which
+    reads the integral from the runs."""
+    lv = cset.level(k)
+    if lv.P == 0:
+        raise DegenerateMeasureError(f"level {k} is empty; phi_{k} undefined")
+    runs = lv.runs()
+    value = Fraction(lv.M_k, lv.P)
+    classes = 1 - np.arange(2 * len(runs) - 1) % 2
+    return StepFunction.from_classes(runs.ravel() + lv.M_k, lv.M_k, [0, value.numerator], classes, value.denominator)
+
+
+def coverage_sigma(cset: CantorSet, k: int) -> StepFunction:
+    """sigma_k with its stretches and classes from ``run_coverage`` of the
+    scaled parent runs and the child runs, one sort of both bound lists:
+    the build that the merge of presorted bounds replaced."""
+    levels, vden = cset._sigma_levels(k)
+    parent, child = cset.level(k), cset.level(k + 1)
+    ends, classes = run_coverage([(parent.runs() * child.N_k).ravel(), child.runs().ravel()])
+    return StepFunction.from_classes(ends + child.M_k, child.M_k, levels, classes, vden)
 
 
 def reference_load(text: str) -> CantorSet:
@@ -232,6 +255,12 @@ def prefix_mass(f: StepFunction, a, b) -> Fraction:
         return pre[idx] + f.val_nums[idx] * (xs - f.units[idx])
 
     return Fraction(below(b) - below(a)) / (f.den * f.val_den)
+
+
+def integral(f: StepFunction) -> Fraction:
+    """Exact integral of f: per value class, level times the class's width."""
+    total = sum(v * w for v, w in zip(f.levels, f._class_widths()))
+    return Fraction(total, f.den * f.val_den)
 
 
 def lp_power_oracle(f: StepFunction, p: int) -> Fraction:

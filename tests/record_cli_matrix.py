@@ -1,4 +1,4 @@
-"""Record the CLI matrix: SHA-256 digests of every output of 48 CLI runs.
+"""Record the CLI matrix: SHA-256 digests of every output of 52 CLI runs.
 
 The matrix runs ``construct``, ``verify`` (gate (c) at n=2, and at n=4),
 ``correlate`` (k=0, k=1, and n=4 at k=1 and at k=2), ``maximal`` (the
@@ -7,9 +7,12 @@ indicator), ``dimension``, ``demo-l1`` and three usage errors
 (``correlate.k=5``, ``correlate.n=3`` and ``demo.depth=0``) on three sets:
 the fixed-dimension N=16 seed-1 set (gate (c) budget 6), the N=8 seed-11
 set (budget 4) and the one-dimensional N=4, K=3 seed-1 set (budget 8), with
-``correlate.budget = 8`` on all three.  Each run calls
-``cantormax.cli.main`` in-process and writes into its own directory; every
-command after ``construct`` reads the set file that ``construct`` wrote.
+``correlate.budget = 8`` on all three.  A fourth set, in the custom regime
+(N = 8, 4, 16 with eps = 1/4, 1/5, 1/4, seed 2, budget 4), runs only
+``construct`` and ``verify``, and ``init-config`` runs once to stdout and
+once to a file.  Each run calls ``cantormax.cli.main`` in-process and writes
+into its own directory; every command after ``construct`` reads the set
+file that ``construct`` wrote.
 
 A run's manifest entry holds the SHA-256 hex digests of its exit code (the
 decimal text), its stdout and its stderr (with the run's output directory
@@ -48,6 +51,14 @@ SETS = {
         "construction.gate_c_budget=8",
         "correlate.budget=8",
     ],
+    "cu": [
+        "construction.regime=custom",
+        "construction.level_counts=8,4,16",
+        "construction.epsilon_schedule=1/4,1/5,1/4",
+        "construction.K=3",
+        "construction.seed=2",
+        "construction.gate_c_budget=4",
+    ],
 }
 
 # run name -> (command, config overrides on top of its set's)
@@ -71,7 +82,11 @@ RUNS = {
     "demo_depth0": ("demo-l1", ["demo.depth=0"]),
 }
 
-ENTRIES = [f"{name}/{run}" for name in SETS for run in RUNS]
+# the runs of a set that does not run all of RUNS
+SET_RUNS = {"cu": ("construct", "verify")}
+
+ENTRIES = [f"{name}/{run}" for name in SETS for run in SET_RUNS.get(name, RUNS)]
+ENTRIES += ["init-config/stdout", "init-config/file"]
 
 
 def _sha(data: bytes) -> str:
@@ -83,17 +98,21 @@ def run_entry(entry: str, workdir: Path) -> dict:
     constructing the set first if ``workdir`` holds no set file for it, and
     return the entry's digests."""
     name, run = entry.split("/")
-    command, overrides = RUNS[run]
-    set_file = workdir / name / "construct" / "set.json"
-    if run != "construct" and not set_file.exists():
-        run_entry(f"{name}/construct", workdir)
     out = workdir / name / run
-    argv = [command]
-    if run != "construct":
-        argv.append(str(set_file))
-    for item in SETS[name] + overrides:
-        argv += ["--set", item]
-    argv += ["-o", str(out)]
+    if name == "init-config":
+        out.mkdir(parents=True)
+        argv = [name] + (["-o", str(out / "config.txt")] if run == "file" else [])
+    else:
+        command, overrides = RUNS[run]
+        set_file = workdir / name / "construct" / "set.json"
+        if run != "construct" and not set_file.exists():
+            run_entry(f"{name}/construct", workdir)
+        argv = [command]
+        if run != "construct":
+            argv.append(str(set_file))
+        for item in SETS[name] + overrides:
+            argv += ["--set", item]
+        argv += ["-o", str(out)]
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         code = cli.main(argv)

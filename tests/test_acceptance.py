@@ -39,7 +39,7 @@ from cantormax.grids import DiscretizationGrid
 from cantormax.maxops import differentiation_experiment, uniform_assignment
 from cantormax.stepfn import PiecewiseLinear, StepFunction, product_integral
 
-from conftest import float_evaluator, from_cells, python_int_merges, random_step
+from conftest import density, float_evaluator, integral, from_cells, python_int_merges, random_step
 from lemmas import (
     classify,
     enumerate_F,
@@ -68,9 +68,9 @@ def test_criterion_01_exact_normalization(fixture_a, toy88_set, z8_set, z4_deep_
     ok = True
     for cset in suite_sets:
         for k in range(1, cset.depth + 1):
-            ok &= cset.density(k).integral() == 1
+            ok &= integral(density(cset, k)) == 1
         for k in range(1, cset.depth):
-            ok &= cset.sigma(k).integral() == 0
+            ok &= integral(cset.sigma(k)) == 0
     _report(1, ok, f"int phi=1, int sigma=0 on {len(suite_sets)} sets, zero tolerance",
             time.time() - t0, 1.0)
 

@@ -33,7 +33,16 @@ from cantormax.errors import (
     StructureError,
 )
 
-from conftest import FIXTURE_A_SELECTIONS, prefix_mass, reference_dump, reference_load, reference_runs
+from conftest import (
+    FIXTURE_A_SELECTIONS,
+    coverage_sigma,
+    density,
+    integral,
+    prefix_mass,
+    reference_dump,
+    reference_load,
+    reference_runs,
+)
 from lemmas import alpha, build_deterministic, interval_of, offset_of, weak_star_defect
 
 F = Fraction
@@ -90,7 +99,7 @@ class TestBuildDeterministic:
         assert any(lv.P == 0 for lv in cset.levels)
         assert cset.P(1) == 0
         with pytest.raises(DegenerateMeasureError):
-            cset.density(1)
+            density(cset, 1)
 
     def test_measure_nonincreasing(self, fixture_a, z8_set):
         for cset in (fixture_a, z8_set):
@@ -100,27 +109,27 @@ class TestBuildDeterministic:
 
 class TestDensities:
     def test_density_values_fixture(self, fixture_a):
-        phi1 = fixture_a.density(1)
+        phi1 = density(fixture_a, 1)
         cells = [(l, r, v) for l, r, v in phi1.cells() if v != 0]
         assert cells == [(F(5, 4), F(3, 2), F(2)), (F(7, 4), F(2), F(2))]
-        phi2 = fixture_a.density(2)
+        phi2 = density(fixture_a, 2)
         assert set(v for _, _, v in phi2.cells() if v != 0) == {F(4)}
 
     def test_density_normalized_exactly(self, fixture_a, z8_set, toy88_set):
         for cset in (fixture_a, z8_set, toy88_set):
             for k in range(1, cset.depth + 1):
-                assert cset.density(k).integral() == 1
+                assert integral(density(cset, k)) == 1
 
     def test_sigma_zero_mean_and_values(self, fixture_a):
         sig = fixture_a.sigma(1)
-        assert sig.integral() == 0
+        assert integral(sig) == 0
         assert set(sig.values) <= {F(-2), F(0), F(2)}
 
     def test_sigma_support_inside_parent(self, fixture_a, z8_set):
         for cset in (fixture_a, z8_set):
             for k in range(1, cset.depth):
                 sig = cset.sigma(k)
-                ind = cset.density(k)
+                ind = density(cset, k)
                 # off S_k the parent density vanishes, so sigma must too
                 lo, hi = sig.support()
                 plo, phi_ = ind.support()
@@ -182,11 +191,95 @@ def test_runs_of_small_levels(offsets, want):
     assert np.array_equal(runs, reference_runs(offsets))
 
 
-@pytest.mark.parametrize("name", ["fixture_a", "z8_set", "z16_set", "broken_nesting_set"])
+ALL_SETS = ["fixture_a", "toy88_set", "z8_set", "z4_deep_set", "z16_set", "broken_nesting_set"]
+
+
+@pytest.mark.parametrize("name", ALL_SETS)
 def test_sigma_matches_searchsorted_build(request, name):
     cset = request.getfixturevalue(name)
     for k in range(1, cset.depth):
         assert cset.sigma(k) == searchsorted_sigma(cset, k)
+
+
+@pytest.mark.parametrize("name", ALL_SETS)
+def test_run_based_integrals_match_built_functions(request, name):
+    """The normalization report's integrals, read from the runs, against the
+    integrals of the built phi_k and sigma_k; on the set that breaks nesting
+    sigma_1 is not phi_2 - phi_1, and its integral is still the built one."""
+    cset = request.getfixturevalue(name)
+    for k in range(1, cset.depth + 1):
+        assert cset.density_integral(k) == integral(density(cset, k)) == 1
+    for k in range(1, cset.depth):
+        assert cset.sigma_integral(k) == integral(coverage_sigma(cset, k))
+    nested = name != "broken_nesting_set"
+    assert nested == all(cset.sigma_integral(k) == 0 for k in range(1, cset.depth))
+
+
+class TestSigmaMerge:
+    """``CantorSet.sigma``, which merges the presorted parent and child run
+    bounds, against ``coverage_sigma``, which sorts them together."""
+
+    @staticmethod
+    def fresh_sigma(cset, k):
+        # a set of its own, so that no cached sigma_k is compared
+        return CantorSet(cset.params, cset.levels, validate=False).sigma(k)
+
+    @pytest.mark.parametrize("name", ALL_SETS)
+    def test_matches_coverage_build(self, request, name):
+        cset = request.getfixturevalue(name)
+        for k in range(1, cset.depth):
+            assert self.fresh_sigma(cset, k) == coverage_sigma(cset, k)
+
+    def test_matches_coverage_build_on_non_nested_mutations(self, z8_set):
+        rnd = random.Random(17)
+        for _ in range(150):
+            arrays = [lv.offsets.tolist() for lv in z8_set.levels]
+            j = rnd.choice([1, 2])
+            offs = set(arrays[j])
+            for _ in range(rnd.randint(1, 12)):
+                if rnd.random() < 0.5:
+                    offs.add(rnd.randrange(z8_set.level(j + 1).M_k))
+                elif len(offs) > 1:
+                    offs.discard(rnd.choice(sorted(offs)))
+            arrays[j] = sorted(offs)
+            cset = _unchecked_set(z8_set.params, arrays)
+            for k in range(1, cset.depth):
+                sig = cset.sigma(k)
+                assert sig == coverage_sigma(cset, k)
+                assert cset.sigma_integral(k) == integral(sig)
+
+    @pytest.mark.parametrize(
+        "children",
+        [
+            [4, 5],  # a child run that starts on its parent run's start
+            [10, 11],  # one that ends on its parent run's end
+            [4, 11],  # one on each bound
+            [4, 7, 9, 10, 11],  # both, with a run inside
+            [3, 4, 12],  # a run across the parent run's start, and one from its end
+            [0, 1, 15],  # every child run outside the parent run
+        ],
+    )
+    def test_child_runs_on_parent_bounds(self, fixture_a_params, children):
+        # parents 1 and 2: one parent run, [4, 12) on the child grid
+        cset = _unchecked_set(fixture_a_params, [[1, 2], children])
+        sig = cset.sigma(1)
+        assert sig == coverage_sigma(cset, 1) == searchsorted_sigma(cset, 1)
+        assert cset.sigma_integral(1) == integral(sig)
+
+    def test_every_child_selected_gives_zero(self, fixture_a_params):
+        # S_2 = S_1, so phi_2 = phi_1
+        cset = _unchecked_set(fixture_a_params, [[0, 2], [0, 1, 2, 3, 8, 9, 10, 11]])
+        sig = cset.sigma(1)
+        assert sig.is_zero and sig == coverage_sigma(cset, 1)
+        assert cset.sigma_integral(1) == 0
+
+    def test_empty_child_level_is_degenerate(self, fixture_a_params):
+        cset = _unchecked_set(fixture_a_params, [[0, 2], []])
+        for build in (cset.sigma, cset.sigma_integral, lambda k: coverage_sigma(cset, k)):
+            with pytest.raises(DegenerateMeasureError):
+                build(1)
+        with pytest.raises(DegenerateMeasureError):
+            cset.density_integral(2)
 
 
 def test_verify_of_broken_nesting_builds_sigma_and_reports_structure(broken_nesting_set):
@@ -207,9 +300,9 @@ def test_verify_of_broken_nesting_builds_sigma_and_reports_structure(broken_nest
 
 
 class TestBuildMemory:
-    """Traced peaks of the sigma and density builds, in int64 arrays of the
-    built function's cell count, as ``verify`` meets them: each level's runs
-    are cached by then."""
+    """Traced peaks of the sigma build and of the density oracle, in int64
+    arrays of the built function's cell count, as ``verify`` meets them:
+    each level's runs are cached by then."""
 
     @staticmethod
     def traced_arrays(z16_set, build):
@@ -227,10 +320,11 @@ class TestBuildMemory:
         return peak / (8 * fn.n_cells)
 
     def test_sigma_build_holds_few_arrays_of_its_cells(self, z16_set):
-        assert self.traced_arrays(z16_set, lambda cset: cset.sigma(2)) <= 5.5
+        # the merged bounds and the classes, and int8 steps; 2.6 here
+        assert self.traced_arrays(z16_set, lambda cset: cset.sigma(2)) <= 3.5
 
     def test_density_build_holds_few_arrays_of_its_cells(self, z16_set):
-        assert self.traced_arrays(z16_set, lambda cset: cset.density(3)) <= 2.5
+        assert self.traced_arrays(z16_set, lambda cset: density(cset, 3)) <= 2.5
 
     def test_runs_build_holds_few_arrays_of_its_offsets(self, z16_set):
         # the (n, 2) runs hold 1.75 arrays of the level's offsets here
@@ -249,8 +343,9 @@ class TestBuildMemory:
 class TestLoadMemory:
     """Traced peaks of loading ``z16_set``'s bytes, in int64 arrays of its
     level-3 offsets.  The offset lists are parsed piece by piece into their
-    arrays, so the compact read holds little beyond them; the structure
-    checks make the rest of ``from_json``'s peak."""
+    arrays, so the compact read holds little beyond them, and the structure
+    checks of a well-formed set compare neighbours and search the parents'
+    windows, with no full-size temporary but a boolean one."""
 
     @staticmethod
     def traced_arrays(z16_set, load):
@@ -270,7 +365,15 @@ class TestLoadMemory:
         assert self.traced_arrays(z16_set, core._compact_set_dict) <= 1.5
 
     def test_from_json_holds_few_arrays_of_its_offsets(self, z16_set):
-        assert self.traced_arrays(z16_set, CantorSet.from_json) <= 5.0
+        # 1.16 here: the arrays, and the structure checks' order test
+        assert self.traced_arrays(z16_set, CantorSet.from_json) <= 2.0
+
+    def test_structure_checks_hold_little_beyond_the_offsets(self, z16_set):
+        def check(_):
+            return CantorSet(z16_set.params, z16_set.levels, validate=False).structure_problems()
+
+        # 0.13 here: one boolean array of the level-3 offsets
+        assert self.traced_arrays(z16_set, check) <= 0.5
 
 
 def deepest_mass(cset, a, b):
@@ -327,7 +430,7 @@ class TestMeasures:
     def test_matches_density_mass(self, z8_set):
         # the prefix-moment cut against the prefix-table phi_K mass
         rnd = random.Random(61)
-        phi = z8_set.density(z8_set.depth)
+        phi = density(z8_set, z8_set.depth)
         for _ in range(20):
             a, b = sorted(1 + F(rnd.randint(0, 10**6), 10**6) for _ in range(2))
             assert deepest_mass(z8_set, a, b) == prefix_mass(phi, a, b)
@@ -419,17 +522,20 @@ def loop_structure_problems(cset):
 
 
 class TestStructureProblems:
+    KINDS = ["swap", "dup", "orphan", "orphan_block", "orphan_edge", "dup_orphan", "drop", "empty", "low", "high", "mid", "far"]
+
     def test_messages_match_loop_on_mutated_levels(self, z8_set):
         from dataclasses import replace
 
         rnd = random.Random(5)
         seen = set()
-        for _ in range(200):
+        for _ in range(400):
             levels = list(z8_set.levels)
             for _ in range(rnd.randint(1, 3)):
                 j = rnd.randrange(len(levels))
                 offs = list(levels[j].offsets)
-                kind = rnd.choice(["swap", "dup", "orphan", "drop", "empty", "low", "high", "mid"])
+                kind = rnd.choice(self.KINDS)
+                N_j, M_j = levels[j].N_k, levels[j].M_k
                 if kind == "swap" and len(offs) > 1:
                     i = rnd.randrange(len(offs) - 1)
                     offs[i], offs[i + 1] = offs[i + 1], offs[i]
@@ -437,7 +543,19 @@ class TestStructureProblems:
                     i = rnd.randrange(len(offs))
                     offs.insert(i, offs[i])
                 elif kind == "orphan":
-                    offs = sorted(set(offs) | {rnd.randrange(levels[j].M_k)})
+                    offs = sorted(set(offs) | {rnd.randrange(M_j)})
+                elif kind == "orphan_block" and j:
+                    # every child of an unselected parent
+                    free = sorted(set(range(M_j // N_j)) - set(levels[j - 1].offsets.tolist()))
+                    if free:
+                        p = rnd.choice(free)
+                        offs = sorted(set(offs) | set(range(p * N_j, (p + 1) * N_j)))
+                elif kind == "orphan_edge":
+                    # an orphan below the first child or above the last
+                    offs = sorted(set(offs) | {rnd.choice([0, M_j - 1])})
+                elif kind == "dup_orphan":
+                    o = rnd.randrange(M_j)
+                    offs = sorted(offs + [o, o])
                 elif kind == "drop" and offs:
                     offs.pop(rnd.randrange(len(offs)))
                 elif kind == "empty":
@@ -445,17 +563,39 @@ class TestStructureProblems:
                 elif kind == "low" and offs:
                     offs[0] = -1
                 elif kind == "high" and offs:
-                    offs[-1] = levels[j].M_k
+                    offs[-1] = M_j
                 elif kind == "mid" and offs:  # out of range and out of order
-                    offs.insert(len(offs) // 2, levels[j].M_k + 3)
+                    offs.insert(len(offs) // 2, M_j + 3)
+                elif kind == "far":  # far out of range at either end
+                    offs = sorted(offs + [rnd.choice([-(1 << 62), 1 << 62])])
                 levels[j] = replace(levels[j], offsets=tuple(offs))
             cset = CantorSet(z8_set.params, levels, validate=False)
             want = loop_structure_problems(cset)
             assert cset.structure_problems() == want
             seen.update(m.split(" ")[-1] for m in want)
-            if kind in ("low", "high", "mid") and offs:
+            if kind in ("low", "high", "mid", "far") and offs:
                 assert f"level {j + 1} offset out of range" in want
         assert {"sorted/distinct", "range", "parent"} <= seen
+
+
+    @pytest.mark.parametrize(
+        "parents, children",
+        [
+            ([1, 1, 2], [0, 4]),  # a repeated parent with one child, and an orphan
+            ([2, 1], [0, 4, 8]),  # descending parents, and an orphan
+            ([1, 2], [8, 4, 1]),  # descending children, one an orphan
+            ([1, 2], [4, 4, 1]),  # a repeated child, and an orphan
+            ([1, 5], [4, 1]),  # a parent out of range, and an orphan
+        ],
+    )
+    def test_malformed_levels_hide_no_orphan(self, fixture_a_params, parents, children):
+        """The children of a repeated parent are counted twice in its window,
+        and unordered levels cannot be searched, so the orphan is named by the
+        per-offset test."""
+        cset = _unchecked_set(fixture_a_params, [parents, children])
+        want = loop_structure_problems(cset)
+        assert cset.structure_problems() == want
+        assert "has unselected parent" in want[-1]
 
 
 def _int64_boundaries() -> list[int]:

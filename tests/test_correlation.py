@@ -22,7 +22,7 @@ from cantormax import (
 )
 from cantormax.correlation import CorrelationReport
 from cantormax.errors import EmptySampleError
-from conftest import fits_limbs, float_evaluator, per_gap_oracle, python_ints, random_step
+from conftest import density, fits_limbs, float_evaluator, per_gap_oracle, python_ints, random_step
 
 F = Fraction
 
@@ -41,12 +41,12 @@ def pair(c, r):
 
 class TestLambdaExact:
     def test_disjoint_supports_zero(self, fixture_a):
-        phi1 = fixture_a.density(1)
+        phi1 = density(fixture_a, 1)
         A = AffineTuple((pair(0, 1), pair(-4, 1)))
         assert lambda_exact(A, [phi1, phi1]) == 0
 
     def test_identical_copies_fixture(self, fixture_a):
-        phi1 = fixture_a.density(1)
+        phi1 = density(fixture_a, 1)
         A = AffineTuple((pair(0, 1), pair(0, 1)))
         assert lambda_exact(A, [phi1, phi1]) == 2
 
@@ -75,7 +75,7 @@ class TestLambdaExact:
         assert scaled == lam * base
 
     def test_slot_symmetry(self, fixture_a):
-        phi1, phi2 = fixture_a.density(1), fixture_a.density(2)
+        phi1, phi2 = density(fixture_a, 1), density(fixture_a, 2)
         A = AffineTuple((pair(F(-1, 2), F(3, 2)), pair(F(-1, 4), F(5, 4))))
         B = AffineTuple(A.pairs[::-1])
         assert lambda_exact(A, [phi1, phi2]) == lambda_exact(B, [phi2, phi1])

@@ -41,6 +41,7 @@ from cantormax.stepfn import PiecewiseLinear, StepFunction, linear_combination, 
 from conftest import (
     affine_image,
     breakpoints,
+    density,
     fits_limbs,
     from_cells,
     gap_key_records,
@@ -73,7 +74,7 @@ def _merge_average(f, cset, k, r, x):
     """Merge oracle: the product integral of f against the affine image of
     phi_k, over r."""
     r, x = F(r), F(x)
-    return product_integral([(f, 0, 1), (cset.density(k), x, r)]) / r
+    return product_integral([(f, 0, 1), (density(cset, k), x, r)]) / r
 
 
 def _run_loop_average(f, cset, k, r, x):
@@ -716,7 +717,7 @@ class TestMkAdjoint:
 
 class TestNorms:
     def test_fixture_density_l2(self, fixture_a):
-        assert fixture_a.density(1).lp_power(2) == 2
+        assert density(fixture_a, 1).lp_power(2) == 2
 
     def test_unit_indicator_all_p(self):
         f = StepFunction.indicator(F(3, 7), F(10, 7))
@@ -761,16 +762,17 @@ class TestDifferentiation:
         # runs over fixed points and over breakpoints of every phi_k
         f = StepFunction.indicator(0, 1)
         thetas = {F(1), F(9, 8), F(4, 3), F(3, 2), F(7, 4), F(2)}
-        for k in range(1, z16_set.depth + 1):
-            units = breakpoints(z16_set.density(k))
+        phis = {k: density(z16_set, k) for k in range(1, z16_set.depth + 1)}
+        for phi in phis.values():
+            units = breakpoints(phi)
             thetas |= {units[i] for i in (0, 1, len(units) // 2, -2, -1)}
         assert all(1 <= t <= 2 for t in thetas)
-        for k in range(1, z16_set.depth + 1):
+        for k, phi in phis.items():
             for theta in sorted(thetas):
-                want = prefix_mass(z16_set.density(k), theta, 2)
+                want = prefix_mass(phi, theta, 2)
                 for r in DifferentiateConfig().r_sequence:
                     assert average(f, z16_set, k, r, -theta * r) == want
-        assert prefix_mass(z16_set.density(1), F(1), F(2)) == 1
+        assert prefix_mass(phis[1], F(1), F(2)) == 1
 
     def test_requires_decreasing_r(self, fixture_a):
         with pytest.raises(DomainError):
@@ -810,10 +812,11 @@ class TestL1Demo:
         cset = request.getfixturevalue(name)
         res = l1_divergence_demo(cset, cset.depth, rho0=F(1, 64))
         assert len(res.ball_masses) == cset.depth
+        phis = [density(cset, k) for k in range(1, cset.depth + 1)]
         for j in range(1, cset.depth + 1):
             rho = cset.params.delta(j)
             lo, hi = max(F(1), res.x0 - rho), min(F(2), res.x0 + rho)
-            want = [prefix_mass(cset.density(k), lo, hi) for k in range(1, cset.depth + 1)]
+            want = [prefix_mass(phi, lo, hi) for phi in phis]
             got = [average(StepFunction.indicator(lo, hi), cset, k, 1, 0) for k in range(1, cset.depth + 1)]
             assert got == want
             assert res.ball_masses[f"{rho.numerator}/{rho.denominator}"] == [float(m) for m in want]

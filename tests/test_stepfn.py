@@ -27,9 +27,11 @@ from conftest import (
     _per_gap_sweep,
     affine_image,
     breakpoints,
+    density,
     fits_limbs,
     from_cells,
     gap_key_records,
+    integral,
     linear_mass_between,
     lp_power_oracle,
     mass_between,
@@ -136,7 +138,7 @@ class TestConstruction:
     def test_from_cells_fills_gaps(self):
         f = from_cells([(0, 1, 2), (3, 4, 5)])
         assert f.value_at(F(2)) == 0
-        assert f.integral() == 7
+        assert integral(f) == 7
 
     def test_rejects_overlap_and_disorder(self):
         with pytest.raises(DomainError):
@@ -176,7 +178,7 @@ def test_integral_and_mass_match_prefix_oracle(data):
     f, a, b = data
     lo, hi = f.support() or (F(0), F(0))
     with no_merge():
-        assert f.integral() == prefix_mass(f, lo, hi)
+        assert integral(f) == prefix_mass(f, lo, hi)
         assert product_integral([(f, a, F(5, 3))]) == F(5, 3) * prefix_mass(f, lo, hi)
         if not f.is_zero:
             with pytest.raises(DomainError):
@@ -275,7 +277,7 @@ class TestKernels:
             f, g = random_step(rnd), random_step(rnd)
             w1, w2 = F(2, 3), F(-1, 4)
             comb = linear_combination([(w1, f, F(1, 2), F(3, 2)), (w2, g, 0, 1)])
-            assert comb.integral() == w1 * F(3, 2) * f.integral() + w2 * g.integral()
+            assert integral(comb) == w1 * F(3, 2) * integral(f) + w2 * integral(g)
 
     @given(
         c=small_fraction(),
@@ -286,7 +288,7 @@ class TestKernels:
     def test_affine_image_integral_scaling(self, c, r, data):
         seed = data.draw(st.integers(0, 10**6))
         f = random_step(random.Random(seed))
-        assert affine_image(f, c, r).integral() == r * f.integral()
+        assert integral(affine_image(f, c, r)) == r * integral(f)
 
     def test_inner_product_symmetry(self):
         rnd = random.Random(17)
@@ -899,12 +901,12 @@ class TestEqualTerms:
             assert group.tolist() == gap_classes == fn._cls.tolist()
             term = [(1, fn, c, r)]
             assert linear_combination(term) == per_gap_oracle(linear_combination, term)
-            assert product_integral([(fn, c, r)]) == F(r) * fn.integral()
+            assert product_integral([(fn, c, r)]) == F(r) * integral(fn)
 
 
 def _grouped_case(name, z8_set):
     """(weight, fn, c, r) terms for one case of ``TestGroupedDigits``."""
-    sig, dens = z8_set.sigma(1), z8_set.density(1)
+    sig, dens = z8_set.sigma(1), density(z8_set, 1)
     rnd = random.Random(name)
 
     def place(n, r_dens=(1, 2, 3)):
