@@ -99,12 +99,6 @@ class CantorLevel:
         return runs
 
 
-def _run_length(lv: CantorLevel) -> int:
-    """The total length of a level's runs, in grid cells."""
-    runs = lv.runs()
-    return int((runs[:, 1] - runs[:, 0]).sum())
-
-
 class RunMoments:
     """Exact prefix moments of one level's runs [s_i, e_i), in grid units
     u = M_k (y - 1).
@@ -240,37 +234,31 @@ class CantorSet:
         lv = self.level(k)
         if lv.P == 0:
             raise DegenerateMeasureError(f"level {k} is empty; phi_{k} undefined")
-        return Fraction(_run_length(lv), lv.P)
-
-    def _sigma_levels(self, k: int) -> tuple[list[int], int]:
-        """([0, b, a], vden): sigma_k's value numerators off S_k, on S_k minus
-        S_{k+1} (-M_k/P_k) and on S_{k+1} (M_{k+1}/P_{k+1} - M_k/P_k), over
-        their common denominator."""
-        if k + 1 > self.depth:
-            raise InsufficientDepthError(f"sigma_{k} needs level {k + 1}")
-        parent, child = self.level(k), self.level(k + 1)
-        if parent.P == 0 or child.P == 0:
-            raise DegenerateMeasureError(f"sigma_{k} needs nonempty levels {k} and {k + 1}")
-        off_child = -Fraction(parent.M_k, parent.P)
-        return _clear_denominators([0, off_child, Fraction(child.M_k, child.P) + off_child])
+        runs = lv.runs()
+        return Fraction(int((runs[:, 1] - runs[:, 0]).sum()), lv.P)
 
     def sigma(self, k: int) -> StepFunction:
         """sigma_k = phi_{k+1} - phi_k, exact; support inside S_k.
 
         A stretch between run bounds on the child grid has the class of the
-        number of runs covering it: 0 off S_k, 1 (b) on S_k minus S_{k+1}
-        and 2 (a) on S_{k+1}.  Both levels' run bounds ascend, so one
-        ``searchsorted`` places the parent bounds among the child bounds,
-        and the count is the running sum of +1 at starts and -1 at ends.
-        Assumes that level k+1 nests in level k, which ``structure_problems``
-        checks: a child run outside every parent run is covered once, so it
-        gets the class b there, not phi_(k+1) - phi_k."""
-        levels, vden = self._sigma_levels(k)
+        number of runs covering it: 0 off S_k, 1 (b = -M_k/P_k) on S_k minus
+        S_{k+1} and 2 (a = M_{k+1}/P_{k+1} + b) on S_{k+1}.  Both levels' run
+        bounds ascend, so one ``searchsorted`` places the parent bounds among
+        the child bounds, and the count is the running sum of +1 at starts
+        and -1 at ends.  Assumes that level k+1 nests in level k, which
+        ``structure_problems`` checks: a child run outside every parent run
+        is covered once, so it gets b there, not phi_(k+1) - phi_k."""
         if k in self._sigma_cache:
             return self._sigma_cache[k]
-        child = self.level(k + 1)
+        if k + 1 > self.depth:
+            raise InsufficientDepthError(f"sigma_{k} needs level {k + 1}")
+        parent, child = self.level(k), self.level(k + 1)
+        if parent.P == 0 or child.P == 0:
+            raise DegenerateMeasureError(f"sigma_{k} needs nonempty levels {k} and {k + 1}")
+        b = -Fraction(parent.M_k, parent.P)
+        levels, vden = _clear_denominators([0, b, Fraction(child.M_k, child.P) + b])
         bounds = child.runs().ravel()
-        parent_bounds = (self.level(k).runs() * child.N_k).ravel()
+        parent_bounds = (parent.runs() * child.N_k).ravel()
         at = np.searchsorted(bounds, parent_bounds)
         # a parent bound that equals a child bound shares its slot; any other
         # takes a slot of its own, after the parent bounds before it
@@ -292,17 +280,6 @@ class CantorSet:
         fn = StepFunction.from_classes(ends, child.M_k, levels, classes, vden)
         self._sigma_cache[k] = fn
         return fn
-
-    def sigma_integral(self, k: int) -> Fraction:
-        """The integral of ``sigma(k)``, exact, read from the run lengths and
-        the children under each parent without building sigma_k: (a times
-        the child cells inside S_k, plus b times the cells covered once)
-        over vden M_{k+1}.  On nested levels that is 0."""
-        (_, b_num, a_num), vden = self._sigma_levels(k)
-        parent, child = self.level(k), self.level(k + 1)
-        inside = int(self.descendant_counts(k, k + 1).sum())
-        once = _run_length(parent) * child.N_k + _run_length(child) - 2 * inside
-        return Fraction(a_num * inside + b_num * once, vden * child.M_k)
 
     # -- measures ------------------------------------------------------------
 
@@ -332,10 +309,6 @@ class CantorSet:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_json(self) -> str:
-        """The set file's text: ``to_json_bytes`` decoded."""
-        return self.to_json_bytes().decode("ascii")
-
     def to_json_bytes(self) -> bytes:
         """The set file: the bytes of ``json.dumps`` with ``sort_keys=True``
         and ``separators=(",", ":")`` of the object holding
@@ -343,7 +316,12 @@ class CantorSet:
         when there are none) and per level ``k``, ``N_k``, ``P_k`` and
         ``selected``, the list of its offsets.  Only the small rest goes
         through ``json.dumps``, with an empty list in each ``selected``; the
-        offsets are written from the int64 arrays by ``_offset_blocks``."""
+        offsets are written from the int64 arrays by ``_offset_blocks``,
+        which needs them ascending in [0, M_k): a set that fails the (cached)
+        structure check raises ``StructureError`` and writes nothing."""
+        problems = self.structure_problems()
+        if problems:
+            raise StructureError("; ".join(problems))
         skeleton = {
             "schema_version": SET_SCHEMA_VERSION,
             "params": self.params.to_json_dict(),
@@ -488,8 +466,8 @@ def _compact_set_dict(data: bytes) -> dict | None:
     return d
 
 
-# 10, 10^2, ..., 10^17: the least values of 2, ..., 18 digits
-_DIGIT_EDGES = 10 ** np.arange(1, 18, dtype=np.int64)
+# 10, 10^2, ..., 10^18: the least values of 2, ..., 19 digits
+_DIGIT_EDGES = 10 ** np.arange(1, 19, dtype=np.int64)
 _PIECE = 1 << 16
 
 
@@ -505,9 +483,9 @@ def _offset_list(data: bytes, start: int, end: int) -> np.ndarray | None:
     before it, so the n - 1 bytes below ``0`` are all commas and the rest
     are digits.  A field is at least as long as its value's digits, and as
     long only without a leading zero, so the identity holds exactly when
-    every field is its value's text.  The digit count stops at 18, so it is
-    exact only below 10^18, which the bound states; a field that
-    ``np.fromstring`` saturates to 2^63 - 1 is outside the bound.  The
+    every field is its value's text.  A field that ``np.fromstring``
+    saturates to 2^63 - 1 can have as many digits as that value, so the
+    bound below 10^18 is what refuses it.  The
     bytes are counted and parsed about 65,536 at a time, cut at commas, so
     the array is the one full-size allocation."""
     if start == end:
@@ -535,18 +513,11 @@ def _offset_list(data: bytes, start: int, end: int) -> np.ndarray | None:
     if not (offsets[1:] > offsets[:-1]).all():
         return None
     # a value's digit count is 1 + the edges at or below it
-    digits = 18 * n - int(np.searchsorted(offsets, _DIGIT_EDGES).sum())
+    digits = 19 * n - int(np.searchsorted(offsets, _DIGIT_EDGES).sum())
     if digits + commas != len(b):
         return None
     offsets.flags.writeable = False  # handed to its level as it is
     return offsets
-
-
-# the first value of each run of int64 values whose decimal text has one
-# length: -999...9 (18 nines) up to -9, then 0, 10, ..., 10^18
-_TEXT_LENGTH_EDGES = np.array(
-    [1 - 10**j for j in range(18, 0, -1)] + [0] + [10**j for j in range(1, 19)], dtype=np.int64
-)
 
 
 @cache
@@ -557,51 +528,45 @@ def _digit_groups() -> np.ndarray:
 
 
 def _offset_blocks(offsets: np.ndarray) -> list:
-    """The body of the JSON list of an int64 array, as bytes-like blocks to
-    join: the text ``json.dumps`` gives each value, comma-separated.
+    """The body of the JSON list of an int64 array that ascends from 0 or
+    more, as a checked level's offsets do, as bytes-like blocks to join: the
+    text ``json.dumps`` gives each value, comma-separated.
 
-    The array is cut wherever it descends, wherever the length of the
-    values' text changes and every 65,536 values (small temporaries).
-    Each piece is written at once: its magnitudes split into groups of four
-    digits by integer division, each group's ASCII bytes gathered from
-    ``_digit_groups``, and one strided slice of the rows keeps each value's
-    text with a comma before it."""
+    The array is cut wherever the length of the values' text changes (one
+    ``searchsorted`` of ``_DIGIT_EDGES``) and every 65,536 values (small
+    temporaries).  Each piece is written at once: its values split into
+    groups of four digits by integer division, each group's ASCII bytes
+    gathered from ``_digit_groups``, and one strided slice of the rows keeps
+    each value's text with a comma before it."""
     n = len(offsets)
     if not n:
         return []
-    runs = [0, *(np.flatnonzero(offsets[1:] < offsets[:-1]) + 1).tolist(), n]
-    cuts = {*runs, *range(0, n, 1 << 16)}
-    for lo, hi in zip(runs, runs[1:]):
-        cuts.update((lo + np.searchsorted(offsets[lo:hi], _TEXT_LENGTH_EDGES)).tolist())
-    cuts = sorted(cuts)
+    cuts = sorted({*np.searchsorted(offsets, _DIGIT_EDGES).tolist(), *range(0, n, _PIECE), n})
     blocks = [_field_block(offsets[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
     blocks[0] = memoryview(blocks[0])[1:]  # no comma before the first value
     return blocks
 
 
 def _field_block(values: np.ndarray) -> bytes:
-    """Each value's text with a comma before it, for values whose text has
-    one length."""
+    """Each value's text with a comma before it, for values >= 0 whose text
+    has one length."""
     field = str(int(values[0]))
-    groups = -(-len(field.lstrip("-")) // 4)
+    groups = -(-len(field) // 4)
     table = _digit_groups()
-    # a row is one spare uint32 for the comma and sign, then the groups;
-    # |int64 min| = 2^63 fits uint64
+    # a row is one spare uint32 for the comma, then the groups
     rows = np.empty((len(values), groups + 1), dtype=np.uint32)
-    mag = np.abs(values).view(np.uint64)
+    rest = values.view(np.uint64)
     # every index is below 10000; "wrap" spares take its buffered bounds check
     for j in range(groups, 1, -1):
-        high = mag // 10000
+        high = rest // 10000
         low = high * 10000
-        np.subtract(mag, low, out=low)
+        np.subtract(rest, low, out=low)
         np.take(table, low.view(np.int64), out=rows[:, j], mode="wrap")
-        mag = high
-    np.take(table, mag.view(np.int64), out=rows[:, 1], mode="wrap")
+        rest = high
+    np.take(table, rest.view(np.int64), out=rows[:, 1], mode="wrap")
     row_bytes = rows.view(np.uint8)
     block = row_bytes[:, row_bytes.shape[1] - len(field) - 1 :]
     block[:, 0] = ord(",")
-    if field[0] == "-":
-        block[:, 1] = ord("-")
     return block.tobytes()
 
 

@@ -352,9 +352,10 @@ def verify_set(
 
     Gate (c) replays the construction's derived sampling streams (recorded
     accepted-retry indices), so an accepted set reproduces its transcript.
-    The normalization report reads the integrals of phi_k and sigma_k from
-    the runs (``density_integral``, ``sigma_integral``); only gate (c)
-    builds a sigma_k.
+    The normalization report reads the integral of each phi_k from the
+    runs (``density_integral``).  Each sigma_k integrates to 0 on nested
+    levels (a P_{k+1} + b (P_k N_{k+1} - P_{k+1}) = M_{k+1} - M_k N_{k+1}),
+    so nesting is left to the structure report; only gate (c) builds one.
     """
     reports: list[GateReport] = []
     problems = cset.structure_problems()
@@ -378,13 +379,6 @@ def verify_set(
         if cset.density_integral(k) != 1:
             norm_ok = False
             detail.append(f"integral phi_{k} != 1")
-    # sigma_k = phi_(k+1) - phi_k holds only for nested levels, so a nesting
-    # fault is left to the structure report
-    sigma_levels = range(1, cset.depth) if not problems else ()
-    for k in sigma_levels:
-        if cset.P(k) and cset.P(k + 1) and cset.sigma_integral(k) != 0:
-            norm_ok = False
-            detail.append(f"integral sigma_{k} != 0")
     reports.append(
         GateReport(
             level=0,

@@ -19,8 +19,15 @@ import pytest
 import cantormax.stepfn as sf
 from cantormax import construct, custom, fixed_dimension
 from cantormax.core import SET_SCHEMA_VERSION, CantorLevel, CantorSet
-from cantormax.errors import DegenerateMeasureError, DomainError, FormatError
-from cantormax.stepfn import PiecewiseLinear, StepFunction, linear_combination, product_integral, run_coverage
+from cantormax.errors import DegenerateMeasureError, DomainError, FormatError, InsufficientDepthError
+from cantormax.stepfn import (
+    PiecewiseLinear,
+    StepFunction,
+    _clear_denominators,
+    linear_combination,
+    product_integral,
+    run_coverage,
+)
 
 # Deterministic two-level reference family: K=2, N=(4,4),
 # level-1 selection {(2),(4)}, level-2 {(2,1),(2,3),(4,2),(4,4)}.
@@ -115,8 +122,13 @@ def coverage_sigma(cset: CantorSet, k: int) -> StepFunction:
     """sigma_k with its stretches and classes from ``run_coverage`` of the
     scaled parent runs and the child runs, one sort of both bound lists:
     the build that the merge of presorted bounds replaced."""
-    levels, vden = cset._sigma_levels(k)
+    if k + 1 > cset.depth:
+        raise InsufficientDepthError(f"sigma_{k} needs level {k + 1}")
     parent, child = cset.level(k), cset.level(k + 1)
+    if parent.P == 0 or child.P == 0:
+        raise DegenerateMeasureError(f"sigma_{k} needs nonempty levels {k} and {k + 1}")
+    b = -Fraction(parent.M_k, parent.P)
+    levels, vden = _clear_denominators([0, b, Fraction(child.M_k, child.P) + b])
     ends, classes = run_coverage([(parent.runs() * child.N_k).ravel(), child.runs().ravel()])
     return StepFunction.from_classes(ends + child.M_k, child.M_k, levels, classes, vden)
 

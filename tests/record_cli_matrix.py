@@ -1,16 +1,19 @@
-"""Record the CLI matrix: SHA-256 digests of every output of 52 CLI runs.
+"""Record the CLI matrix: SHA-256 digests of every output of 63 CLI runs.
 
 The matrix runs ``construct``, ``verify`` (gate (c) at n=2, and at n=4),
 ``correlate`` (k=0, k=1, and n=4 at k=1 and at k=2), ``maximal`` (the
-defaults, and m in [-1, 1]), ``differentiate`` (the hat and the
-indicator), ``dimension``, ``demo-l1`` and three usage errors
+defaults, m in [-1, 1], and m in [-1, 1] at 3 points and 2 radii),
+``differentiate`` (the hat and the indicator, at the default 50 points and
+at 5), ``dimension``, ``demo-l1`` and three usage errors
 (``correlate.k=5``, ``correlate.n=3`` and ``demo.depth=0``) on three sets:
 the fixed-dimension N=16 seed-1 set (gate (c) budget 6), the N=8 seed-11
 set (budget 4) and the one-dimensional N=4, K=3 seed-1 set (budget 8), with
 ``correlate.budget = 8`` on all three.  A fourth set, in the custom regime
 (N = 8, 4, 16 with eps = 1/4, 1/5, 1/4, seed 2, budget 4), runs only
-``construct`` and ``verify``, and ``init-config`` runs once to stdout and
-once to a file.  Each run calls ``cantormax.cli.main`` in-process and writes
+``construct`` and ``verify``.  Two more sets run only ``construct``: the
+one-dimensional N=4, K=3 seed-3 set and a custom one (N = 8, 8, 8 with
+eps = 1/4, seed 23), both at budget 4.  ``init-config`` runs once to stdout
+and once to a file.  Each run calls ``cantormax.cli.main`` in-process and writes
 into its own directory; every command after ``construct`` reads the set
 file that ``construct`` wrote.
 
@@ -59,6 +62,21 @@ SETS = {
         "construction.seed=2",
         "construction.gate_c_budget=4",
     ],
+    "od4s3": [
+        "construction.regime=one-dimensional",
+        "construction.N=4",
+        "construction.K=3",
+        "construction.seed=3",
+        "construction.gate_c_budget=4",
+    ],
+    "cu8": [
+        "construction.regime=custom",
+        "construction.level_counts=8,8,8",
+        "construction.epsilon_schedule=1/4,1/4,1/4",
+        "construction.K=3",
+        "construction.seed=23",
+        "construction.gate_c_budget=4",
+    ],
 }
 
 # run name -> (command, config overrides on top of its set's)
@@ -72,8 +90,11 @@ RUNS = {
     "corr_n4_k2": ("correlate", ["correlate.k=2", "correlate.n=4"]),
     "maximal": ("maximal", []),
     "maximal_m": ("maximal", ["maximal.m_min=-1", "maximal.m_max=1"]),
+    "maximal_small": ("maximal", ["maximal.points=3", "maximal.r_count=2", "maximal.m_min=-1", "maximal.m_max=1"]),
     "diff_hat": ("differentiate", ["differentiate.function=hat"]),
     "diff_ind": ("differentiate", ["differentiate.function=indicator"]),
+    "diff_hat5": ("differentiate", ["differentiate.point_count=5"]),
+    "diff_ind5": ("differentiate", ["differentiate.point_count=5", "differentiate.function=indicator"]),
     "dimension": ("dimension", []),
     "demo": ("demo-l1", []),
     # usage errors: each exits 2 with one stderr line and writes nothing
@@ -83,7 +104,7 @@ RUNS = {
 }
 
 # the runs of a set that does not run all of RUNS
-SET_RUNS = {"cu": ("construct", "verify")}
+SET_RUNS = {"cu": ("construct", "verify"), "od4s3": ("construct",), "cu8": ("construct",)}
 
 ENTRIES = [f"{name}/{run}" for name in SETS for run in SET_RUNS.get(name, RUNS)]
 ENTRIES += ["init-config/stdout", "init-config/file"]

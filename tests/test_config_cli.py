@@ -154,21 +154,12 @@ class TestCli:
                 "9fde1c126e9efcdd82157a206534108a11d836a1834c8efd74362d66dd7a456a",
                 "ae91a971e3acdd11d8ba5ee25a3fc70fac3a4e955a73ec453b7c812810a03bc1",
             ),
-            (
-                ["regime=one-dimensional", "N=4", "K=3", "seed=3", "gate_c_budget=4"],
-                "67424e23c1a216fcd13c554f7ebe762016ccf31553c3011c7bfdba65f85f2a82",
-                "419c5798cf463124860edb896b739fd8844e7e7e3088307d75a1ac189eb9d82f",
-            ),
-            (
-                ["regime=custom", "level_counts=8,8,8", "epsilon_schedule=1/4,1/4,1/4", "K=3", "seed=23", "gate_c_budget=4"],
-                "94d9dbfc75fd27c8197df6c115a9850b97e0e98ea106b60b62d62407d7bc487f",
-                "302e5576228075ebe6db2ca4810c13672164a5908592a405573c444591b7e9c0",
-            ),
         ],
-        ids=["fixed-dimension", "one-dimensional", "custom"],
+        ids=["fixed-dimension"],
     )
     def test_construct_bytes_pinned(self, tmp_path, overrides, set_sha, transcript_sha):
-        # set.json and transcript.jsonl of one small set per regime, byte for byte
+        # set.json and transcript.jsonl of the fixed-dimension set, byte for byte;
+        # the other regimes are pinned by the CLI matrix
         argv = ["construct", "-o", str(tmp_path)]
         for item in overrides:
             argv += ["--set", f"construction.{item}"]
@@ -186,34 +177,17 @@ class TestCli:
                 "bf66eadaaab7aa9afb495ab4cfe18d8d7fa260d105470633a297d47bfc499d43",
             ),
             (
-                "maximal",
-                ["maximal.points=3", "maximal.r_count=2", "maximal.m_min=-1", "maximal.m_max=1"],
-                "maximal.csv",
-                "5633d428a651ed50710e117ce1a91aebcaf02fb67b63177183bbd01cdd9d2b1a",
-            ),
-            (
-                "differentiate",
-                ["differentiate.point_count=5"],
-                "differentiate.csv",
-                "11c1019500f71c4fa2b58e5f68f01dcc69d9f08cd5b677f69da8523b2319cb57",
-            ),
-            (
-                "differentiate",
-                ["differentiate.point_count=5", "differentiate.function=indicator"],
-                "differentiate.csv",
-                "f89f739acf82289574285f2284558d6dffa7b9ea6a1af4a80bd77cbd4dd99677",
-            ),
-            (
                 "demo-l1",
                 ["demo.depth=3"],
                 "demo_l1.csv",
                 "eb767f3ccbf97c3ae945f6c6523f2f4fb9bd30910fddcd4990f085804522b128",
             ),
         ],
-        ids=["correlation", "maximal", "differentiate-hat", "differentiate-indicator", "demo-l1"],
+        ids=["correlation", "demo-l1"],
     )
     def test_report_csv_bytes_pinned(self, cli_workspace, tmp_path, command, overrides, name, sha):
-        # every CSV report on the workspace set, byte for byte
+        # CSV reports on the workspace set, byte for byte; maximal and
+        # differentiate are pinned by the CLI matrix
         _, _, out = cli_workspace
         argv = [command, str(out / "set.json"), "-o", str(tmp_path)]
         for item in overrides:
@@ -399,6 +373,30 @@ class TestCli:
         assert code == 1
         assert err.count("\n") == 1 and "level 3 offset out of range" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
+    @pytest.mark.parametrize("fault", ["descending", "repeated"])
+    def test_unordered_level_is_refused_at_load(self, cli_workspace, tmp_path, capsys, fault, indent):
+        # the writer and verify take every level as ascending: the load-time
+        # structure check refuses any other, in either form of the file
+        _, cfg, out = cli_workspace
+        payload = json.loads((out / "set.json").read_text())
+        selected = payload["levels"][1]["selected"]
+        if fault == "descending":
+            selected[0], selected[1] = selected[1], selected[0]
+        else:
+            selected[1] = selected[0]
+        bad = tmp_path / "bad.json"
+        separators = (",", ":") if indent is None else None
+        bad.write_text(json.dumps(payload, sort_keys=True, indent=indent, separators=separators))
+        target = tmp_path / "out"
+        capsys.readouterr()
+        code = main(["verify", str(bad), "-c", str(cfg), "-o", str(target)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "level 2 offsets not sorted/distinct" in err
+        assert "Traceback" not in err
+        assert not target.exists()
 
     @pytest.mark.parametrize("mutation, canonical", _with_writers(_SET_MUTATIONS))
     def test_malformed_set_file_is_usage_error(self, cli_workspace, tmp_path, capsys, mutation, canonical):

@@ -203,16 +203,16 @@ def test_sigma_matches_searchsorted_build(request, name):
 
 @pytest.mark.parametrize("name", ALL_SETS)
 def test_run_based_integrals_match_built_functions(request, name):
-    """The normalization report's integrals, read from the runs, against the
-    integrals of the built phi_k and sigma_k; on the set that breaks nesting
-    sigma_1 is not phi_2 - phi_1, and its integral is still the built one."""
+    """The normalization report's integral of phi_k, read from the runs,
+    against the built phi_k.  The report reads no sigma_k: the built ones
+    all integrate to 0 exactly when the set passes the structure check (on
+    the set that breaks nesting sigma_1 is not phi_2 - phi_1)."""
     cset = request.getfixturevalue(name)
     for k in range(1, cset.depth + 1):
         assert cset.density_integral(k) == integral(density(cset, k)) == 1
-    for k in range(1, cset.depth):
-        assert cset.sigma_integral(k) == integral(coverage_sigma(cset, k))
-    nested = name != "broken_nesting_set"
-    assert nested == all(cset.sigma_integral(k) == 0 for k in range(1, cset.depth))
+    clean = not cset.structure_problems()
+    assert clean == (name != "broken_nesting_set")
+    assert clean == all(integral(coverage_sigma(cset, k)) == 0 for k in range(1, cset.depth))
 
 
 class TestSigmaMerge:
@@ -243,10 +243,10 @@ class TestSigmaMerge:
                     offs.discard(rnd.choice(sorted(offs)))
             arrays[j] = sorted(offs)
             cset = _unchecked_set(z8_set.params, arrays)
-            for k in range(1, cset.depth):
-                sig = cset.sigma(k)
-                assert sig == coverage_sigma(cset, k)
-                assert cset.sigma_integral(k) == integral(sig)
+            sigmas = [cset.sigma(k) for k in range(1, cset.depth)]
+            assert sigmas == [coverage_sigma(cset, k) for k in range(1, cset.depth)]
+            clean = not cset.structure_problems()
+            assert clean == all(integral(sig) == 0 for sig in sigmas)
 
     @pytest.mark.parametrize(
         "children",
@@ -264,18 +264,17 @@ class TestSigmaMerge:
         cset = _unchecked_set(fixture_a_params, [[1, 2], children])
         sig = cset.sigma(1)
         assert sig == coverage_sigma(cset, 1) == searchsorted_sigma(cset, 1)
-        assert cset.sigma_integral(1) == integral(sig)
+        assert (integral(sig) == 0) == (not cset.structure_problems())
 
     def test_every_child_selected_gives_zero(self, fixture_a_params):
         # S_2 = S_1, so phi_2 = phi_1
         cset = _unchecked_set(fixture_a_params, [[0, 2], [0, 1, 2, 3, 8, 9, 10, 11]])
         sig = cset.sigma(1)
         assert sig.is_zero and sig == coverage_sigma(cset, 1)
-        assert cset.sigma_integral(1) == 0
 
     def test_empty_child_level_is_degenerate(self, fixture_a_params):
         cset = _unchecked_set(fixture_a_params, [[0, 2], []])
-        for build in (cset.sigma, cset.sigma_integral, lambda k: coverage_sigma(cset, k)):
+        for build in (cset.sigma, lambda k: coverage_sigma(cset, k)):
             with pytest.raises(DegenerateMeasureError):
                 build(1)
         with pytest.raises(DegenerateMeasureError):
@@ -306,7 +305,7 @@ class TestBuildMemory:
 
     @staticmethod
     def traced_arrays(z16_set, build):
-        cset = CantorSet.from_json(z16_set.to_json())
+        cset = CantorSet.from_json(z16_set.to_json_bytes())
         for lv in cset.levels:
             lv.runs()
         tracemalloc.start()
@@ -600,11 +599,10 @@ class TestStructureProblems:
 
 def _int64_boundaries() -> list[int]:
     """0, then each 10^j - 1 and 10^j (j = 1..18) with their neighbours,
-    the int64 ends, and the negatives of all of them."""
+    and int64 max: every change of the length of a value's text."""
     values = {0, 1, (1 << 63) - 1}
     for j in range(1, 19):
         values.update(10**j + d for d in (-2, -1, 0, 1))
-    values |= {-v for v in values} | {-(1 << 63)}
     return sorted(values)
 
 
@@ -617,57 +615,117 @@ def _unchecked_set(params, arrays) -> CantorSet:
     return CantorSet(params, levels, accepted_retries=(0,) * len(levels), validate=False)
 
 
+@pytest.fixture(scope="module")
+def wide_params():
+    """Two levels with M_2 = 2^63: every int64 >= 0 is a level-2 offset, and
+    its parent is the offset >> 31."""
+    return custom([1 << 32, 1 << 31], [Fraction(1, 4), Fraction(1, 4)])
+
+
 class TestSerialization:
     def test_to_json_matches_reference_dump(self, fixture_a, z8_set, z16_set, fixture_a_params):
         """The writer's bytes are ``json.dumps`` of Python-int lists, and
         every file it writes is read through the compact form."""
         empty_level = build_deterministic([{(2,)}, set()], fixture_a_params)
         for cset in (fixture_a, z8_set, z16_set, empty_level):
-            text = cset.to_json()
-            assert text == reference_dump(cset)
-            assert core._compact_set_dict(text.encode()) is not None
+            data = cset.to_json_bytes()
+            assert data == reference_dump(cset).encode("ascii")
+            assert core._compact_set_dict(data) is not None
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-    def test_to_json_at_every_text_length(self, fixture_a_params, order):
-        """Offsets at each change of their text's length, and both int64
-        ends, in unchecked sets: signs, 19 digits and any order."""
+    def test_to_json_at_every_text_length(self, wide_params, order):
+        """Offsets at each change of their text's length, up to int64 max,
+        under their parents: ascending, the set is written as ``json.dumps``
+        writes it; in any other order it fails the structure check and is
+        refused."""
         values = _int64_boundaries()
         if order == "descending":
             values.reverse()
         elif order == "shuffled":
             random.Random(3).shuffle(values)
-        cset = _unchecked_set(fixture_a_params, [values, values[::2]])
-        assert cset.to_json() == reference_dump(cset)
+        cset = _unchecked_set(wide_params, [sorted({v >> 31 for v in values}), values])
+        if order == "ascending":
+            assert cset.to_json_bytes() == reference_dump(cset).encode("ascii")
+        else:
+            with pytest.raises(StructureError, match="^level 2 offsets not sorted/distinct$"):
+                cset.to_json_bytes()
 
-    def test_to_json_matches_reference_dump_on_any_int64(self, fixture_a_params):
-        """Random int64 offsets, sorted or not, in unchecked sets."""
-        boundary = st.sampled_from(_int64_boundaries())
-        value = st.one_of(boundary, st.integers(-(1 << 63), (1 << 63) - 1), st.integers(0, 10**6))
-        arrays = st.lists(value, max_size=40).map(lambda xs: np.array(xs, dtype=np.int64))
+    def test_to_json_matches_reference_dump_on_any_int64(self, wide_params):
+        """Random int64 offsets, sorted or not, under their parents or not: a
+        set that passes the structure check is written as ``json.dumps``
+        writes it, and any other raises the constructor's ``StructureError``."""
+        value = st.one_of(
+            st.sampled_from(_int64_boundaries()), st.integers(-(1 << 63), (1 << 63) - 1), st.integers(0, 10**6)
+        )
+        outcomes = Counter()
 
         @settings(max_examples=200, deadline=None)
-        @given(st.lists(arrays, min_size=2, max_size=2), st.booleans())
-        def check(levels, ascending):
+        @given(st.lists(value, max_size=40), st.lists(value, max_size=8), st.booleans(), st.booleans())
+        def check(values, strays, ascending, nested):
             if ascending:
-                levels = [np.sort(a) for a in levels]
-            cset = _unchecked_set(fixture_a_params, levels)
-            assert cset.to_json() == reference_dump(cset)
+                values = sorted(set(values))
+            parents = sorted({v >> 31 for v in values}) if nested else sorted(set(strays))
+            cset = _unchecked_set(wide_params, [parents, values])
+            try:
+                CantorSet(cset.params, cset.levels, cset.accepted_retries)
+            except StructureError as exc:
+                outcomes["refused"] += 1
+                with pytest.raises(StructureError, match=f"^{re.escape(str(exc))}$"):
+                    cset.to_json_bytes()
+            else:
+                outcomes["written"] += 1
+                assert cset.to_json_bytes() == reference_dump(cset).encode("ascii")
+
+        check()
+        assert outcomes["refused"] and outcomes["written"]
+
+    def test_offset_blocks_match_join_on_ascending_int64(self):
+        """``_offset_blocks`` of ascending arrays in [0, 2^63), drawn around
+        the changes of text length, is the values' text joined by commas
+        (all of those changes at once: ``test_to_json_at_every_text_length``)."""
+        value = st.one_of(
+            st.sampled_from(_int64_boundaries()), st.integers(0, (1 << 63) - 1), st.integers(0, 10**6)
+        )
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.lists(value, max_size=60))
+        def check(values):
+            a = np.array(sorted(set(values)), dtype=np.int64)
+            assert b"".join(core._offset_blocks(a)) == ",".join(map(str, a.tolist())).encode("ascii")
 
         check()
 
-    def test_long_levels_are_written_in_pieces_of_at_most_65536(self, fixture_a_params, z16_set):
-        """Pieces are cut every 65,536 values, across a change of text length
-        and a descent, and the bytes stay those of ``json.dumps``."""
+    def test_long_levels_are_written_in_pieces_of_at_most_65536(self, wide_params, z16_set):
+        """Pieces are cut every 65,536 values and again where the text's
+        length changes inside such a piece, and the bytes stay those of
+        ``json.dumps``."""
         rising = np.arange(10**5 - 70_000, 10**5 + 80_000, dtype=np.int64)
-        values = np.concatenate((rising, rising[:100_000]))
-        blocks = core._offset_blocks(values)
-        # a comma before every value but the first
-        assert max(bytes(b).count(b",") + (i == 0) for i, b in enumerate(blocks)) == 65_536
-        assert b"".join(blocks) == ",".join(map(str, values.tolist())).encode("ascii")
-        for cset in (_unchecked_set(fixture_a_params, [values, rising]), z16_set):
-            data = cset.to_json_bytes()
-            assert data == reference_dump(cset).encode("ascii")
-            assert cset.to_json() == data.decode("ascii")
+        blocks = core._offset_blocks(rising)
+        # a comma before every value but the first; 100000 is the 70,000th
+        assert [bytes(b).count(b",") + (i == 0) for i, b in enumerate(blocks)] == [65_536, 4_464, 61_072, 18_928]
+        assert b"".join(blocks) == ",".join(map(str, rising.tolist())).encode("ascii")
+        for cset in (_unchecked_set(wide_params, [[0], rising]), z16_set):
+            assert cset.to_json_bytes() == reference_dump(cset).encode("ascii")
+
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            pytest.param([[1, 3], [7, 5]], id="descending"),
+            pytest.param([[1, 3], [5, 5, 13]], id="repeated"),
+            pytest.param([[1, 3], [-3, 5]], id="negative"),
+            pytest.param([[1, 3], [5, 16]], id="at_M_k"),
+            pytest.param([[1, 3], [5, 8]], id="orphan"),
+        ],
+    )
+    def test_sets_failing_the_structure_check_are_not_written(self, fixture_a_params, levels):
+        """``fixture_a``'s grid (M_2 = 16, parents 1 and 3): the writer
+        refuses the set with the message the constructor gives it."""
+        cset = _unchecked_set(fixture_a_params, levels)
+        with pytest.raises(StructureError) as built:
+            CantorSet(cset.params, cset.levels)
+        with pytest.raises(StructureError) as written:
+            cset.to_json_bytes()
+        assert str(written.value) == str(built.value)
 
     def test_level_leaves_the_callers_array_writeable(self):
         a = np.arange(5)
@@ -684,18 +742,18 @@ class TestSerialization:
 
     def test_roundtrip_identity(self, fixture_a, z8_set):
         for cset in (fixture_a, z8_set):
-            text = cset.to_json()
-            again = CantorSet.from_json(text)
-            assert again.to_json() == text
+            data = cset.to_json_bytes()
+            again = CantorSet.from_json(data)
+            assert again.to_json_bytes() == data
             assert again.levels == cset.levels
 
     def test_empty_level_roundtrips_through_compact_form(self, fixture_a_params):
         cset = build_deterministic([{(2,)}, set()], fixture_a_params)
-        text = cset.to_json()
-        assert '"selected":[]' in text
-        assert core._compact_set_dict(text.encode()) is not None
-        again = CantorSet.from_json(text)
-        assert again.to_json() == text
+        data = cset.to_json_bytes()
+        assert b'"selected":[]' in data
+        assert core._compact_set_dict(data) is not None
+        again = CantorSet.from_json(data)
+        assert again.to_json_bytes() == data
         assert again.levels == cset.levels
         assert again.level(2).offsets.dtype == np.int64
 
@@ -779,7 +837,7 @@ class TestCompactLoad:
     def test_from_json_matches_reference_load(self, fixture_a, z8_set, z16_set):
         """``from_json`` == ``reference_load`` on mutated set files: the same
         set, or the same exception class and message."""
-        texts = [cset.to_json() for cset in (fixture_a, z8_set, z16_set)]
+        texts = [cset.to_json_bytes().decode("ascii") for cset in (fixture_a, z8_set, z16_set)]
         paths = Counter()
         compact = core._compact_set_dict
 
@@ -823,7 +881,7 @@ class TestCompactLoad:
         """Level 2's list of ``fixture_a`` (4,6,13,15) replaced by ``body``:
         the text and its bytes load as ``reference_load`` loads the text,
         and only plain ascending lists below 10^18 take the compact path."""
-        text = fixture_a.to_json()
+        text = fixture_a.to_json_bytes().decode("ascii")
         assert text.count('"selected":[4,6,13,15]') == 1
         text = text.replace('"selected":[4,6,13,15]', f'"selected":[{body}]')
         want = _outcome(reference_load, text)
@@ -864,7 +922,7 @@ class TestCompactLoad:
         level's list moved to the key ``x"selected`` and NaN in its place,
         or the first level's list written with a space (so not cut out) and
         a list under ``x"selected`` added.  Both go through ``json.loads``."""
-        text = z8_set.to_json()
+        text = z8_set.to_json_bytes().decode("ascii")
         if case == "nan_and_moved_list":
             key = text.rindex('"selected":[')
             text = text[:key] + '"selected":NaN,"x\\' + text[key:]

@@ -152,7 +152,7 @@ class TestConstruct:
         params = fixed_dimension(8, F(1, 4), 2, seed=3, max_retries=50)
         a, _ = construct(params, gate_c_budget=4)
         b, _ = construct(params, gate_c_budget=4)
-        assert a.to_json() == b.to_json()
+        assert a.to_json_bytes() == b.to_json_bytes()
 
     def test_zero_retries_fails(self):
         params = fixed_dimension(8, F(1, 4), 2, seed=3, max_retries=0)
@@ -175,7 +175,7 @@ class TestConstruct:
     def test_verify_reuses_the_load_time_structure_check(self, z8_set, monkeypatch):
         from cantormax.core import CantorSet
 
-        cset = CantorSet.from_json(z8_set.to_json())
+        cset = CantorSet.from_json(z8_set.to_json_bytes())
 
         def nesting_check_again(*args, **kwargs):
             raise AssertionError("structure checked a second time")

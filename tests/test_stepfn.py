@@ -1242,8 +1242,8 @@ class TestDictionaryEncoding:
             built.append(fn)
 
         monkeypatch.setattr(StepFunction, "_store", recording_store)
-        assert verify_set(CantorSet.from_json(z16_set.to_json()), gate_c_budget=6)[0]
-        cset = CantorSet.from_json(z8_set.to_json())
+        assert verify_set(CantorSet.from_json(z16_set.to_json_bytes()), gate_c_budget=6)[0]
+        cset = CantorSet.from_json(z8_set.to_json_bytes())
         grid = DiscretizationGrid.for_level(cset.params, 2)
         rng = np.random.default_rng(83)
         pairs = [

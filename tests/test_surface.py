@@ -29,7 +29,6 @@ ALLOWED = {
     "one_dimensional": "the one-dimensional regime's parameter constructor; for building fixtures",
     "custom": "the custom-schedule parameter constructor; for building fixtures",
     "fixed_dimension": "the fixed-dimension parameter constructor of the library sketch and the benchmark",
-    "to_json": "the set file as text; the CLI writes the bytes of to_json_bytes",
 }
 
 
@@ -87,10 +86,44 @@ def test_allowlist_holds_only_uncalled_names():
     assert sorted(set(ALLOWED) - uncalled) == []
 
 
+def _private_defs():
+    """(module, node, name) of every private module-level function and
+    constant (a name assigned at module level), dunders excepted."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            out += [(path.stem, node, n) for n in names if n.startswith("_") and not n.startswith("__")]
+    return out
+
+
+def test_every_private_name_has_a_reader_in_the_package():
+    # matched by name, as for public names; a def's or assignment's own
+    # reads of its name do not count
+    reads: dict[str, int] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name in _reads(ast.parse(path.read_text())):
+            reads[name] = reads.get(name, 0) + 1
+    unread = [
+        f"{mod}.{name}" for mod, node, name in _private_defs() if reads.get(name, 0) - _reads(node).count(name) <= 0
+    ]
+    assert unread == []
+
+
 # Names that left the package: those only the tests read, kept in
 # tests/lemmas.py and tests/conftest.py, and those nothing reads.
 MOVED = [
+    "core.CantorSet.sigma_integral",
+    "core.CantorSet.to_json",
     "core.CantorSet.weak_star_defect",
+    "core._TEXT_LENGTH_EDGES",
     "core.alpha",
     "core.build_deterministic",
     "core.check_index",
