@@ -44,6 +44,37 @@ def index_of(offset: int, k: int, params: ConstructionParams) -> MultiIndex:
     return tuple(reversed(digits))
 
 
+class CellMoments:
+    """Exact prefix moments of one level's selected cells [o, o + 1), in
+    grid units u = M_k (y - 1).
+
+    The first j cells have length j, and ``c1[j]`` is the sum of
+    (o + 1)^2 - o^2 = 2 o + 1 over them (the integral of 2u du), one
+    ``cumsum`` of the offsets.  A cut at any rational u then costs one
+    bisect plus the partial cell it lands in.  ``c1`` is bounded by M_k^2,
+    so it stays int64 while M_k < 2^31 and holds Python ints beyond.
+    """
+
+    __slots__ = ("offsets", "c1")
+
+    def __init__(self, offsets: np.ndarray, M_k: int):
+        self.offsets = offsets
+        dtype = np.int64 if M_k < 1 << 31 else object
+        self.c1 = np.zeros(len(offsets) + 1, dtype=dtype)
+        np.cumsum(2 * offsets.astype(dtype, copy=False) + 1, out=self.c1[1:])
+
+    def below(self, u) -> tuple:
+        """(length, integral of 2u du) of the cells inside [0, u], exact, for
+        0 <= u <= M_k."""
+        f = math.floor(u)
+        j = int(np.searchsorted(self.offsets, f))
+        m0, m1 = j, int(self.c1[j])
+        if j < len(self.offsets) and int(self.offsets[j]) == f:
+            m0 += u - f
+            m1 += u * u - f * f
+        return m0, m1
+
+
 @dataclass(frozen=True, eq=False)
 class CantorLevel:
     k: int
@@ -98,38 +129,10 @@ class CantorLevel:
         runs.flags.writeable = False
         return runs
 
-
-class RunMoments:
-    """Exact prefix moments of one level's runs [s_i, e_i), in grid units
-    u = M_k (y - 1).
-
-    ``c0[i]`` is the total length of the first i runs and ``c1[i]`` the sum
-    of e_j^2 - s_j^2 over them (the integral of 2u du).  A cut at any
-    rational u then costs one bisect plus the partial run it lands in.  ``c1`` is
-    bounded by M_k^2, so it stays int64 while M_k < 2^31 and holds Python
-    ints beyond.
-    """
-
-    __slots__ = ("starts", "ends", "c0", "c1")
-
-    def __init__(self, runs: np.ndarray, M_k: int):
-        self.starts, self.ends = runs[:, 0], runs[:, 1]
-        dtype = np.int64 if M_k < 1 << 31 else object
-        s, e = self.starts.astype(dtype), self.ends.astype(dtype)
-        self.c0 = np.concatenate(([0], np.cumsum(e - s))).astype(dtype)
-        self.c1 = np.concatenate(([0], np.cumsum((e - s) * (e + s)))).astype(dtype)
-
-    def below(self, u) -> tuple:
-        """(length, integral of 2u du) of the runs inside [0, u], exact, for
-        0 <= u <= M_k."""
-        j = int(np.searchsorted(self.ends, math.floor(u), side="right"))
-        m0, m1 = int(self.c0[j]), int(self.c1[j])
-        if j < len(self.starts):
-            s = int(self.starts[j])
-            if u > s:
-                m0 += u - s
-                m1 += u * u - s * s
-        return m0, m1
+    @cached_property
+    def cell_moments(self) -> CellMoments:
+        """Prefix moments of the selected cells, built on first use."""
+        return CellMoments(self.offsets, self.M_k)
 
 
 class CantorSet:
@@ -149,7 +152,6 @@ class CantorSet:
         self.levels = tuple(levels)
         self.accepted_retries = accepted_retries
         self._sigma_cache: dict[int, StepFunction] = {}
-        self._moments_cache: dict[int, RunMoments] = {}
         if validate:
             problems = self.structure_problems()
             if problems:
@@ -218,13 +220,6 @@ class CantorSet:
                         problems.append(f"index {bad} at level {k} has unselected parent")
             parents, parents_clean = arr, ordered and in_range
         return problems
-
-    def run_moments(self, k: int) -> RunMoments:
-        """Prefix moments of the runs of S_k, built on first use."""
-        if k not in self._moments_cache:
-            lv = self.level(k)
-            self._moments_cache[k] = RunMoments(lv.runs(), lv.M_k)
-        return self._moments_cache[k]
 
     # -- densities -----------------------------------------------------------
 

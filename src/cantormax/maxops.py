@@ -3,11 +3,12 @@
 Everything that feeds a comparison is exact.  An average A_r[k] f(x) is a
 sum over the linear pieces of f: on a piece where f(z) = alpha + beta z it
 needs the length and the first moment of S_k over the piece's preimage,
-which two bisects into the level's prefix-moment tables give
-(``CantorSet.run_moments``), so an average costs O(pieces * log runs) and
-never a pass over the runs.  Maximal values are exact maxima of exact
-rationals over the query grid.  The sup over continuous dilations is
-replaced by a grid max; refinement of the grid never decreases any value.
+which two bisects into the level's prefix moments over its selected cells
+give (``CantorLevel.cell_moments``), so an average costs
+O(pieces * log P_k) and never a pass over the cells or a build of the
+runs.  Maximal values are exact maxima of exact rationals over the query
+grid.  The sup over continuous dilations is replaced by a grid max;
+refinement of the grid never decreases any value.
 
 The single-scale operator is f -> sup over r of |integral f(x + r y)
 sigma_k(y) dy|: the dilation r is its only free parameter, and the
@@ -55,7 +56,8 @@ def average(f, cset: CantorSet, k: int, r, x) -> Fraction:
     f(z) = alpha + beta z, the integrand is alpha + beta x + beta r y on the
     preimage Y = [(p - x)/r, (q - x)/r], so the piece contributes
     (alpha + beta x) |S_k ∩ Y| + beta r * (integral of y over S_k ∩ Y).
-    Both come from cutting the level's prefix moments at the ends of Y.
+    Both come from cutting the level's cell moments at the ends of Y, two
+    bisects into its P_k offsets, so the cost is O(pieces * log P_k).
     """
     r, x = Fraction(r), Fraction(x)
     if r <= 0:
@@ -63,7 +65,7 @@ def average(f, cset: CantorSet, k: int, r, x) -> Fraction:
     lv = cset.level(k)
     if lv.P == 0:
         raise DegenerateMeasureError(f"level {k} is empty")
-    moments = cset.run_moments(k)
+    moments = lv.cell_moments
     M = lv.M_k
 
     def cut(z, unbounded):
@@ -549,7 +551,7 @@ def l1_divergence_demo(
     on a densest point x0 of the deepest level.  Divergence is evidenced, not
     proven: the table reports its growth across k plus the empirical ball
     masses behind it, at radii delta_1..delta_depth around x0.  A ball mass
-    mu_k(B) is the average A_1[k] 1_B(0), read from the prefix moments.
+    mu_k(B) is the average A_1[k] 1_B(0), read from the cell moments.
     """
     if depth < 1 or depth > cset.depth:
         raise DomainError(f"depth must lie in 1..{cset.depth}")

@@ -296,6 +296,36 @@ def reference_runs(offsets: np.ndarray) -> np.ndarray:
     return np.stack([arr[starts], arr[ends] + 1], axis=1)
 
 
+class RunMoments:
+    """Exact prefix moments of one level's runs [s_i, e_i), in grid units
+    u = M_k (y - 1): the table that ``core.CellMoments`` replaced, kept as
+    its ``==`` oracle.
+
+    ``c0[i]`` is the total length of the first i runs and ``c1[i]`` the sum
+    of e_j^2 - s_j^2 over them (the integral of 2u du).  A cut at any
+    rational u then costs one bisect plus the partial run it lands in.
+    """
+
+    def __init__(self, runs: np.ndarray, M_k: int):
+        self.starts, self.ends = runs[:, 0], runs[:, 1]
+        dtype = np.int64 if M_k < 1 << 31 else object
+        s, e = self.starts.astype(dtype), self.ends.astype(dtype)
+        self.c0 = np.concatenate(([0], np.cumsum(e - s))).astype(dtype)
+        self.c1 = np.concatenate(([0], np.cumsum((e - s) * (e + s)))).astype(dtype)
+
+    def below(self, u) -> tuple:
+        """(length, integral of 2u du) of the runs inside [0, u], exact, for
+        0 <= u <= M_k."""
+        j = int(np.searchsorted(self.ends, math.floor(u), side="right"))
+        m0, m1 = int(self.c0[j]), int(self.c1[j])
+        if j < len(self.starts):
+            s = int(self.starts[j])
+            if u > s:
+                m0 += u - s
+                m1 += u * u - s * s
+        return m0, m1
+
+
 def reference_run_coverage(parts) -> tuple[np.ndarray, np.ndarray]:
     """``stepfn.run_coverage`` as first written: +1 and -1 steps in their own
     array, and each position's count read before its first slot."""

@@ -1,4 +1,4 @@
-"""Record the CLI matrix: SHA-256 digests of every output of 63 CLI runs.
+"""Record the CLI matrix: SHA-256 digests of every output of 65 CLI runs.
 
 The matrix runs ``construct``, ``verify`` (gate (c) at n=2, and at n=4),
 ``correlate`` (k=0, k=1, and n=4 at k=1 and at k=2), ``maximal`` (the
@@ -10,12 +10,13 @@ the fixed-dimension N=16 seed-1 set (gate (c) budget 6), the N=8 seed-11
 set (budget 4) and the one-dimensional N=4, K=3 seed-1 set (budget 8), with
 ``correlate.budget = 8`` on all three.  A fourth set, in the custom regime
 (N = 8, 4, 16 with eps = 1/4, 1/5, 1/4, seed 2, budget 4), runs only
-``construct`` and ``verify``.  Two more sets run only ``construct``: the
-one-dimensional N=4, K=3 seed-3 set and a custom one (N = 8, 8, 8 with
-eps = 1/4, seed 23), both at budget 4.  ``init-config`` runs once to stdout
-and once to a file.  Each run calls ``cantormax.cli.main`` in-process and writes
-into its own directory; every command after ``construct`` reads the set
-file that ``construct`` wrote.
+``construct``, ``verify``, ``maximal`` (m in [-1, 1] at 3 points and 2
+radii) and ``differentiate`` (the hat at 5 points).  Two more sets run
+only ``construct``: the one-dimensional N=4, K=3 seed-3 set and a custom
+one (N = 8, 8, 8 with eps = 1/4, seed 23), both at budget 4.
+``init-config`` runs once to stdout and once to a file.  Each run calls
+``cantormax.cli.main`` in-process and writes into its own directory; every
+command after ``construct`` reads the set file that ``construct`` wrote.
 
 A run's manifest entry holds the SHA-256 hex digests of its exit code (the
 decimal text), its stdout and its stderr (with the run's output directory
@@ -104,7 +105,11 @@ RUNS = {
 }
 
 # the runs of a set that does not run all of RUNS
-SET_RUNS = {"cu": ("construct", "verify"), "od4s3": ("construct",), "cu8": ("construct",)}
+SET_RUNS = {
+    "cu": ("construct", "verify", "maximal_small", "diff_hat5"),
+    "od4s3": ("construct",),
+    "cu8": ("construct",),
+}
 
 ENTRIES = [f"{name}/{run}" for name in SETS for run in SET_RUNS.get(name, RUNS)]
 ENTRIES += ["init-config/stdout", "init-config/file"]

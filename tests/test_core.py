@@ -35,6 +35,7 @@ from cantormax.errors import (
 
 from conftest import (
     FIXTURE_A_SELECTIONS,
+    RunMoments,
     coverage_sigma,
     density,
     integral,
@@ -338,6 +339,19 @@ class TestBuildMemory:
             tracemalloc.stop()
         assert level.P > 150_000 and peak <= 4.0 * 8 * level.P
 
+    def test_cell_moments_build_holds_few_arrays_of_its_offsets(self, z16_set):
+        # the table and one temporary: 2.0 arrays of the level's offsets here
+        lv = z16_set.level(3)
+        level = CantorLevel(k=lv.k, N_k=lv.N_k, M_k=lv.M_k, offsets=lv.offsets)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            level.cell_moments
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert level.P > 150_000 and peak <= 2.5 * 8 * level.P
+
 
 class TestLoadMemory:
     """Traced peaks of loading ``z16_set``'s bytes, in int64 arrays of its
@@ -380,14 +394,59 @@ def deepest_mass(cset, a, b):
     return average(StepFunction.indicator(a, b), cset, cset.depth, 1, 0)
 
 
+def cell_moments_brute(offsets, u):
+    """(length, integral of 2u du) of the cells [o, o + 1) inside [0, u],
+    summed cell by cell."""
+    length = square = F(0)
+    for o in offsets:
+        top = min(F(o + 1), u)
+        if top > o:
+            length += top - o
+            square += top * top - o * o
+    return length, square
+
+
+@st.composite
+def _offsets_and_cuts(draw):
+    """(M, offsets, cuts): sorted distinct offsets in [0, M), with adjacent
+    offsets, offset 0 and offset M - 1 each drawn often, and cuts on every
+    cell edge from 0 to M and inside cells, selected or not."""
+    M = draw(st.integers(1, 24))
+    offsets = draw(st.sets(st.integers(0, M - 1), max_size=M))
+    offsets |= {0} if draw(st.booleans()) else set()
+    offsets |= {M - 1} if draw(st.booleans()) else set()
+    if M > 1 and draw(st.booleans()):
+        o = draw(st.integers(0, M - 2))
+        offsets |= {o, o + 1}
+    cuts = [F(e) for e in range(M + 1)]
+    cuts += [o + F(draw(st.integers(1, 12)), 13) for o in range(M)]
+    return M, sorted(offsets), cuts
+
+
 class TestRunMoments:
+    """``core.CellMoments``, the prefix moments over a level's selected
+    cells, against the runs-based table it replaced (``conftest.RunMoments``)
+    and a cell-by-cell sum, with ==."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_offsets_and_cuts())
+    def test_cell_moments_match_the_runs_and_the_cells(self, data):
+        M, offsets, cuts = data
+        arr = np.array(offsets, dtype=np.int64)
+        moments = core.CellMoments(arr, M)
+        oracle = RunMoments(reference_runs(arr), M)
+        for u in cuts:
+            assert moments.below(u) == oracle.below(u) == cell_moments_brute(offsets, u)
+
     @pytest.mark.parametrize("log_m, dtype", [(30, np.int64), (31, object)])
     def test_run_moments_at_the_dtype_boundary(self, log_m, dtype):
-        # c1 is bounded by M_k^2, so the tables stay int64 below M_k = 2^31
+        # c1 is bounded by M_k^2, so the table stays int64 below M_k = 2^31
         M = 1 << log_m
         runs = np.array([[0, 3], [5, 1 << 20], [M // 2 - 7, M // 2 + 9], [M - 4, M]], dtype=np.int64)
-        moments = core.RunMoments(runs, M)
-        assert moments.c0.dtype == moments.c1.dtype == dtype
+        offsets = np.concatenate([np.arange(s, e, dtype=np.int64) for s, e in runs])
+        moments = core.CellMoments(offsets, M)
+        assert moments.c1.dtype == dtype
+        oracle = RunMoments(runs, M)
 
         def brute(u):
             length = square = F(0)
@@ -402,7 +461,7 @@ class TestRunMoments:
         cuts += [F(M // 2) + d for d in (F(-7), F(-13, 2), F(0), F(9), F(19, 2))]
         cuts += [F(M) + d for d in (F(-5), F(-4), F(-1, 3), F(0))]
         for u in cuts:
-            assert moments.below(u) == brute(u)
+            assert moments.below(u) == oracle.below(u) == brute(u)
 
 
 class TestMeasures:

@@ -4,6 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from cantormax import (
     phi_star,
     restricted_type_ratio,
 )
+import cantormax.core as core
 from cantormax.config import DifferentiateConfig
+from cantormax.core import CantorSet
 from cantormax.errors import DegenerateMeasureError, DomainError, GridError, InsufficientDepthError
 from cantormax.grids import DiscretizationGrid
 from cantormax.maxops import (
@@ -237,9 +240,55 @@ class TestPrefixMomentAverage:
         from conftest import FIXTURE_A_SELECTIONS
 
         cset = build_deterministic(FIXTURE_A_SELECTIONS, fixture_a_params)
-        assert not cset._moments_cache
+        assert _cached(cset, "cell_moments") == []
         average(_HAT, cset, 2, F(1, 2), F(-3))
-        assert list(cset._moments_cache) == [2]
+        assert _cached(cset, "cell_moments") == [2]
+        assert _cached(cset, "_runs") == []
+
+    def test_sweep_and_experiment_build_no_runs(self, z16_set):
+        # the averages read the cell moments only, on every level
+        cset = CantorSet.from_json(z16_set.to_json_bytes())
+        query = MaximalQuery(points=(F(-3), F(-2), F(-1, 2)), r_grid=dyadic_r_grid(3), m_min=-1, m_max=1)
+        maximal_sweep(StepFunction.indicator(0, 1), cset, query, range(-1, 2))
+        rs = DifferentiateConfig().r_sequence
+        differentiation_experiment(_HAT, cset, [F(-3), F(-2), F(-3, 2)], rs)
+        differentiation_experiment(StepFunction.indicator(0, 1), cset, [-rs[0], -rs[0] / 3], rs)
+        assert _cached(cset, "cell_moments") == [1, 2, 3]
+        assert _cached(cset, "_runs") == []
+
+    def test_two_cuts_per_piece_it_does_not_skip(self, fixture_a, z8_set):
+        rnd = random.Random(55)
+        cases = [(StepFunction.indicator(0, 1), F(-1), F(3, 4)), (StepFunction.indicator(0, 1), F(-7), F(1))]
+        cases += [(_HAT, x, r) for x, r in ((F(-5), F(2)), (F(-2), F(1, 8)), (F(-3), F(5, 4)), (F(1), F(1)))]
+        cases += [(_window_step(rnd, x, r), x, r) for x, r in ((F(-2), F(9, 8)), (F(-3, 2), F(5, 4)))]
+        real = core.CellMoments.below
+        for cset in (fixture_a, z8_set):
+            for f, x, r in cases:
+                cuts = []
+
+                def below(moments, u):
+                    cuts.append(u)
+                    return real(moments, u)
+
+                with mock.patch.object(core.CellMoments, "below", below):
+                    average(f, cset, cset.depth, r, x)
+                assert len(cuts) == 2 * _live_pieces(f, x, r)
+
+
+def _cached(cset, name):
+    """The levels whose ``name`` is cached in their ``__dict__``."""
+    return [lv.k for lv in cset.levels if name in vars(lv)]
+
+
+def _live_pieces(f, x, r):
+    """The linear pieces of f that are not zero and meet the window
+    x + r [1, 2] in an interval of positive length."""
+    lo, hi = x + r, x + 2 * r
+    return sum(
+        1
+        for p, q, alpha, beta in f.linear_pieces()
+        if (alpha or beta) and min(hi, hi if q is None else q) > max(lo, lo if p is None else p)
+    )
 
 
 @st.composite

@@ -120,9 +120,11 @@ def test_every_private_name_has_a_reader_in_the_package():
 # Names that left the package: those only the tests read, kept in
 # tests/lemmas.py and tests/conftest.py, and those nothing reads.
 MOVED = [
+    "core.CantorSet.run_moments",
     "core.CantorSet.sigma_integral",
     "core.CantorSet.to_json",
     "core.CantorSet.weak_star_defect",
+    "core.RunMoments",
     "core._TEXT_LENGTH_EDGES",
     "core.alpha",
     "core.build_deterministic",
